@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .doubling import SPACE16, Code
-from .words import popcounts16, rank_gf2, xor_closure
+from .words import echelon_basis, popcounts16, rank_gf2, xor_closure
 
 
 def _words_occ(code) -> tuple[np.ndarray, np.ndarray]:
@@ -46,20 +46,9 @@ def kernel_dim(kw: np.ndarray) -> int:
 
 
 def rank_of(code) -> int:
+    """Rank of the translate through 0: dimension of the codeword differences."""
     words, _ = _words_occ(code)
     return rank_gf2(words ^ words[0])
-
-
-def coset_reps(code, kw: np.ndarray) -> np.ndarray:
-    """One representative per kernel coset inside C, in word order."""
-    words, _ = _words_occ(code)
-    seen = np.zeros(SPACE16, dtype=bool)
-    reps = []
-    for w in words:
-        if not seen[w]:
-            reps.append(int(w))
-            seen[w ^ kw] = True
-    return np.array(reps, dtype=np.uint16)
 
 
 def weight4_words(kw: np.ndarray) -> np.ndarray:
@@ -121,16 +110,7 @@ class LinearSpan:
 
     @classmethod
     def from_words(cls, words) -> "LinearSpan":
-        basis: dict = {}
-        for w in words:
-            w = int(w)
-            while w:
-                lead = w.bit_length() - 1
-                if lead in basis:
-                    w ^= basis[lead]
-                else:
-                    basis[lead] = w
-                    break
+        basis = echelon_basis(words)
         return cls(tuple(basis[k] for k in sorted(basis)))
 
     @property
@@ -144,25 +124,15 @@ class LinearSpan:
         return 1 << len(self.basis)
 
     def __contains__(self, w: int) -> bool:
-        w = int(w)
-        by_lead = {b.bit_length() - 1: b for b in self.basis}
-        while w:
-            lead = w.bit_length() - 1
-            if lead not in by_lead:
-                return False
-            w ^= by_lead[lead]
-        return True
+        return len(echelon_basis(self.basis + (int(w),))) == len(self.basis)
 
 
 def kernel(code) -> LinearSpan:
-    """The kernel as a span; requires 0 to be a codeword.
+    """The kernel as a span.
 
     Closure under xor is asserted, not assumed: the full table of
     pairwise sums is checked against the kernel occupancy.
     """
-    words, occ = _words_occ(code)
-    if not occ[0]:
-        raise ValueError("0 is not a codeword; normalize first")
     kw = kernel_words(code)
     kocc = np.zeros(SPACE16, dtype=bool)
     kocc[kw] = True
@@ -172,14 +142,6 @@ def kernel(code) -> LinearSpan:
     if len(span) != len(kw):
         raise AssertionError("kernel basis does not regenerate the kernel")
     return span
-
-
-def rank(code) -> int:
-    """Dimension of the xor-span of the code; requires 0 to be a codeword."""
-    words, occ = _words_occ(code)
-    if not occ[0]:
-        raise ValueError("0 is not a codeword; normalize first")
-    return rank_gf2(words)
 
 
 @dataclass(eq=False)

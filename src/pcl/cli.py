@@ -4,7 +4,12 @@ Subcommands mirror the library layers: enumerate the length-7 perfect
 codes and partition classes, double a pair of extended classes into a
 length-16 code, compute rank and kernel invariants, classify the derived
 triple systems, check the folded graph against the prescribed loop and
-link families, and export graphs.  The pipeline command chains the
+link families, and export graphs.
+
+Each per-code stage (analysis, type grid, structure report) is one
+function that computes the stage and writes its artifact; its
+subcommand and the pipeline command both call it, so the subcommands
+reproduce the pipeline's files byte for byte.  The pipeline chains the
 stages over a seeded permutation scan; identical options and seed
 reproduce byte-identical artifacts.
 """
@@ -15,19 +20,21 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import click
 
-from .algebra import LinearSpan, cosets, kernel_dim, kernel_words, rank_of
+from .algebra import kernel_dim, kernel_words, rank_of
 from .fano import fano_families, partition_registry
 from .fold import quotient_graph
-from .ioutil import atomic_write, load_code, pmap, save_code, write_json
+from .ioutil import (atomic_write, load_code, provenance, save_code,
+                     write_json)
 from .partitions import (Atlas, build_atlas, canonical_form,
                          enumerate_partitions7, orbit_classify7)
 from .perfect import enumerate_perfect7
 from .scan import PRIORITY_PAIRS, find_representatives, make_code, scan_pair
-from .sts import class_type_tuple, render_tuple
-from .structure import full_report
+from .sts import code_type_grid, homogeneity, multiset_keys, render_tuple
+from .structure import StructureReport, full_report
 from .words import parse_sigma, quad_name, sigma_str, word_hex
 
 KAPPA_TARGETS = (5, 6, 7, 8, 9)
@@ -223,6 +230,16 @@ def double(source: int, target: int, sigma: str | None, scan_sigma: bool,
     click.echo("wrote %s" % out)
 
 
+def analysis_stage(code, out: str) -> dict:
+    """Rank, kernel dimension and coset count; written to out with the
+    code's provenance keys, returned without them."""
+    kappa = kernel_dim(kernel_words(code))
+    d = {"rank": rank_of(code), "kernelDim": kappa,
+         "cosetCount": len(code.words) >> kappa}
+    write_json(out, {**d, **provenance(code)})
+    return d
+
+
 @main.command()
 @click.argument("code_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -230,42 +247,40 @@ def double(source: int, target: int, sigma: str | None, scan_sigma: bool,
 def analyze(code_path: str, out: str | None) -> None:
     """Rank, kernel dimension and kernel coset count of a code."""
     code = _load_code_checked(code_path)
-    kappa = kernel_dim(kernel_words(code))
-    d = {"rank": rank_of(code), "kernelDim": kappa,
-         "cosetCount": len(code.words) >> kappa}
-    click.echo(json.dumps(d))
-    payload = dict(d)
-    if code.left is not None:
-        payload["sourceClass"] = code.left
-    if code.right is not None:
-        payload["targetClass"] = code.right
-    if code.sigma is not None:
-        payload["sigma"] = sigma_str(code.sigma)
     if out is None:
         out = os.path.splitext(code_path)[0] + ".analysis.json"
-    write_json(out, payload)
+    click.echo(json.dumps(analysis_stage(code, out)))
     click.echo("wrote %s" % out)
 
 
 # ------------------------------------------------------- typing and checks
 
 
-def _type_rows(code) -> list[tuple[int, int, tuple]]:
-    """(vertex, representative, type tuple) per kernel coset.
+class TypeGrid(NamedTuple):
+    """Rendered type tuples of the kernel cosets and what is read off them.
 
-    Untabulated Pasch signatures yield None entries, rendered "?";
-    they do occur for some doubled codes with small kernels.
+    Untabulated Pasch signatures render as "?"; they do occur for some
+    doubled codes with small kernels.
     """
-    span = LinearSpan.from_words(kernel_words(code))
-    dec = cosets(code, span)
-    tups = pmap(lambda r: class_type_tuple(code, int(r), span.basis,
-                                           strict=False),
-                dec.reps)
-    return [(i, int(r), tup) for i, (r, tup) in enumerate(zip(dec.reps, tups))]
+
+    rows: list            # (vertex, representative hex, rendered tuple)
+    homogeneous: tuple    # (alike as multisets, alike and constant)
+    distinct: int         # distinct type multisets
+    unknown: int          # untabulated coordinates over all vertices
 
 
-def _unknown_count(rows) -> int:
-    return sum(1 for _, _, tup in rows for t in tup if t is None)
+def types_stage(code, csv_path: str | None) -> TypeGrid:
+    """Type every kernel coset; write one CSV row per coset to csv_path."""
+    grid = code_type_grid(code)
+    tuples = [tup for _, tup in grid]
+    rows = [(i, word_hex(rep, 16), render_tuple(tup))
+            for i, (rep, tup) in enumerate(grid)]
+    if csv_path:
+        lines = ["vertex,representative,types"]
+        lines += ["%d,%s,%s" % row for row in rows]
+        atomic_write(csv_path, "\n".join(lines) + "\n")
+    return TypeGrid(rows, homogeneity(tuples), len(multiset_keys(tuples)),
+                    sum(s.count("?") for _, _, s in rows))
 
 
 @main.command("sts-types")
@@ -275,30 +290,30 @@ def _unknown_count(rows) -> int:
 def sts_types(code_path: str, csv_path: str | None) -> None:
     """Triple-system types of the punctured code, one tuple per coset."""
     code = _load_code_checked(code_path)
-    rows = _type_rows(code)
-    for i, rep, tup in rows:
-        click.echo("vertex %d %s %s" % (i, word_hex(rep, 16),
-                                        render_tuple(tup)))
-    keys = {"".join(sorted(render_tuple(tup))) for _, _, tup in rows}
-    sqs_h = len(keys) == 1
-    sts_h = sqs_h and len(set(next(iter(keys)))) == 1
+    grid = types_stage(code, csv_path)
+    for row in grid.rows:
+        click.echo("vertex %d %s %s" % row)
+    sqs_h, sts_h = grid.homogeneous
     click.echo("homogeneous: %s%s"
                % (sqs_h, " (constant)" if sts_h else ""))
-    unknown = _unknown_count(rows)
-    if unknown:
+    if grid.unknown:
         click.echo("warning: %d punctured systems match no signature "
-                   "in the type table (rendered ?)" % unknown)
+                   "in the type table (rendered ?)" % grid.unknown)
     if csv_path:
-        lines = ["vertex,representative,types"]
-        lines += ["%d,%s,%s" % (i, word_hex(rep, 16), render_tuple(tup))
-                  for i, rep, tup in rows]
-        atomic_write(csv_path, "\n".join(lines) + "\n")
         click.echo("wrote %s" % csv_path)
 
 
 def _short(x, limit: int = 64) -> str:
     s = str(x)
     return s if len(s) <= limit else s[: limit - 3] + "..."
+
+
+def report_stage(code, report_path: str | None) -> StructureReport:
+    """Structure verdicts of the folded code; written to report_path."""
+    rep = full_report(code)
+    if report_path:
+        write_json(report_path, rep.to_json())
+    return rep
 
 
 @main.command("verify-theorem5")
@@ -309,7 +324,7 @@ def verify_theorem5(code_path: str, report_path: str | None) -> None:
     """Check the folded graph against the prescribed loop and link families."""
     code = _load_code_checked(code_path)
     try:
-        rep = full_report(code)
+        rep = report_stage(code, report_path)
     except ValueError as e:
         raise _fail(str(e))
     click.echo(rep.summary())
@@ -318,7 +333,6 @@ def verify_theorem5(code_path: str, report_path: str | None) -> None:
                            % (_short(v.expected), _short(v.observed)))
         click.echo("  fail %s: %s" % (v.subject, msg))
     if report_path:
-        write_json(report_path, rep.to_json())
         click.echo("wrote %s" % report_path)
     sys.exit(0 if rep.passed else 1)
 
@@ -355,7 +369,7 @@ def export(code_path: str, fmt: str, out: str, with_sts: bool) -> None:
     code = _load_code_checked(code_path)
     g = quotient_graph(code)
     if with_sts and fmt in ("dot", "json"):
-        g.vertex_sts = [render_tuple(tup) for _, _, tup in _type_rows(code)]
+        g.vertex_sts = [s for _, _, s in types_stage(code, None).rows]
     if fmt == "dot":
         atomic_write(out, g.to_dot() + "\n")
     elif fmt == "csv":
@@ -397,10 +411,8 @@ def _stage(tag: str):
 @click.option("--sample", type=int, default=400, show_default=True,
               help="permutations sampled per pair")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--budget", type=float, default=1800.0, show_default=True,
-              help="scan time budget in seconds")
 def pipeline(out_dir: str, atlas_path: str | None, pairs: tuple,
-             sample: int, seed: int, budget: float) -> None:
+             sample: int, seed: int) -> None:
     """Run every stage and leave one artifact set per kernel dimension.
 
     Classifies the partitions, scans seeded permutation samples over the
@@ -432,15 +444,15 @@ def pipeline(out_dir: str, atlas_path: str | None, pairs: tuple,
         kap0 = kernel_dim(kernel_words(base))
         found = find_representatives(atlas, targets=KAPPA_TARGETS,
                                      pairs=pair_list, per_pair=sample,
-                                     seed=seed, time_budget=budget)
+                                     seed=seed)
     click.echo("[scan] linear baseline kappa=%d, structure check skipped"
                % kap0)
     summary["linear"] = {"sourceClass": lin, "targetClass": lin,
                          "sigma": "01234567", "kernelDim": kap0}
     missing = sorted(set(KAPPA_TARGETS) - found.keys())
     if missing:
-        click.echo("[scan] no code found for kappa in %s within the budget"
-                   % missing)
+        click.echo("[scan] no code found for kappa in %s within %d "
+                   "permutations per pair" % (missing, sample))
 
     for kap in sorted(found):
         left, right, sig, code = found[kap]
@@ -451,36 +463,24 @@ def pipeline(out_dir: str, atlas_path: str | None, pairs: tuple,
             save_code(path("code_%s.json" % tag), code)
 
         with _stage("analyze"):
-            analysis = {"rank": rank_of(code), "kernelDim": kap,
-                        "cosetCount": len(code.words) >> kap,
-                        "sourceClass": left, "targetClass": right,
-                        "sigma": sigma_str(sig)}
-            write_json(path("analysis_%s.json" % tag), analysis)
+            analysis = analysis_stage(code, path("analysis_%s.json" % tag))
         click.echo("[analyze] kappa=%d rank=%d cosets=%d"
                    % (kap, analysis["rank"], analysis["cosetCount"]))
 
         with _stage("sts-types"):
-            rows = _type_rows(code)
-            lines = ["vertex,representative,types"]
-            lines += ["%d,%s,%s" % (i, word_hex(rep, 16), render_tuple(tup))
-                      for i, rep, tup in rows]
-            atomic_write(path("sts_%s.csv" % tag), "\n".join(lines) + "\n")
-        distinct = len({"".join(sorted(render_tuple(t)))
-                        for _, _, t in rows})
-        unknown = _unknown_count(rows)
+            grid = types_stage(code, path("sts_%s.csv" % tag))
         click.echo("[sts-types] kappa=%d: %d vertices, %d distinct tuples%s"
-                   % (kap, len(rows), distinct,
-                      ", %d coordinates untabulated" % unknown
-                      if unknown else ""))
+                   % (kap, len(grid.rows), grid.distinct,
+                      ", %d coordinates untabulated" % grid.unknown
+                      if grid.unknown else ""))
 
         with _stage("verify"):
-            rep = full_report(code)
-            write_json(path("report_%s.json" % tag), rep.to_json())
+            rep = report_stage(code, path("report_%s.json" % tag))
         click.echo("[verify] %s" % rep.summary())
         summary["found"][str(kap)] = {
             "sourceClass": left, "targetClass": right,
             "sigma": sigma_str(sig), "overall": rep.overall,
-            "passed": rep.passed, "untabulatedTypes": unknown}
+            "passed": rep.passed, "untabulatedTypes": grid.unknown}
 
     with _stage("summary"):
         write_json(path("summary.json"), summary)

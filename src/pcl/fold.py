@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import LinearSpan, cosets, kernel_words
+from .algebra import LinearSpan, cosets, kernel
 from .doubling import Code
 from .words import parse_quad, popcounts16, quad_name, word_hex
 
@@ -183,16 +183,15 @@ def graph_from_json(d: dict) -> tuple:
     return reps, labels, mult, sts
 
 
-def quotient_graph(code: Code, span: LinearSpan | None = None,
-                   check: bool = True) -> SqsGraph:
+def quotient_graph(code: Code, span: LinearSpan | None = None) -> SqsGraph:
     """Fold over a kernel subspace; the whole kernel when span is None.
 
-    With check enabled, every edge is verified to have the covering
-    property: each label appears exactly once per row and column of the
-    coset-pair difference table.
+    Every edge is verified to have the covering property: each label
+    appears exactly once per row and column of the coset-pair difference
+    table.
     """
     if span is None:
-        span = LinearSpan.from_words(kernel_words(code))
+        span = kernel(code)
     dec = cosets(code, span)
     reps = dec.reps
     m = len(reps)
@@ -201,8 +200,7 @@ def quotient_graph(code: Code, span: LinearSpan | None = None,
     labels: dict = {}
     mult = np.zeros((m, m), dtype=np.int64)
     np.fill_diagonal(mult, len(loop))
-    if check:
-        members = [code.words[dec.index[code.words] == i] for i in range(m)]
+    members = [code.words[dec.index[code.words] == i] for i in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
             d = reps[i] ^ reps[j] ^ sub
@@ -210,17 +208,16 @@ def quotient_graph(code: Code, span: LinearSpan | None = None,
             if len(w4) == 0:
                 continue
             labs = tuple(int(b) for b in np.sort(w4))
-            if check:
-                dd = members[i][:, None] ^ members[j][None, :]
-                ww = np.where(popcounts16(dd) == 4, dd, 0)
-                want = np.sort(ww[0])
-                ok = all(np.array_equal(np.sort(ww[r]), want)
-                         for r in range(len(sub)))
-                ok = ok and all(np.array_equal(np.sort(ww[:, c]), want)
-                                for c in range(len(sub)))
-                if not ok:
-                    raise AssertionError(
-                        "covering property fails between cosets %d and %d" % (i, j))
+            dd = members[i][:, None] ^ members[j][None, :]
+            ww = np.where(popcounts16(dd) == 4, dd, 0)
+            want = np.sort(ww[0])
+            ok = all(np.array_equal(np.sort(ww[r]), want)
+                     for r in range(len(sub)))
+            ok = ok and all(np.array_equal(np.sort(ww[:, c]), want)
+                            for c in range(len(sub)))
+            if not ok:
+                raise AssertionError(
+                    "covering property fails between cosets %d and %d" % (i, j))
             labels[(i, j)] = labs
             mult[i, j] = mult[j, i] = len(labs)
     return SqsGraph(code, span, reps, loop, labels, mult)

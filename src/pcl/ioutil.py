@@ -1,9 +1,10 @@
-"""Shared persistence and parallelism helpers for the CLI commands.
+"""Shared persistence helpers for the CLI commands.
 
 All writes go through a temp file plus atomic rename so failed runs
 never leave partial artifacts.  Code files use one JSON schema
 everywhere: {"length": n, "codewords": [hex, ...]} with codewords
 sorted ascending, plus optional provenance keys for doubled codes.
+Loaded codes are checked to be extended 1-perfect before use.
 """
 
 from __future__ import annotations
@@ -11,29 +12,12 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .doubling import Code
+from .perfect import is_extended_perfect16
 from .words import parse_sigma, sigma_str, word_hex
-
-
-def thread_width(default: int = 4) -> int:
-    try:
-        return max(1, int(os.environ.get("PCL_THREADS", default)))
-    except ValueError:
-        return default
-
-
-def pmap(fn, items, width: int | None = None) -> list:
-    """Ordered parallel map; serial when the width is 1."""
-    items = list(items)
-    w = thread_width() if width is None else max(1, width)
-    if w == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, items))
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -73,15 +57,20 @@ def code_from_json(d: dict) -> tuple[list[int], int]:
     return words, n
 
 
-def save_code(path: str, code: Code) -> None:
-    d = code_to_json(code.words, 16)
+def provenance(code: Code) -> dict:
+    """The recipe keys of a doubled code that are known."""
+    d: dict = {}
     if code.left is not None:
         d["sourceClass"] = code.left
     if code.right is not None:
         d["targetClass"] = code.right
     if code.sigma is not None:
         d["sigma"] = sigma_str(code.sigma)
-    write_json(path, d)
+    return d
+
+
+def save_code(path: str, code: Code) -> None:
+    write_json(path, {**code_to_json(code.words, 16), **provenance(code)})
 
 
 def load_code(path: str) -> Code:
@@ -89,6 +78,9 @@ def load_code(path: str) -> Code:
     words, n = code_from_json(d)
     if n != 16:
         raise ValueError("expected a length-16 code, got length %d" % n)
+    ws = np.array(words, dtype=np.uint16)
+    if not is_extended_perfect16(ws, thorough=False):
+        raise ValueError("%d codewords do not form an extended 1-perfect "
+                         "code of length 16" % len(ws))
     sigma = parse_sigma(d["sigma"]) if "sigma" in d else None
-    return Code(np.array(words, dtype=np.uint16),
-                d.get("sourceClass"), d.get("targetClass"), sigma)
+    return Code(ws, d.get("sourceClass"), d.get("targetClass"), sigma)

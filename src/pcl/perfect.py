@@ -123,18 +123,13 @@ def extend_even(words7) -> tuple:
     return tuple(sorted(w | ((weight(w) & 1) << N7) for w in words7))
 
 
-def puncture(words, i: int) -> tuple:
-    """Delete coordinate i (words become one bit shorter)."""
-    out = []
-    for w in words:
-        out.append(((w >> (i + 1)) << i) | (w & ((1 << i) - 1)))
-    return tuple(sorted(out))
+def puncture(w, i: int):
+    """Delete coordinate i, shifting the higher coordinates down one.
 
-
-def puncture16_np(words: np.ndarray, i: int) -> np.ndarray:
-    """Vectorized coordinate deletion for length-16 word arrays."""
-    w = words.astype(np.uint32)
-    return (((w >> (i + 1)) << i) | (w & ((1 << i) - 1))).astype(np.uint16)
+    Works on one int or elementwise on an unsigned numpy word array,
+    whose dtype it keeps: the result is one bit narrower than the input.
+    """
+    return ((w >> (i + 1)) << i) | (w & ((1 << i) - 1))
 
 
 def tiles15(pw: np.ndarray) -> bool:
@@ -165,17 +160,4 @@ def is_extended_perfect16(words, thorough: bool = True) -> bool:
     if (popcounts16(ws) % 2).any():
         return False
     coords = range(16) if thorough else (0,)
-    return all(tiles15(puncture16_np(ws, i)) for i in coords)
-
-
-def is_extended_perfect(words, n: int) -> bool:
-    """Extended 1-perfect recognition for lengths 8 and 16."""
-    if n == 8:
-        if len(set(int(w) for w in words)) != 16:
-            return False
-        if any(weight(w) & 1 for w in words):
-            return False
-        return all(is_perfect(puncture(words, i)) for i in range(8))
-    if n == 16:
-        return is_extended_perfect16(words, thorough=True)
-    raise ValueError("unsupported length %d" % n)
+    return all(tiles15(puncture(ws, i)) for i in coords)

@@ -10,7 +10,6 @@ kernel dimension.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -99,38 +98,29 @@ def scan_pair(atlas: Atlas, left: int, right: int,
 
 def find_representatives(atlas: Atlas, targets=(5, 6, 7, 8, 9),
                          pairs=PRIORITY_PAIRS, per_pair: int = 400,
-                         seed: int = 0, time_budget: float | None = None,
-                         prefer_tabulated: bool = True,
+                         seed: int = 0,
                          ) -> dict[int, tuple[int, int, tuple, Code]]:
     """One code per kernel dimension from a seeded permutation scan.
 
     Pairs are scanned in order with a fresh sample each; the result maps
     kernel dimension to (left, right, sigma, code).  Some codes with
     small kernels puncture to triple systems whose Pasch profiles match
-    no type-table row; with prefer_tabulated the scan keeps the first
-    code whose profiles all classify and falls back to the first found
-    otherwise.  Deterministic for fixed atlas, pair list, sample size
-    and seed; the optional time budget only cuts the scan short, never
-    reorders it.
+    no type-table row; the scan keeps the first code whose profiles all
+    classify and falls back to the first found otherwise.  Deterministic
+    for fixed atlas, pair list, sample size and seed.
     """
     want = set(targets)
     found: dict[int, tuple[int, int, tuple, Code]] = {}
     settled: set[int] = set()
-    start = time.monotonic()
     for left, right in pairs:
         for sig in iter_sigmas(per_pair, seed):
             if want <= settled:
-                return found
-            if time_budget is not None and time.monotonic() - start > time_budget:
                 return found
             code = make_code(atlas, left, right, sig)
             kap = kernel_dim(kernel_words(code))
             if kap not in want or kap in settled:
                 continue
-            if not prefer_tabulated:
-                found[kap] = (left, right, sig, code)
-                settled.add(kap)
-            elif fully_tabulated(code):
+            if fully_tabulated(code):
                 found[kap] = (left, right, sig, code)
                 settled.add(kap)
             elif kap not in found:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fano
-from .algebra import LinearSpan, half_pure_subgroup, kernel_dim, kernel_words
+from .algebra import LinearSpan, half_pure_subgroup, kernel
 from .canon import minimal_quadset8
 from .doubling import Code
 from .fold import SqsGraph, quotient_graph
@@ -463,12 +463,12 @@ def full_report(code: Code) -> StructureReport:
     Prescribed loop and link families exist for kernel dimensions 5
     through 9 only; anything else raises.
     """
-    kw = kernel_words(code)
-    kappa = kernel_dim(kw)
+    span = kernel(code)
+    kappa = span.dimension
     if not 5 <= kappa <= 9:
         raise ValueError("loop and link prescriptions cover kernel "
                          "dimensions 5..9, got %d" % kappa)
-    G = quotient_graph(code)
+    G = quotient_graph(code, span)
     _assert_even_left_support(G)
     verdicts = list(verify_loops(G, kappa))
     if kappa <= 7:
@@ -478,5 +478,5 @@ def full_report(code: Code) -> StructureReport:
     verdicts += verify_cross_links(G, kappa)
     verdicts += _degree_verdicts(G)
     if kappa == 9:
-        verdicts += _index2_verdicts(code, kw, G)
+        verdicts += _index2_verdicts(code, span.words(), G)
     return StructureReport(kappa, tuple(verdicts), G.mult)

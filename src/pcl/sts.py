@@ -5,8 +5,14 @@ code; the distance-3 neighbors of any of its codewords carve a Steiner
 triple system STS(15) out of the 35 supports.  Types are recognized by
 the pair (total Pasch count, sorted per-point counts); the table covers
 the 11 type signatures arising from doubled codes, with letter aliases
-c, d, g for the two-digit ids.  Two independent Pasch counters are kept
-so each can certify the other.
+c, d, g for the two-digit ids; a signature outside the table types as
+None, rendered "?".  Two independent Pasch counters are kept so each can
+certify the other.
+
+code_type_grid is the one typing routine: it computes the kernel and its
+cosets once and types every coset in turn.  fully_tabulated shares its
+per-coordinate step and stops at the first untabulated system, which is
+what the representative scan needs.
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import LinearSpan, cosets, kernel_words
+from .algebra import cosets, kernel
 from .doubling import Code
+from .perfect import puncture
 from .words import popcounts16, weight
 
 # type id -> (total Pasch count, per-point counts sorted nonincreasing)
@@ -101,9 +108,8 @@ def derived_sts(code: Code, v: int, i: int) -> StsSystem:
     """STS at coordinate i: blocks through i of the SQS at v, i deleted."""
     d = code.words ^ np.uint16(v)
     w4 = d[popcounts16(d) == 4]
-    hit = w4[(w4 >> i) & 1 == 1].astype(np.uint32)
-    dropped = ((hit >> (i + 1)) << i) | (hit & ((1 << i) - 1))
-    tr = tuple(int(t) for t in np.sort(dropped))
+    hit = w4[(w4 >> i) & 1 == 1]
+    tr = tuple(int(t) for t in np.sort(puncture(hit, i)))
     check_sts(tr)
     return StsSystem(tr)
 
@@ -177,19 +183,10 @@ def classify_type(profile: PaschProfile):
     return ROW_OF.get(profile.signature())
 
 
-class UnknownStsType(ValueError):
-    pass
-
-
-def vertex_type_tuple(code: Code, v: int, strict: bool = True):
-    """STS types of the 16 coordinate punctures at codeword v."""
-    out = []
+def _coordinate_types(code: Code, v: int):
+    """Type of the derived system at each coordinate of v, None when untabulated."""
     for i in range(16):
-        t = classify_type(pasch_profile(derived_sts(code, v, i)))
-        if t is None and strict:
-            raise UnknownStsType("no table row for coordinate %d at %04x" % (i, v))
-        out.append(t)
-    return tuple(out)
+        yield classify_type(pasch_profile(derived_sts(code, v, i)))
 
 
 def _w4_set(code: Code, v: int) -> np.ndarray:
@@ -197,17 +194,18 @@ def _w4_set(code: Code, v: int) -> np.ndarray:
     return np.sort(d[popcounts16(d) == 4])
 
 
-def class_type_tuple(code: Code, rep: int, kernel_basis=None,
-                     strict: bool = True) -> tuple:
+def class_type_tuple(code: Code, rep: int, kernel_basis=None) -> tuple:
     """Type tuple of a kernel coset, checked to be coset-independent.
 
-    The weight-4 difference set at v and at v+k coincides for kernel k,
-    which forces equal derived systems at every coordinate; the basis
-    translates of the representative certify the whole coset.
+    Entry i types the derived system at coordinate i, None when its
+    signature is not in the table.  The weight-4 difference set at v and
+    at v+k coincides for kernel k, which forces equal derived systems at
+    every coordinate; the basis translates of the representative certify
+    the whole coset.
     """
-    tup = vertex_type_tuple(code, rep, strict=strict)
+    tup = tuple(_coordinate_types(code, rep))
     if kernel_basis is None:
-        kernel_basis = LinearSpan.from_words(kernel_words(code)).basis
+        kernel_basis = kernel(code).basis
     base = _w4_set(code, rep)
     for b in kernel_basis:
         if not np.array_equal(_w4_set(code, rep ^ b), base):
@@ -215,12 +213,11 @@ def class_type_tuple(code: Code, rep: int, kernel_basis=None,
     return tup
 
 
-def code_type_grid(code: Code, strict: bool = True) -> list:
-    """One type tuple per kernel coset of the code."""
-    span = LinearSpan.from_words(kernel_words(code))
-    dec = cosets(code, span)
-    return [class_type_tuple(code, int(r), span.basis, strict=strict)
-            for r in dec.reps]
+def code_type_grid(code: Code) -> list[tuple[int, tuple]]:
+    """(representative, type tuple) per kernel coset, in coset order."""
+    span = kernel(code)
+    return [(int(r), class_type_tuple(code, int(r), span.basis))
+            for r in cosets(code, span).reps]
 
 
 def render_tuple(types) -> str:
@@ -232,22 +229,26 @@ def fully_tabulated(code: Code) -> bool:
 
     Early-exits on the first miss, so rejecting a code is much cheaper
     than building its full type grid.  Skips the coset-independence
-    check; use class_type_tuple when emitting artifacts.
+    check; use code_type_grid when emitting artifacts.
     """
-    span = LinearSpan.from_words(kernel_words(code))
-    dec = cosets(code, span)
-    for r in dec.reps:
-        for i in range(16):
-            if classify_type(pasch_profile(derived_sts(code, int(r), i))) is None:
-                return False
-    return True
+    return all(t is not None
+               for r in cosets(code, kernel(code)).reps
+               for t in _coordinate_types(code, int(r)))
 
 
-def homogeneity(grid: list) -> tuple[bool, bool]:
-    """(all vertices alike as multisets, alike and constant)."""
-    multis = {tuple(sorted(t)) for t in grid}
-    sqs_h = len(multis) == 1
-    sts_h = sqs_h and len(set(next(iter(multis)))) == 1
+def multiset_keys(tuples) -> set[str]:
+    """Distinct type multisets, each as its sorted rendered characters."""
+    return {"".join(sorted(render_tuple(t))) for t in tuples}
+
+
+def homogeneity(tuples) -> tuple[bool, bool]:
+    """(all vertices alike as multisets, alike and constant).
+
+    Compared on rendered characters, so untabulated entries count as '?'.
+    """
+    keys = multiset_keys(tuples)
+    sqs_h = len(keys) == 1
+    sts_h = sqs_h and len(set(next(iter(keys)))) == 1
     return sqs_h, sts_h
 
 

@@ -115,11 +115,6 @@ def apply_perm_mask(mask: int, perm) -> int:
     return out
 
 
-def drop_bit(m: int, i: int) -> int:
-    """Delete coordinate i from a mask, shifting higher coordinates down."""
-    return ((m >> (i + 1)) << i) | (m & ((1 << i) - 1))
-
-
 def swap_halves(m: int) -> int:
     return ((m & 0xFF) << 8) | (m >> 8)
 
@@ -132,9 +127,13 @@ def xor_closure(gens) -> list:
     return sorted(span)
 
 
-def rank_gf2(words) -> int:
-    """Rank of a set of words viewed as GF(2) vectors."""
-    basis = {}
+def echelon_basis(words) -> dict:
+    """GF(2) elimination: an independent basis of the span, by leading bit.
+
+    Each word is reduced against the basis so far and kept, partially
+    reduced, when it gains a new leading bit.
+    """
+    basis: dict = {}
     for w in words:
         w = int(w)
         while w:
@@ -144,4 +143,9 @@ def rank_gf2(words) -> int:
             else:
                 basis[lead] = w
                 break
-    return len(basis)
+    return basis
+
+
+def rank_gf2(words) -> int:
+    """Rank of a set of words viewed as GF(2) vectors."""
+    return len(echelon_basis(words))

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from pcl.algebra import (LinearSpan, cosets, coset_reps, half_pure_subgroup,
+from pcl.algebra import (LinearSpan, cosets, half_pure_subgroup,
                          index2_subspaces, intersection_kernel, kernel,
                          kernel_dim, kernel_of_component, kernel_words,
-                         pure_parts, rank, rank_of, translate, weight4_split,
+                         pure_parts, rank_of, translate, weight4_split,
                          weight4_words)
 from pcl.doubling import normalize
 from pcl.words import popcounts16, rank_gf2, swap_halves, weight
@@ -65,17 +65,13 @@ def test_weight4_words_and_pure_parts(witnesses):
         assert all((w ^ 0xFF) in w4 for w in w4)
 
 
-def test_rank_and_kernel_require_zero(witnesses):
+def test_rank_and_kernel_without_zero_codeword(witnesses):
     raw = witnesses[9]
     assert int(raw.words[0]) != 0
-    with pytest.raises(ValueError):
-        kernel(raw)
-    with pytest.raises(ValueError):
-        rank(raw)
     norm = normalize(raw)[0]
-    span = kernel(norm)
-    assert span.dimension == 9
-    assert rank(norm) == rank_of(raw) == 12
+    assert kernel(raw) == kernel(norm)
+    assert kernel(raw).dimension == 9
+    assert rank_gf2(norm.words) == rank_of(norm) == rank_of(raw) == 12
 
 
 def test_linear_span_basics():
@@ -84,7 +80,9 @@ def test_linear_span_basics():
     assert len(span) == 4
     assert sorted(int(w) for w in span.words()) == [0, 0b0011, 0b0101, 0b0110]
     assert 0b0110 in span
+    assert 0 in span
     assert 0b0111 not in span
+    assert 0b1000 not in span
 
 
 def test_cosets(witnesses):
@@ -119,10 +117,10 @@ def test_cosets_reject_non_kernel_subspace(witnesses):
 
 def test_coset_reps_helper(witnesses):
     code = witnesses[8]
-    kw = kernel_words(code)
-    reps = coset_reps(code, kw)
+    reps = cosets(code, kernel(code)).reps
     assert len(reps) == 8
     assert len({int(r) for r in reps}) == 8
+    assert int(reps[0]) == int(code.words[0])
 
 
 def test_index2_subspaces(witnesses):

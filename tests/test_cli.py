@@ -157,12 +157,34 @@ def test_analyze_default_out(runner, tmp_path, witnesses):
     assert read_json(str(side))["kernelDim"] == 8
 
 
-def test_analyze_rejects_malformed(runner, tmp_path):
+def _even_words(n):
+    """The n smallest even-weight 16-bit words: right parity, no tiling."""
+    return [w for w in range(1 << 16) if bin(w).count("1") % 2 == 0][:n]
+
+
+MALFORMED = {
+    "not-json": "{not json",
+    "5-words": json.dumps({"length": 16, "codewords": [
+        "%04x" % w for w in _even_words(5)]}),
+    "2048-not-perfect": json.dumps({"length": 16, "codewords": [
+        "%04x" % w for w in _even_words(2048)]}),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+@pytest.mark.parametrize("args", [
+    ["analyze"], ["sts-types"], ["verify-theorem5"],
+    ["export", "--format", "json", "--out", "g.json"],
+], ids=lambda a: a[0])
+def test_rejects_malformed_code(runner, tmp_path, args, text):
     p = tmp_path / "broken.json"
-    p.write_text("{not json")
-    res = runner.invoke(main, ["analyze", str(p)])
-    assert res.exit_code == 1
+    p.write_text(text)
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        res = runner.invoke(main, [args[0], str(p)] + args[1:])
+        assert not os.listdir(".")
+    assert res.exit_code == 1, res.output
     assert "cannot read code" in res.output
+    assert not os.path.exists(tmp_path / "broken.analysis.json")
 
 
 def test_sts_types(runner, tmp_path, code_files):
@@ -262,15 +284,21 @@ def test_export_dot_and_csv(runner, tmp_path, code_files):
     assert rows[0].split(",")[0] == "44"
 
 
-def _run_pipeline(runner, atlas_file, out_dir):
-    return runner.invoke(main, ["pipeline", "--out-dir", out_dir,
-                                "--atlas", atlas_file,
-                                "--sample", "60", "--seed", "0"])
+@pytest.fixture(scope="module")
+def pipeline_runs(atlas_file, tmp_path_factory):
+    """Two identical pipeline runs: (out_dir, result) each."""
+    runs = []
+    for name in ("a", "b"):
+        d = str(tmp_path_factory.mktemp("pipeline") / name)
+        res = CliRunner().invoke(main, ["pipeline", "--out-dir", d,
+                                        "--atlas", atlas_file,
+                                        "--sample", "60", "--seed", "0"])
+        runs.append((d, res))
+    return runs
 
 
-def test_pipeline_end_to_end(runner, tmp_path, atlas_file):
-    d1 = str(tmp_path / "run1")
-    res = _run_pipeline(runner, atlas_file, d1)
+def test_pipeline_end_to_end(pipeline_runs):
+    d1, res = pipeline_runs[0]
     assert res.exit_code == 0, res.output
     for kappa in (5, 6, 7, 8, 9):
         assert "[scan] kappa=%d from classes" % kappa in res.output
@@ -288,17 +316,37 @@ def test_pipeline_end_to_end(runner, tmp_path, atlas_file):
     assert Atlas.load(os.path.join(d1, "atlas.json")).partition7_count == 27360
 
 
-def test_pipeline_is_deterministic(runner, tmp_path, atlas_file):
-    d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
-    r1 = _run_pipeline(runner, atlas_file, d1)
-    r2 = _run_pipeline(runner, atlas_file, d2)
+def _read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def test_pipeline_is_deterministic(pipeline_runs):
+    (d1, r1), (d2, r2) = pipeline_runs
     assert r1.exit_code == 0 and r2.exit_code == 0
     assert r1.output.replace(d1, "@") == r2.output.replace(d2, "@")
     names = sorted(os.listdir(d1))
     assert names == sorted(os.listdir(d2))
     for name in names:
-        with open(os.path.join(d1, name), "rb") as fh:
-            b1 = fh.read()
-        with open(os.path.join(d2, name), "rb") as fh:
-            b2 = fh.read()
-        assert b1 == b2, name
+        assert _read_bytes(os.path.join(d1, name)) == \
+            _read_bytes(os.path.join(d2, name)), name
+
+
+def test_subcommands_reproduce_pipeline_artifacts(runner, tmp_path,
+                                                  pipeline_runs):
+    d, res = pipeline_runs[0]
+    assert res.exit_code == 0, res.output
+    found = read_json(os.path.join(d, "summary.json"))["found"]
+    for kappa in (5, 6, 7, 8, 9):
+        code = os.path.join(d, "code_k%d.json" % kappa)
+        verdict = 0 if found[str(kappa)]["passed"] else 1
+        for args, name, status in (
+                (["analyze", code, "--out"], "analysis_k%d.json", 0),
+                (["sts-types", code, "--csv"], "sts_k%d.csv", 0),
+                (["verify-theorem5", code, "--report"], "report_k%d.json",
+                 verdict)):
+            name %= kappa
+            out = str(tmp_path / name)
+            res = runner.invoke(main, args + [out])
+            assert res.exit_code == status, res.output
+            assert _read_bytes(out) == _read_bytes(os.path.join(d, name)), name

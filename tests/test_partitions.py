@@ -48,7 +48,8 @@ def test_class_representatives_partition_the_even_space(atlas):
 
 
 def _punctured7(ext_class):
-    return tuple(tuple(puncture(comp, 7)) for comp in ext_class.components)
+    return tuple(tuple(sorted(puncture(w, 7) for w in comp))
+                 for comp in ext_class.components)
 
 
 def test_punctured_representatives_are_partitions7(atlas):
@@ -104,7 +105,7 @@ def test_extend_partition_roundtrip(atlas):
     p7 = _punctured7(atlas.classes[1])
     p8 = extend_partition(p7)
     assert all(is_extended_perfect8(comp) for comp in p8)
-    assert tuple(tuple(puncture(c, 7)) for c in p8) == p7
+    assert tuple(tuple(sorted(puncture(w, 7) for w in c)) for c in p8) == p7
 
 
 def test_extclass_json_roundtrip(atlas):

@@ -6,7 +6,7 @@ import pytest
 from pcl.perfect import (ball, enumerate_perfect7, enumerate_zero_codes_by_tiling,
                          enumerate_zero_subspace_codes, extend_even, hamming7,
                          is_extended_perfect8, is_extended_perfect16, is_perfect,
-                         puncture, puncture16_np, tiles15)
+                         puncture, tiles15)
 from pcl.words import weight
 
 
@@ -51,8 +51,18 @@ def test_extend_even_and_puncture():
     h = hamming7()
     e = extend_even(h)
     assert all(weight(w) % 2 == 0 for w in e)
-    assert puncture(e, 7) == tuple(sorted(h))
+    assert sorted(puncture(w, 7) for w in e) == sorted(h)
     assert is_extended_perfect8(e)
+
+
+@pytest.mark.parametrize("w, i, want", [
+    (0b1011, 1, 0b101), (0b1011, 0, 0b101), (0x8001, 15, 1),
+    (0xFFFF, 0, 0x7FFF), (0x8001, 0, 0x4000)])
+def test_puncture_int_and_array(w, i, want):
+    assert puncture(w, i) == want
+    got = puncture(np.array([w], dtype=np.uint16), i)
+    assert got.dtype == np.uint16
+    assert int(got[0]) == want
 
 
 def test_is_extended_perfect8_rejects():
@@ -73,7 +83,7 @@ def test_extended_perfect16_and_tiling(witnesses):
     code = witnesses[11]
     words = [int(w) for w in code.words]
     assert is_extended_perfect16(words, thorough=True)
-    pw = puncture16_np(code.words, 0)
+    pw = puncture(code.words, 0)
     assert tiles15(pw)
     assert not is_extended_perfect16(words[:-1], thorough=False)
 

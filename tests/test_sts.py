@@ -2,17 +2,16 @@
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-import numpy as np
 import pytest
 
-from pcl.algebra import kernel_words
-from pcl.perfect import puncture16_np
+from pcl.algebra import kernel
+from pcl.perfect import puncture
 from pcl.scan import make_code
-from pcl.sts import (LETTERS, ROWS, PaschProfile, StsSystem, UnknownStsType,
-                     check_sts, class_type_tuple, classify_type,
-                     code_type_grid, derived_sts, fully_tabulated, homogeneity,
+from pcl.sts import (LETTERS, ROWS, PaschProfile, StsSystem, check_sts,
+                     class_type_tuple, classify_type, code_type_grid,
+                     derived_sts, fully_tabulated, homogeneity, multiset_keys,
                      pasch_profile, pasch_profile_brute, random_sts15,
-                     render_tuple, sts_of, type_char, vertex_type_tuple)
+                     render_tuple, sts_of, type_char)
 from pcl.words import parse_sigma
 
 WITNESS_TYPES = {5: [1, 2, 3, 4, 5, 6, 7], 6: [2, 3, 5, 6, 7],
@@ -53,8 +52,8 @@ def test_derived_sts_matches_puncture_route(witnesses):
     v = int(code.words[0])
     for i in (0, 5, 12, 15):
         via_sqs = derived_sts(code, v, i)
-        pw = puncture16_np(code.words, i)
-        vv = int(puncture16_np(np.array([v], dtype=np.uint16), i)[0])
+        pw = puncture(code.words, i)
+        vv = puncture(v, i)
         via_puncture = sts_of(pw, vv)
         assert via_sqs.triples == via_puncture.triples
 
@@ -63,15 +62,19 @@ def test_witness_type_grids(witnesses):
     for kappa, types in WITNESS_TYPES.items():
         grid = code_type_grid(witnesses[kappa])
         assert len(grid) == 2048 >> kappa
-        assert all(len(t) == 16 for t in grid)
-        assert sorted({t for row in grid for t in row}) == types
+        assert all(len(t) == 16 for _, t in grid)
+        assert sorted({t for _, row in grid for t in row}) == types
 
 
 def test_constant_grids(witnesses):
-    assert homogeneity(code_type_grid(witnesses[9])) == (True, True)
-    assert homogeneity(code_type_grid(witnesses[11])) == (True, True)
+    for kappa in (9, 11):
+        tuples = [t for _, t in code_type_grid(witnesses[kappa])]
+        assert homogeneity(tuples) == (True, True)
     assert homogeneity([(1, 2), (2, 1)]) == (True, False)
     assert homogeneity([(1, 1), (1, 2)]) == (False, False)
+    assert homogeneity([(1, None), (None, 1)]) == (True, False)
+    assert homogeneity([(None, None)]) == (True, True)
+    assert multiset_keys([(16, 13, None), (None, 16, 13)]) == {"?cg"}
 
 
 def test_linear_profile(witnesses):
@@ -85,19 +88,18 @@ def test_linear_profile(witnesses):
 def test_vertex_and_class_tuples_agree(witnesses):
     code = witnesses[8]
     v = int(code.words[0])
-    assert class_type_tuple(code, v) == vertex_type_tuple(code, v)
+    k = kernel(code).basis[-1]
+    assert class_type_tuple(code, v) == class_type_tuple(code, v ^ k)
     assert render_tuple(class_type_tuple(code, v)) == "3" * 16
 
 
 def test_untabulated_signatures_regression(atlas):
     code = make_code(atlas, 1, 3, parse_sigma("24365017"))
     assert not fully_tabulated(code)
-    with pytest.raises(UnknownStsType):
-        code_type_grid(code, strict=True)
-    grid = code_type_grid(code, strict=False)
-    missing = sum(t is None for row in grid for t in row)
+    grid = code_type_grid(code)
+    missing = sum(t is None for _, row in grid for t in row)
     assert missing > 0
-    assert "?" in render_tuple(grid[0]) or missing > 0
+    assert "?" in render_tuple(grid[0][1]) or missing > 0
 
 
 def test_fully_tabulated_on_witnesses(witnesses):

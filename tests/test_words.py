@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from pcl.words import (apply_perm_mask, diff_quadruple, distance, drop_bit,
-                       join, left, mask_of, parse_quad, parse_sigma,
-                       parse_word, perm_word_map, points_of, popcounts16,
-                       quad_name, rank_gf2, right, sigma_str, swap_halves,
-                       weight, word_hex, xor_closure)
+from pcl.words import (apply_perm_mask, diff_quadruple, distance, join,
+                       left, mask_of, parse_quad, parse_sigma, parse_word,
+                       perm_word_map, points_of, popcounts16, quad_name,
+                       rank_gf2, right, sigma_str, swap_halves, weight,
+                       word_hex, xor_closure)
 
 words16 = st.integers(min_value=0, max_value=0xFFFF)
 
@@ -83,12 +83,6 @@ def test_diff_quadruple():
     assert diff_quadruple(v, w) == (0, 1, 2, 3)
     with pytest.raises(ValueError):
         diff_quadruple(0b111, 0)
-
-
-def test_drop_bit():
-    assert drop_bit(0b1011, 1) == 0b101
-    assert drop_bit(0b1011, 0) == 0b101
-    assert drop_bit(0x8001, 15) == 1
 
 
 perms8 = st.permutations(range(8))
