@@ -5,6 +5,11 @@ invariant under translation of C, always contains 0, and for the codes
 built here always contains ffff.  Weight-4 kernel words split by
 support: left means support inside coordinates 0-7, right means inside
 8-15, mixed means both halves are touched.
+
+A doubled code's rank and kernel dimension are read off its two
+partitions by doubled_invariants, without building the code.
+kernel_words and rank_of compute them from the 2048 codewords; they
+serve codes loaded from files and are the test oracle of the formula.
 """
 
 from __future__ import annotations
@@ -38,17 +43,52 @@ def kernel_words(code) -> np.ndarray:
     return np.sort(cand[good])
 
 
-def kernel_dim(kw: np.ndarray) -> int:
-    n = len(kw)
+def _log2_kernel_size(n: int) -> int:
     if n & (n - 1):
         raise ValueError("kernel size %d is not a power of two" % n)
     return n.bit_length() - 1
+
+
+def kernel_dim(kw: np.ndarray) -> int:
+    return _log2_kernel_size(len(kw))
 
 
 def rank_of(code) -> int:
     """Rank of the translate through 0: dimension of the codeword differences."""
     words, _ = _words_occ(code)
     return rank_gf2(words ^ words[0])
+
+
+def doubled_invariants(atlas, left: int, right: int, sigma) -> tuple[int, int]:
+    """(rank, kernel dimension) of the doubled code of two atlas classes.
+
+    With L = (C_0..C_7) the left class, R = (D_0..D_7) the right one,
+    the code is the union of the products C_i x D_sigma(i), which is
+    never built here (Phelps, SIAM J. Alg. Disc. Meth. 1984).
+
+    Kernel: (a, b) fixes the code exactly when a permutes L's components
+    by translation (pa), b permutes R's (pb), and pb = sigma pa sigma^-1,
+    so the kernel size is the sum over pa of mult_L(pa) mult_R(pb).
+
+    Rank: the codeword differences are spanned by the within-component
+    differences of L and of R, each in its own half, and by the seven
+    block words (x_i + x_0) | (y_sigma(i) + y_sigma(0)) << 8.  Reducing
+    each half of a block word modulo its half's span leaves the rank of
+    the block words over the quotient.
+    """
+    la, ra = atlas.classes[left].action, atlas.classes[right].action
+    inv = [0] * 8
+    for i, s in enumerate(sigma):
+        inv[s] = i
+    size = 0
+    for pa, mult in la.perm_counts.items():
+        pb = tuple(sigma[pa[inv[j]]] for j in range(8))
+        size += mult * ra.perm_counts.get(pb, 0)
+    x, y = la.residues, ra.residues
+    blocks = [(x[i] ^ x[0]) | ((y[sigma[i]] ^ y[sigma[0]]) << 8)
+              for i in range(1, 8)]
+    return (la.delta_dim + ra.delta_dim + rank_gf2(blocks),
+            _log2_kernel_size(size))
 
 
 def weight4_words(kw: np.ndarray) -> np.ndarray:

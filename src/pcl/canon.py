@@ -13,6 +13,7 @@ least relabeled id so far stay alive.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -105,9 +106,16 @@ def minimal_quadset8(masks) -> tuple:
     """Least sorted image of a set of 8-bit masks over all point relabelings.
 
     Two mask sets have equal minimal images exactly when some permutation
-    of the 8 points carries one onto the other.
+    of the 8 points carries one onto the other.  Results are memoized on
+    the sorted distinct masks: structure checks canonicalize the same
+    fixed families on every link.
     """
-    arr = np.asarray(sorted(set(int(m) for m in masks)), dtype=np.intp)
+    return _minimal_quadset8(tuple(sorted(set(int(m) for m in masks))))
+
+
+@lru_cache(maxsize=4096)
+def _minimal_quadset8(masks: tuple) -> tuple:
+    arr = np.asarray(masks, dtype=np.intp)
     if arr.size == 0:
         return ()
     imgs = np.sort(WordMaps.table(8)[:, arr], axis=1)

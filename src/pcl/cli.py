@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import click
 
-from .algebra import kernel_dim, kernel_words, rank_of
+from .algebra import doubled_invariants, kernel_dim, kernel_words, rank_of
 from .fano import fano_families, partition_registry
 from .fold import quotient_graph
 from .ioutil import (atomic_write, load_code, provenance, save_code,
@@ -68,9 +68,14 @@ def _load_atlas(path: str | None) -> Atlas:
 
 
 def _check_class(atlas: Atlas, cid: int, what: str) -> None:
+    """A class id in range whose representative partitions the even words."""
     if not 0 <= cid < len(atlas.classes):
         raise _fail("%s class %d out of range 0..%d"
                     % (what, cid, len(atlas.classes) - 1))
+    try:
+        atlas.classes[cid].action
+    except ValueError as e:
+        raise _fail("%s class %d: %s" % (what, cid, e))
 
 
 def _census_lines(atlas: Atlas) -> list[str]:
@@ -224,9 +229,8 @@ def double(source: int, target: int, sigma: str | None, scan_sigma: bool,
         raise _fail(str(e))
     code = make_code(atlas, source, target, sig)
     save_code(out, code)
-    click.echo("code %s: rank=%d kernelDim=%d"
-               % (code.label, rank_of(code),
-                  kernel_dim(kernel_words(code))))
+    rank, kappa = doubled_invariants(atlas, source, target, sig)
+    click.echo("code %s: rank=%d kernelDim=%d" % (code.label, rank, kappa))
     click.echo("wrote %s" % out)
 
 
@@ -441,7 +445,7 @@ def pipeline(out_dir: str, atlas_path: str | None, pairs: tuple,
         lin = atlas.linear_class
         base = make_code(atlas, lin, lin, tuple(range(8)))
         save_code(path("code_linear.json"), base)
-        kap0 = kernel_dim(kernel_words(base))
+        _, kap0 = doubled_invariants(atlas, lin, lin, base.sigma)
         found = find_representatives(atlas, targets=KAPPA_TARGETS,
                                      pairs=pair_list, per_pair=sample,
                                      seed=seed)

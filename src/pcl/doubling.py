@@ -21,12 +21,18 @@ SPACE16 = 1 << 16
 
 @dataclass(eq=False)
 class Code:
-    """A doubled code plus the recipe that produced it."""
+    """A doubled code plus the recipe that produced it.
+
+    type_tuples caches the triple-system type tuples sts has computed,
+    keyed by the codeword typed (a kernel coset's least word, when the
+    type grid is built).
+    """
 
     words: np.ndarray
     left: int | None = None
     right: int | None = None
     sigma: tuple | None = field(default=None)
+    type_tuples: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def occ(self) -> np.ndarray:

@@ -15,16 +15,20 @@ string), so the numbering is independent of enumeration order.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .canon import UNASSIGNED, minimal_image7, minimal_image8, relabel_np
 from .perfect import enumerate_perfect7, extend_even, is_perfect
-from .words import parse_word, word_hex
+from .words import echelon_basis, parse_word, word_hex, xor_closure
 
 N7 = 7
 SPACE7 = 128
+EVEN8 = tuple(w for w in range(256) if bin(w).count("1") % 2 == 0)
 
 Partition7 = tuple  # 8 components, each a sorted tuple of 16 length-7 words
 Partition8 = tuple  # 8 components, each a sorted tuple of 16 length-8 words
@@ -180,14 +184,58 @@ def is_linear_partition(p8: Partition8) -> bool:
     return all(frozenset(w ^ comp[0] for w in comp) == bs for comp in p8)
 
 
+class TranslationAction(NamedTuple):
+    """What doubling needs of a partition (C_0..C_7) of the even words.
+
+    perm_counts maps each permutation p with C_i + a = C_p[i] for every i
+    to the number of even translations a that realize it.  delta_dim is
+    the dimension of the span of the within-component differences, and
+    residues[i] is C_i reduced modulo that span: the least word of the
+    coset of the span that C_i lies in.  Taking the least coset word is
+    a linear map, so residues add like the words they reduce.
+    """
+
+    perm_counts: dict
+    delta_dim: int
+    residues: tuple
+
+
 @dataclass
 class ExtClass:
-    """One extended partition class: a representative and its ancestry."""
+    """One extended partition class: a representative and its ancestry.
+
+    The translation action that algebra.doubled_invariants reads the
+    rank and kernel of doubled codes from is built on first use, not
+    when an atlas is loaded.
+    """
 
     components: Partition8
     length7_classes: tuple[int, ...]
     linear: bool
     alias: str | None = None
+
+    @cached_property
+    def action(self) -> TranslationAction:
+        """The translation action, after checking that the components
+        are eight 16-word sets partitioning the 128 even words."""
+        comps = self.components
+        if (len(comps) != 8 or any(len(c) != 16 for c in comps)
+                or sorted(int(w) for c in comps for w in c) != list(EVEN8)):
+            raise ValueError("components do not partition the even words "
+                             "of length 8 into eight 16-word sets")
+        comps = np.array(comps, dtype=np.uint8)
+        col = np.full(256, UNASSIGNED, dtype=np.uint8)
+        col[comps] = np.arange(8, dtype=np.uint8)[:, None]
+        # img[a, i] holds the components hit by C_i + a; a permutes the
+        # components when each row is constant
+        img = col[comps[None] ^ np.array(EVEN8, dtype=np.uint8)[:, None, None]]
+        moves = (img == img[:, :, :1]).all(axis=(1, 2))
+        counts = Counter(tuple(int(j) for j in p) for p in img[moves, :, 0])
+        basis = echelon_basis((comps ^ comps[:, :1]).ravel())
+        span = np.array(xor_closure(basis.values()), dtype=np.intp)
+        least = (np.arange(256)[:, None] ^ span[None, :]).min(axis=1)
+        return TranslationAction(dict(counts), len(basis),
+                                 tuple(int(r) for r in least[comps[:, 0]]))
 
     def to_json(self) -> dict:
         return {

@@ -6,6 +6,11 @@ The scan walks permutations deterministically (an explicit list, a
 seeded sample without replacement, or all 40320 in lexicographic
 order), tabulates the invariants, and can keep the first code found per
 kernel dimension.
+
+The invariants come from algebra.doubled_invariants, which reads them
+off the two partitions; a code is built only when it is kept.  The
+brute algebra.kernel_words and rank_of on the built code are the
+oracle the tests compare the rows with.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .algebra import kernel_dim, kernel_words, rank_of
+from .algebra import doubled_invariants
 from .doubling import Code, double
 from .partitions import Atlas
 from .sts import fully_tabulated
@@ -88,12 +93,9 @@ def scan_pair(atlas: Atlas, left: int, right: int,
               sample: int | None = None, seed: int = 0,
               sigmas=None) -> list[ScanRow]:
     """One invariant row per permutation, in enumeration order."""
-    rows = []
-    for sig in iter_sigmas(sample, seed, sigmas):
-        code = make_code(atlas, left, right, sig)
-        rows.append(ScanRow(left, right, sig, rank_of(code),
-                            kernel_dim(kernel_words(code))))
-    return rows
+    return [ScanRow(left, right, sig,
+                    *doubled_invariants(atlas, left, right, sig))
+            for sig in iter_sigmas(sample, seed, sigmas)]
 
 
 def find_representatives(atlas: Atlas, targets=(5, 6, 7, 8, 9),
@@ -106,8 +108,10 @@ def find_representatives(atlas: Atlas, targets=(5, 6, 7, 8, 9),
     kernel dimension to (left, right, sigma, code).  Some codes with
     small kernels puncture to triple systems whose Pasch profiles match
     no type-table row; the scan keeps the first code whose profiles all
-    classify and falls back to the first found otherwise.  Deterministic
-    for fixed atlas, pair list, sample size and seed.
+    classify and falls back to the first found otherwise.  A code is
+    built only when its kernel dimension, read off the partitions, is
+    wanted and not yet settled.  Deterministic for fixed atlas, pair
+    list, sample size and seed.
     """
     want = set(targets)
     found: dict[int, tuple[int, int, tuple, Code]] = {}
@@ -116,10 +120,10 @@ def find_representatives(atlas: Atlas, targets=(5, 6, 7, 8, 9),
         for sig in iter_sigmas(per_pair, seed):
             if want <= settled:
                 return found
-            code = make_code(atlas, left, right, sig)
-            kap = kernel_dim(kernel_words(code))
+            _, kap = doubled_invariants(atlas, left, right, sig)
             if kap not in want or kap in settled:
                 continue
+            code = make_code(atlas, left, right, sig)
             if fully_tabulated(code):
                 found[kap] = (left, right, sig, code)
                 settled.add(kap)

