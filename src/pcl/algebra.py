@@ -95,21 +95,6 @@ def weight4_words(kw: np.ndarray) -> np.ndarray:
     return kw[popcounts16(kw) == 4]
 
 
-def weight4_split(kw: np.ndarray) -> tuple[int, int, int]:
-    """Counts of (left, right, mixed) weight-4 kernel words."""
-    w4 = weight4_words(kw)
-    l = int(((w4 & 0xFF00) == 0).sum())
-    r = int(((w4 & 0x00FF) == 0).sum())
-    return l, r, len(w4) - l - r
-
-
-def pure_parts(kw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel words supported in one half, as 8-bit groups (left, right)."""
-    pl = np.sort(kw[(kw & 0xFF00) == 0])
-    pr = np.sort(kw[(kw & 0x00FF) == 0] >> 8)
-    return pl.astype(np.uint16), pr.astype(np.uint16)
-
-
 def half_pure_subgroup(kw: np.ndarray) -> np.ndarray:
     """Span of the half-supported weight-4 kernel words, inside the kernel."""
     w4 = weight4_words(kw)
@@ -119,27 +104,6 @@ def half_pure_subgroup(kw: np.ndarray) -> np.ndarray:
     if any(int(s) not in ks for s in span):
         raise AssertionError("half-pure span left the kernel")
     return span
-
-
-def kernel_of_component(comp) -> tuple[int, ...]:
-    """Kernel of a 16-word length-8 code, over even translations."""
-    cs = frozenset(comp)
-    return tuple(k for k in range(256)
-                 if bin(k).count("1") % 2 == 0
-                 and all((w ^ k) in cs for w in comp))
-
-
-def intersection_kernel(components) -> tuple[int, ...]:
-    """Words fixing every component of a partition by translation."""
-    common = None
-    for comp in components:
-        ks = set(kernel_of_component(comp))
-        common = ks if common is None else common & ks
-    return tuple(sorted(common))
-
-
-def translate(code: Code, t: int) -> Code:
-    return Code(np.sort(code.words ^ np.uint16(t)), code.left, code.right, code.sigma)
 
 
 @dataclass(frozen=True)
@@ -168,11 +132,13 @@ class LinearSpan:
 
 
 def kernel(code) -> LinearSpan:
-    """The kernel as a span.
+    """The kernel as a span, kept on a Code once computed.
 
     Closure under xor is asserted, not assumed: the full table of
     pairwise sums is checked against the kernel occupancy.
     """
+    if isinstance(code, Code) and code.kernel_span is not None:
+        return code.kernel_span
     kw = kernel_words(code)
     kocc = np.zeros(SPACE16, dtype=bool)
     kocc[kw] = True
@@ -181,6 +147,8 @@ def kernel(code) -> LinearSpan:
     span = LinearSpan.from_words(kw)
     if len(span) != len(kw):
         raise AssertionError("kernel basis does not regenerate the kernel")
+    if isinstance(code, Code):
+        code.kernel_span = span
     return span
 
 
@@ -222,21 +190,3 @@ def cosets(code, span: LinearSpan) -> CosetDecomposition:
     if len(reps) * len(lw) != len(words):
         raise AssertionError("cosets do not partition the code")
     return CosetDecomposition(span, np.array(reps, dtype=np.uint16), index)
-
-
-def index2_subspaces(span: LinearSpan) -> list[LinearSpan]:
-    """All hyperplanes (index-2 subspaces) of a span."""
-    k = span.dimension
-    if k == 0:
-        raise ValueError("the trivial space has no hyperplanes")
-    out = []
-    for phi in range(1, 1 << k):
-        j = (phi & -phi).bit_length() - 1
-        bj = span.basis[j]
-        gens = []
-        for i, b in enumerate(span.basis):
-            if i == j:
-                continue
-            gens.append(b ^ bj if (phi >> i) & 1 else b)
-        out.append(LinearSpan.from_words(gens))
-    return out

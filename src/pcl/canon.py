@@ -1,105 +1,194 @@
-"""Canonical forms for code partitions under coordinate and translation symmetry.
+"""Orbit classes of code partitions under coordinate and translation symmetry.
 
-A partition of (a subset of) F_2^n into components is represented by a col
-array: col[w] = component id of word w, with ids relabeled by first
-occurrence so that equal col arrays mean equal unordered partitions.
+A partition of 128 words into components is a row: row[k] is the
+component id of the k-th word, with ids relabeled by first occurrence
+so that equal rows mean equal unordered partitions.  Length-7 rows index
+the words of F_2^7; length-8 rows index the even words of F_2^8 in
+increasing order, the only words even translations reach.
 
-Length-7 partitions are compared under S_7 x all translations; length-8
-extended partitions under S_8 x even translations.  Both canonical forms
-are explicit minimal images computed with survivor pruning position by
-position: at each word position only the group elements that realize the
-least relabeled id so far stay alive.
+The groups act through generators, each an index map g that moves the
+word at position k to position g[k]: for length 7, S_7 x all
+translations, generated by (0 1), the 7-cycle and the 7 unit
+translations; for length 8, S_8 x even translations, generated by
+(0 1), the 8-cycle and the 7 translations by e0 + ei.
+
+orbit_classes applies every generator to all rows at once and labels
+the orbits as connected components.  An orbit's minimum, its
+lexicographically least row, is the canonical form of every partition
+in it: two partitions are equivalent exactly when their orbit minima
+are equal, and class ids are the ranks of the orbit minima.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
+
+from .words import POP8, perm_word_map
 
 UNASSIGNED = 255
 
 
 def relabel_np(col: np.ndarray) -> np.ndarray:
-    """Relabel component ids by first occurrence; UNASSIGNED stays put."""
-    out = col.copy()
-    mask = col != UNASSIGNED
-    vals, first = np.unique(col[mask], return_index=True)
-    order = np.argsort(first)
-    lut = np.empty(256, dtype=np.uint8)
-    lut[vals[order]] = np.arange(len(vals), dtype=np.uint8)
-    out[mask] = lut[col[mask]]
-    return out
+    """Relabel component ids by first occurrence; UNASSIGNED stays put.
 
-
-def _perm_word_table(n: int) -> np.ndarray:
-    perms = np.array(list(permutations(range(n))), dtype=np.uint8)
-    wm = np.zeros((len(perms), 1 << n), dtype=np.uint8)
-    idx = np.arange(1 << n, dtype=np.uint16)
-    for i in range(n):
-        bit = ((idx >> i) & 1).astype(np.uint8)
-        wm |= bit[None, :] << perms[:, i][:, None]
-    return wm
-
-
-class WordMaps:
-    """Word images of every coordinate permutation, built once per length."""
-
-    _tables: dict = {}
-
-    @classmethod
-    def table(cls, n: int) -> np.ndarray:
-        if n not in cls._tables:
-            cls._tables[n] = _perm_word_table(n)
-        return cls._tables[n]
-
-
-def _minimal_image(colw: np.ndarray, wm: np.ndarray, translations) -> tuple:
-    """Least relabeled col sequence over perms x translations, as a tuple.
-
-    Survivors are (perm, translation) pairs; maps[s] is the partial
-    relabeling each survivor has committed to so far.
+    Works on one row or on every row of a 2-D array at once.
     """
-    trans = np.array(translations, dtype=np.uint16)
-    nperm = wm.shape[0]
-    jj = np.repeat(np.arange(nperm), len(trans))
-    xx = np.tile(trans, nperm)
-    maps = np.full((len(jj), 8), -1, dtype=np.int8)
-    counts = np.zeros(len(jj), dtype=np.int8)
-    key = []
-    for t in translations:
-        src = wm[jj, (t ^ xx).astype(np.uint16)]
-        vals = colw[src].astype(np.int16)
-        r = maps[np.arange(len(jj)), vals]
-        fresh = r < 0
-        r = np.where(fresh, counts, r)
-        m = int(r.min())
-        keep = r == m
-        jj, xx, maps, counts = jj[keep], xx[keep], maps[keep], counts[keep]
-        fresh, vals = fresh[keep], vals[keep]
-        if fresh.any():
-            sel = np.flatnonzero(fresh)
-            maps[sel, vals[sel]] = counts[sel]
-            counts[sel] += 1
-        key.append(m)
-    return tuple(key)
+    a = np.asarray(col, dtype=np.uint8)
+    rows = a.reshape(-1, a.shape[-1])
+    present = np.flatnonzero(np.bincount(rows.ravel(), minlength=256)[:UNASSIGNED])
+    hits = [rows == v for v in present]
+    # first position of each id in each row; ids absent from a row sort
+    # last there and are never looked up
+    first = np.stack([np.where(h.any(axis=1), h.argmax(axis=1), rows.shape[1])
+                      for h in hits], axis=1)
+    new = np.argsort(np.argsort(first, axis=1, kind="stable"), axis=1)
+    out = np.full(rows.shape, UNASSIGNED, dtype=np.uint8)
+    for j, h in enumerate(hits):
+        np.copyto(out, new[:, j:j + 1].astype(np.uint8), where=h)
+    return out.reshape(a.shape)
+
+
+@lru_cache(maxsize=None)
+def generators(n: int) -> tuple:
+    """Index maps of the generators of the length-n group on the 128 row positions."""
+    swap01 = perm_word_map((1, 0) + tuple(range(2, n)), n)
+    cycle = perm_word_map(tuple((i + 1) % n for i in range(n)), n)
+    if n == 7:
+        words = np.arange(128)
+        shifts = [1 << i for i in range(7)]
+    elif n == 8:
+        words = np.flatnonzero(POP8 % 2 == 0)
+        shifts = [1 | (1 << i) for i in range(1, 8)]
+    else:
+        raise ValueError("no partition group for length %d" % n)
+    position = np.zeros(1 << n, dtype=np.intp)
+    position[words] = np.arange(128)
+    maps = [swap01[words], cycle[words]] + [words ^ s for s in shifts]
+    return tuple(position[m] for m in maps)
+
+
+def _moved(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Rows with the word at position k moved to position g[k], not relabeled."""
+    img = np.empty_like(rows)
+    img[:, g] = rows
+    return img
+
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """One byte-string key per row; keys sort as the rows do, lexicographically."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+
+class OrbitClasses(NamedTuple):
+    """Orbits of a row set, ranked by orbit minimum.
+
+    class_of[i] is the class id of row i; reps[c] is the least row index
+    in class c, sizes[c] its number of rows and minima[c] its orbit
+    minimum.  Class ids are the ranks of the minima.
+    """
+
+    class_of: np.ndarray
+    reps: np.ndarray
+    sizes: np.ndarray
+    minima: np.ndarray
+
+
+def orbit_classes(rows: np.ndarray, gens) -> OrbitClasses:
+    """Classify relabeled rows into the orbits of the generated group.
+
+    Each generator moves all rows in one step, and each image is looked
+    up among the sorted row keys.  The rows must be distinct and closed
+    under the group: an image outside the set raises, which makes the
+    pass a completeness check of the enumeration that produced them.
+    Orbits are labeled by propagating the least row index along the
+    generator edges until nothing changes.  Each generator permutes the
+    closed set, so following its edges forward goes round its cycles
+    and reaches every row of the orbit.
+    """
+    n = len(rows)
+    keys = _keys(rows)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        raise ValueError("duplicate partitions in the enumerated set")
+    moves = []
+    for g in gens:
+        img = _keys(relabel_np(_moved(rows, g)))
+        at = np.minimum(np.searchsorted(ranked, img), n - 1)
+        if (ranked[at] != img).any():
+            raise ValueError("orbit left the enumerated set")
+        moves.append(order[at])
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        for m in moves:
+            np.minimum(new, label[m], out=new)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    # a class ranks by the first of its rows in sorted key order
+    comps, first = np.unique(label[order], return_index=True)
+    rank = np.argsort(first)
+    reps = comps[rank]
+    class_id = np.empty(n, dtype=np.intp)
+    class_id[reps] = np.arange(len(reps))
+    class_of = class_id[label]
+    return OrbitClasses(class_of, reps, np.bincount(class_of),
+                        rows[order[first[rank]]])
+
+
+def orbit(row: np.ndarray, gens) -> np.ndarray:
+    """Every relabeled row the generators reach from one relabeled row."""
+    seen = {row.tobytes()}
+    found = [row]
+    frontier = row[None, :]
+    while len(frontier):
+        imgs = relabel_np(np.concatenate([_moved(frontier, g) for g in gens]))
+        fresh = []
+        for img in imgs:
+            key = img.tobytes()
+            if key not in seen:
+                seen.add(key)
+                fresh.append(img)
+        found += fresh
+        frontier = np.array(fresh, dtype=np.uint8).reshape(-1, row.size)
+    return np.array(found)
+
+
+def _orbit_minimum(row: np.ndarray, gens) -> tuple:
+    minima = orbit_classes(orbit(relabel_np(row), gens), gens).minima
+    return tuple(int(x) for x in minima[0])
 
 
 def minimal_image7(col: np.ndarray) -> tuple:
-    """Canonical col sequence of a length-7 partition, all 128 positions."""
-    return _minimal_image(col, WordMaps.table(7), list(range(128)))
+    """Canonical row of a length-7 partition: the minimum of its orbit."""
+    return _orbit_minimum(col, generators(7))
 
 
 def minimal_image8(colw: np.ndarray) -> tuple:
-    """Canonical col sequence of a length-8 extended partition.
+    """Canonical row of a length-8 extended partition, over the even words.
 
     colw has 256 entries; odd-weight words carry UNASSIGNED and are
-    neither iterated nor reachable, since even translations preserve the
-    even-weight half.
+    dropped, since even translations preserve the even-weight half.
     """
-    even = [t for t in range(256) if bin(t).count("1") % 2 == 0]
-    return _minimal_image(colw, WordMaps.table(8), even)
+    return _orbit_minimum(np.asarray(colw)[POP8 % 2 == 0], generators(8))
+
+
+@lru_cache(maxsize=None)
+def perm_word_table(n: int) -> np.ndarray:
+    """Word images of every coordinate permutation of n points, one row each."""
+    perms = np.array(list(permutations(range(n))), dtype=np.uint8)
+    table = np.zeros((len(perms), 1 << n), dtype=np.uint8)
+    idx = np.arange(1 << n)
+    for i in range(n):
+        table |= ((idx >> i) & 1).astype(np.uint8)[None, :] << perms[:, i][:, None]
+    return table
 
 
 def minimal_quadset8(masks) -> tuple:
@@ -118,6 +207,6 @@ def _minimal_quadset8(masks: tuple) -> tuple:
     arr = np.asarray(masks, dtype=np.intp)
     if arr.size == 0:
         return ()
-    imgs = np.sort(WordMaps.table(8)[:, arr], axis=1)
+    imgs = np.sort(perm_word_table(8)[:, arr], axis=1)
     best = imgs[np.lexsort(imgs.T[::-1])[0]]
     return tuple(int(x) for x in best)

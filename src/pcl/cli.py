@@ -24,13 +24,13 @@ from typing import NamedTuple
 
 import click
 
-from .algebra import doubled_invariants, kernel_dim, kernel_words, rank_of
+from .algebra import doubled_invariants, kernel, rank_of
 from .fano import fano_families, partition_registry
 from .fold import quotient_graph
 from .ioutil import (atomic_write, load_code, provenance, save_code,
                      write_json)
-from .partitions import (Atlas, build_atlas, canonical_form,
-                         enumerate_partitions7, orbit_classify7)
+from .partitions import (Atlas, build_atlas, enumerate_partitions7,
+                         orbit_classify7)
 from .perfect import enumerate_perfect7
 from .scan import PRIORITY_PAIRS, find_representatives, make_code, scan_pair
 from .sts import code_type_grid, homogeneity, multiset_keys, render_tuple
@@ -136,28 +136,22 @@ def partitions_enumerate(length_: str, out: str) -> None:
             click.echo(line)
     else:
         parts = enumerate_partitions7()
-        _, reps, sizes = orbit_classify7(parts)
-        forms = [canonical_form(parts[r]) for r in reps]
-        order = sorted(range(len(reps)), key=lambda i: forms[i])
-        classes = []
-        for new, old in enumerate(order):
-            comps = parts[reps[old]]
-            classes.append({
-                "id": new,
-                "alias": None,
-                "representative": [
-                    {"length": 7,
-                     "codewords": [word_hex(w, 7) for w in comp]}
-                    for comp in comps
-                ],
-            })
+        _, c7 = orbit_classify7(parts)
+        sizes = [int(s) for s in c7.sizes]
+        classes = [{
+            "id": cid,
+            "alias": None,
+            "representative": [
+                {"length": 7, "codewords": [word_hex(w, 7) for w in comp]}
+                for comp in parts[rep]
+            ],
+        } for cid, rep in enumerate(c7.reps)]
         write_json(out, {"classes": classes,
                          "partition7Count": len(parts),
-                         "orbitSizes7": [sizes[old] for old in order]})
+                         "orbitSizes7": sizes})
         click.echo("length-7 partitions: %d in %d classes"
                    % (len(parts), len(classes)))
-        click.echo("orbit sizes: %s"
-                   % " ".join(str(sizes[old]) for old in order))
+        click.echo("orbit sizes: %s" % " ".join(str(s) for s in sizes))
     click.echo("wrote %s" % out)
 
 
@@ -237,7 +231,7 @@ def double(source: int, target: int, sigma: str | None, scan_sigma: bool,
 def analysis_stage(code, out: str) -> dict:
     """Rank, kernel dimension and coset count; written to out with the
     code's provenance keys, returned without them."""
-    kappa = kernel_dim(kernel_words(code))
+    kappa = kernel(code).dimension
     d = {"rank": rank_of(code), "kernelDim": kappa,
          "cosetCount": len(code.words) >> kappa}
     write_json(out, {**d, **provenance(code)})

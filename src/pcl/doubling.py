@@ -11,10 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .words import sigma_str
+
+if TYPE_CHECKING:
+    from .algebra import LinearSpan
 
 SPACE16 = 1 << 16
 
@@ -25,7 +29,8 @@ class Code:
 
     type_tuples caches the triple-system type tuples sts has computed,
     keyed by the codeword typed (a kernel coset's least word, when the
-    type grid is built).
+    type grid is built).  kernel_span caches the kernel once
+    algebra.kernel has computed it.
     """
 
     words: np.ndarray
@@ -33,16 +38,13 @@ class Code:
     right: int | None = None
     sigma: tuple | None = field(default=None)
     type_tuples: dict = field(default_factory=dict, repr=False)
+    kernel_span: LinearSpan | None = field(default=None, repr=False)
 
     @cached_property
     def occ(self) -> np.ndarray:
         occ = np.zeros(SPACE16, dtype=bool)
         occ[self.words] = True
         return occ
-
-    @cached_property
-    def word_set(self) -> frozenset:
-        return frozenset(int(w) for w in self.words)
 
     @property
     def label(self) -> str:
@@ -66,15 +68,3 @@ def double(left_components, right_components, sigma,
         words.append((lo[:, None] | hi[None, :]).ravel())
     allw = np.sort(np.concatenate(words))
     return Code(allw, left_id, right_id, tuple(sigma))
-
-
-def normalize(code: Code) -> tuple[Code, int]:
-    """Translate by the least codeword so 0 is a codeword; returns (code, t)."""
-    if len(code.words) == 0:
-        raise ValueError("empty code")
-    t = int(code.words[0])
-    if t == 0:
-        return code, 0
-    moved = Code(np.sort(code.words ^ np.uint16(t)),
-                 code.left, code.right, code.sigma)
-    return moved, t

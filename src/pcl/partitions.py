@@ -1,15 +1,16 @@
 """Partitions of F_2^7 into perfect codes and their even extensions.
 
 The pipeline enumerates every partition of the 128 length-7 words into
-eight perfect codes, classifies them up to coordinate permutation and
-translation, extends the class representatives by a parity bit, and
-classifies the extensions up to coordinate permutation and even
-translation.  Two length-7 classes merge under extension, leaving ten
-extended classes.  The Atlas bundles the extended representatives for
-downstream pairing.
+eight perfect codes and classifies them up to coordinate permutation and
+translation in one orbit pass over all of them.  A second pass
+classifies their parity extensions up to coordinate permutation and
+even translation.  Two length-7 classes merge under extension, leaving
+ten extended classes.  The Atlas bundles the extended representatives
+for downstream pairing.
 
-Class ids are the rank of the class canonical form (minimal image byte
-string), so the numbering is independent of enumeration order.
+Class ids are the ranks of the orbit minima (canon.orbit_classes), the
+canonical forms of the classes, so the numbering is independent of
+enumeration order.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .canon import UNASSIGNED, minimal_image7, minimal_image8, relabel_np
+from .canon import (UNASSIGNED, OrbitClasses, generators, minimal_image7,
+                    minimal_image8, orbit_classes, relabel_np)
 from .perfect import enumerate_perfect7, extend_even, is_perfect
 from .words import echelon_basis, parse_word, word_hex, xor_closure
 
-N7 = 7
 SPACE7 = 128
 EVEN8 = tuple(w for w in range(256) if bin(w).count("1") % 2 == 0)
 
@@ -95,80 +96,25 @@ def extended_col(p8: Partition8) -> np.ndarray:
 
 
 def canonical_form(p, extended: bool = False) -> bytes:
-    """Minimal-image byte string; equal exactly for equivalent partitions."""
+    """The orbit minimum as bytes; equal exactly for equivalent partitions."""
     if extended:
         return bytes(minimal_image8(extended_col(p)))
     return bytes(minimal_image7(partition_col(p)))
 
 
-def classify_partitions(parts: list, extended: bool = False) -> list[int]:
-    """Class id per partition; ids are dense ranks of the canonical forms."""
-    forms = {}
-    for p in parts:
-        key = tuple(tuple(sorted(comp)) for comp in p)
-        if key not in forms:
-            forms[key] = canonical_form(p, extended)
-    ranked = {f: i for i, f in enumerate(sorted(set(forms.values())))}
-    return [ranked[forms[tuple(tuple(sorted(c)) for c in p)]] for p in parts]
+def orbit_classify7(parts: list[Partition7]) -> tuple[np.ndarray, OrbitClasses]:
+    """Relabeled rows of the length-7 partitions and their classes.
 
-
-def _generators7() -> list[np.ndarray]:
-    idx = np.arange(SPACE7)
-    swap01 = ((idx & ~3) | ((idx & 1) << 1) | ((idx >> 1) & 1)).astype(np.uint8)
-    cyc = np.zeros(SPACE7, dtype=np.uint8)
-    for i in range(N7):
-        cyc |= (((idx >> i) & 1) << ((i + 1) % N7)).astype(np.uint8)
-    gens = [swap01, cyc]
-    for i in range(N7):
-        gens.append((idx ^ (1 << i)).astype(np.uint8))
-    return gens
-
-
-def orbit_classify7(parts: list[Partition7]) -> tuple[list[int], list[int], list[int]]:
-    """Orbit-search classification of the full length-7 enumeration.
-
-    Faster than per-partition canonical forms at census scale, and doubles
-    as a completeness check: every generator image must land back inside
-    the enumerated set.  Returns (class id per partition, representative
-    index per class, orbit size per class), classes in first-seen order.
+    One orbit pass under S_7 x F_2^7; it also checks that the list is
+    complete, since every generator image must be in it.  Class ids are
+    the ranks of the orbit minima, representatives the least indices.
     """
-    gens = _generators7()
-    key_to_idx: dict[bytes, int] = {}
-    cols = []
-    for i, p in enumerate(parts):
-        col = relabel_np(partition_col(p))
-        cols.append(col)
-        key_to_idx[col.tobytes()] = i
-    if len(key_to_idx) != len(parts):
-        raise AssertionError("duplicate partitions in enumeration")
-    class_of = [-1] * len(parts)
-    reps: list[int] = []
-    sizes: list[int] = []
-    for i in range(len(parts)):
-        if class_of[i] >= 0:
-            continue
-        cid = len(reps)
-        reps.append(i)
-        frontier = [cols[i]]
-        class_of[i] = cid
-        size = 1
-        while frontier:
-            nxt = []
-            for col in frontier:
-                for g in gens:
-                    img = np.empty(SPACE7, dtype=np.uint8)
-                    img[g] = col
-                    img = relabel_np(img)
-                    j = key_to_idx.get(img.tobytes())
-                    if j is None:
-                        raise AssertionError("orbit left the enumerated set")
-                    if class_of[j] < 0:
-                        class_of[j] = cid
-                        size += 1
-                        nxt.append(img)
-            frontier = nxt
-        sizes.append(size)
-    return class_of, reps, sizes
+    comps = np.array(parts, dtype=np.uint8)
+    rows = np.empty((len(parts), SPACE7), dtype=np.uint8)
+    rows[np.arange(len(parts))[:, None, None], comps] = \
+        np.arange(8, dtype=np.uint8)[None, :, None]
+    rows = relabel_np(rows)
+    return rows, orbit_classes(rows, generators(7))
 
 
 def extend_partition(p: Partition7) -> Partition8:
@@ -299,27 +245,26 @@ class Atlas:
 
 
 def build_atlas() -> Atlas:
-    """Enumerate, classify, extend and reclassify; the full desk census.
+    """Enumerate the length-7 partitions and classify them at both lengths.
 
-    Length-7 classes are found by orbit search and then renumbered by
-    canonical form rank; the extended classes inherit the same rule.
+    One orbit pass classifies the 27,360 partitions under S_7 x F_2^7,
+    a second classifies their parity extensions under S_8 x even
+    translations.  At both lengths class ids are the ranks of the orbit
+    minima, so the numbering does not depend on enumeration order.  An
+    extended class lists the length-7 classes it contains and is
+    represented by the extension of the first one's representative.
     """
     parts = enumerate_partitions7()
-    _, reps, sizes = orbit_classify7(parts)
-    forms7 = [canonical_form(parts[r]) for r in reps]
-    order7 = sorted(range(len(reps)), key=lambda i: forms7[i])
-    sizes = [sizes[old] for old in order7]
-    ext_reps = [extend_partition(parts[reps[old]]) for old in order7]
-    groups: dict[bytes, list[int]] = {}
-    for cid7, p8 in enumerate(ext_reps):
-        key = canonical_form(p8, extended=True)
-        groups.setdefault(key, []).append(cid7)
+    rows7, c7 = orbit_classify7(parts)
+    c8 = orbit_classes(relabel_np(rows7[:, np.array(EVEN8) & 0x7F]),
+                       generators(8))
+    ext_of7 = c8.class_of[c7.reps]
     classes = []
     merged = []
-    for key in sorted(groups):
-        members = groups[key]
-        comps = tuple(sorted(ext_reps[members[0]]))
-        classes.append(ExtClass(comps, tuple(members), is_linear_partition(comps)))
+    for k in range(len(c8.reps)):
+        members = tuple(int(c) for c in np.flatnonzero(ext_of7 == k))
+        comps = tuple(sorted(extend_partition(parts[c7.reps[members[0]]])))
+        classes.append(ExtClass(comps, members, is_linear_partition(comps)))
         if len(members) > 1:
-            merged.append(tuple(members))
-    return Atlas(classes, len(parts), sizes, merged)
+            merged.append(members)
+    return Atlas(classes, len(parts), [int(s) for s in c7.sizes], merged)

@@ -9,10 +9,10 @@ c, d, g for the two-digit ids; a signature outside the table types as
 None, rendered "?".  Two independent Pasch counters are kept so each can
 certify the other.
 
-code_type_grid is the one typing routine: it computes the kernel and its
-cosets once and types every coset in turn.  fully_tabulated shares its
-per-coordinate step and stops at the first untabulated system, which is
-what the representative scan needs.  Both keep each coset's complete
+code_type_grid is the one typing routine: it types every coset of the
+kernel in turn.  fully_tabulated shares its per-coordinate step and
+stops at the first untabulated system, which is what the
+representative scan needs.  Both keep each coset's complete
 tuple on the code (Code.type_tuples), so a code the scan kept is not
 typed again when its grid is written.
 """
@@ -207,7 +207,7 @@ def _w4_set(code: Code, v: int) -> np.ndarray:
     return np.sort(d[popcounts16(d) == 4])
 
 
-def class_type_tuple(code: Code, rep: int, kernel_basis=None) -> tuple:
+def class_type_tuple(code: Code, rep: int) -> tuple:
     """Type tuple of a kernel coset, checked to be coset-independent.
 
     Entry i types the derived system at coordinate i, None when its
@@ -217,10 +217,8 @@ def class_type_tuple(code: Code, rep: int, kernel_basis=None) -> tuple:
     the whole coset.
     """
     tup = tuple(_coordinate_types(code, rep))
-    if kernel_basis is None:
-        kernel_basis = kernel(code).basis
     base = _w4_set(code, rep)
-    for b in kernel_basis:
+    for b in kernel(code).basis:
         if not np.array_equal(_w4_set(code, rep ^ b), base):
             raise AssertionError("type tuple differs inside a kernel coset")
     return tup
@@ -228,9 +226,8 @@ def class_type_tuple(code: Code, rep: int, kernel_basis=None) -> tuple:
 
 def code_type_grid(code: Code) -> list[tuple[int, tuple]]:
     """(representative, type tuple) per kernel coset, in coset order."""
-    span = kernel(code)
-    return [(int(r), class_type_tuple(code, int(r), span.basis))
-            for r in cosets(code, span).reps]
+    return [(int(r), class_type_tuple(code, int(r)))
+            for r in cosets(code, kernel(code)).reps]
 
 
 def render_tuple(types) -> str:

@@ -27,14 +27,6 @@ def distance(v: int, w: int) -> int:
     return weight(v ^ w)
 
 
-def diff_quadruple(v: int, w: int) -> tuple:
-    """The four coordinates where v and w differ, ascending."""
-    d = v ^ w
-    if weight(d) != 4:
-        raise ValueError("words are at distance %d, not 4" % weight(d))
-    return tuple(points_of(d))
-
-
 def popcounts16(a: np.ndarray) -> np.ndarray:
     """Weights of an array of 16-bit words."""
     return POP16[a]
@@ -104,19 +96,6 @@ def perm_word_map(perm, n: int) -> np.ndarray:
     for i in range(n):
         out |= (((idx >> i) & 1) << perm[i]).astype(out.dtype)
     return out
-
-
-def apply_perm_mask(mask: int, perm) -> int:
-    """Image of a support mask under a coordinate permutation."""
-    out = 0
-    for i in range(16):
-        if (mask >> i) & 1:
-            out |= 1 << perm[i]
-    return out
-
-
-def swap_halves(m: int) -> int:
-    return ((m & 0xFF) << 8) | (m >> 8)
 
 
 def xor_closure(gens) -> list:

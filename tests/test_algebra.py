@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from pcl.algebra import (LinearSpan, cosets, half_pure_subgroup,
-                         index2_subspaces, intersection_kernel, kernel,
-                         kernel_dim, kernel_of_component, kernel_words,
-                         pure_parts, rank_of, translate, weight4_split,
-                         weight4_words)
-from pcl.doubling import normalize
-from pcl.words import popcounts16, rank_gf2, swap_halves, weight
+from pcl.algebra import (LinearSpan, cosets, half_pure_subgroup, kernel,
+                         kernel_dim, kernel_words, rank_of, weight4_words)
+from pcl.doubling import Code
+from pcl.structure import split_sides
+from pcl.words import popcounts16, rank_gf2, weight
 
 EXPECTED = {
     # kappa: (rank, weight4 split (left, right, mixed), half-pure dim)
@@ -28,7 +26,7 @@ def test_witness_invariants(witnesses):
         kw = kernel_words(code)
         assert kernel_dim(kw) == kappa
         assert rank_of(code) == rk
-        assert weight4_split(kw) == split
+        assert tuple(map(len, split_sides(weight4_words(kw)))) == split
         hp = half_pure_subgroup(kw)
         assert rank_gf2([int(x) for x in hp]) == hp_dim
 
@@ -40,9 +38,14 @@ def test_kernel_is_a_subspace(witnesses):
     assert all((a ^ b) in s for a in s for b in s)
 
 
+def _translate(code, t):
+    return Code(np.sort(code.words ^ np.uint16(t)), code.left, code.right,
+                code.sigma)
+
+
 def test_kernel_translate_invariance(witnesses):
     code = witnesses[6]
-    moved = translate(code, 0x5AA5)
+    moved = _translate(code, 0x5AA5)
     assert np.array_equal(kernel_words(code), kernel_words(moved))
     assert sorted(int(w) for w in moved.words) == \
         sorted(int(w) ^ 0x5AA5 for w in code.words)
@@ -52,8 +55,9 @@ def test_weight4_words_and_pure_parts(witnesses):
     kw = kernel_words(witnesses[9])
     w4 = weight4_words(kw)
     assert (popcounts16(w4) == 4).all()
-    assert len(w4) == sum(weight4_split(kw))
-    lo, hi = pure_parts(kw)
+    assert len(w4) == sum(map(len, split_sides(w4)))
+    lo = kw[(kw & 0xFF00) == 0]
+    hi = kw[(kw & 0x00FF) == 0] >> 8
     # both halves come back as byte values
     assert all(int(w) <= 0xFF for w in lo)
     assert all(int(w) <= 0xFF for w in hi)
@@ -68,7 +72,7 @@ def test_weight4_words_and_pure_parts(witnesses):
 def test_rank_and_kernel_without_zero_codeword(witnesses):
     raw = witnesses[9]
     assert int(raw.words[0]) != 0
-    norm = normalize(raw)[0]
+    norm = _translate(raw, int(raw.words[0]))
     assert kernel(raw) == kernel(norm)
     assert kernel(raw).dimension == 9
     assert rank_gf2(norm.words) == rank_of(norm) == rank_of(raw) == 12
@@ -86,7 +90,7 @@ def test_linear_span_basics():
 
 
 def test_cosets(witnesses):
-    code = normalize(witnesses[9])[0]
+    code = _translate(witnesses[9], int(witnesses[9].words[0]))
     span = kernel(code)
     dec = cosets(code, span)
     assert len(dec) == 4
@@ -123,19 +127,6 @@ def test_coset_reps_helper(witnesses):
     assert int(reps[0]) == int(code.words[0])
 
 
-def test_index2_subspaces(witnesses):
-    span = LinearSpan.from_words(kernel_words(witnesses[9]))
-    subs = index2_subspaces(span)
-    assert len(subs) == 511
-    assert all(s.dimension == 8 for s in subs)
-    whole = {int(w) for w in span.words()}
-    sample = subs[::64]
-    for s in sample:
-        ws = {int(w) for w in s.words()}
-        assert ws < whole
-    assert len({frozenset(int(w) for w in s.words()) for s in subs}) == 511
-
-
 def test_half_pure_subgroup_is_swap_stable(witnesses):
     kw = kernel_words(witnesses[9])
     hp = {int(w) for w in half_pure_subgroup(kw)}
@@ -147,8 +138,8 @@ def test_half_pure_subgroup_is_swap_stable(witnesses):
 
 
 def test_component_kernels(atlas):
-    comps0 = atlas.classes[0].components
-    assert len(kernel_of_component(comps0[0])) == 16
-    assert len(intersection_kernel(comps0)) == 16
-    assert len(intersection_kernel(atlas.classes[1].components)) == 8
-    assert len(intersection_kernel(atlas.classes[3].components)) == 4
+    # the translations fixing every component: the identity's count in
+    # the translation action
+    identity = tuple(range(8))
+    sizes = [atlas.classes[k].action.perm_counts[identity] for k in (0, 1, 3)]
+    assert sizes == [16, 8, 4]

@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import pcl.algebra
 import pcl.cli
+import pcl.sts
 from pcl.algebra import kernel_dim, kernel_words, rank_of
 from pcl.cli import main
+from pcl.doubling import Code
 from pcl.fold import graph_from_json, quotient_graph
 from pcl.ioutil import load_code, read_json, save_code
 from pcl.partitions import Atlas
@@ -369,3 +372,17 @@ def test_subcommands_reproduce_pipeline_artifacts(runner, tmp_path,
             res = runner.invoke(main, args + [out])
             assert res.exit_code == status, res.output
             assert _read_bytes(out) == _read_bytes(os.path.join(d, name)), name
+
+
+def test_kernel_is_computed_once_per_code(witnesses, tmp_path, monkeypatch):
+    calls = []
+    brute = pcl.algebra.kernel_words
+    monkeypatch.setattr(pcl.algebra, "kernel_words",
+                        lambda code: calls.append(code) or brute(code))
+    w = witnesses[8]
+    code = Code(w.words.copy(), w.left, w.right, w.sigma)
+    assert pcl.sts.fully_tabulated(code)
+    assert pcl.cli.analysis_stage(code, str(tmp_path / "a.json"))["kernelDim"] == 8
+    pcl.cli.types_stage(code, None)
+    pcl.cli.report_stage(code, None)
+    assert calls == [code]

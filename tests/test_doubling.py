@@ -1,9 +1,8 @@
 """Doubling two extended partitions into a length-16 code."""
 
 import numpy as np
-import pytest
 
-from pcl.doubling import Code, double, normalize
+from pcl.doubling import Code
 from pcl.perfect import is_extended_perfect16
 from pcl.scan import make_code
 from pcl.words import left, parse_sigma, popcounts16, right
@@ -40,26 +39,8 @@ def test_membership_helpers(atlas):
     code = make_code(atlas, 0, 0, tuple(range(8)))
     w = int(code.words[5])
     assert w in code
-    assert len(code.word_set) == 2048
     hole = next(x for x in range(1 << 16) if not code.occ[x])
     assert hole not in code
-
-
-def test_normalize(atlas):
-    base = make_code(atlas, 0, 1, parse_sigma("51304276"))
-    norm, t = normalize(base)
-    assert t == int(base.words[0])
-    assert int(norm.words[0]) == 0
-    assert norm.sigma == base.sigma
-    again, t0 = normalize(norm)
-    assert t0 == 0 and again is norm
-    shifted = Code(np.sort(norm.words ^ np.uint16(0x1342)),
-                   base.left, base.right, base.sigma)
-    norm2, t2 = normalize(shifted)
-    assert t2 == int(shifted.words[0])
-    assert int(norm2.words[0]) == 0
-    with pytest.raises(ValueError):
-        normalize(Code(np.array([], dtype=np.uint16)))
 
 
 def test_label_without_metadata():

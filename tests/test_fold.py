@@ -3,13 +3,41 @@
 import numpy as np
 import pytest
 
-from pcl.algebra import LinearSpan, half_pure_subgroup, kernel_words
-from pcl.fold import (SqsGraph, check_sqs, foldable, graph_from_json, is_sqs,
+from pcl.algebra import LinearSpan, cosets, half_pure_subgroup, kernel_words
+from pcl.fold import (SqsGraph, check_sqs, graph_from_json, is_sqs,
                       quotient_graph, sqs_of, vertex_sum_check)
 from pcl.words import popcounts16, quad_name
 
 # kappa -> (vertex count, loop multiplicity) of the whole-kernel fold
 FOLD_SHAPE = {5: (64, 8), 6: (32, 16), 7: (16, 20), 8: (8, 28), 9: (4, 44)}
+
+
+def foldable(code, span) -> bool:
+    """Does every weight-4 label repeat exactly once per source codeword?
+
+    The oracle of quotient_graph's covering check.  For cosets U, V of
+    the subspace and any label q between them, each u in U must see
+    exactly one v in V with u ^ v of support q.  Words are grouped by
+    coset and every row and column of every coset-pair table, within a
+    coset too, is sorted on its own; no kernel shortcut.
+    """
+    dec = cosets(code, span)
+    m = len(dec)
+    size = len(span)
+    members = [code.words[dec.index[code.words] == i] for i in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            d = members[i][:, None] ^ members[j][None, :]
+            w4 = np.where(popcounts16(d) == 4, d, 0)
+            first = np.sort(w4[0])
+            for r in range(1, size):
+                if not np.array_equal(np.sort(w4[r]), first):
+                    return False
+            if i != j:
+                for c in range(size):
+                    if not np.array_equal(np.sort(w4[:, c]), first):
+                        return False
+    return True
 
 
 def test_sqs_of_witness(witnesses):

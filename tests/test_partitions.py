@@ -1,16 +1,58 @@
 """Length-7 partition census and the extended atlas."""
 
+import gzip
+import json
+import pathlib
 import random
 
+import numpy as np
 import pytest
 
-from pcl.partitions import (Atlas, ExtClass, canonical_form, check_partition7,
-                            classify_partitions, extend_partition,
-                            is_linear_partition)
+from pcl.canon import (generators, orbit, orbit_classes, perm_word_table,
+                       relabel_np)
+from pcl.partitions import (EVEN8, Atlas, ExtClass, canonical_form,
+                            check_partition7, extend_partition, extended_col,
+                            is_linear_partition, partition_col)
 from pcl.perfect import is_extended_perfect8, puncture
 from pcl.words import perm_word_map, weight
 
 CANON_ORBIT_SIZES = [30, 840, 630, 5040, 5040, 420, 2520, 2520, 6720, 1680, 1920]
+
+REFERENCE_ATLAS = (pathlib.Path(__file__).resolve().parents[1]
+                   / "perfbench" / "reference" / "atlas.json.gz")
+
+
+def minimal_image_pruned(colw, wm, translations) -> bytes:
+    """Least relabeled col sequence over perms x translations, by survivor pruning.
+
+    The oracle of the orbit minimum: word position by word position,
+    only the (perm, translation) pairs that realize the least relabeled
+    id so far stay alive; maps[s] is the partial relabeling survivor s
+    has committed to.
+    """
+    trans = np.array(translations, dtype=np.uint16)
+    nperm = wm.shape[0]
+    jj = np.repeat(np.arange(nperm), len(trans))
+    xx = np.tile(trans, nperm)
+    maps = np.full((len(jj), 8), -1, dtype=np.int8)
+    counts = np.zeros(len(jj), dtype=np.int8)
+    key = []
+    for t in translations:
+        src = wm[jj, (t ^ xx).astype(np.uint16)]
+        vals = colw[src].astype(np.int16)
+        r = maps[np.arange(len(jj)), vals]
+        fresh = r < 0
+        r = np.where(fresh, counts, r)
+        m = int(r.min())
+        keep = r == m
+        jj, xx, maps, counts = jj[keep], xx[keep], maps[keep], counts[keep]
+        fresh, vals = fresh[keep], vals[keep]
+        if fresh.any():
+            sel = np.flatnonzero(fresh)
+            maps[sel, vals[sel]] = counts[sel]
+            counts[sel] += 1
+        key.append(m)
+    return bytes(key)
 
 
 def test_census_counts(atlas):
@@ -89,16 +131,57 @@ def test_canonical_form_invariance8(atlas):
     assert canonical_form(atlas.classes[5].components, extended=True) != base
 
 
-def test_classify_partitions_matches_atlas_ordering(atlas):
-    p7s = [_punctured7(c) for c in atlas.classes]
-    flat = []
-    for p in p7s:
-        flat.extend([p, p])
-    ids = classify_partitions(flat)
-    assert ids[::2] == ids[1::2]
-    # the merged extended class punctures to one of its two length-7
-    # ancestors, so only 10 of the 11 classes appear here
-    assert len(set(ids)) == 10
+def _moved(p, rng, n):
+    """p under a random coordinate permutation and translation, components shuffled."""
+    wmap = perm_word_map(rng.sample(range(n), n), n)
+    t = rng.randrange(1 << n)
+    if n == 8:
+        t ^= weight(t) & 1  # keep the translation inside the even space
+    moved = [tuple(sorted(int(wmap[w]) ^ t for w in comp)) for comp in p]
+    rng.shuffle(moved)
+    return tuple(moved)
+
+
+def test_orbit_minimum_matches_survivor_pruning(atlas):
+    rng = random.Random(5)
+    p7 = _punctured7(atlas.classes[4])
+    moved = _moved(p7, rng, 7)
+    check_partition7(moved)
+    assert canonical_form(moved) == minimal_image_pruned(
+        partition_col(moved), perm_word_table(7), range(128))
+    moved = _moved(atlas.classes[9].components, rng, 8)
+    assert canonical_form(moved, extended=True) == minimal_image_pruned(
+        extended_col(moved), perm_word_table(8), EVEN8)
+
+
+def test_orbit_classes_rank_by_orbit_minimum(atlas):
+    # extended classes 0, 2 and 5 puncture to length-7 classes 0, 2 and 5
+    gens = generators(7)
+    reps = [relabel_np(partition_col(_punctured7(atlas.classes[k])))
+            for k in (5, 0, 2)]
+    rows = np.concatenate([orbit(r, gens) for r in reps])
+    c = orbit_classes(rows, gens)
+    assert list(c.sizes) == [30, 630, 420]
+    assert list(c.reps) == [420, 450, 0]
+    assert list(c.class_of[[0, 419, 420, 449, 450, 1079]]) == [2, 2, 0, 0, 1, 1]
+    assert [m.tobytes() for m in c.minima] == [
+        canonical_form(_punctured7(atlas.classes[k])) for k in (0, 2, 5)]
+
+
+def test_orbit_pass_rejects_an_incomplete_set(atlas):
+    gens = generators(7)
+    rows = orbit(relabel_np(partition_col(_punctured7(atlas.classes[0]))), gens)
+    assert len(rows) == 30
+    with pytest.raises(ValueError, match="orbit left the enumerated set"):
+        orbit_classes(np.delete(rows, 17, axis=0), gens)
+    with pytest.raises(ValueError, match="duplicate"):
+        orbit_classes(np.concatenate([rows, rows[:1]]), gens)
+
+
+def test_atlas_matches_pinned_reference(atlas):
+    with gzip.open(REFERENCE_ATLAS, "rt") as fh:
+        pinned = json.load(fh)
+    assert json.loads(json.dumps(atlas.to_json())) == pinned
 
 
 def test_extend_partition_roundtrip(atlas):

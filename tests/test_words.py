@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from pcl.words import (apply_perm_mask, diff_quadruple, distance, join,
-                       left, mask_of, parse_quad, parse_sigma, parse_word,
-                       perm_word_map, points_of, popcounts16, quad_name,
-                       rank_gf2, right, sigma_str, swap_halves, weight,
-                       word_hex, xor_closure)
+from pcl.words import (distance, join, left, mask_of, parse_quad,
+                       parse_sigma, parse_word, perm_word_map, points_of,
+                       popcounts16, quad_name, rank_gf2, right, sigma_str,
+                       weight, word_hex, xor_closure)
 
 words16 = st.integers(min_value=0, max_value=0xFFFF)
 
@@ -44,8 +43,6 @@ def test_halves_and_join():
     assert left(m) == 0x3C
     assert right(m) == 0xAB
     assert join(left(m), right(m)) == m
-    assert swap_halves(m) == 0x3CAB
-    assert swap_halves(swap_halves(m)) == m
 
 
 def test_points_and_masks_roundtrip():
@@ -78,13 +75,6 @@ def test_parse_sigma():
         parse_sigma("01234566")
 
 
-def test_diff_quadruple():
-    v, w = 0b1111, 0b0000
-    assert diff_quadruple(v, w) == (0, 1, 2, 3)
-    with pytest.raises(ValueError):
-        diff_quadruple(0b111, 0)
-
-
 perms8 = st.permutations(range(8))
 
 
@@ -94,12 +84,6 @@ def test_perm_word_map_is_weight_preserving_bijection(perm):
     assert sorted(int(x) for x in m) == list(range(256))
     ws = np.arange(256, dtype=np.uint16)
     assert all(weight(int(m[w])) == weight(int(w)) for w in ws[:32])
-
-
-@given(perms8, st.integers(min_value=0, max_value=255))
-def test_apply_perm_mask_matches_word_map(perm, w):
-    m = perm_word_map(perm, 8)
-    assert apply_perm_mask(w, perm) == int(m[w])
 
 
 @given(perms8, perms8)
