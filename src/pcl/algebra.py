@@ -35,12 +35,32 @@ def kernel_words(code) -> np.ndarray:
     """All k with C + k = C, sorted, starting with 0.
 
     Any kernel word is a difference of codewords, so only the 2048
-    differences against one fixed codeword are tested.
+    differences against one fixed codeword are candidates, and only the
+    undecided ones are tested.  A kernel word c closes the span found so
+    far (K grows to K + c) and moves the known outsiders by c; an
+    outsider c rules out its whole coset K + c.  Both sets stay unions
+    of cosets of the current K, so each test decides a whole coset.
     """
     words, occ = _words_occ(code)
-    cand = words ^ words[0]
-    good = occ[words[None, :] ^ cand[:, None]].all(axis=1)
-    return np.sort(cand[good])
+    state = np.zeros(SPACE16, dtype=np.int8)  # 1 kernel, -1 not, 0 unknown
+    kw = np.zeros(1, dtype=np.uint16)
+    out = np.zeros(0, dtype=np.uint16)
+    state[0] = 1
+    for c in words ^ words[0]:
+        if state[c]:
+            continue
+        if occ[words ^ c].all():
+            kw = np.concatenate([kw, kw ^ c])
+            state[kw] = 1
+            moved = out ^ c
+            moved = moved[state[moved] == 0]
+            state[moved] = -1
+            out = np.concatenate([out, moved])
+        else:
+            coset = kw ^ c
+            state[coset] = -1
+            out = np.concatenate([out, coset])
+    return np.sort(kw)
 
 
 def _log2_kernel_size(n: int) -> int:
@@ -132,13 +152,13 @@ class LinearSpan:
 
 
 def kernel(code) -> LinearSpan:
-    """The kernel as a span, kept on a Code once computed.
+    """The kernel as a span; a Code keeps it with its cosets.
 
     Closure under xor is asserted, not assumed: the full table of
     pairwise sums is checked against the kernel occupancy.
     """
-    if isinstance(code, Code) and code.kernel_span is not None:
-        return code.kernel_span
+    if isinstance(code, Code) and code.kernel_cosets is not None:
+        return code.kernel_cosets.subspace
     kw = kernel_words(code)
     kocc = np.zeros(SPACE16, dtype=bool)
     kocc[kw] = True
@@ -148,7 +168,7 @@ def kernel(code) -> LinearSpan:
     if len(span) != len(kw):
         raise AssertionError("kernel basis does not regenerate the kernel")
     if isinstance(code, Code):
-        code.kernel_span = span
+        code.kernel_cosets = cosets(code, span)
     return span
 
 
@@ -190,3 +210,9 @@ def cosets(code, span: LinearSpan) -> CosetDecomposition:
     if len(reps) * len(lw) != len(words):
         raise AssertionError("cosets do not partition the code")
     return CosetDecomposition(span, np.array(reps, dtype=np.uint16), index)
+
+
+def kernel_cosets(code: Code) -> CosetDecomposition:
+    """The code's kernel cosets, decomposed once and kept on the code."""
+    kernel(code)
+    return code.kernel_cosets

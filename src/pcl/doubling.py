@@ -18,7 +18,7 @@ import numpy as np
 from .words import sigma_str
 
 if TYPE_CHECKING:
-    from .algebra import LinearSpan
+    from .algebra import CosetDecomposition
 
 SPACE16 = 1 << 16
 
@@ -29,8 +29,9 @@ class Code:
 
     type_tuples caches the triple-system type tuples sts has computed,
     keyed by the codeword typed (a kernel coset's least word, when the
-    type grid is built).  kernel_span caches the kernel once
-    algebra.kernel has computed it.
+    type grid is built).  kernel_cosets caches the decomposition into
+    kernel cosets, which carries the kernel, once algebra has computed
+    it.
     """
 
     words: np.ndarray
@@ -38,7 +39,8 @@ class Code:
     right: int | None = None
     sigma: tuple | None = field(default=None)
     type_tuples: dict = field(default_factory=dict, repr=False)
-    kernel_span: LinearSpan | None = field(default=None, repr=False)
+    kernel_cosets: CosetDecomposition | None = field(default=None,
+                                                     repr=False)
 
     @cached_property
     def occ(self) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 At any codeword v the weight-4 differences v ^ c over all codewords c
 form the blocks of a Steiner quadruple system on the 16 coordinates:
-140 blocks covering each of the 560 triples exactly once.  Folding over
+140 blocks covering each of the 560 triples exactly once, which
+sts.third_point_table checks whenever it types a vertex.  Folding over
 a subgroup L of the kernel collapses each L-coset of the code to one
 vertex; a weight-4 difference between cosets becomes an edge labeled by
 its support, and weight-4 words inside L itself become loops.  Loop
@@ -12,58 +13,12 @@ labels are therefore the same at every vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
-from .algebra import LinearSpan, cosets, kernel
+from .algebra import LinearSpan, cosets, kernel_cosets
 from .doubling import Code
 from .words import parse_quad, popcounts16, quad_name, word_hex
-
-
-@dataclass(frozen=True)
-class SqsSystem:
-    """An SQS(16): 140 quadruple blocks as support masks."""
-
-    blocks: tuple
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
-def check_sqs(blocks, points: int = 16) -> None:
-    """Raise unless the blocks cover every point triple exactly once."""
-    expect = points * (points - 1) * (points - 2) // 24
-    if len(blocks) != expect:
-        raise ValueError("got %d blocks, want %d" % (len(blocks), expect))
-    seen: set = set()
-    for b in blocks:
-        pts = [i for i in range(points) if (int(b) >> i) & 1]
-        if len(pts) != 4 or int(b) >> points:
-            raise ValueError("block %x is not a 4-subset" % int(b))
-        for t in combinations(pts, 3):
-            if t in seen:
-                raise ValueError("triple %s covered twice" % (t,))
-            seen.add(t)
-    # 140 blocks x 4 triples each = 560 = all triples, so coverage is complete
-
-
-def is_sqs(blocks, points: int = 16) -> bool:
-    try:
-        check_sqs(blocks, points)
-    except ValueError:
-        return False
-    return True
-
-
-def sqs_of(code: Code, v: int) -> SqsSystem:
-    """The SQS carried by codeword v, validated."""
-    if v not in code:
-        raise ValueError("%04x is not a codeword" % v)
-    d = code.words ^ np.uint16(v)
-    blocks = tuple(int(b) for b in np.sort(d[popcounts16(d) == 4]))
-    check_sqs(blocks)
-    return SqsSystem(blocks)
 
 
 @dataclass(eq=False)
@@ -164,9 +119,8 @@ def quotient_graph(code: Code, span: LinearSpan | None = None) -> SqsGraph:
     appears exactly once per row and column of the coset-pair difference
     table, checked with one sort of the table along each axis.
     """
-    if span is None:
-        span = kernel(code)
-    dec = cosets(code, span)
+    dec = kernel_cosets(code) if span is None else cosets(code, span)
+    span = dec.subspace
     reps = dec.reps
     m = len(reps)
     sub = span.words()

@@ -8,9 +8,9 @@ order), tabulates the invariants, and can keep the first code found per
 kernel dimension.
 
 The invariants come from algebra.doubled_invariants, which reads them
-off the two partitions; a code is built only when it is kept.  The
-brute algebra.kernel_words and rank_of on the built code are the
-oracle the tests compare the rows with.
+off the two partitions; a code is built only when it is kept.
+algebra.kernel_words and rank_of, computed from the built code's words,
+are the oracle the tests compare the rows with.
 """
 
 from __future__ import annotations

@@ -468,7 +468,7 @@ def full_report(code: Code) -> StructureReport:
     if not 5 <= kappa <= 9:
         raise ValueError("loop and link prescriptions cover kernel "
                          "dimensions 5..9, got %d" % kappa)
-    G = quotient_graph(code, span)
+    G = quotient_graph(code)
     _assert_even_left_support(G)
     verdicts = list(verify_loops(G, kappa))
     if kappa <= 7:

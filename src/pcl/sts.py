@@ -2,30 +2,41 @@
 
 Deleting a coordinate of a length-16 code gives a 1-perfect length-15
 code; the distance-3 neighbors of any of its codewords carve a Steiner
-triple system STS(15) out of the 35 supports.  Types are recognized by
+triple system STS(15) out of the 35 supports.  Equivalently, the STS at
+coordinate i is the derived system at i of the SQS(16) that the
+weight-4 differences form at the codeword.  Types are recognized by
 the pair (total Pasch count, sorted per-point counts); the table covers
 the 11 type signatures arising from doubled codes, with letter aliases
 c, d, g for the two-digit ids; a signature outside the table types as
-None, rendered "?".  Two independent Pasch counters are kept so each can
-certify the other.
+None, rendered "?".
+
+The production counter works on third-point tables.  third_point_table
+turns the 140 blocks at a codeword into Q[a, b, c], the fourth point of
+the block through a, b, c; counting its entries checks that every
+triple is covered once, so the blocks form an SQS(16) and all 16
+derived systems T_i[x, y] = Q[i, x, y] are STS(15).  Two triples
+{p, x, x'} and {p, y, y'} through p close into a Pasch configuration
+exactly when T[x, y] == T[x', y'], so pasch_per_point counts all 16
+systems of a vertex in one numpy pass.  pasch_profile, a completion
+search over pairs of triples of one derived_sts system, is kept as its
+independent oracle.
 
 code_type_grid is the one typing routine: it types every coset of the
-kernel in turn.  fully_tabulated shares its per-coordinate step and
-stops at the first untabulated system, which is what the
-representative scan needs.  Both keep each coset's complete
-tuple on the code (Code.type_tuples), so a code the scan kept is not
-typed again when its grid is written.
+kernel in turn.  fully_tabulated shares its per-vertex step and stops
+at the first vertex with an untabulated system, which is what the
+representative scan needs.  Both keep each coset's complete tuple on
+the code (Code.type_tuples), so a code the scan kept is not typed again
+when its grid is written.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
-from .algebra import cosets, kernel
+from .algebra import kernel, kernel_cosets
 from .doubling import Code
 from .perfect import puncture
 from .words import popcounts16, weight
@@ -97,15 +108,6 @@ def check_sts(triples, points: int = 15) -> None:
             seen.add(pair)
 
 
-def sts_of(words15, v: int) -> StsSystem:
-    """The STS carried by a codeword of a length-15 1-perfect code."""
-    ws = np.asarray(words15, dtype=np.uint16)
-    d = ws ^ np.uint16(v)
-    tr = tuple(int(t) for t in np.sort(d[popcounts16(d) == 3]))
-    check_sts(tr)
-    return StsSystem(tr)
-
-
 def derived_sts(code: Code, v: int, i: int) -> StsSystem:
     """STS at coordinate i: blocks through i of the SQS at v, i deleted."""
     d = code.words ^ np.uint16(v)
@@ -162,49 +164,98 @@ def pasch_profile(sts: StsSystem) -> PaschProfile:
     return PaschProfile(total6 // 6, tuple(a // 6 for a in acc))
 
 
-def pasch_profile_brute(sts: StsSystem) -> PaschProfile:
-    """Independent Pasch count over all 4-subsets of triples."""
-    triples = sts.triples
-    total = 0
-    acc = [0] * 15
-    for quad in combinations(triples, 4):
-        u = quad[0] | quad[1] | quad[2] | quad[3]
-        if weight(u) != 6:
-            continue
-        if any(weight(a & b) != 1 for a, b in combinations(quad, 2)):
-            continue
-        total += 1
-        for i in range(15):
-            if (u >> i) & 1:
-                acc[i] += 1
-    return PaschProfile(total, tuple(acc))
-
-
 def classify_type(profile: PaschProfile):
     """Type id from the signature table, or None when absent."""
     return ROW_OF.get(profile.signature())
 
 
-def _coordinate_types(code: Code, v: int):
-    """Type of the derived system at each coordinate of v, None when untabulated.
+# the 24 orders of a block's four points, and the distinct (a, b, c)
+_ORDERS = np.array(list(permutations(range(4))))
+_POINTS = np.arange(16)
+_DISTINCT = ((_POINTS[:, None, None] != _POINTS[None, :, None])
+             & (_POINTS[:, None, None] != _POINTS)
+             & (_POINTS[:, None] != _POINTS)).ravel()
 
-    Once all 16 are typed the tuple is kept on the code under v, and a
-    later call replays it.
+
+def third_point_table(blocks) -> np.ndarray:
+    """Fourth-point table of an SQS(16) given by its blocks.
+
+    Q[a, b, c] is the fourth point of the block through a, b, c, and -1
+    where a, b, c are not distinct.  Each block fills its 24 ordered
+    entries.  Raises unless every triple of distinct points is filled
+    exactly once, which is the SQS(16) property; the derived system
+    Q[i] at each point i is then an STS(15).
     """
-    known = code.type_tuples.get(v)
-    if known is not None:
-        yield from known
-        return
-    types = []
-    for i in range(16):
-        types.append(classify_type(pasch_profile(derived_sts(code, v, i))))
-        yield types[-1]
-    code.type_tuples[v] = tuple(types)
+    blocks = np.asarray(blocks, dtype=np.int64)
+    bits = (blocks[:, None] >> _POINTS) & 1
+    if (bits.sum(axis=1) != 4).any() or (blocks >> 16).any():
+        raise ValueError("a block is not a 4-subset of 16 points")
+    order = np.nonzero(bits)[1].reshape(-1, 4)[:, _ORDERS]
+    flat = (order[..., 0] * 256 + order[..., 1] * 16 + order[..., 2]).ravel()
+    if not (np.bincount(flat, minlength=4096)[_DISTINCT] == 1).all():
+        raise ValueError("%d blocks do not cover every triple exactly once"
+                         % len(blocks))
+    third = np.full(4096, -1, dtype=np.int64)
+    third[flat] = order[..., 3].ravel()
+    return third.reshape(16, 16, 16)
+
+
+def pasch_per_point(third: np.ndarray) -> np.ndarray:
+    """Per-point Pasch counts of a stack of (S, n, n) third-point tables.
+
+    third[s, x, y] is the third point of the triple through x and y in
+    system s, -1 when x == y or either point is outside the system.  At
+    point p the triples {p, x, x'} and {p, y, y'}, x' = T[p, x], close
+    into a Pasch configuration when T[x, y] == T[x', y'].  Each one
+    through p is seen from four ordered (x, y), so the count is
+    #{(x, y) : y != x, y != x', T[x, y] == T[x', y']} / 4.  Points
+    outside a system count 0.
+    """
+    s = np.arange(len(third))[:, None, None, None]
+    px = third[:, :, :, None]       # x' = T[p, x]
+    py = third[:, :, None, :]       # y' = T[p, y]
+    pts = np.arange(third.shape[1])
+    hit = ((px >= 0) & (py >= 0) & (pts[:, None] != pts) & (pts != px)
+           & (third[:, None] == third[s, px, py]))
+    counts = hit.sum(axis=(2, 3))
+    if (counts % 4).any():
+        raise AssertionError("ordered Pasch counts not divisible by 4")
+    counts //= 4
+    if (counts.sum(axis=1) % 6).any():
+        raise AssertionError("per-point Pasch counts do not sum to 6 per "
+                             "configuration")
+    return counts
+
+
+def derived_profiles(blocks) -> list[PaschProfile]:
+    """Pasch profiles of the 16 derived systems of an SQS(16), by point.
+
+    Entry i is the system at point i, its per-point counts in increasing
+    point order with i left out, as pasch_profile(derived_sts) gives.
+    """
+    out = []
+    counts = pasch_per_point(third_point_table(blocks))
+    for i, row in enumerate(counts.tolist()):
+        per_point = tuple(row[:i] + row[i + 1:])
+        out.append(PaschProfile(sum(per_point) // 6, per_point))
+    return out
 
 
 def _w4_set(code: Code, v: int) -> np.ndarray:
     d = code.words ^ np.uint16(v)
     return np.sort(d[popcounts16(d) == 4])
+
+
+def _vertex_types(code: Code, v: int) -> tuple:
+    """Types of the 16 derived systems at codeword v, None when untabulated.
+
+    Computed in one pass and kept on the code under v.
+    """
+    known = code.type_tuples.get(v)
+    if known is None:
+        known = code.type_tuples[v] = tuple(
+            classify_type(p) for p in derived_profiles(_w4_set(code, v)))
+    return known
 
 
 def class_type_tuple(code: Code, rep: int) -> tuple:
@@ -216,7 +267,7 @@ def class_type_tuple(code: Code, rep: int) -> tuple:
     every coordinate; the basis translates of the representative certify
     the whole coset.
     """
-    tup = tuple(_coordinate_types(code, rep))
+    tup = _vertex_types(code, rep)
     base = _w4_set(code, rep)
     for b in kernel(code).basis:
         if not np.array_equal(_w4_set(code, rep ^ b), base):
@@ -227,7 +278,7 @@ def class_type_tuple(code: Code, rep: int) -> tuple:
 def code_type_grid(code: Code) -> list[tuple[int, tuple]]:
     """(representative, type tuple) per kernel coset, in coset order."""
     return [(int(r), class_type_tuple(code, int(r)))
-            for r in cosets(code, kernel(code)).reps]
+            for r in kernel_cosets(code).reps]
 
 
 def render_tuple(types) -> str:
@@ -237,13 +288,13 @@ def render_tuple(types) -> str:
 def fully_tabulated(code: Code) -> bool:
     """Whether every punctured-system profile matches a table row.
 
-    Early-exits on the first miss, so rejecting a code is much cheaper
-    than building its full type grid.  Skips the coset-independence
-    check; use code_type_grid when emitting artifacts.
+    Early-exits at the first vertex with a miss, so rejecting a code is
+    much cheaper than building its full type grid.  Skips the
+    coset-independence check; use code_type_grid when emitting
+    artifacts.
     """
-    return all(t is not None
-               for r in cosets(code, kernel(code)).reps
-               for t in _coordinate_types(code, int(r)))
+    return all(None not in _vertex_types(code, int(r))
+               for r in kernel_cosets(code).reps)
 
 
 def multiset_keys(tuples) -> set[str]:
@@ -260,53 +311,3 @@ def homogeneity(tuples) -> tuple[bool, bool]:
     sqs_h = len(keys) == 1
     sts_h = sqs_h and len(set(next(iter(keys)))) == 1
     return sqs_h, sts_h
-
-
-def random_sts15(seed: int, max_tries: int = 200000) -> StsSystem:
-    """A random STS(15) by hill-climbing pair coverage.
-
-    Keep a partial set of triples covering each pair at most once.  Pick
-    an uncovered pair (a, b), then a third point c with (a, c) also
-    uncovered; at most the triple owning (b, c) clashes and is evicted,
-    so the triple count never drops and the walk converges.  Used to
-    exercise the Pasch counters away from the codes.
-    """
-    rng = random.Random(seed)
-    pair_owner: dict = {}
-    triples: set = set()
-
-    def pairs_of(t):
-        pts = [i for i in range(15) if (t >> i) & 1]
-        return [tuple(sorted(p)) for p in combinations(pts, 2)]
-
-    uncovered = {tuple(sorted(p)) for p in combinations(range(15), 2)}
-    tries = 0
-    while uncovered and tries < max_tries:
-        tries += 1
-        a, b = rng.choice(sorted(uncovered))
-        if rng.random() < 0.5:
-            # anchoring c at the smaller endpoint every time can trap the
-            # walk in a closed cycle of states
-            a, b = b, a
-        # the uncovered degree at a point is even, so a second uncovered
-        # pair at a always exists
-        cands = [c for c in range(15)
-                 if c != b and tuple(sorted((a, c))) in uncovered]
-        c = rng.choice(cands)
-        t = (1 << a) | (1 << b) | (1 << c)
-        bc = tuple(sorted((b, c)))
-        old = pair_owner.get(bc)
-        if old is not None:
-            triples.discard(old)
-            for p in pairs_of(old):
-                pair_owner.pop(p, None)
-                uncovered.add(p)
-        triples.add(t)
-        for p in pairs_of(t):
-            pair_owner[p] = t
-            uncovered.discard(p)
-    if uncovered:
-        raise RuntimeError("hill climb did not converge")
-    tr = tuple(sorted(triples))
-    check_sts(tr)
-    return StsSystem(tr)

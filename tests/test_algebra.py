@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from pcl.algebra import (LinearSpan, cosets, half_pure_subgroup, kernel,
-                         kernel_dim, kernel_words, rank_of, weight4_words)
+                         kernel_cosets, kernel_dim, kernel_words, rank_of,
+                         weight4_words)
 from pcl.doubling import Code
+from pcl.scan import iter_sigmas, make_code
 from pcl.structure import split_sides
 from pcl.words import popcounts16, rank_gf2, weight
 
@@ -20,6 +22,14 @@ EXPECTED = {
 }
 
 
+def kernel_words_brute(code) -> np.ndarray:
+    """Every difference against one codeword, each tested on the whole
+    code: the oracle of the incremental kernel_words."""
+    cand = code.words ^ code.words[0]
+    good = code.occ[code.words[None, :] ^ cand[:, None]].all(axis=1)
+    return np.sort(cand[good])
+
+
 def test_witness_invariants(witnesses):
     for kappa, (rk, split, hp_dim) in EXPECTED.items():
         code = witnesses[kappa]
@@ -29,6 +39,18 @@ def test_witness_invariants(witnesses):
         assert tuple(map(len, split_sides(weight4_words(kw)))) == split
         hp = half_pure_subgroup(kw)
         assert rank_gf2([int(x) for x in hp]) == hp_dim
+
+
+def test_kernel_words_match_brute_on_every_pair(atlas, witnesses):
+    n = len(atlas.classes)
+    codes = list(witnesses.values())
+    for left in range(n):
+        for right in range(n):
+            sig = next(iter_sigmas(1, seed=1000 + n * left + right))
+            codes.append(make_code(atlas, left, right, sig))
+    for code in codes:
+        assert np.array_equal(kernel_words(code), kernel_words_brute(code)), \
+            code.label
 
 
 def test_kernel_is_a_subspace(witnesses):
@@ -125,6 +147,9 @@ def test_coset_reps_helper(witnesses):
     assert len(reps) == 8
     assert len({int(r) for r in reps}) == 8
     assert int(reps[0]) == int(code.words[0])
+    kept = kernel_cosets(code)
+    assert kept is kernel_cosets(code) and kept.subspace == kernel(code)
+    assert np.array_equal(kept.reps, reps)
 
 
 def test_half_pure_subgroup_is_swap_stable(witnesses):

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 import pcl.algebra
 import pcl.cli
+import pcl.fold
 import pcl.sts
 from pcl.algebra import kernel_dim, kernel_words, rank_of
 from pcl.cli import main
@@ -375,10 +376,15 @@ def test_subcommands_reproduce_pipeline_artifacts(runner, tmp_path,
 
 
 def test_kernel_is_computed_once_per_code(witnesses, tmp_path, monkeypatch):
-    calls = []
-    brute = pcl.algebra.kernel_words
+    calls, decompositions = [], []
+    compute = pcl.algebra.kernel_words
     monkeypatch.setattr(pcl.algebra, "kernel_words",
-                        lambda code: calls.append(code) or brute(code))
+                        lambda code: calls.append(code) or compute(code))
+    decompose = pcl.algebra.cosets
+    for module in (pcl.algebra, pcl.fold):
+        monkeypatch.setattr(module, "cosets", lambda code, span:
+                            decompositions.append(code)
+                            or decompose(code, span))
     w = witnesses[8]
     code = Code(w.words.copy(), w.left, w.right, w.sigma)
     assert pcl.sts.fully_tabulated(code)
@@ -386,3 +392,4 @@ def test_kernel_is_computed_once_per_code(witnesses, tmp_path, monkeypatch):
     pcl.cli.types_stage(code, None)
     pcl.cli.report_stage(code, None)
     assert calls == [code]
+    assert decompositions == [code]

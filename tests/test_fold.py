@@ -1,15 +1,69 @@
-"""SQS extraction and folding over kernel subspaces."""
+"""SQS extraction and folding over kernel subspaces.
+
+check_sqs below is the triple-by-triple oracle of the one SQS check in
+the package, the coverage count of sts.third_point_table.
+"""
+
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from pcl.algebra import LinearSpan, cosets, half_pure_subgroup, kernel_words
-from pcl.fold import (SqsGraph, check_sqs, graph_from_json, is_sqs,
-                      quotient_graph, sqs_of, vertex_sum_check)
+from pcl.doubling import Code
+from pcl.fold import (SqsGraph, graph_from_json, quotient_graph,
+                      vertex_sum_check)
+from pcl.sts import third_point_table
 from pcl.words import popcounts16, quad_name
 
 # kappa -> (vertex count, loop multiplicity) of the whole-kernel fold
 FOLD_SHAPE = {5: (64, 8), 6: (32, 16), 7: (16, 20), 8: (8, 28), 9: (4, 44)}
+
+
+@dataclass(frozen=True)
+class SqsSystem:
+    """An SQS(16): 140 quadruple blocks as support masks."""
+
+    blocks: tuple
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+
+def check_sqs(blocks, points: int = 16) -> None:
+    """Raise unless the blocks cover every point triple exactly once."""
+    expect = points * (points - 1) * (points - 2) // 24
+    if len(blocks) != expect:
+        raise ValueError("got %d blocks, want %d" % (len(blocks), expect))
+    seen: set = set()
+    for b in blocks:
+        pts = [i for i in range(points) if (int(b) >> i) & 1]
+        if len(pts) != 4 or int(b) >> points:
+            raise ValueError("block %x is not a 4-subset" % int(b))
+        for t in combinations(pts, 3):
+            if t in seen:
+                raise ValueError("triple %s covered twice" % (t,))
+            seen.add(t)
+    # 140 blocks x 4 triples each = 560 = all triples, so coverage is complete
+
+
+def is_sqs(blocks, points: int = 16) -> bool:
+    try:
+        check_sqs(blocks, points)
+    except ValueError:
+        return False
+    return True
+
+
+def sqs_of(code: Code, v: int) -> SqsSystem:
+    """The SQS carried by codeword v, validated."""
+    if v not in code:
+        raise ValueError("%04x is not a codeword" % v)
+    d = code.words ^ np.uint16(v)
+    blocks = tuple(int(b) for b in np.sort(d[popcounts16(d) == 4]))
+    check_sqs(blocks)
+    return SqsSystem(blocks)
 
 
 def foldable(code, span) -> bool:
@@ -47,6 +101,7 @@ def test_sqs_of_witness(witnesses):
     assert len(sqs) == 140
     assert all(bin(b).count("1") == 4 for b in sqs.blocks)
     assert is_sqs(sqs.blocks)
+    assert (third_point_table(sqs.blocks) >= 0).sum() == 16 * 15 * 14
     with pytest.raises(ValueError):
         sqs_of(code, v ^ 1)
 
@@ -61,11 +116,10 @@ def test_sqs_constant_on_kernel_cosets(witnesses):
 
 
 def test_check_sqs_rejects():
-    with pytest.raises(ValueError):
-        check_sqs((0b1111,) * 140)
-    with pytest.raises(ValueError):
-        check_sqs((0b111,) + (0b1111,) * 139)
-    assert not is_sqs(())
+    for bad in ((0b1111,) * 140, (0b111,) + (0b1111,) * 139, ()):
+        assert not is_sqs(bad)
+        with pytest.raises(ValueError):
+            third_point_table(bad)
 
 
 def test_foldable_over_kernel(witnesses):

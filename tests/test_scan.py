@@ -1,7 +1,7 @@
 """Permutation scans and kernel-dimension representative search.
 
-The invariants the scan reads off the partitions are checked against the
-brute kernel_words and rank_of on the built codes.
+The invariants the scan reads off the partitions are checked against
+kernel_words and rank_of computed from the built codes' words.
 """
 
 import pytest

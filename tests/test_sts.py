@@ -1,23 +1,125 @@
-"""Triple systems of the punctured codes and Pasch-profile typing."""
+"""Triple systems of the punctured codes and Pasch-profile typing.
+
+The batched third-point counter (pasch_per_point) types the codes; the
+completion search pasch_profile and the 4-subset count below are its
+independent oracles, and random_sts15 exercises all three away from
+the codes.
+"""
+
+import random
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 
 from pcl import sts
-from pcl.algebra import kernel
+from pcl.algebra import kernel, kernel_cosets
 from pcl.doubling import Code
 from pcl.perfect import puncture
 from pcl.scan import make_code
 from pcl.sts import (LETTERS, ROWS, PaschProfile, StsSystem, check_sts,
                      class_type_tuple, classify_type, code_type_grid,
-                     derived_sts, fully_tabulated, homogeneity, multiset_keys,
-                     pasch_profile, pasch_profile_brute, random_sts15,
-                     render_tuple, sts_of, type_char)
-from pcl.words import parse_sigma
+                     derived_profiles, derived_sts, fully_tabulated,
+                     homogeneity, multiset_keys, pasch_per_point,
+                     pasch_profile, render_tuple, third_point_table, type_char)
+from pcl.words import parse_sigma, popcounts16, weight
 
 WITNESS_TYPES = {5: [1, 2, 3, 4, 5, 6, 7], 6: [2, 3, 5, 6, 7],
                  7: [3, 8, 16], 8: [3], 9: [2], 11: [1]}
+
+
+def sts_of(words15, v: int) -> StsSystem:
+    """The STS carried by a codeword of a length-15 1-perfect code."""
+    ws = np.asarray(words15, dtype=np.uint16)
+    d = ws ^ np.uint16(v)
+    tr = tuple(int(t) for t in np.sort(d[popcounts16(d) == 3]))
+    check_sts(tr)
+    return StsSystem(tr)
+
+
+def pasch_profile_brute(sts: StsSystem) -> PaschProfile:
+    """Independent Pasch count over all 4-subsets of triples."""
+    triples = sts.triples
+    total = 0
+    acc = [0] * 15
+    for quad in combinations(triples, 4):
+        u = quad[0] | quad[1] | quad[2] | quad[3]
+        if weight(u) != 6:
+            continue
+        if any(weight(a & b) != 1 for a, b in combinations(quad, 2)):
+            continue
+        total += 1
+        for i in range(15):
+            if (u >> i) & 1:
+                acc[i] += 1
+    return PaschProfile(total, tuple(acc))
+
+
+def random_sts15(seed: int, max_tries: int = 200000) -> StsSystem:
+    """A random STS(15) by hill-climbing pair coverage.
+
+    Keep a partial set of triples covering each pair at most once.  Pick
+    an uncovered pair (a, b), then a third point c with (a, c) also
+    uncovered; at most the triple owning (b, c) clashes and is evicted,
+    so the triple count never drops and the walk converges.
+    """
+    rng = random.Random(seed)
+    pair_owner: dict = {}
+    triples: set = set()
+
+    def pairs_of(t):
+        pts = [i for i in range(15) if (t >> i) & 1]
+        return [tuple(sorted(p)) for p in combinations(pts, 2)]
+
+    uncovered = {tuple(sorted(p)) for p in combinations(range(15), 2)}
+    tries = 0
+    while uncovered and tries < max_tries:
+        tries += 1
+        a, b = rng.choice(sorted(uncovered))
+        if rng.random() < 0.5:
+            # anchoring c at the smaller endpoint every time can trap the
+            # walk in a closed cycle of states
+            a, b = b, a
+        # the uncovered degree at a point is even, so a second uncovered
+        # pair at a always exists
+        cands = [c for c in range(15)
+                 if c != b and tuple(sorted((a, c))) in uncovered]
+        c = rng.choice(cands)
+        t = (1 << a) | (1 << b) | (1 << c)
+        bc = tuple(sorted((b, c)))
+        old = pair_owner.get(bc)
+        if old is not None:
+            triples.discard(old)
+            for p in pairs_of(old):
+                pair_owner.pop(p, None)
+                uncovered.add(p)
+        triples.add(t)
+        for p in pairs_of(t):
+            pair_owner[p] = t
+            uncovered.discard(p)
+    if uncovered:
+        raise RuntimeError("hill climb did not converge")
+    tr = tuple(sorted(triples))
+    check_sts(tr)
+    return StsSystem(tr)
+
+
+def batched_profile(system: StsSystem) -> PaschProfile:
+    """pasch_per_point on the third-point table of one STS(15)."""
+    third = np.full((1, 15, 15), -1, dtype=np.int64)
+    for t in system.triples:
+        a, b, c = [i for i in range(15) if (t >> i) & 1]
+        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+            third[0, x, y] = third[0, y, x] = z
+    per_point = tuple(pasch_per_point(third)[0].tolist())
+    return PaschProfile(sum(per_point) // 6, per_point)
+
+
+def blocks_at(code, v: int) -> np.ndarray:
+    d = code.words ^ np.uint16(v)
+    return d[popcounts16(d) == 4]
 
 
 def test_rows_table_integrity():
@@ -98,26 +200,32 @@ def test_vertex_and_class_tuples_agree(witnesses):
 def test_untabulated_signatures_regression(atlas):
     code = make_code(atlas, 1, 3, parse_sigma("24365017"))
     assert not fully_tabulated(code)
-    assert all(None not in t for t in code.type_tuples.values())
+    fresh = code_type_grid(make_code(atlas, 1, 3, code.sigma))
+    assert code.type_tuples
+    assert all(len(t) == 16 and t == dict(fresh)[v]
+               for v, t in code.type_tuples.items())
     grid = code_type_grid(code)
     missing = sum(t is None for _, row in grid for t in row)
     assert missing > 0
     assert "?" in render_tuple(grid[0][1]) or missing > 0
-    assert grid == code_type_grid(make_code(atlas, 1, 3, code.sigma))
+    assert grid == fresh
 
 
 def test_kept_code_is_typed_once(atlas, monkeypatch):
-    calls = []
-    counted = sts.pasch_profile
+    vertices, systems = [], []
+    batched, oracle = sts.derived_profiles, sts.pasch_profile
+    monkeypatch.setattr(sts, "derived_profiles",
+                        lambda b: vertices.append(b) or batched(b))
     monkeypatch.setattr(sts, "pasch_profile",
-                        lambda s: calls.append(s) or counted(s))
+                        lambda s: systems.append(s) or oracle(s))
     code = make_code(atlas, 0, 0, parse_sigma("24365017"))
     assert fully_tabulated(code)
     cosets = 2048 >> 8
-    assert len(calls) == 16 * cosets
+    assert len(vertices) == cosets
     grid = code_type_grid(code)
     assert len(grid) == cosets
-    assert len(calls) == 16 * cosets
+    assert len(vertices) == cosets
+    assert systems == []
     fresh = Code(code.words.copy(), code.left, code.right, code.sigma)
     assert code_type_grid(fresh) == grid
 
@@ -148,6 +256,7 @@ def test_random_sts15_deterministic_and_valid():
 def test_dual_pasch_counts_agree(seed):
     sts = random_sts15(seed)
     assert pasch_profile(sts) == pasch_profile_brute(sts)
+    assert batched_profile(sts) == pasch_profile_brute(sts)
 
 
 def test_dual_pasch_on_code_systems(witnesses):
@@ -161,3 +270,39 @@ def test_dual_pasch_on_code_systems(witnesses):
 def test_profile_signature_is_sorted():
     p = PaschProfile(10, (1, 3, 2) + (0,) * 12)
     assert p.signature() == (10, (3, 2, 1) + (0,) * 12)
+
+
+def test_batched_profiles_match_completion_search(witnesses):
+    for kappa in (5, 6, 7, 8, 9):
+        code = witnesses[kappa]
+        for r in kernel_cosets(code).reps:
+            v = int(r)
+            assert derived_profiles(blocks_at(code, v)) == [
+                pasch_profile(derived_sts(code, v, i)) for i in range(16)]
+
+
+def test_batched_profiles_match_brute(witnesses):
+    rng = random.Random(5)
+    for _ in range(6):
+        code = witnesses[rng.choice((5, 6, 7, 8, 9))]
+        v = int(rng.choice(list(kernel_cosets(code).reps)))
+        i = rng.randrange(16)
+        assert (derived_profiles(blocks_at(code, v))[i]
+                == pasch_profile_brute(derived_sts(code, v, i)))
+
+
+def test_corrupted_block_raises_sqs_error(witnesses):
+    code = witnesses[5]
+    v = int(kernel_cosets(code).reps[3])
+    blocks = blocks_at(code, v)
+    assert derived_profiles(blocks)[0] == pasch_profile(derived_sts(code, v, 0))
+    present = set(blocks.tolist())
+    bad = blocks.copy()
+    bad[7] = next(q for q in range(1 << 16)
+                  if weight(q) == 4 and q not in present)
+    with pytest.raises(ValueError, match="exactly once"):
+        third_point_table(bad)
+    with pytest.raises(ValueError, match="exactly once"):
+        third_point_table(blocks[1:])
+    with pytest.raises(ValueError, match="4-subset"):
+        third_point_table(np.append(blocks[1:], 0b111))
