@@ -22,12 +22,12 @@ are equal, and class ids are the ranks of the orbit minima.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from typing import NamedTuple
 
 import numpy as np
 
-from .words import POP8, perm_word_map
+from .words import POP8, perm_word_map, points_of
 
 UNASSIGNED = 255
 
@@ -181,14 +181,11 @@ def minimal_image8(colw: np.ndarray) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def perm_word_table(n: int) -> np.ndarray:
-    """Word images of every coordinate permutation of n points, one row each."""
-    perms = np.array(list(permutations(range(n))), dtype=np.uint8)
-    table = np.zeros((len(perms), 1 << n), dtype=np.uint8)
-    idx = np.arange(1 << n)
-    for i in range(n):
-        table |= ((idx >> i) & 1).astype(np.uint8)[None, :] << perms[:, i][:, None]
-    return table
+def _point_images8() -> np.ndarray:
+    """images[p, k] is the one-bit mask of where permutation k sends point p."""
+    perms = np.fromiter(chain.from_iterable(permutations(range(8))),
+                        dtype=np.uint8, count=8 * 40320).reshape(-1, 8)
+    return np.left_shift(1, perms.T).astype(np.uint8)
 
 
 def minimal_quadset8(masks) -> tuple:
@@ -197,16 +194,24 @@ def minimal_quadset8(masks) -> tuple:
     Two mask sets have equal minimal images exactly when some permutation
     of the 8 points carries one onto the other.  Results are memoized on
     the sorted distinct masks: structure checks canonicalize the same
-    fixed families on every link.
+    fixed families on every link.  Masks outside 0..255 raise ValueError.
     """
-    return _minimal_quadset8(tuple(sorted(set(int(m) for m in masks))))
+    masks = tuple(sorted(set(int(m) for m in masks)))
+    if masks and not 0 <= masks[0] <= masks[-1] <= 0xFF:
+        raise ValueError("8-bit masks lie in 0..255, got %r" % (masks,))
+    return _minimal_quadset8(masks)
 
 
 @lru_cache(maxsize=4096)
 def _minimal_quadset8(masks: tuple) -> tuple:
-    arr = np.asarray(masks, dtype=np.intp)
-    if arr.size == 0:
+    if not masks:
         return ()
-    imgs = np.sort(perm_word_table(8)[:, arr], axis=1)
+    # row i: mask i's image under every permutation, the OR of its points' images
+    points = _point_images8()
+    imgs = np.stack([np.bitwise_or.reduce(points[points_of(m)]) for m in masks])
+    # a sorted image starts with its least mask, so only the permutations
+    # reaching the least first element can give the least sorted image
+    first = imgs.min(axis=0)
+    imgs = np.sort(imgs[:, first == first.min()].T, axis=1)
     best = imgs[np.lexsort(imgs.T[::-1])[0]]
     return tuple(int(x) for x in best)

@@ -8,6 +8,14 @@ a subgroup L of the kernel collapses each L-coset of the code to one
 vertex; a weight-4 difference between cosets becomes an edge labeled by
 its support, and weight-4 words inside L itself become loops.  Loop
 labels are therefore the same at every vertex.
+
+The fold is checked by its covering property: for cosets r_i + L and
+r_j + L of the code, every difference u ^ v lies in r_i ^ r_j + L.  A
+row u ^ (r_j + L) of the difference table then holds |L| distinct words
+of that coset, so it is the whole coset, and so is every column.  Each
+label of the edge therefore appears exactly once in every row and every
+column, which is the weaker statement that all rows and columns carry
+the same labels; and the labels depend only on r_i ^ r_j + L.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import numpy as np
 
 from .algebra import LinearSpan, cosets, kernel_cosets
 from .doubling import Code
-from .words import parse_quad, popcounts16, quad_name, word_hex
+from .words import popcounts16, quad_name, word_hex
 
 
 @dataclass(eq=False)
@@ -46,14 +54,6 @@ class SqsGraph:
     @property
     def loop_count(self) -> int:
         return len(self.loop_labels)
-
-    def edge_labels(self, i: int, j: int) -> tuple:
-        if i == j:
-            return self.loop_labels
-        return self.labels.get((min(i, j), max(i, j)), ())
-
-    def row_sums(self) -> np.ndarray:
-        return self.mult.sum(axis=1)
 
     def to_json(self) -> dict:
         verts = []
@@ -89,35 +89,14 @@ class SqsGraph:
         return "\n".join(",".join(str(x) for x in row) for row in self.mult) + "\n"
 
 
-def graph_from_json(d: dict) -> tuple:
-    """Round-trip companion to SqsGraph.to_json: (reps, labels, mult, sts)."""
-    verts = sorted(d["vertices"], key=lambda v: v["id"])
-    reps = np.array([int(v["representative"], 16) for v in verts], dtype=np.uint16)
-    sts = [v.get("stsTuple") for v in verts]
-    if all(s is None for s in sts):
-        sts = None
-    m = len(reps)
-    mult = np.zeros((m, m), dtype=np.int64)
-    labels = {}
-    for e in d["edges"]:
-        i, j = e["a"], e["b"]
-        quads = tuple(sorted(parse_quad(q) for q in e["quadruples"]))
-        if len(quads) != e["multiplicity"]:
-            raise ValueError("multiplicity does not match quadruple count")
-        if i == j:
-            mult[i, i] = len(quads)
-        else:
-            labels[(min(i, j), max(i, j))] = quads
-            mult[i, j] = mult[j, i] = len(quads)
-    return reps, labels, mult, sts
-
-
 def quotient_graph(code: Code, span: LinearSpan | None = None) -> SqsGraph:
     """Fold over a kernel subspace; the whole kernel when span is None.
 
-    Every edge is verified to have the covering property: each label
-    appears exactly once per row and column of the coset-pair difference
-    table, checked with one sort of the table along each axis.
+    The code's words are sorted by coset index into the rows of a
+    members array, and one gather checks the covering property on every
+    entry of every coset-pair table i < j; it also fails when the index
+    puts a word in the wrong row.  The labels of every pair are then the
+    weight-4 words of r_i ^ r_j ^ L, read off one (pairs, |L|) array.
     """
     dec = kernel_cosets(code) if span is None else cosets(code, span)
     span = dec.subspace
@@ -125,29 +104,27 @@ def quotient_graph(code: Code, span: LinearSpan | None = None) -> SqsGraph:
     m = len(reps)
     sub = span.words()
     loop = tuple(int(b) for b in np.sort(sub[popcounts16(sub) == 4]))
-    labels: dict = {}
+    by_coset = np.argsort(dec.index[code.words], kind="stable")
+    members = code.words[by_coset].reshape(m, len(sub))
+    inside = np.zeros(1 << 16, dtype=bool)
+    inside[sub] = True
+    i, j = np.triu_indices(m, 1)
+    shift = reps[i] ^ reps[j]
+    table = members[i][:, :, None] ^ members[j][:, None, :]
+    table ^= shift[:, None, None]
+    bad = ~inside[table].all(axis=(1, 2))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise AssertionError("covering property fails between cosets %d and %d"
+                             % (i[k], j[k]))
+    diffs = shift[:, None] ^ sub[None, :]
+    w4 = popcounts16(diffs) == 4
+    sizes = w4.sum(axis=1)
+    # 0xFFFF has weight 16, so it pads each sorted row after the labels
+    quads = np.sort(np.where(w4, diffs, 0xFFFF), axis=1).tolist()
+    labels = {(a, b): tuple(q[:n]) for a, b, q, n
+              in zip(i.tolist(), j.tolist(), quads, sizes.tolist()) if n}
     mult = np.zeros((m, m), dtype=np.int64)
+    mult[i, j] = mult[j, i] = sizes
     np.fill_diagonal(mult, len(loop))
-    members = [code.words[dec.index[code.words] == i] for i in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = reps[i] ^ reps[j] ^ sub
-            w4 = d[popcounts16(d) == 4]
-            if len(w4) == 0:
-                continue
-            labs = tuple(int(b) for b in np.sort(w4))
-            dd = members[i][:, None] ^ members[j][None, :]
-            ww = np.where(popcounts16(dd) == 4, dd, 0)
-            rows = np.sort(ww, axis=1)
-            cols = np.sort(ww, axis=0)
-            if not ((rows == rows[0]).all() and (cols == rows[:1].T).all()):
-                raise AssertionError(
-                    "covering property fails between cosets %d and %d" % (i, j))
-            labels[(i, j)] = labs
-            mult[i, j] = mult[j, i] = len(labs)
     return SqsGraph(code, span, reps, loop, labels, mult)
-
-
-def vertex_sum_check(g: SqsGraph) -> bool:
-    """Every vertex's incident multiplicities (loop once) sum to 140."""
-    return bool((g.row_sums() == 140).all())

@@ -15,10 +15,18 @@ families at one of four levels:
 Relabelings are certified subject by subject; no attempt is made to pin
 one simultaneous relabeling for the whole graph, only existence per
 loop or link.
+
+The labels of a link (i, j) are the weight-4 words of r_i ^ r_j + L, so
+all links of one difference class carry the same label tuple, and a
+graph has far fewer distinct tuples than links (162 for the 1,472 links
+of the kappa=5 witness).  Link verdicts are therefore computed once per
+distinct tuple and repeated per link.  The key is the whole tuple, since
+which half each label lies in decides the verdict.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,8 +204,36 @@ def verify_loops(G: SqsGraph, kappa: int) -> list[Verdict]:
             for v in range(G.order)]
 
 
+def _per_label_set(judge):
+    """judge, memoized on the whole label tuple for one graph."""
+    return functools.cache(judge)
+
+
 def _family_names() -> dict:
     return {masks: name for name, masks in fano.fano_families().items()}
+
+
+def _judge_pure(labels, table, names, expected) -> tuple:
+    """(is pure, verdict fields) for one link's label set."""
+    L, R, M = split_sides(labels)
+    if M:
+        return False, None
+    if L and R:
+        return True, ("fail", expected, "%d left and %d right labels on "
+                      "one link" % (len(L), len(R)), "")
+    side, masks8 = ("left", L) if L else ("right", R)
+    obs_desc = "%d %s-half labels" % (len(masks8), side)
+    for lv, fits in (
+            ("exact", lambda f: side == "left" and set(masks8) == set(f)),
+            ("relabeled", lambda f: minimal_quadset8(masks8) == minimal_quadset8(f)),
+            ("spectrum", lambda f: len(masks8) == len(f))):
+        fam = next((f for f in table if fits(f)), None)
+        if fam is not None:
+            note = ("size matches %s only" if lv == "spectrum"
+                    else "matches %s") % names[fam]
+            return True, (lv, expected, obs_desc, note)
+    return True, ("fail", expected, obs_desc,
+                  "no prescribed family of this size")
 
 
 def verify_intra_links(G: SqsGraph, kappa: int) -> list[Verdict]:
@@ -210,46 +246,17 @@ def verify_intra_links(G: SqsGraph, kappa: int) -> list[Verdict]:
     names = _family_names()
     expected = "one of " + ", ".join(
         "%s(%d)" % (names[f], len(f)) for f in table)
+    judge = _per_label_set(
+        lambda labels: _judge_pure(labels, table, names, expected))
     out = []
     incident: dict[int, list] = {v: [] for v in range(G.order)}
     for (i, j), labels in sorted(G.labels.items()):
-        L, R, M = split_sides(labels)
-        if M:
+        pure, fields = judge(labels)
+        if not pure:
             continue
         incident[i].append(labels)
         incident[j].append(labels)
-        subject = "link(%d,%d)" % (i, j)
-        if L and R:
-            out.append(Verdict(subject, "fail", expected,
-                               "%d left and %d right labels on one link"
-                               % (len(L), len(R))))
-            continue
-        side, masks8 = ("left", L) if L else ("right", R)
-        obs_desc = "%d %s-half labels" % (len(masks8), side)
-        got = None
-        for fam in table:
-            if side == "left" and set(masks8) == set(fam):
-                got = ("exact", fam)
-                break
-        if got is None:
-            canon = minimal_quadset8(masks8)
-            for fam in table:
-                if canon == minimal_quadset8(fam):
-                    got = ("relabeled", fam)
-                    break
-        if got is None:
-            for fam in table:
-                if len(masks8) == len(fam):
-                    got = ("spectrum", fam)
-                    break
-        if got is None:
-            out.append(Verdict(subject, "fail", expected, obs_desc,
-                               "no prescribed family of this size"))
-        else:
-            lv, fam = got
-            note = ("size matches %s only" if lv == "spectrum"
-                    else "matches %s") % names[fam]
-            out.append(Verdict(subject, lv, expected, obs_desc, note))
+        out.append(Verdict("link(%d,%d)" % (i, j), *fields))
 
     blk_exp = set(fano.X) | set(fano.Y) | set(fano.Z)
     expL, expR, _ = split_sides(sorted(blk_exp))
@@ -280,6 +287,41 @@ _CROSS_RULE = {9: "two full products", 8: "one full product",
                5: "at most three quarters"}
 
 
+def _judge_mixed(labels, kappa: int, expected: str) -> tuple:
+    """(mixed label count, verdict fields) for one link's label set."""
+    L, R, M = split_sides(labels)
+    if not M:
+        return 0, None
+    if L or R:
+        return len(M), ("fail", expected,
+                        "%d labels with %d half-supported among them"
+                        % (len(labels), len(L) + len(R)), "")
+    dec = decompose_mixed(M)
+    if dec is None:
+        profile = sorted(
+            len(set(m >> 8 for m in M if (m & 0xFF) == lp))
+            for lp in set(m & 0xFF for m in M))
+        return len(M), ("fail", expected,
+                        "%d labels, no whole-product or whole-quarter"
+                        " split" % len(M),
+                        "right fan-out per left pair: %s" % profile)
+    kind, parts = dec
+    if kind == "products":
+        desc = "products " + ", ".join(
+            "%sx%s" % (a.name, b.name) for a, b in parts)
+        lv = ("exact" if kappa >= 8 and len(parts) == (kappa - 7)
+              else "spectrum")
+    elif kind == "quarters":
+        desc = "quarters " + ", ".join(
+            "(%s)x%s" % (_pair_name(lp), b.name) for lp, b in parts)
+        lv = "exact" if kappa <= 7 and len(parts) <= 3 else "spectrum"
+    else:
+        desc = "half-swapped quarters " + ", ".join(
+            "%sx(%s)" % (a.name, _pair_name(rp)) for a, rp in parts)
+        lv = "relabeled" if kappa <= 7 and len(parts) <= 3 else "spectrum"
+    return len(M), (lv, expected, desc, "")
+
+
 def verify_cross_links(G: SqsGraph, kappa: int) -> list[Verdict]:
     """Mixed links decomposed into products or quarters, plus the
     112-label cross budget at every vertex."""
@@ -287,45 +329,17 @@ def verify_cross_links(G: SqsGraph, kappa: int) -> list[Verdict]:
         raise ValueError(
             "cross-link prescriptions exist for kappa 5..9, got %d" % kappa)
     expected = _CROSS_RULE[kappa]
+    judge = _per_label_set(
+        lambda labels: _judge_mixed(labels, kappa, expected))
     out = []
     totals = [0] * G.order
     for (i, j), labels in sorted(G.labels.items()):
-        L, R, M = split_sides(labels)
-        if not M:
+        mixed, fields = judge(labels)
+        if not mixed:
             continue
-        subject = "link(%d,%d)" % (i, j)
-        totals[i] += len(M)
-        totals[j] += len(M)
-        if L or R:
-            out.append(Verdict(subject, "fail", expected,
-                               "%d labels with %d half-supported among them"
-                               % (len(labels), len(L) + len(R))))
-            continue
-        dec = decompose_mixed(M)
-        if dec is None:
-            profile = sorted(
-                len(set(m >> 8 for m in M if (m & 0xFF) == lp))
-                for lp in set(m & 0xFF for m in M))
-            out.append(Verdict(subject, "fail", expected,
-                               "%d labels, no whole-product or whole-quarter"
-                               " split" % len(M),
-                               "right fan-out per left pair: %s" % profile))
-            continue
-        kind, parts = dec
-        if kind == "products":
-            desc = "products " + ", ".join(
-                "%sx%s" % (a.name, b.name) for a, b in parts)
-            lv = ("exact" if kappa >= 8 and len(parts) == (kappa - 7)
-                  else "spectrum")
-        elif kind == "quarters":
-            desc = "quarters " + ", ".join(
-                "(%s)x%s" % (_pair_name(lp), b.name) for lp, b in parts)
-            lv = "exact" if kappa <= 7 and len(parts) <= 3 else "spectrum"
-        else:
-            desc = "half-swapped quarters " + ", ".join(
-                "%sx(%s)" % (a.name, _pair_name(rp)) for a, rp in parts)
-            lv = "relabeled" if kappa <= 7 and len(parts) <= 3 else "spectrum"
-        out.append(Verdict(subject, lv, expected, desc))
+        totals[i] += mixed
+        totals[j] += mixed
+        out.append(Verdict("link(%d,%d)" % (i, j), *fields))
 
     in_loop = 16 if kappa == 9 else 0
     want = 112 - in_loop

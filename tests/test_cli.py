@@ -16,11 +16,13 @@ import pcl.sts
 from pcl.algebra import kernel_dim, kernel_words, rank_of
 from pcl.cli import main
 from pcl.doubling import Code
-from pcl.fold import graph_from_json, quotient_graph
+from pcl.fold import quotient_graph
 from pcl.ioutil import load_code, read_json, save_code
 from pcl.partitions import Atlas
 from pcl.scan import make_code
 from pcl.words import parse_sigma
+
+from graph_helpers import graph_from_json
 
 
 @pytest.fixture(scope="module")

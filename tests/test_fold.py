@@ -1,7 +1,9 @@
 """SQS extraction and folding over kernel subspaces.
 
 check_sqs below is the triple-by-triple oracle of the one SQS check in
-the package, the coverage count of sts.third_point_table.
+the package, the coverage count of sts.third_point_table;
+quotient_graph_pairwise is the per-pair oracle of quotient_graph's one
+pass over all coset pairs.
 """
 
 from dataclasses import dataclass
@@ -10,12 +12,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from pcl.algebra import LinearSpan, cosets, half_pure_subgroup, kernel_words
+from pcl.algebra import (LinearSpan, cosets, half_pure_subgroup,
+                         kernel_cosets, kernel_words)
 from pcl.doubling import Code
-from pcl.fold import (SqsGraph, graph_from_json, quotient_graph,
-                      vertex_sum_check)
+from pcl.fold import SqsGraph, quotient_graph
 from pcl.sts import third_point_table
 from pcl.words import popcounts16, quad_name
+
+from graph_helpers import (edge_labels, graph_from_json, row_sums,
+                           vertex_sum_check)
 
 # kappa -> (vertex count, loop multiplicity) of the whole-kernel fold
 FOLD_SHAPE = {5: (64, 8), 6: (32, 16), 7: (16, 20), 8: (8, 28), 9: (4, 44)}
@@ -94,6 +99,42 @@ def foldable(code, span) -> bool:
     return True
 
 
+def quotient_graph_pairwise(code: Code, span=None) -> SqsGraph:
+    """The fold built one coset pair at a time.
+
+    Each pair's difference table is checked for the covering property by
+    sorting it along both axes: every row and every column must hold the
+    same weight-4 words.
+    """
+    dec = kernel_cosets(code) if span is None else cosets(code, span)
+    span = dec.subspace
+    reps = dec.reps
+    m = len(reps)
+    sub = span.words()
+    loop = tuple(int(b) for b in np.sort(sub[popcounts16(sub) == 4]))
+    labels: dict = {}
+    mult = np.zeros((m, m), dtype=np.int64)
+    np.fill_diagonal(mult, len(loop))
+    members = [code.words[dec.index[code.words] == i] for i in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            d = reps[i] ^ reps[j] ^ sub
+            w4 = d[popcounts16(d) == 4]
+            if len(w4) == 0:
+                continue
+            labs = tuple(int(b) for b in np.sort(w4))
+            dd = members[i][:, None] ^ members[j][None, :]
+            ww = np.where(popcounts16(dd) == 4, dd, 0)
+            rows = np.sort(ww, axis=1)
+            cols = np.sort(ww, axis=0)
+            if not ((rows == rows[0]).all() and (cols == rows[:1].T).all()):
+                raise AssertionError(
+                    "covering property fails between cosets %d and %d" % (i, j))
+            labels[(i, j)] = labs
+            mult[i, j] = mult[j, i] = len(labs)
+    return SqsGraph(code, span, reps, loop, labels, mult)
+
+
 def test_sqs_of_witness(witnesses):
     code = witnesses[9]
     v = int(code.words[0])
@@ -123,7 +164,7 @@ def test_check_sqs_rejects():
 
 
 def test_foldable_over_kernel(witnesses):
-    for kappa in (8, 9):
+    for kappa in (5, 6, 7, 8, 9):
         code = witnesses[kappa]
         span = LinearSpan.from_words(kernel_words(code))
         assert foldable(code, span)
@@ -144,17 +185,45 @@ def test_quotient_graph_shapes(witnesses):
         g = quotient_graph(witnesses[kappa])
         assert g.order == order
         assert g.loop_count == loop
-        assert (g.row_sums() == 140).all()
+        assert (row_sums(g) == 140).all()
         assert vertex_sum_check(g)
         assert np.array_equal(g.mult, g.mult.T)
         assert (np.diag(g.mult) == loop).all()
 
 
+def _same_fold(g, h) -> bool:
+    return (np.array_equal(g.reps, h.reps) and g.loop_labels == h.loop_labels
+            and list(g.labels.items()) == list(h.labels.items())
+            and np.array_equal(g.mult, h.mult))
+
+
+def test_quotient_graph_matches_pairwise(witnesses):
+    for kappa in FOLD_SHAPE:
+        code = witnesses[kappa]
+        assert _same_fold(quotient_graph(code), quotient_graph_pairwise(code))
+    code = witnesses[9]
+    span = LinearSpan.from_words(half_pure_subgroup(kernel_words(code)))
+    assert _same_fold(quotient_graph(code, span),
+                      quotient_graph_pairwise(code, span))
+
+
+def test_quotient_graph_rejects_misplaced_words(witnesses):
+    code = witnesses[7]
+    rng = np.random.default_rng(3)
+    for u in [code.words[0], code.words[-1]] + list(rng.choice(code.words, 4)):
+        fresh = Code(code.words.copy(), code.left, code.right, code.sigma)
+        index = kernel_cosets(fresh).index
+        v = rng.choice(fresh.words[index[fresh.words] != index[u]])
+        index[[u, v]] = index[[v, u]]
+        with pytest.raises(AssertionError, match="covering property"):
+            quotient_graph(fresh)
+
+
 def test_edge_labels_accessors(witnesses):
     g = quotient_graph(witnesses[9])
-    assert g.edge_labels(0, 0) == g.loop_labels
-    assert g.edge_labels(1, 2) == g.edge_labels(2, 1)
-    lab = g.edge_labels(0, 1)
+    assert edge_labels(g, 0, 0) == g.loop_labels
+    assert edge_labels(g, 1, 2) == edge_labels(g, 2, 1)
+    lab = edge_labels(g, 0, 1)
     assert len(lab) == g.mult[0, 1]
     assert all(bin(b).count("1") == 4 for b in lab)
 

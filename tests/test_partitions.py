@@ -4,11 +4,13 @@ import gzip
 import json
 import pathlib
 import random
+from functools import lru_cache
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
-from pcl.canon import (generators, orbit, orbit_classes, perm_word_table,
+from pcl.canon import (generators, minimal_quadset8, orbit, orbit_classes,
                        relabel_np)
 from pcl.partitions import (EVEN8, Atlas, ExtClass, canonical_form,
                             check_partition7, extend_partition, extended_col,
@@ -20,6 +22,29 @@ CANON_ORBIT_SIZES = [30, 840, 630, 5040, 5040, 420, 2520, 2520, 6720, 1680, 1920
 
 REFERENCE_ATLAS = (pathlib.Path(__file__).resolve().parents[1]
                    / "perfbench" / "reference" / "atlas.json.gz")
+
+
+@lru_cache(maxsize=None)
+def perm_word_table(n: int) -> np.ndarray:
+    """Word images of every coordinate permutation of n points, one row each."""
+    perms = np.array(list(permutations(range(n))), dtype=np.uint8)
+    table = np.zeros((len(perms), 1 << n), dtype=np.uint8)
+    idx = np.arange(1 << n)
+    for i in range(n):
+        table |= ((idx >> i) & 1).astype(np.uint8)[None, :] << perms[:, i][:, None]
+    return table
+
+
+def minimal_quadset8_table(masks) -> tuple:
+    """Least sorted image of a mask set, over every row of the word table.
+
+    The oracle of canon.minimal_quadset8, which never builds the table.
+    """
+    arr = np.asarray(sorted(set(masks)), dtype=np.intp)
+    if arr.size == 0:
+        return ()
+    imgs = np.sort(perm_word_table(8)[:, arr], axis=1)
+    return tuple(int(x) for x in imgs[np.lexsort(imgs.T[::-1])[0]])
 
 
 def minimal_image_pruned(colw, wm, translations) -> bytes:
@@ -152,6 +177,17 @@ def test_orbit_minimum_matches_survivor_pruning(atlas):
     moved = _moved(atlas.classes[9].components, rng, 8)
     assert canonical_form(moved, extended=True) == minimal_image_pruned(
         extended_col(moved), perm_word_table(8), EVEN8)
+
+
+def test_minimal_quadset8_matches_table():
+    rng = random.Random(11)
+    quads = [sum(1 << p for p in c) for c in combinations(range(8), 4)]
+    sets = [quads]
+    for _ in range(160):
+        sets.append(rng.sample(quads, rng.randint(0, 20)))
+        sets.append([rng.randrange(256) for _ in range(rng.randint(0, 20))])
+    for masks in sets:
+        assert minimal_quadset8(masks) == minimal_quadset8_table(masks)
 
 
 def test_orbit_classes_rank_by_orbit_minimum(atlas):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from pcl import structure
 from pcl.fano import pair_partition, product
+from pcl.fold import quotient_graph
 from pcl.structure import (LEVELS, StructureReport, Verdict, decompose_mixed,
                            full_report, worst)
 
@@ -46,6 +48,21 @@ def test_witness_reports(witnesses):
         assert rep.overall == ("relabeled" if passed else "fail")
         want = "pass" if passed else "FAIL"
         assert ("kappa=%d %s" % (kappa, want)) in rep.summary()
+
+
+def test_mixed_label_sets_are_judged_once(witnesses, monkeypatch):
+    code = witnesses[5]
+    mixed = [labels for labels in quotient_graph(code).labels.values()
+             if all(m & 0xFF and m >> 8 for m in labels)]
+    calls = []
+    monkeypatch.setattr(structure, "decompose_mixed",
+                        lambda M: calls.append(M) or decompose_mixed(M))
+    memoized = full_report(code).verdicts
+    assert len(calls) == len(set(calls)) == len(set(mixed))
+    monkeypatch.setattr(structure, "_per_label_set", lambda judge: judge)
+    calls.clear()
+    assert full_report(code).verdicts == memoized
+    assert len(calls) == len(mixed) > len(set(mixed))
 
 
 def test_report_json(witnesses):
