@@ -69,10 +69,6 @@ def _log2_kernel_size(n: int) -> int:
     return n.bit_length() - 1
 
 
-def kernel_dim(kw: np.ndarray) -> int:
-    return _log2_kernel_size(len(kw))
-
-
 def rank_of(code) -> int:
     """Rank of the translate through 0: dimension of the codeword differences."""
     words, _ = _words_occ(code)

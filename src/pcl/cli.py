@@ -39,6 +39,10 @@ from .words import parse_sigma, quad_name, sigma_str, word_hex
 
 KAPPA_TARGETS = (5, 6, 7, 8, 9)
 
+# What reading a malformed JSON file can raise; the commands turn these
+# into an error message and exit status 1.
+_BAD_INPUT = (KeyError, IndexError, TypeError, ValueError, OverflowError)
+
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
 def main() -> None:
@@ -52,7 +56,7 @@ def _fail(msg: str) -> "click.ClickException":
 def _load_code_checked(path: str):
     try:
         return load_code(path)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except _BAD_INPUT as e:
         raise _fail("cannot read code %s: %s" % (path, e))
 
 
@@ -63,7 +67,7 @@ def _load_atlas(path: str | None) -> Atlas:
         return build_atlas()
     try:
         return Atlas.load(path)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except _BAD_INPUT as e:
         raise _fail("cannot read atlas %s: %s" % (path, e))
 
 
@@ -162,7 +166,7 @@ def partitions_classify(atlas_path: str) -> None:
     try:
         with open(atlas_path) as fh:
             d = json.load(fh)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON, or bytes that are not UTF-8
         raise _fail("cannot parse %s: %s" % (atlas_path, e))
     try:
         reps = d["classes"][0]["representative"]
@@ -174,7 +178,7 @@ def partitions_classify(atlas_path: str) -> None:
                        % (d["partition7Count"], len(d["classes"])))
             click.echo("orbit sizes: %s"
                        % " ".join(str(s) for s in d["orbitSizes7"]))
-    except (KeyError, IndexError, TypeError) as e:
+    except _BAD_INPUT as e:
         raise _fail("%s is not an atlas file: %s" % (atlas_path, e))
 
 
@@ -424,8 +428,8 @@ def pipeline(out_dir: str, atlas_path: str | None, pairs: tuple,
     with _stage("partitions"):
         atlas = Atlas.load(atlas_path) if atlas_path else build_atlas()
         atlas.save(path("atlas.json"))
-    for line in _census_lines(atlas):
-        click.echo("[partitions] %s" % line)
+        for line in _census_lines(atlas):
+            click.echo("[partitions] %s" % line)
 
     pair_list = tuple(_parse_pair(s) for s in pairs) or PRIORITY_PAIRS
     for left, right in pair_list:

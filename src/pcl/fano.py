@@ -5,13 +5,13 @@ the extended Hamming code on [0,7] whose weight-4 lines through 0 are X;
 Y collects the complements of X inside [0,7], and Z mirrors X and Y
 into [8,f] by the involution p -> f-p.  Loops and links of folded codes
 are described by unions of these families and by products of pair
-partitions of the two halves.
+partitions of the two halves.  Products and their quarters are
+recognized in label sets by structure.decompose_mixed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .words import mask_of, parse_quad, points_of, quad_name
 
@@ -68,27 +68,6 @@ def fano_families() -> dict:
     }
 
 
-def quad_key(q: int):
-    return tuple(points_of(q))
-
-
-def s_partition(quads, sizes, descending: bool = True) -> list:
-    """Split a quadruple set into lexicographic blocks of the given sizes.
-
-    Descending means earlier blocks hold lexicographically larger
-    quadruples; ascending the opposite.
-    """
-    if sum(sizes) != len(quads):
-        raise ValueError("block sizes %s do not sum to %d" % (sizes, len(quads)))
-    ordered = sorted(quads, key=quad_key, reverse=descending)
-    out = []
-    at = 0
-    for s in sizes:
-        out.append(tuple(ordered[at:at + s]))
-        at += s
-    return out
-
-
 def expected_loop(kappa: int) -> tuple:
     """Loop label set prescribed for a fold over the kernel.
 
@@ -99,10 +78,10 @@ def expected_loop(kappa: int) -> tuple:
     if kappa not in (5, 6, 7, 8, 9):
         raise ValueError("kappa %d outside [5,9]" % kappa)
     ytop = min(len(Y), (1 << (kappa - 4)) - 1)
-    fam = Z + tuple(sorted(Y, key=quad_key, reverse=True)[:ytop])
+    fam = Z + tuple(sorted(Y, key=points_of, reverse=True)[:ytop])
     if kappa >= 8:
         fam = fam + X
-    return tuple(sorted(fam, key=quad_key))
+    return tuple(sorted(fam, key=points_of))
 
 
 LOOP_MULTIPLICITY = {5: 15, 6: 17, 7: 21, 8: 28, 9: 44}
@@ -162,22 +141,6 @@ def parse_pair_name(s: str) -> PairPartition:
     return pair_partition(int(k), int(l), int(m))
 
 
-def enumerate_pair_partitions() -> list[PairPartition]:
-    """All 105 pair partitions of [0,7], sorted by name tag."""
-    out = []
-
-    def rec(free, pairs):
-        if not free:
-            out.append(PairPartition(tuple(pairs)))
-            return
-        a = min(free)
-        for b in sorted(free - {a}):
-            rec(free - {a, b}, pairs + [(a, b)])
-
-    rec(frozenset(range(8)), [])
-    return out
-
-
 REGISTRY_TAGS = """
 1_a=1_3^5 2_a=2_3^7 3_a=3_2^7 4_a=4_5^7 5_a=5_4^6 6_a=6_7^4 7_a=7_6^5
 1_b=1_3^6 2_b=2_3^6 3_b=3_2^6 4_b=4_5^6 5_b=5_4^7 6_b=6_7^5 7_b=7_6^4
@@ -205,59 +168,3 @@ def partition_registry() -> dict:
         alias, tag = entry.split("=")
         reg[alias] = parse_pair_name(tag)
     return reg
-
-
-def product(a: PairPartition, b: PairPartition) -> tuple:
-    """The 16 quadruples (left pair of a) + (right pair of b shifted by 8)."""
-    quads = []
-    for am in a.masks():
-        for bm in b.masks():
-            quads.append(am | (bm << 8))
-    return tuple(sorted(quads, key=quad_key))
-
-
-def loq_split(p) -> list:
-    """Quarters of a product: one per left pair, in lexicographic order."""
-    rec = recognize_product(p)
-    if rec is None or rec[0] != "product":
-        raise ValueError("not a product of pair partitions")
-    groups: dict = {}
-    for q in p:
-        groups.setdefault(q & 0xFF, []).append(q)
-    return [tuple(sorted(groups[lp], key=quad_key))
-            for lp in sorted(groups, key=points_of)]
-
-
-def recognize_product(quads):
-    """Identify a full product or a single quarter.
-
-    Returns ("product", a, b) for a 16-set, ("quarter", leftPair, b) for
-    a 4-set with one left pair, or None.
-    """
-    quads = tuple(quads)
-    pts = [points_of(q) for q in quads]
-    if any(len(p) != 4 for p in pts):
-        return None
-    lefts = sorted(set(q & 0xFF for q in quads))
-    rights = sorted(set(q >> 8 for q in quads))
-    if any(bin(l).count("1") != 2 for l in lefts):
-        return None
-    if any(bin(r).count("1") != 2 for r in rights):
-        return None
-    try:
-        bpp = PairPartition(tuple(sorted((min(points_of(r)), max(points_of(r)))
-                                         for r in rights)))
-    except ValueError:
-        return None
-    if len(quads) == 16 and len(lefts) == 4 and len(rights) == 4:
-        try:
-            app = PairPartition(tuple(sorted((min(points_of(l)), max(points_of(l)))
-                                             for l in lefts)))
-        except ValueError:
-            return None
-        if set(quads) == set(product(app, bpp)):
-            return ("product", app, bpp)
-        return None
-    if len(quads) == 4 and len(lefts) == 1 and len(rights) == 4:
-        return ("quarter", lefts[0], bpp)
-    return None

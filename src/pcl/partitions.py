@@ -25,7 +25,7 @@ import numpy as np
 
 from .canon import (UNASSIGNED, OrbitClasses, generators, minimal_image7,
                     minimal_image8, orbit_classes, relabel_np)
-from .perfect import enumerate_perfect7, extend_even, is_perfect
+from .perfect import enumerate_perfect7, extend_even
 from .words import echelon_basis, parse_word, word_hex, xor_closure
 
 SPACE7 = 128
@@ -71,16 +71,6 @@ def enumerate_partitions7() -> list[Partition7]:
     return out
 
 
-def check_partition7(p: Partition7) -> None:
-    seen: set = set()
-    for comp in p:
-        if not is_perfect(comp):
-            raise ValueError("component is not a perfect code")
-        seen.update(comp)
-    if len(seen) != SPACE7 or len(p) != 8:
-        raise ValueError("components do not partition F_2^7")
-
-
 def partition_col(p: Partition7) -> np.ndarray:
     col = np.full(SPACE7, UNASSIGNED, dtype=np.uint8)
     for i, comp in enumerate(p):
@@ -123,11 +113,12 @@ def extend_partition(p: Partition7) -> Partition8:
 
 def is_linear_partition(p8: Partition8) -> bool:
     """True when the components are the cosets of one linear code."""
-    base = next(comp for comp in p8 if 0 in comp)
+    base = next((comp for comp in p8 if 0 in comp), ())
     bs = frozenset(base)
     if any((a ^ b) not in bs for a in base for b in base):
         return False
-    return all(frozenset(w ^ comp[0] for w in comp) == bs for comp in p8)
+    return all(comp and frozenset(w ^ comp[0] for w in comp) == bs
+               for comp in p8)
 
 
 class TranslationAction(NamedTuple):
@@ -226,13 +217,27 @@ class Atlas:
 
     @classmethod
     def from_json(cls, d: dict) -> "Atlas":
+        """Parse an atlas; ValueError unless the class ids are 0..n-1 and
+        exactly one class is flagged linear, a partition into the cosets
+        of one linear code."""
         entries = sorted(d["classes"], key=lambda c: c["id"])
-        return cls(
+        if [c["id"] for c in entries] != list(range(len(entries))):
+            raise ValueError("class ids are not 0..%d" % (len(entries) - 1))
+        atlas = cls(
             [ExtClass.from_json(c) for c in entries],
             d["partition7Count"],
             list(d["orbitSizes7"]),
             [tuple(m) for m in d["merged"]],
         )
+        linear = [i for i, c in enumerate(atlas.classes) if c.linear]
+        if len(linear) != 1:
+            raise ValueError("%d classes flagged linear, expected exactly one"
+                             % len(linear))
+        if not is_linear_partition(atlas.classes[linear[0]].components):
+            raise ValueError("class %d is flagged linear but is not a "
+                             "partition into cosets of a linear code"
+                             % linear[0])
+        return atlas
 
     def save(self, path: str) -> None:
         from .ioutil import atomic_write

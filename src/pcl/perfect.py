@@ -19,40 +19,6 @@ N7 = 7
 SPACE7 = 1 << N7
 
 
-def ball(w: int, n: int = N7) -> int:
-    """Occupancy mask (as a 2^n-bit int) of the radius-1 ball around w."""
-    m = 1 << w
-    for i in range(n):
-        m |= 1 << (w ^ (1 << i))
-    return m
-
-
-def hamming7() -> tuple:
-    """The linear perfect code whose check matrix columns are 1..7 in binary."""
-    out = []
-    for w in range(SPACE7):
-        s = 0
-        for i in range(N7):
-            if (w >> i) & 1:
-                s ^= i + 1
-        if s == 0:
-            out.append(w)
-    return tuple(out)
-
-
-def is_perfect(words, n: int = N7) -> bool:
-    """Radius-1 balls around the words tile F_2^n exactly."""
-    if len(words) * (n + 1) != (1 << n):
-        return False
-    cover = 0
-    for w in words:
-        b = ball(w, n)
-        if cover & b:
-            return False
-        cover |= b
-    return cover == (1 << (1 << n)) - 1
-
-
 def enumerate_zero_subspace_codes() -> list:
     """All 4-dimensional subspaces of F_2^7 with minimum weight 3, via RREF bases.
 
@@ -81,32 +47,6 @@ def enumerate_zero_subspace_codes() -> list:
             if all(weight(w) >= 3 for w in span if w):
                 out.append(tuple(sorted(span)))
     return sorted(out)
-
-
-def enumerate_zero_codes_by_tiling() -> list:
-    """All perfect codes through zero, found by exact ball tiling.
-
-    Independent of the subspace route: backtracking on the lowest uncovered
-    word, no linearity assumed.  Used as the oracle for the subspace count.
-    """
-    balls = [ball(w) for w in range(SPACE7)]
-    full = (1 << SPACE7) - 1
-    sols = []
-
-    def search(cover, chosen):
-        if cover == full:
-            sols.append(tuple(sorted(chosen)))
-            return
-        w = (cover + 1 & ~cover).bit_length() - 1
-        for c in [w] + [w ^ (1 << i) for i in range(N7)]:
-            b = balls[c]
-            if not (cover & b):
-                chosen.append(c)
-                search(cover | b, chosen)
-                chosen.pop()
-
-    search(balls[0], [0])
-    return sorted(set(sols))
 
 
 def enumerate_perfect7() -> list:
@@ -138,14 +78,6 @@ def tiles15(pw: np.ndarray) -> bool:
     hits = (pw[:, None] ^ shifts[None, :]).ravel()
     counts = np.bincount(hits, minlength=1 << 15)
     return bool((counts == 1).all())
-
-
-def is_extended_perfect8(words) -> bool:
-    """16 words of length 8, even weights, pairwise distance at least 4."""
-    ws = sorted(set(int(w) for w in words))
-    if len(ws) != 16 or any(weight(w) & 1 for w in ws):
-        return False
-    return all(weight(a ^ b) >= 4 for a, b in combinations(ws, 2))
 
 
 def is_extended_perfect16(words, thorough: bool = True) -> bool:

@@ -84,11 +84,6 @@ def make_code(atlas: Atlas, left: int, right: int, sigma) -> Code:
                   tuple(sigma), left, right)
 
 
-def witness_code(atlas: Atlas, kappa: int) -> Code:
-    left, right, sigma = KAPPA_WITNESSES[kappa]
-    return make_code(atlas, left, right, tuple(int(c) for c in sigma))
-
-
 def scan_pair(atlas: Atlas, left: int, right: int,
               sample: int | None = None, seed: int = 0,
               sigmas=None) -> list[ScanRow]:

@@ -12,9 +12,17 @@ families at one of four levels:
   spectrum   cardinalities agree but the sets could not be identified,
   fail       multiplicity mismatch or no decomposition at all.
 
-Relabelings are certified subject by subject; no attempt is made to pin
-one simultaneous relabeling for the whole graph, only existence per
-loop or link.
+One rule, _grade, decides the first three levels for every label set
+compared against a family of half-supported quadruples (the loop, the
+per-vertex block, the half-fold loop and each pure link); each caller
+keeps its own size gate, which gives fail.  Relabelings are certified
+subject by subject; no attempt is made to pin one simultaneous
+relabeling for the whole graph, only existence per loop or link.
+
+Products of pair partitions and their quarters (Phelps, SIAM J. Alg.
+Disc. Meth. 1984) are recognized by decompose_mixed alone, both on
+mixed links and on the product parts of the kappa=9 loop and half-fold
+links.
 
 The labels of a link (i, j) are the weight-4 words of r_i ^ r_j + L, so
 all links of one difference class carry the same label tuple, and a
@@ -84,10 +92,31 @@ def split_sides(labels) -> tuple[tuple, tuple, tuple]:
     return tuple(left), tuple(right), tuple(mixed)
 
 
-def _half_canons_match(aL, aR, bL, bR) -> bool:
-    ca, cb = minimal_quadset8(aL), minimal_quadset8(aR)
-    da, db = minimal_quadset8(bL), minimal_quadset8(bR)
-    return (ca, cb) == (da, db) or (ca, cb) == (db, da)
+def _describe(labels) -> str:
+    L, R, M = split_sides(labels)
+    return "%d labels (%d left, %d right, %d mixed)" % (
+        len(labels), len(L), len(R), len(M))
+
+
+def _grade(labels, family) -> str:
+    """exact, relabeled or spectrum: how labels compare with family.
+
+    exact when the sets are equal; relabeled when no label is mixed and
+    each half's labels are the family's half up to a permutation of the
+    8 points (independently per half, the halves possibly exchanged);
+    spectrum otherwise.  Size gates, which give fail, are the caller's.
+    """
+    labels = set(int(m) for m in labels)
+    if labels == set(family):
+        return "exact"
+    L, R, M = split_sides(labels)
+    if not M:
+        got = (minimal_quadset8(L), minimal_quadset8(R))
+        fL, fR, _ = split_sides(family)
+        want = (minimal_quadset8(fL), minimal_quadset8(fR))
+        if got == want or got == want[::-1]:
+            return "relabeled"
+    return "spectrum"
 
 
 def _pair_name(mask8: int) -> str:
@@ -157,6 +186,14 @@ def decompose_mixed(labels):
     return ("quarters-swapped", swapped)
 
 
+def _one_product(labels):
+    """(a, b) when the 16 labels are exactly the product a x b, else None."""
+    dec = decompose_mixed(labels) if len(labels) == 16 else None
+    if dec is not None and dec[0] == "products" and len(dec[1]) == 1:
+        return dec[1][0]
+    return None
+
+
 _LOOP_NAME = {5: "Z_0", 6: "Z'", 7: "X'", 8: "X+Y+Z",
               9: "X+Y+Z and one full product"}
 
@@ -170,37 +207,25 @@ def verify_loops(G: SqsGraph, kappa: int) -> list[Verdict]:
     fam = fano.expected_loop(kappa)
     want = fano.LOOP_MULTIPLICITY[kappa]
     obs = tuple(int(m) for m in G.loop_labels)
-    obsL, obsR, obsM = split_sides(obs)
-    famL, famR, famM = split_sides(fam)
+    mixed = split_sides(obs)[2]
+    prod = _one_product(mixed)
     expected = "%s, %d labels" % (_LOOP_NAME[kappa], want)
-    observed = "%d labels (%d left, %d right, %d mixed)" % (
-        len(obs), len(obsL), len(obsR), len(obsM))
     detail = ""
-    prod = None
-    if len(obsM) == 16:
-        rec = fano.recognize_product(obsM)
-        if rec is not None and rec[0] == "product":
-            prod = rec
     if len(obs) != want:
         level = "fail"
-        if len(famL) % 2:
+        if len(split_sides(fam)[0]) % 2:
             detail = ("half-supported loop labels pair up under the "
                       "half complement, so the odd prescribed half "
                       "count cannot occur")
     else:
-        pure_raw = tuple(m for m in obs
-                         if (m & 0xFF00) == 0 or (m & 0x00FF) == 0)
-        mixed_ok = prod is not None if kappa == 9 else not obsM
-        if mixed_ok and set(pure_raw) == set(fam):
-            level = "exact"
-        elif mixed_ok and _half_canons_match(obsL, obsR, famL, famR):
-            level = "relabeled"
-        else:
-            level = "spectrum"
+        # the kappa=9 loop holds one full product beside the family
+        graded = (set(obs) - set(mixed) if kappa == 9 and prod is not None
+                  else obs)
+        level = _grade(graded, fam)
         if prod is not None:
             detail = "mixed part is the product %s x %s" % (
-                prod[1].name, prod[2].name)
-    return [Verdict("loop@v%d" % v, level, expected, observed, detail)
+                prod[0].name, prod[1].name)
+    return [Verdict("loop@v%d" % v, level, expected, _describe(obs), detail)
             for v in range(G.order)]
 
 
@@ -221,19 +246,16 @@ def _judge_pure(labels, table, names, expected) -> tuple:
     if L and R:
         return True, ("fail", expected, "%d left and %d right labels on "
                       "one link" % (len(L), len(R)), "")
-    side, masks8 = ("left", L) if L else ("right", R)
-    obs_desc = "%d %s-half labels" % (len(masks8), side)
-    for lv, fits in (
-            ("exact", lambda f: side == "left" and set(masks8) == set(f)),
-            ("relabeled", lambda f: minimal_quadset8(masks8) == minimal_quadset8(f)),
-            ("spectrum", lambda f: len(masks8) == len(f))):
-        fam = next((f for f in table if fits(f)), None)
-        if fam is not None:
-            note = ("size matches %s only" if lv == "spectrum"
-                    else "matches %s") % names[fam]
-            return True, (lv, expected, obs_desc, note)
-    return True, ("fail", expected, obs_desc,
-                  "no prescribed family of this size")
+    obs_desc = "%d %s-half labels" % (len(L or R), "left" if L else "right")
+    graded = [(LEVELS.index(_grade(labels, f)), pos)
+              for pos, f in enumerate(table) if len(f) == len(labels)]
+    if not graded:
+        return True, ("fail", expected, obs_desc,
+                      "no prescribed family of this size")
+    at, pos = min(graded)
+    note = ("size matches %s only" if LEVELS[at] == "spectrum"
+            else "matches %s") % names[table[pos]]
+    return True, (LEVELS[at], expected, obs_desc, note)
 
 
 def verify_intra_links(G: SqsGraph, kappa: int) -> list[Verdict]:
@@ -259,26 +281,14 @@ def verify_intra_links(G: SqsGraph, kappa: int) -> list[Verdict]:
         out.append(Verdict("link(%d,%d)" % (i, j), *fields))
 
     blk_exp = set(fano.X) | set(fano.Y) | set(fano.Z)
-    expL, expR, _ = split_sides(sorted(blk_exp))
     for v in range(G.order):
         blk = set(int(m) for m in G.loop_labels)
         for labels in incident[v]:
             blk |= set(int(m) for m in labels)
-        bL, bR, bM = split_sides(sorted(blk))
-        observed = "%d labels (%d left, %d right, %d mixed)" % (
-            len(blk), len(bL), len(bR), len(bM))
-        if blk == blk_exp:
-            lv = "exact"
-        elif len(blk) == 28 and not bM and _half_canons_match(
-                bL, bR, expL, expR):
-            lv = "relabeled"
-        elif len(blk) == 28:
-            lv = "spectrum"
-        else:
-            lv = "fail"
-        out.append(Verdict("block@v%d" % v, lv,
+        out.append(Verdict("block@v%d" % v,
+                           _grade(blk, blk_exp) if len(blk) == 28 else "fail",
                            "loop and pure links union to X+Y+Z, 28 labels",
-                           observed))
+                           _describe(blk)))
     return out
 
 
@@ -378,20 +388,9 @@ def _index2_verdicts(code: Code, kw: np.ndarray,
     GL = quotient_graph(code, span=L)
     out = []
     loop = tuple(int(m) for m in GL.loop_labels)
-    oL, oR, oM = split_sides(loop)
-    fam = fano.expected_loop(8)
-    fL, fR, _ = split_sides(fam)
-    observed = "%d labels (%d left, %d right, %d mixed)" % (
-        len(loop), len(oL), len(oR), len(oM))
-    if len(loop) != 28:
-        lv = "fail"
-    elif set(loop) == set(fam):
-        lv = "exact"
-    elif not oM and _half_canons_match(oL, oR, fL, fR):
-        lv = "relabeled"
-    else:
-        lv = "spectrum"
-    out.append(Verdict("half-fold loop", lv, "X+Y+Z, 28 labels", observed))
+    lv = _grade(loop, fano.expected_loop(8)) if len(loop) == 28 else "fail"
+    out.append(Verdict("half-fold loop", lv, "X+Y+Z, 28 labels",
+                       _describe(loop)))
 
     kloop = set(int(m) for m in GK.loop_labels)
     met: dict[int, list] = {}
@@ -402,18 +401,17 @@ def _index2_verdicts(code: Code, kw: np.ndarray,
         met.setdefault(i, []).append(j)
         met.setdefault(j, []).append(i)
         subject = "half-fold link(%d,%d)" % (i, j)
-        rec = fano.recognize_product(sorted(ls)) if len(ls) == 16 else None
-        is_prod = rec is not None and rec[0] == "product"
+        prod = _one_product(sorted(ls))
         folds = (ls | set(loop)) == kloop
-        if is_prod and folds:
+        if prod is not None and folds:
             out.append(Verdict(subject, "exact",
                                "one product rejoining the full-kernel loop",
-                               "product %sx%s" % (rec[1].name, rec[2].name)))
+                               "product %sx%s" % (prod[0].name, prod[1].name)))
         else:
             out.append(Verdict(subject, "fail",
                                "one product rejoining the full-kernel loop",
                                "%d labels, product=%s, rejoins=%s"
-                               % (len(ls), is_prod, folds)))
+                               % (len(ls), prod is not None, folds)))
     degrees = sorted(len(v) for v in met.values())
     matched = len(met) == GL.order and degrees == [1] * GL.order
     out.append(Verdict("half-fold matching",

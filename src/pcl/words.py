@@ -23,25 +23,9 @@ def weight(x: int) -> int:
     return int(x).bit_count()
 
 
-def distance(v: int, w: int) -> int:
-    return weight(v ^ w)
-
-
 def popcounts16(a: np.ndarray) -> np.ndarray:
     """Weights of an array of 16-bit words."""
     return POP16[a]
-
-
-def left(m: int) -> int:
-    return m & 0xFF
-
-
-def right(m: int) -> int:
-    return m >> 8
-
-
-def join(lo: int, hi: int) -> int:
-    return lo | (hi << 8)
 
 
 def points_of(mask: int):

@@ -1,0 +1,63 @@
+"""Constructions and checks that only tests use.
+
+ball and is_perfect state the tiling property of 1-perfect codes of
+length 7 directly; is_extended_perfect8 checks a parity-extended
+component by its distances; enumerate_pair_partitions and product build
+the pair-partition products that structure.decompose_mixed recognizes.
+"""
+
+from itertools import combinations
+
+from pcl.fano import PairPartition
+from pcl.words import points_of, weight
+
+
+def ball(w: int, n: int = 7) -> int:
+    """Occupancy mask (as a 2^n-bit int) of the radius-1 ball around w."""
+    m = 1 << w
+    for i in range(n):
+        m |= 1 << (w ^ (1 << i))
+    return m
+
+
+def is_perfect(words, n: int = 7) -> bool:
+    """Radius-1 balls around the words tile F_2^n exactly."""
+    if len(words) * (n + 1) != (1 << n):
+        return False
+    cover = 0
+    for w in words:
+        b = ball(w, n)
+        if cover & b:
+            return False
+        cover |= b
+    return cover == (1 << (1 << n)) - 1
+
+
+def is_extended_perfect8(words) -> bool:
+    """16 words of length 8, even weights, pairwise distance at least 4."""
+    ws = sorted(set(int(w) for w in words))
+    if len(ws) != 16 or any(weight(w) & 1 for w in ws):
+        return False
+    return all(weight(a ^ b) >= 4 for a, b in combinations(ws, 2))
+
+
+def enumerate_pair_partitions() -> list[PairPartition]:
+    """All 105 pair partitions of [0,7], sorted by name tag."""
+    out = []
+
+    def rec(free, pairs):
+        if not free:
+            out.append(PairPartition(tuple(pairs)))
+            return
+        a = min(free)
+        for b in sorted(free - {a}):
+            rec(free - {a, b}, pairs + [(a, b)])
+
+    rec(frozenset(range(8)), [])
+    return out
+
+
+def product(a: PairPartition, b: PairPartition) -> tuple:
+    """The 16 quadruples (left pair of a) + (right pair of b shifted by 8)."""
+    quads = [am | (bm << 8) for am in a.masks() for bm in b.masks()]
+    return tuple(sorted(quads, key=points_of))

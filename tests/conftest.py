@@ -8,7 +8,7 @@ results must not depend on machine speed.
 import pytest
 
 from pcl.partitions import build_atlas
-from pcl.scan import KAPPA_WITNESSES, find_representatives, witness_code
+from pcl.scan import KAPPA_WITNESSES, find_representatives, make_code
 
 
 @pytest.fixture(scope="session")
@@ -30,4 +30,5 @@ def found(atlas):
 
 @pytest.fixture(scope="session")
 def witnesses(atlas):
-    return {k: witness_code(atlas, k) for k in KAPPA_WITNESSES}
+    return {k: make_code(atlas, left, right, tuple(int(c) for c in sigma))
+            for k, (left, right, sigma) in KAPPA_WITNESSES.items()}

@@ -13,14 +13,14 @@ import pcl.algebra
 import pcl.cli
 import pcl.fold
 import pcl.sts
-from pcl.algebra import kernel_dim, kernel_words, rank_of
+from pcl.algebra import kernel_words, rank_of
 from pcl.cli import main
 from pcl.doubling import Code
 from pcl.fold import quotient_graph
 from pcl.ioutil import load_code, read_json, save_code
 from pcl.partitions import Atlas
 from pcl.scan import make_code
-from pcl.words import parse_sigma
+from pcl.words import parse_sigma, rank_gf2
 
 from graph_helpers import graph_from_json
 
@@ -93,10 +93,56 @@ def test_partitions_classify(runner, atlas_file):
 
 def test_partitions_classify_rejects_garbage(runner, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{]")
+    for text in (b"{]", b"\xff\xfe{}"):
+        bad.write_bytes(text)
+        res = runner.invoke(main, ["partitions", "classify", str(bad)])
+        assert res.exit_code == 1
+        assert "cannot parse" in res.output
+
+
+def _clean_error(res, message):
+    """Exit 1 through click's error path: a message, no traceback."""
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Error:" in res.output and message in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["partitions", "classify"],
+    ["pipeline", "--sample", "5", "--out-dir", "run", "--atlas"],
+], ids=lambda a: a[0])
+def test_atlas_without_linear_class_is_rejected(runner, tmp_path, atlas,
+                                                args):
+    d = atlas.to_json()
+    for c in d["classes"]:
+        c["linear"] = False
+    bad = tmp_path / "no_linear.json"
+    bad.write_text(json.dumps(d))
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        res = runner.invoke(main, args + [str(bad)])
+    _clean_error(res, "0 classes flagged linear")
+
+
+def test_non_finite_numbers_are_rejected(runner, tmp_path, atlas,
+                                         code_files):
+    d = atlas.to_json()
+    d["partition7Count"] = float("inf")
+    bad = tmp_path / "inf_atlas.json"
+    bad.write_text(json.dumps(d))
     res = runner.invoke(main, ["partitions", "classify", str(bad)])
-    assert res.exit_code == 1
-    assert "cannot parse" in res.output
+    _clean_error(res, "not an atlas file")
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        res = runner.invoke(main, ["pipeline", "--sample", "5", "--out-dir",
+                                   "run", "--atlas", str(bad)])
+    _clean_error(res, "[partitions]")
+    d = read_json(code_files[9])
+    d["length"] = float("inf")
+    bad = tmp_path / "inf_code.json"
+    bad.write_text(json.dumps(d))
+    res = runner.invoke(main, ["analyze", str(bad), "--out",
+                               str(tmp_path / "a.json")])
+    _clean_error(res, "cannot read code")
 
 
 def test_double_one_code(runner, tmp_path, atlas_file):
@@ -142,7 +188,7 @@ def test_double_scan_sigma_exhaustive(runner, tmp_path, atlas, atlas_file):
     for r in random.Random(0).sample(rows, 50):
         code = make_code(atlas, 0, 3, parse_sigma(r["sigma"]))
         assert (r["rank"], r["kernelDim"]) == (
-            rank_of(code), kernel_dim(kernel_words(code))), r
+            rank_of(code), rank_gf2(kernel_words(code))), r
 
 
 def test_double_usage_errors(runner, atlas_file):

@@ -5,7 +5,7 @@ import numpy as np
 from pcl.doubling import Code
 from pcl.perfect import is_extended_perfect16
 from pcl.scan import make_code
-from pcl.words import left, parse_sigma, popcounts16, right
+from pcl.words import parse_sigma, popcounts16
 
 
 def test_double_shape_and_metadata(atlas):
@@ -31,8 +31,8 @@ def test_double_respects_sigma(atlas):
     highs = [set(c) for c in atlas.classes[3].components]
     for w in code.words[::97]:
         w = int(w)
-        i = next(k for k, c in enumerate(lows) if left(w) in c)
-        assert right(w) in highs[sigma[i]]
+        i = next(k for k, c in enumerate(lows) if (w & 0xFF) in c)
+        assert (w >> 8) in highs[sigma[i]]
 
 
 def test_membership_helpers(atlas):

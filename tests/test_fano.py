@@ -8,11 +8,13 @@ import pytest
 
 from pcl.canon import _minimal_quadset8, minimal_quadset8
 from pcl.fano import (INTRA_TABLE, LOOP_MULTIPLICITY, PairPartition,
-                      enumerate_pair_partitions, expected_loop, fano_families,
-                      left_complement, loq_split, pair_partition,
-                      parse_pair_name, partition_registry, product,
-                      recognize_product, s_partition, supplement)
-from pcl.words import points_of, quad_name
+                      expected_loop, fano_families, left_complement,
+                      pair_partition, parse_pair_name, partition_registry,
+                      supplement)
+from pcl.structure import decompose_mixed
+from pcl.words import points_of
+
+from code_helpers import enumerate_pair_partitions, product
 
 FAMILY_SIZES = {
     "X": 7, "Y": 7, "Z": 14, "X'": 21, "Z'": 17, "Z_0": 15,
@@ -86,16 +88,6 @@ def test_loop_multiplicity_table():
     assert LOOP_MULTIPLICITY[9] - len(expected_loop(9)) == 16
 
 
-def test_s_partition():
-    quads = tuple(sorted(fano_families()["Z"], key=points_of))
-    blocks = s_partition(quads, (6, 8))
-    assert [len(b) for b in blocks] == [6, 8]
-    assert sorted(q for b in blocks for q in b) == sorted(quads)
-    asc = s_partition(quads, (6, 8), descending=False)
-    assert sorted(q for b in asc for q in b) == sorted(quads)
-    assert blocks != asc
-
-
 def test_intra_table_shape():
     assert set(INTRA_TABLE) == {5, 6, 7}
     assert INTRA_TABLE[7] == {1: fano_families()["X"]}
@@ -144,29 +136,24 @@ def test_product_recognize_roundtrip(a, b):
     quads = product(a, b)
     assert len(quads) == 16
     assert all(len(points_of(q)) == 4 for q in quads)
-    kind, ra, rb = recognize_product(quads)
-    assert (kind, ra, rb) == ("product", a, b)
+    assert decompose_mixed(quads) == ("products", [(a, b)])
 
 
 @given(st.sampled_from(pps), st.sampled_from(pps))
 def test_loq_split_quarters(a, b):
-    quarters = loq_split(product(a, b))
-    assert len(quarters) == 4
-    assert [len(q) for q in quarters] == [4, 4, 4, 4]
-    masks = set(a.masks())
-    for quarter in quarters:
-        kind, lp, rb = recognize_product(quarter)
-        assert kind == "quarter"
-        assert lp in masks
-        assert rb == b
+    quarters: dict = {}
+    for q in product(a, b):
+        quarters.setdefault(q & 0xFF, []).append(q)
+    assert sorted(quarters) == sorted(a.masks())
+    for lp, quarter in quarters.items():
+        assert len(quarter) == 4
+        assert decompose_mixed(quarter) == ("quarters", [(lp, b)])
 
 
 def test_recognize_rejects_non_products():
     fams = fano_families()
-    assert recognize_product(fams["X"]) is None
-    assert recognize_product(fams["Z"][:16]) is None
-    with pytest.raises(ValueError):
-        loq_split(fams["Z"])
+    assert decompose_mixed(fams["X"]) is None
+    assert decompose_mixed(fams["Z"]) is None
 
 
 def test_minimal_quadset8_rejects_masks_beyond_8_bits():

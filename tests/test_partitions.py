@@ -13,10 +13,12 @@ import pytest
 from pcl.canon import (generators, minimal_quadset8, orbit, orbit_classes,
                        relabel_np)
 from pcl.partitions import (EVEN8, Atlas, ExtClass, canonical_form,
-                            check_partition7, extend_partition, extended_col,
+                            extend_partition, extended_col,
                             is_linear_partition, partition_col)
-from pcl.perfect import is_extended_perfect8, puncture
+from pcl.perfect import puncture
 from pcl.words import perm_word_map, weight
+
+from code_helpers import is_extended_perfect8, is_perfect
 
 CANON_ORBIT_SIZES = [30, 840, 630, 5040, 5040, 420, 2520, 2520, 6720, 1680, 1920]
 
@@ -112,6 +114,17 @@ def test_class_representatives_partition_the_even_space(atlas):
             assert all(weight(w) % 2 == 0 for w in comp)
             seen.update(comp)
         assert len(seen) == 128
+
+
+def check_partition7(p) -> None:
+    """Raise unless p is eight perfect codes partitioning F_2^7."""
+    seen: set = set()
+    for comp in p:
+        if not is_perfect(comp):
+            raise ValueError("component is not a perfect code")
+        seen.update(comp)
+    if len(seen) != 128 or len(p) != 8:
+        raise ValueError("components do not partition F_2^7")
 
 
 def _punctured7(ext_class):
@@ -244,6 +257,26 @@ def test_atlas_json_roundtrip(atlas, tmp_path):
     path = tmp_path / "atlas.json"
     atlas.save(str(path))
     assert Atlas.load(str(path)).classes == atlas.classes
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda d: d["classes"][0].update(linear=False), "0 classes flagged"),
+    (lambda d: d["classes"][3].update(linear=True), "2 classes flagged"),
+    (lambda d: [c.update(linear=c["id"] == 3) for c in d["classes"]],
+     "class 3 is flagged linear"),
+    (lambda d: d["classes"][9].update(id=11), "class ids are not 0..9"),
+], ids=["no-linear", "two-linear", "nonlinear-flagged", "id-gap"])
+def test_atlas_from_json_checks_ids_and_linear_flag(atlas, change, message):
+    d = json.loads(json.dumps(atlas.to_json()))
+    change(d)
+    with pytest.raises(ValueError, match=message):
+        Atlas.from_json(d)
+
+
+def test_is_linear_partition_on_malformed_components(atlas):
+    assert is_linear_partition(atlas.classes[0].components)
+    assert not is_linear_partition(atlas.classes[0].components[1:])
+    assert not is_linear_partition(atlas.classes[0].components + ((),))
 
 
 def test_atlas_json_schema_keys(atlas):

@@ -3,11 +3,50 @@
 import numpy as np
 import pytest
 
-from pcl.perfect import (ball, enumerate_perfect7, enumerate_zero_codes_by_tiling,
-                         enumerate_zero_subspace_codes, extend_even, hamming7,
-                         is_extended_perfect8, is_extended_perfect16, is_perfect,
-                         puncture, tiles15)
+from pcl.perfect import (enumerate_perfect7, enumerate_zero_subspace_codes,
+                         extend_even, is_extended_perfect16, puncture, tiles15)
 from pcl.words import weight
+
+from code_helpers import ball, is_extended_perfect8, is_perfect
+
+
+def hamming7() -> tuple:
+    """The linear perfect code whose check matrix columns are 1..7 in binary."""
+    out = []
+    for w in range(128):
+        s = 0
+        for i in range(7):
+            if (w >> i) & 1:
+                s ^= i + 1
+        if s == 0:
+            out.append(w)
+    return tuple(out)
+
+
+def enumerate_zero_codes_by_tiling() -> list:
+    """All perfect codes through zero, found by exact ball tiling.
+
+    Independent of the subspace route: backtracking on the lowest uncovered
+    word, no linearity assumed.  The oracle for the subspace count.
+    """
+    balls = [ball(w) for w in range(128)]
+    full = (1 << 128) - 1
+    sols = []
+
+    def search(cover, chosen):
+        if cover == full:
+            sols.append(tuple(sorted(chosen)))
+            return
+        w = (cover + 1 & ~cover).bit_length() - 1
+        for c in [w] + [w ^ (1 << i) for i in range(7)]:
+            b = balls[c]
+            if not (cover & b):
+                chosen.append(c)
+                search(cover | b, chosen)
+                chosen.pop()
+
+    search(balls[0], [0])
+    return sorted(set(sols))
 
 
 def test_hamming7_is_a_linear_perfect_code():

@@ -1,0 +1,78 @@
+"""Every public top-level function or class in src/pcl has a user there.
+
+A name is used when some module imports it with `from .mod import name`,
+reads it as `mod.name` after `from . import mod`, or its own module
+refers to it by name.  Click commands are registered by their
+decorators, and the names quoted in perfbench/tracer.py are used by the
+benchmark, which this test reads and does not change.  Helpers that
+only tests call live in tests/.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "pcl"
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def _used(modules: dict) -> set:
+    """(module, name) pairs referenced anywhere in the package."""
+    used = set()
+    for mod, tree in modules.items():
+        aliases = {}  # local name -> package module, from `from . import m`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    used.update((node.module, a.name) for a in node.names)
+                else:
+                    aliases.update((a.asname or a.name, a.name)
+                                   for a in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add((mod, node.id))
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):
+                used.add((aliases[node.value.id], node.attr))
+    return used
+
+
+def _is_click_command(node) -> bool:
+    for dec in node.decorator_list:
+        f = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(f, ast.Attribute) and (
+                f.attr in ("command", "group")
+                or (isinstance(f.value, ast.Name) and f.value.id == "click")):
+            return True
+    return False
+
+
+def _unused_public_names() -> list:
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    used = _used(modules)
+    traced = {n.value for n in ast.walk(ast.parse(TRACER.read_text()))
+              if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return ["%s.%s" % (mod, node.name)
+            for mod, tree in modules.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and (mod, node.name) not in used
+            and not _is_click_command(node)
+            and node.name not in traced]
+
+
+def test_every_public_name_has_a_user_in_src():
+    assert _unused_public_names() == []
+
+
+def test_the_scan_sees_imports_attributes_and_local_use():
+    modules = {
+        "a": ast.parse("from .b import f\nfrom . import c\n"
+                       "def g():\n    return f() + c.h()\n"
+                       "def unused():\n    pass\n"),
+    }
+    used = _used(modules)
+    assert {("b", "f"), ("c", "h"), ("a", "f"), ("a", "c")} <= used
+    assert ("a", "unused") not in used
+    assert ("a", "g") not in used

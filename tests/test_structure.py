@@ -1,13 +1,18 @@
 """Loop and link verification of the folded graphs."""
 
+import random
+
 import numpy as np
 import pytest
 
-from pcl import structure
-from pcl.fano import pair_partition, product
+from pcl import fano, structure
+from pcl.fano import pair_partition
 from pcl.fold import quotient_graph
-from pcl.structure import (LEVELS, StructureReport, Verdict, decompose_mixed,
-                           full_report, worst)
+from pcl.structure import (LEVELS, StructureReport, Verdict, _grade,
+                           decompose_mixed, full_report, worst)
+from pcl.words import mask_of, points_of
+
+from code_helpers import product
 
 # kappa -> (passed, (exact, relabeled, spectrum, fail)) for the witnesses
 WITNESS_REPORTS = {
@@ -35,6 +40,56 @@ def test_verdict_validation():
     assert d["detail"] == "why"
     with pytest.raises(ValueError):
         Verdict("loop", "bogus", "a", "b")
+
+
+def _relabel(mask8: int, perm) -> int:
+    return mask_of(perm[p] for p in points_of(mask8))
+
+
+@pytest.mark.parametrize("fam", [fano.X + fano.Y + fano.Z, fano.X_PRIME],
+                         ids=["X+Y+Z", "X'"])
+def test_grade_levels(fam):
+    assert _grade(fam, fam) == "exact"
+    rng = random.Random(3)
+    left, right = [m for m in fam if m <= 0xFF], [m >> 8 for m in fam if m > 0xFF]
+    for _ in range(3):
+        pl, pr = rng.sample(range(8), 8), rng.sample(range(8), 8)
+        # independent relabelings of the halves, then the halves exchanged;
+        # X' has 7 left and 14 right labels, so only the exchange fits it
+        moved = ([_relabel(m, pl) << 8 for m in left]
+                 + [_relabel(m, pr) for m in right])
+        assert set(moved) != set(fam)
+        assert _grade(moved, fam) == "relabeled"
+        mixed = 0x0303  # points 0, 1, 8, 9
+        assert _grade(moved + [mixed], fam) == "spectrum"
+        assert _grade(moved[1:] + [mixed], fam) == "spectrum"
+    # one left block swapped for a 4-set outside the design: same size,
+    # different canonical form
+    other = next(q for q in range(256)
+                 if bin(q).count("1") == 4 and q not in fano.X + fano.Y)
+    assert _grade((other,) + fam[1:], fam) == "spectrum"
+
+
+def test_judge_pure_takes_least_level_then_first_family():
+    names = structure._family_names()
+    table = [fam for _, fam in sorted(fano.INTRA_TABLE[6].items())]
+    assert [names[f] for f in table] == ["B'", "B", "A"]
+
+    def judge(labels):
+        pure, (level, _, observed, note) = structure._judge_pure(
+            labels, table, names, "")
+        assert pure
+        return level, observed, note
+
+    # B' and B have one canonical form: a level beats a table position,
+    # and the first family wins among equal levels
+    assert judge(fano.B) == ("exact", "4 left-half labels", "matches B")
+    assert judge(tuple(m << 8 for m in fano.B)) == (
+        "relabeled", "4 right-half labels", "matches B'")
+    assert judge((0x0F, 0x33, 0x55, 0x96)) == (
+        "spectrum", "4 left-half labels", "size matches B' only")
+    assert judge(fano.X[:5]) == (
+        "fail", "5 left-half labels", "no prescribed family of this size")
 
 
 def test_witness_reports(witnesses):

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from pcl.words import (distance, join, left, mask_of, parse_quad,
-                       parse_sigma, parse_word, perm_word_map, points_of,
-                       popcounts16, quad_name, rank_gf2, right, sigma_str,
-                       weight, word_hex, xor_closure)
+from pcl.words import (mask_of, parse_quad, parse_sigma, parse_word,
+                       perm_word_map, points_of, popcounts16, quad_name,
+                       rank_gf2, sigma_str, weight, word_hex, xor_closure)
 
 words16 = st.integers(min_value=0, max_value=0xFFFF)
 
@@ -17,18 +16,18 @@ def test_weight_and_distance_basics():
     assert weight(0) == 0
     assert weight(0xFFFF) == 16
     assert weight(0b1011) == 3
-    assert distance(0b1100, 0b1010) == 2
-    assert distance(5, 5) == 0
+    assert weight(0b1100 ^ 0b1010) == 2
+    assert weight(5 ^ 5) == 0
 
 
 @given(words16, words16)
 def test_distance_is_symmetric_xor_weight(v, w):
-    assert distance(v, w) == weight(v ^ w) == distance(w, v)
+    assert weight(v ^ w) == weight(w ^ v) == bin(v ^ w).count("1")
 
 
 @given(words16, words16, words16)
 def test_distance_triangle(u, v, w):
-    assert distance(u, w) <= distance(u, v) + distance(v, w)
+    assert weight(u ^ w) <= weight(u ^ v) + weight(v ^ w)
 
 
 def test_popcounts16_matches_scalar():
@@ -40,9 +39,9 @@ def test_popcounts16_matches_scalar():
 
 def test_halves_and_join():
     m = 0xAB3C
-    assert left(m) == 0x3C
-    assert right(m) == 0xAB
-    assert join(left(m), right(m)) == m
+    lo, hi = m & 0xFF, m >> 8
+    assert (lo, hi) == (0x3C, 0xAB)
+    assert lo | (hi << 8) == m
 
 
 def test_points_and_masks_roundtrip():
