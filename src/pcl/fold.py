@@ -9,13 +9,16 @@ vertex; a weight-4 difference between cosets becomes an edge labeled by
 its support, and weight-4 words inside L itself become loops.  Loop
 labels are therefore the same at every vertex.
 
-The fold is checked by its covering property: for cosets r_i + L and
-r_j + L of the code, every difference u ^ v lies in r_i ^ r_j + L.  A
-row u ^ (r_j + L) of the difference table then holds |L| distinct words
-of that coset, so it is the whole coset, and so is every column.  Each
-label of the edge therefore appears exactly once in every row and every
-column, which is the weaker statement that all rows and columns carry
-the same labels; and the labels depend only on r_i ^ r_j + L.
+The fold is checked by coset membership: every word filed under coset
+i lies in r_i + L.  By linearity that implies the covering property:
+for cosets r_i + L and r_j + L of the code, every difference u ^ v lies
+in r_i ^ r_j + L.  A row u ^ (r_j + L) of the difference table then
+holds |L| distinct words of that coset, so it is the whole coset, and so
+is every column.  Each label of the edge therefore appears exactly once
+in every row and every column, which is the weaker statement that all
+rows and columns carry the same labels; and the labels depend only on
+r_i ^ r_j + L.  The membership check also covers a fold with a single
+vertex, where there is no pair of cosets to check.
 """
 
 from __future__ import annotations
@@ -93,10 +96,11 @@ def quotient_graph(code: Code, span: LinearSpan | None = None) -> SqsGraph:
     """Fold over a kernel subspace; the whole kernel when span is None.
 
     The code's words are sorted by coset index into the rows of a
-    members array, and one gather checks the covering property on every
-    entry of every coset-pair table i < j; it also fails when the index
-    puts a word in the wrong row.  The labels of every pair are then the
-    weight-4 words of r_i ^ r_j ^ L, read off one (pairs, |L|) array.
+    members array, and one gather checks that row i lies in r_i + L,
+    which implies the covering property on every coset pair (see the
+    module docstring); it fails when the index puts a word in the wrong
+    row.  The labels of every pair are then the weight-4 words of
+    r_i ^ r_j ^ L, read off one (pairs, |L|) array.
     """
     dec = kernel_cosets(code) if span is None else cosets(code, span)
     span = dec.subspace
@@ -108,15 +112,13 @@ def quotient_graph(code: Code, span: LinearSpan | None = None) -> SqsGraph:
     members = code.words[by_coset].reshape(m, len(sub))
     inside = np.zeros(1 << 16, dtype=bool)
     inside[sub] = True
+    bad = ~inside[members ^ reps[:, None]].all(axis=1)
+    if bad.any():
+        raise AssertionError("covering property fails: coset %d holds a "
+                             "word outside its representative's coset"
+                             % int(np.argmax(bad)))
     i, j = np.triu_indices(m, 1)
     shift = reps[i] ^ reps[j]
-    table = members[i][:, :, None] ^ members[j][:, None, :]
-    table ^= shift[:, None, None]
-    bad = ~inside[table].all(axis=(1, 2))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise AssertionError("covering property fails between cosets %d and %d"
-                             % (i[k], j[k]))
     diffs = shift[:, None] ^ sub[None, :]
     w4 = popcounts16(diffs) == 4
     sizes = w4.sum(axis=1)

@@ -217,9 +217,12 @@ class Atlas:
 
     @classmethod
     def from_json(cls, d: dict) -> "Atlas":
-        """Parse an atlas; ValueError unless the class ids are 0..n-1 and
+        """Parse an atlas; ValueError unless the class ids are 0..n-1,
         exactly one class is flagged linear, a partition into the cosets
-        of one linear code."""
+        of one linear code, and the length-7 census agrees with the
+        classes: one positive orbit size per length-7 class they name,
+        summing to partition7Count, and merged lists the classes that
+        contain more than one length-7 class."""
         entries = sorted(d["classes"], key=lambda c: c["id"])
         if [c["id"] for c in entries] != list(range(len(entries))):
             raise ValueError("class ids are not 0..%d" % (len(entries) - 1))
@@ -229,6 +232,23 @@ class Atlas:
             list(d["orbitSizes7"]),
             [tuple(m) for m in d["merged"]],
         )
+        sizes = atlas.orbit_sizes7
+        if not all(type(n) is int and n > 0 for n in sizes):
+            raise ValueError("orbitSizes7 holds a size that is not a "
+                             "positive integer")
+        named = sorted(i for c in atlas.classes for i in c.length7_classes)
+        if named != list(range(len(sizes))):
+            raise ValueError("length7Classes name %s, expected each of 0..%d "
+                             "once, one per orbit size"
+                             % (named, len(sizes) - 1))
+        count = atlas.partition7_count
+        if type(count) is not int or count != sum(sizes):
+            raise ValueError("partition7Count %r is not the sum %d of "
+                             "orbitSizes7" % (count, sum(sizes)))
+        if atlas.merged != [c.length7_classes for c in atlas.classes
+                            if len(c.length7_classes) > 1]:
+            raise ValueError("merged %s does not list the classes with more "
+                             "than one length-7 class" % (atlas.merged,))
         linear = [i for i, c in enumerate(atlas.classes) if c.linear]
         if len(linear) != 1:
             raise ValueError("%d classes flagged linear, expected exactly one"

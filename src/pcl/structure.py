@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .algebra import LinearSpan, half_pure_subgroup, kernel
 from .canon import minimal_quadset8
 from .doubling import Code
 from .fold import SqsGraph, quotient_graph
-from .words import points_of
+from .words import points_of, popcounts16
 
 LEVELS = ("exact", "relabeled", "spectrum", "fail")
 
@@ -423,12 +424,12 @@ def _index2_verdicts(code: Code, kw: np.ndarray,
 
 
 def _assert_even_left_support(G: SqsGraph) -> None:
-    sets = [G.loop_labels] + list(G.labels.values())
-    for labels in sets:
-        for m in labels:
-            if bin(int(m) & 0xFF).count("1") % 2:
-                raise AssertionError(
-                    "label %04x has odd left support" % int(m))
+    labels = np.fromiter(chain(G.loop_labels, *G.labels.values()),
+                         dtype=np.uint16)
+    odd = popcounts16(labels & 0xFF) % 2 == 1
+    if odd.any():
+        raise AssertionError("label %04x has odd left support"
+                             % int(labels[np.argmax(odd)]))
 
 
 @dataclass

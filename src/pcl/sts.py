@@ -14,19 +14,21 @@ The production counter works on third-point tables.  third_point_table
 turns the 140 blocks at a codeword into Q[a, b, c], the fourth point of
 the block through a, b, c; counting its entries checks that every
 triple is covered once, so the blocks form an SQS(16) and all 16
-derived systems T_i[x, y] = Q[i, x, y] are STS(15).  Two triples
-{p, x, x'} and {p, y, y'} through p close into a Pasch configuration
-exactly when T[x, y] == T[x', y'], so pasch_per_point counts all 16
-systems of a vertex in one numpy pass.  pasch_profile, a completion
-search over pairs of triples of one derived_sts system, is kept as its
+derived systems T_i[x, y] = Q[i, x, y] are STS(15).  A Pasch
+configuration through a point p holds exactly two of the 7 lines
+through p, so pasch_per_point counts the configurations through every
+point of all 16 systems of a vertex in one numpy pass over the 21
+pairs of lines through each point.  pasch_profile, a completion search
+over pairs of triples of one derived_sts system, is kept as its
 independent oracle.
 
 code_type_grid is the one typing routine: it types every coset of the
 kernel in turn.  fully_tabulated shares its per-vertex step and stops
 at the first vertex with an untabulated system, which is what the
-representative scan needs.  Both keep each coset's complete tuple on
-the code (Code.type_tuples), so a code the scan kept is not typed again
-when its grid is written.
+representative scan needs; it types the least codeword before it
+computes the kernel, so most rejected codes never need one.  Both keep
+each coset's complete tuple on the code (Code.type_tuples), so a code
+the scan kept is not typed again when its grid is written.
 """
 
 from __future__ import annotations
@@ -203,24 +205,37 @@ def third_point_table(blocks) -> np.ndarray:
 def pasch_per_point(third: np.ndarray) -> np.ndarray:
     """Per-point Pasch counts of a stack of (S, n, n) third-point tables.
 
-    third[s, x, y] is the third point of the triple through x and y in
-    system s, -1 when x == y or either point is outside the system.  At
-    point p the triples {p, x, x'} and {p, y, y'}, x' = T[p, x], close
-    into a Pasch configuration when T[x, y] == T[x', y'].  Each one
-    through p is seen from four ordered (x, y), so the count is
-    #{(x, y) : y != x, y != x', T[x, y] == T[x', y']} / 4.  Points
-    outside a system count 0.
+    third[s, x, y] is the third point of the line through x and y in
+    system s, -1 when x == y or either point is outside the system.
+    Each point p of an STS(15) lies on 7 lines {p, x, T[p, x]}, each
+    taken once with x < T[p, x].  A Pasch configuration through p holds
+    exactly two of them, {p, x, x'} and {p, y, y'}, and its other two
+    lines pair their free points in one of two ways: T[x, y] ==
+    T[x', y'] or T[x, y'] == T[x', y].  So testing both matchings on
+    each of the 21 pairs of lines counts every configuration through p
+    once.  Points outside a system lie on no line and count 0.
+
+    The table is symmetric and x -> T[p, x] is an involution, since
+    third_point_table fills all 24 orders of each block exactly once;
+    hence each line is listed once.  Raises unless every point lies on
+    0 or 7 lines and each system's counts sum to 6 per configuration.
     """
-    s = np.arange(len(third))[:, None, None, None]
-    px = third[:, :, :, None]       # x' = T[p, x]
-    py = third[:, :, None, :]       # y' = T[p, y]
-    pts = np.arange(third.shape[1])
-    hit = ((px >= 0) & (py >= 0) & (pts[:, None] != pts) & (pts != px)
-           & (third[:, None] == third[s, px, py]))
-    counts = hit.sum(axis=(2, 3))
-    if (counts % 4).any():
-        raise AssertionError("ordered Pasch counts not divisible by 4")
-    counts //= 4
+    n = third.shape[1]
+    first = third > np.arange(n)     # x < T[p, x]: one entry per line
+    lines = first.sum(axis=2)
+    if ((lines != 0) & (lines != 7)).any():
+        raise AssertionError("a point of a triple system is not on 7 lines")
+    s, p, x = np.nonzero(first)
+    flat = third.reshape(-1)
+    x = x.reshape(-1, 7)
+    y = flat[(s * n + p) * n + x.ravel()].reshape(-1, 7)   # T[p, x]
+    base = s.reshape(-1, 7)[:, :1] * (n * n)
+    a, b = np.triu_indices(7, 1)
+    x1, y1, x2, y2 = x[:, a], y[:, a], x[:, b], y[:, b]
+    hit = ((flat[base + x1 * n + x2] == flat[base + y1 * n + y2]).sum(axis=1)
+           + (flat[base + x1 * n + y2] == flat[base + y1 * n + x2]).sum(axis=1))
+    counts = np.zeros(third.shape[:2], dtype=np.int64)
+    counts[s[::7], p[::7]] = hit
     if (counts.sum(axis=1) % 6).any():
         raise AssertionError("per-point Pasch counts do not sum to 6 per "
                              "configuration")
@@ -265,13 +280,15 @@ def class_type_tuple(code: Code, rep: int) -> tuple:
     signature is not in the table.  The weight-4 difference set at v and
     at v+k coincides for kernel k, which forces equal derived systems at
     every coordinate; the basis translates of the representative certify
-    the whole coset.
+    the whole coset, compared in one (dimension + 1, 2048) array.
     """
     tup = _vertex_types(code, rep)
-    base = _w4_set(code, rep)
-    for b in kernel(code).basis:
-        if not np.array_equal(_w4_set(code, rep ^ b), base):
-            raise AssertionError("type tuple differs inside a kernel coset")
+    at = np.array((0,) + kernel(code).basis, dtype=np.uint16) ^ np.uint16(rep)
+    d = code.words ^ at[:, None]
+    # 0xFFFF has weight 16, so it pads each sorted row after the blocks
+    w4 = np.sort(np.where(popcounts16(d) == 4, d, 0xFFFF), axis=1)
+    if not (w4 == w4[0]).all():
+        raise AssertionError("type tuple differs inside a kernel coset")
     return tup
 
 
@@ -288,11 +305,15 @@ def render_tuple(types) -> str:
 def fully_tabulated(code: Code) -> bool:
     """Whether every punctured-system profile matches a table row.
 
-    Early-exits at the first vertex with a miss, so rejecting a code is
-    much cheaper than building its full type grid.  Skips the
+    Types the least codeword before the kernel is computed; it is always
+    the first coset representative, so its tuple is not computed twice.
+    Then early-exits at the first vertex with a miss, so rejecting a
+    code is much cheaper than building its full type grid.  Skips the
     coset-independence check; use code_type_grid when emitting
     artifacts.
     """
+    if None in _vertex_types(code, int(code.words[0])):
+        return False
     return all(None not in _vertex_types(code, int(r))
                for r in kernel_cosets(code).reps)
 

@@ -124,6 +124,15 @@ def test_atlas_without_linear_class_is_rejected(runner, tmp_path, atlas,
     _clean_error(res, "0 classes flagged linear")
 
 
+def test_partitions_classify_checks_the_census(runner, tmp_path, atlas):
+    d = atlas.to_json()
+    d["partition7Count"] = "x"
+    bad = tmp_path / "bad_count.json"
+    bad.write_text(json.dumps(d))
+    res = runner.invoke(main, ["partitions", "classify", str(bad)])
+    _clean_error(res, "partition7Count 'x' is not the sum 27360")
+
+
 def test_non_finite_numbers_are_rejected(runner, tmp_path, atlas,
                                          code_files):
     d = atlas.to_json()

@@ -3,7 +3,8 @@
 check_sqs below is the triple-by-triple oracle of the one SQS check in
 the package, the coverage count of sts.third_point_table;
 quotient_graph_pairwise is the per-pair oracle of quotient_graph's one
-pass over all coset pairs.
+pass over all coset pairs, and pairs_cover the all-pairs covering table
+that quotient_graph's membership check implies.
 """
 
 from dataclasses import dataclass
@@ -97,6 +98,26 @@ def foldable(code, span) -> bool:
                     if not np.array_equal(np.sort(w4[:, c]), first):
                         return False
     return True
+
+
+def pairs_cover(code: Code, span=None) -> bool:
+    """The covering property on every coset pair i < j, by one table.
+
+    Words are filed by the coset index into rows as quotient_graph does;
+    every u ^ v with u in row i and v in row j must lie in r_i ^ r_j + L,
+    checked on the (pairs, |L|, |L|) table of differences.
+    """
+    dec = kernel_cosets(code) if span is None else cosets(code, span)
+    sub = dec.subspace.words()
+    m = len(dec.reps)
+    by_coset = np.argsort(dec.index[code.words], kind="stable")
+    members = code.words[by_coset].reshape(m, len(sub))
+    inside = np.zeros(1 << 16, dtype=bool)
+    inside[sub] = True
+    i, j = np.triu_indices(m, 1)
+    table = members[i][:, :, None] ^ members[j][:, None, :]
+    table ^= (dec.reps[i] ^ dec.reps[j])[:, None, None]
+    return bool(inside[table].all())
 
 
 def quotient_graph_pairwise(code: Code, span=None) -> SqsGraph:
@@ -200,9 +221,11 @@ def _same_fold(g, h) -> bool:
 def test_quotient_graph_matches_pairwise(witnesses):
     for kappa in FOLD_SHAPE:
         code = witnesses[kappa]
+        assert pairs_cover(code)
         assert _same_fold(quotient_graph(code), quotient_graph_pairwise(code))
     code = witnesses[9]
     span = LinearSpan.from_words(half_pure_subgroup(kernel_words(code)))
+    assert pairs_cover(code, span)
     assert _same_fold(quotient_graph(code, span),
                       quotient_graph_pairwise(code, span))
 
@@ -215,6 +238,7 @@ def test_quotient_graph_rejects_misplaced_words(witnesses):
         index = kernel_cosets(fresh).index
         v = rng.choice(fresh.words[index[fresh.words] != index[u]])
         index[[u, v]] = index[[v, u]]
+        assert not pairs_cover(fresh)
         with pytest.raises(AssertionError, match="covering property"):
             quotient_graph(fresh)
 

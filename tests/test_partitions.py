@@ -265,7 +265,24 @@ def test_atlas_json_roundtrip(atlas, tmp_path):
     (lambda d: [c.update(linear=c["id"] == 3) for c in d["classes"]],
      "class 3 is flagged linear"),
     (lambda d: d["classes"][9].update(id=11), "class ids are not 0..9"),
-], ids=["no-linear", "two-linear", "nonlinear-flagged", "id-gap"])
+    (lambda d: d.update(partition7Count="x"), "partition7Count 'x'"),
+    (lambda d: d.update(partition7Count=27361), "partition7Count 27361"),
+    (lambda d: d.update(partition7Count=27360.0), "partition7Count 27360.0"),
+    (lambda d: d.update(orbitSizes7="abc"), "positive integer"),
+    (lambda d: d["orbitSizes7"].__setitem__(0, 0), "positive integer"),
+    (lambda d: d["orbitSizes7"].__setitem__(0, True), "positive integer"),
+    (lambda d: d["orbitSizes7"].append(1), "expected each of 0..11"),
+    (lambda d: d["orbitSizes7"].pop(), "expected each of 0..9"),
+    (lambda d: d["classes"][7]["length7Classes"].append(6),
+     "expected each of 0..10"),
+    (lambda d: d.update(merged=[]), "merged"),
+    (lambda d: d.update(merged=[[6, 7], [6, 7]]), "merged"),
+    (lambda d: d.update(merged=[[7, 6]]), "merged"),
+], ids=["no-linear", "two-linear", "nonlinear-flagged", "id-gap",
+        "count-not-int", "count-not-sum", "count-float", "sizes-string",
+        "size-zero", "size-bool", "size-extra", "size-missing",
+        "class-named-twice", "merged-empty", "merged-twice",
+        "merged-reordered"])
 def test_atlas_from_json_checks_ids_and_linear_flag(atlas, change, message):
     d = json.loads(json.dumps(atlas.to_json()))
     change(d)

@@ -7,12 +7,13 @@ kernel_words and rank_of computed from the built codes' words.
 import pytest
 from click.testing import CliRunner
 
+from pcl import algebra, scan, sts
 from pcl.algebra import doubled_invariants, kernel_words, rank_of
 from pcl.cli import main
 from pcl.partitions import Atlas
 from pcl.scan import (KAPPA_WITNESSES, PRIORITY_PAIRS, ScanRow, iter_sigmas,
                       find_representatives, make_code, scan_pair)
-from pcl.sts import fully_tabulated
+from pcl.sts import code_type_grid, fully_tabulated
 from pcl.words import parse_sigma, rank_gf2, sigma_str
 
 # find_representatives(per_pair=400, seed=0) as it chose when it built
@@ -81,6 +82,50 @@ def test_find_representatives_prefers_tabulated_codes(found):
     for kappa, (left, right, sig, code) in found.items():
         assert len(kernel_words(code)) == 1 << kappa
         assert fully_tabulated(code)
+
+
+def test_find_representatives_work_counts(atlas, monkeypatch):
+    """Kernels and typed vertices of the per_pair=100 scan, counted.
+
+    The 17 codes it rejects each fail at their least codeword, before a
+    kernel is computed; the five it keeps are typed at every one of
+    their 8 + 4 + 16 + 32 + 64 = 124 coset representatives.
+    """
+    kernels, vertices, verdicts = [], [], []
+    kw, dp, ft = (algebra.kernel_words, sts.derived_profiles,
+                  scan.fully_tabulated)
+    monkeypatch.setattr(algebra, "kernel_words",
+                        lambda c: kernels.append(c) or kw(c))
+    monkeypatch.setattr(sts, "derived_profiles",
+                        lambda b: vertices.append(b) or dp(b))
+
+    def judged(code):
+        verdicts.append((code, ft(code)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(scan, "fully_tabulated", judged)
+    found = find_representatives(atlas, pairs=PRIORITY_PAIRS, per_pair=100,
+                                 seed=0)
+    assert sorted(found) == [5, 6, 7, 8, 9]
+    assert len(kernels) == 5
+    assert len(vertices) == 141
+    rejected = [c for c, ok in verdicts if not ok]
+    assert len(rejected) == 17
+    assert all(c.kernel_cosets is None for c in rejected)
+    assert all(len(c.type_tuples) == 1 for c in rejected)
+
+
+def test_fully_tabulated_matches_type_grid(atlas):
+    outcomes = set()
+    for k in range(50):
+        left, right = PRIORITY_PAIRS[k % len(PRIORITY_PAIRS)]
+        sig = next(iter_sigmas(1, seed=100 + k))
+        code = make_code(atlas, left, right, sig)
+        grid = code_type_grid(make_code(atlas, left, right, sig))
+        ok = fully_tabulated(code)
+        assert ok == all(None not in t for _, t in grid)
+        outcomes.add(ok)
+    assert outcomes == {True, False}
 
 
 def test_scan_row_frozen():

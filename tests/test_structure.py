@@ -8,7 +8,8 @@ import pytest
 from pcl import fano, structure
 from pcl.fano import pair_partition
 from pcl.fold import quotient_graph
-from pcl.structure import (LEVELS, StructureReport, Verdict, _grade,
+from pcl.structure import (LEVELS, StructureReport, Verdict,
+                           _assert_even_left_support, _grade,
                            decompose_mixed, full_report, worst)
 from pcl.words import mask_of, points_of
 
@@ -68,6 +69,17 @@ def test_grade_levels(fam):
     other = next(q for q in range(256)
                  if bin(q).count("1") == 4 and q not in fano.X + fano.Y)
     assert _grade((other,) + fam[1:], fam) == "spectrum"
+
+
+def test_odd_left_support_names_the_first_label(witnesses):
+    g = quotient_graph(witnesses[9])
+    _assert_even_left_support(g)
+    (i, j), labels = next(iter(g.labels.items()))
+    g.labels[(i, j)] = (labels[0] ^ 0x0101,) + labels[1:]
+    g.labels[(i + 1, j + 1)] = (0x0107,)
+    with pytest.raises(AssertionError, match="label %04x has odd left"
+                       % (labels[0] ^ 0x0101)):
+        _assert_even_left_support(g)
 
 
 def test_judge_pure_takes_least_level_then_first_family():

@@ -1,13 +1,13 @@
 """Triple systems of the punctured codes and Pasch-profile typing.
 
-The batched third-point counter (pasch_per_point) types the codes; the
-completion search pasch_profile and the 4-subset count below are its
-independent oracles, and random_sts15 exercises all three away from
-the codes.
+The line-pair counter (pasch_per_point) types the codes.  Its oracles
+are the ordered point-pair counter it replaced (pasch_per_point_ordered),
+the completion search pasch_profile and the 4-subset count below;
+random_sts15 exercises all of them away from the codes.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from pcl import sts
-from pcl.algebra import kernel, kernel_cosets
+from pcl.algebra import LinearSpan, kernel, kernel_cosets
 from pcl.doubling import Code
 from pcl.perfect import puncture
 from pcl.scan import make_code
@@ -106,14 +106,38 @@ def random_sts15(seed: int, max_tries: int = 200000) -> StsSystem:
     return StsSystem(tr)
 
 
-def batched_profile(system: StsSystem) -> PaschProfile:
-    """pasch_per_point on the third-point table of one STS(15)."""
+def pasch_per_point_ordered(third: np.ndarray) -> np.ndarray:
+    """Per-point Pasch counts of (S, n, n) third-point tables, by point pairs.
+
+    At point p the triples {p, x, x'} and {p, y, y'}, x' = T[p, x],
+    close into a Pasch configuration when T[x, y] == T[x', y'].  Each
+    one through p is seen from four ordered (x, y), so the count is
+    #{(x, y) : y != x, y != x', T[x, y] == T[x', y']} / 4.
+    """
+    s = np.arange(len(third))[:, None, None, None]
+    px = third[:, :, :, None]       # x' = T[p, x]
+    py = third[:, :, None, :]       # y' = T[p, y]
+    pts = np.arange(third.shape[1])
+    hit = ((px >= 0) & (py >= 0) & (pts[:, None] != pts) & (pts != px)
+           & (third[:, None] == third[s, px, py]))
+    counts = hit.sum(axis=(2, 3))
+    assert not (counts % 4).any(), "ordered Pasch counts not divisible by 4"
+    return counts // 4
+
+
+def sts_table(system: StsSystem) -> np.ndarray:
+    """The (1, 15, 15) third-point table of one STS(15)."""
     third = np.full((1, 15, 15), -1, dtype=np.int64)
     for t in system.triples:
         a, b, c = [i for i in range(15) if (t >> i) & 1]
         for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
             third[0, x, y] = third[0, y, x] = z
-    per_point = tuple(pasch_per_point(third)[0].tolist())
+    return third
+
+
+def batched_profile(system: StsSystem) -> PaschProfile:
+    """pasch_per_point on the third-point table of one STS(15)."""
+    per_point = tuple(pasch_per_point(sts_table(system))[0].tolist())
     return PaschProfile(sum(per_point) // 6, per_point)
 
 
@@ -197,6 +221,18 @@ def test_vertex_and_class_tuples_agree(witnesses):
     assert render_tuple(class_type_tuple(code, v)) == "3" * 16
 
 
+def test_class_type_tuple_rejects_a_translate_outside_the_kernel(witnesses):
+    code = witnesses[5]
+    fresh = Code(code.words.copy(), code.left, code.right, code.sigma)
+    dec = kernel_cosets(fresh)
+    v = int(dec.reps[0])
+    assert class_type_tuple(fresh, v) == class_type_tuple(code, v)
+    outside = int(dec.reps[1]) ^ v
+    dec.subspace = LinearSpan(dec.subspace.basis + (outside,))
+    with pytest.raises(AssertionError, match="differs inside a kernel coset"):
+        class_type_tuple(fresh, v)
+
+
 def test_untabulated_signatures_regression(atlas):
     code = make_code(atlas, 1, 3, parse_sigma("24365017"))
     assert not fully_tabulated(code)
@@ -257,6 +293,18 @@ def test_dual_pasch_counts_agree(seed):
     sts = random_sts15(seed)
     assert pasch_profile(sts) == pasch_profile_brute(sts)
     assert batched_profile(sts) == pasch_profile_brute(sts)
+    third = sts_table(sts)
+    assert np.array_equal(pasch_per_point(third),
+                          pasch_per_point_ordered(third))
+
+
+def test_point_off_seven_lines_raises():
+    third = sts_table(random_sts15(7))
+    a, b, c = 0, 1, int(third[0, 0, 1])
+    for x, y in permutations((a, b, c), 2):
+        third[0, x, y] = -1
+    with pytest.raises(AssertionError, match="7 lines"):
+        pasch_per_point(third)
 
 
 def test_dual_pasch_on_code_systems(witnesses):
@@ -279,6 +327,9 @@ def test_batched_profiles_match_completion_search(witnesses):
             v = int(r)
             assert derived_profiles(blocks_at(code, v)) == [
                 pasch_profile(derived_sts(code, v, i)) for i in range(16)]
+            third = third_point_table(blocks_at(code, v))
+            assert np.array_equal(pasch_per_point(third),
+                                  pasch_per_point_ordered(third))
 
 
 def test_batched_profiles_match_brute(witnesses):
