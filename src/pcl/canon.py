@@ -22,7 +22,6 @@ are equal, and class ids are the ranks of the orbit minima.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -180,12 +179,25 @@ def minimal_image8(colw: np.ndarray) -> tuple:
     return _orbit_minimum(np.asarray(colw)[POP8 % 2 == 0], generators(8))
 
 
+def _permutations(n: int) -> np.ndarray:
+    """All permutations of range(n), one per row, in lexicographic order.
+
+    Those of range(m) are each first point f followed by those of
+    range(m - 1), with every value from f up moved up by one.
+    """
+    perms = np.zeros((1, 0), dtype=np.uint8)
+    for m in range(1, n + 1):
+        first = np.repeat(np.arange(m, dtype=np.uint8), len(perms))
+        rest = np.tile(perms, (m, 1))
+        rest += rest >= first[:, None]
+        perms = np.column_stack([first, rest])
+    return perms
+
+
 @lru_cache(maxsize=None)
 def _point_images8() -> np.ndarray:
     """images[p, k] is the one-bit mask of where permutation k sends point p."""
-    perms = np.fromiter(chain.from_iterable(permutations(range(8))),
-                        dtype=np.uint8, count=8 * 40320).reshape(-1, 8)
-    return np.left_shift(1, perms.T).astype(np.uint8)
+    return np.left_shift(1, _permutations(8).T).astype(np.uint8)
 
 
 def minimal_quadset8(masks) -> tuple:

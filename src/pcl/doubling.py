@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .words import sigma_str
+from .words import popcounts16, sigma_str
 
 if TYPE_CHECKING:
     from .algebra import CosetDecomposition
@@ -31,7 +31,8 @@ class Code:
     keyed by the codeword typed (a kernel coset's least word, when the
     type grid is built).  kernel_cosets caches the decomposition into
     kernel cosets, which carries the kernel, once algebra has computed
-    it.
+    it.  occ and neighbours are tables over the words of length 16,
+    built when first read.
     """
 
     words: np.ndarray
@@ -47,6 +48,37 @@ class Code:
         occ = np.zeros(SPACE16, dtype=bool)
         occ[self.words] = True
         return occ
+
+    @cached_property
+    def neighbours(self) -> np.ndarray:
+        """The codeword next to every odd word, as the coordinate to flip.
+
+        An odd-weight word w is fixed by its low 15 bits u, and entry u
+        is the d with w ^ e_d in the code.  The 2048 x 16 neighbours of
+        the codewords are scattered into it, one coordinate at a time:
+        the neighbour c ^ e_d has low bits c' ^ e_d for d < 15 and c' for
+        d = 15, c' being c punctured at 15.  All 32,768 odd words are
+        reached exactly when the scatter is injective, which for 2048
+        even words is the extended 1-perfect property (minimum distance
+        4), and then reading the table at v ^ e_a ^ e_b ^ e_c gives the
+        fourth point of the block through a, b, c of the SQS(16) at
+        codeword v.  Raises ValueError otherwise.  int8, 32 KB.
+        """
+        words = self.words
+        odd = int((popcounts16(words) & 1).sum())
+        if len(words) != 2048 or odd:
+            raise ValueError("an extended 1-perfect code of length 16 has "
+                             "2048 even words, not %d words with %d odd"
+                             % (len(words), odd))
+        low = (words & 0x7FFF).astype(np.intp)
+        pos = np.full(1 << 15, -1, dtype=np.int8)
+        for d in range(15):
+            pos[low ^ (1 << d)] = d
+        pos[low] = 15
+        if (pos < 0).any():
+            raise ValueError("two codewords lie within distance 2: the "
+                             "code is not extended 1-perfect")
+        return pos
 
     @property
     def label(self) -> str:

@@ -2,8 +2,12 @@
 
 At any codeword v the weight-4 differences v ^ c over all codewords c
 form the blocks of a Steiner quadruple system on the 16 coordinates:
-140 blocks covering each of the 560 triples exactly once, which
-sts.third_point_table checks whenever it types a vertex.  Folding over
+140 blocks covering each of the 560 triples exactly once.  The check is
+made once per code, at every codeword at once, when sts first reads the
+code's neighbour table (Code.neighbours): its scatter of the 2048 x 16
+neighbours of the codewords is injective exactly when the code is
+extended 1-perfect, and the triple a, b, c at v then has the one fourth
+point the table gives at v ^ e_a ^ e_b ^ e_c.  Folding over
 a subgroup L of the kernel collapses each L-coset of the code to one
 vertex; a weight-4 difference between cosets becomes an edge labeled by
 its support, and weight-4 words inside L itself become loops.  Loop

@@ -1,10 +1,14 @@
 """Shared persistence helpers for the CLI commands.
 
 All writes go through a temp file plus atomic rename so failed runs
-never leave partial artifacts.  Code files use one JSON schema
+never leave partial artifacts.  JSON artifacts are written exactly as
+json.dumps(obj, indent=1) writes them, by an encoder of that one
+layout; with indent set, the standard library leaves its C encoder for
+a Python generator per nesting level.  Code files use one JSON schema
 everywhere: {"length": n, "codewords": [hex, ...]} with codewords
 sorted ascending, plus optional provenance keys for doubled codes.
-Loaded codes are checked to be extended 1-perfect before use.
+Loaded codes are checked to be extended 1-perfect before use, by
+building their neighbour table (Code.neighbours).
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ import tempfile
 import numpy as np
 
 from .doubling import Code
-from .perfect import is_extended_perfect16
-from .words import parse_sigma, sigma_str, word_hex
+from .words import parse_sigma, sigma_str
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -33,8 +36,76 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
+_string = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _number(x) -> str:
+    """A float as json writes it: repr, or NaN and the infinities."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# the scalar types, matched exactly; subclasses take the isinstance path
+_LEAVES = {str: _string, int: int.__repr__, float: _number,
+           bool: {True: "true", False: "false"}.__getitem__,
+           type(None): lambda _: "null"}
+
+
+def _key(k) -> str:
+    """A dict key as json writes it, before quoting."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return _dumps(k, "")
+    raise TypeError("keys must be str, int, float, bool or None, not %s"
+                    % type(k).__name__)
+
+
+def _dumps(x, indent: str) -> str:
+    """x as json.dumps(x, indent=1) writes it at the depth of indent.
+
+    indent is a newline and one space per enclosing container.  Strings
+    go through the standard library's own escaping, and subclasses of
+    the scalar and container types are written as their bases are.
+    Scalar items are looked up inline, without a call per item.
+    """
+    leaf = _LEAVES.get(type(x))
+    if leaf is not None:
+        return leaf(x)
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = indent + " "
+        body = [_string(k if type(k) is str else _key(k)) + ": "
+                + (f(v) if (f := _LEAVES.get(type(v))) else _dumps(v, inner))
+                for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(body) + indent + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = indent + " "
+        body = [f(v) if (f := _LEAVES.get(type(v))) else _dumps(v, inner)
+                for v in x]
+        return "[" + inner + ("," + inner).join(body) + indent + "]"
+    if isinstance(x, str):
+        return _string(x)
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _number(x)
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % type(x).__name__)
+
+
 def write_json(path: str, obj) -> None:
-    atomic_write(path, json.dumps(obj, indent=1) + "\n")
+    """obj as json.dumps(obj, indent=1) writes it, plus a newline."""
+    atomic_write(path, _dumps(obj, "\n") + "\n")
 
 
 def read_json(path: str):
@@ -43,9 +114,10 @@ def read_json(path: str):
 
 
 def code_to_json(words, n: int) -> dict:
+    digits = "%%0%dx" % ((n + 3) // 4)
     return {
         "length": n,
-        "codewords": sorted(word_hex(int(w), n) for w in words),
+        "codewords": [digits % w for w in np.sort(words).tolist()],
     }
 
 
@@ -78,9 +150,8 @@ def load_code(path: str) -> Code:
     words, n = code_from_json(d)
     if n != 16:
         raise ValueError("expected a length-16 code, got length %d" % n)
-    ws = np.array(words, dtype=np.uint16)
-    if not is_extended_perfect16(ws, thorough=False):
-        raise ValueError("%d codewords do not form an extended 1-perfect "
-                         "code of length 16" % len(ws))
     sigma = parse_sigma(d["sigma"]) if "sigma" in d else None
-    return Code(ws, d.get("sourceClass"), d.get("targetClass"), sigma)
+    code = Code(np.array(words, dtype=np.uint16), d.get("sourceClass"),
+                d.get("targetClass"), sigma)
+    code.neighbours  # raises ValueError unless extended 1-perfect
+    return code

@@ -25,6 +25,7 @@ import numpy as np
 
 from .canon import (UNASSIGNED, OrbitClasses, generators, minimal_image7,
                     minimal_image8, orbit_classes, relabel_np)
+from .ioutil import write_json
 from .perfect import enumerate_perfect7, extend_even
 from .words import echelon_basis, parse_word, word_hex, xor_closure
 
@@ -260,8 +261,7 @@ class Atlas:
         return atlas
 
     def save(self, path: str) -> None:
-        from .ioutil import atomic_write
-        atomic_write(path, json.dumps(self.to_json(), indent=1) + "\n")
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path: str) -> "Atlas":

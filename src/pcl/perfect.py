@@ -2,18 +2,17 @@
 
 A 1-perfect code of length 7 is a 16-subset of F_2^7 whose radius-1 balls
 tile the space.  There are 30 such codes through the zero word and 240 in
-total.  Parity extension and puncturing move between lengths 7 and 8, and
-the doubled codes of length 16 are recognized by puncturing down to
-length 15 and checking the same tiling property there.
+total.  Parity extension and puncturing move between lengths 7 and 8.
+The doubled codes of length 16 are checked by the same tiling property
+one length down, punctured at coordinate 15, when doubling.Code builds
+their neighbour table.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-import numpy as np
-
-from .words import popcounts16, weight
+from .words import weight
 
 N7 = 7
 SPACE7 = 1 << N7
@@ -70,26 +69,3 @@ def puncture(w, i: int):
     whose dtype it keeps: the result is one bit narrower than the input.
     """
     return ((w >> (i + 1)) << i) | (w & ((1 << i) - 1))
-
-
-def tiles15(pw: np.ndarray) -> bool:
-    """Do radius-1 balls around these length-15 words tile F_2^15?"""
-    shifts = np.array([0] + [1 << i for i in range(15)], dtype=np.uint16)
-    hits = (pw[:, None] ^ shifts[None, :]).ravel()
-    counts = np.bincount(hits, minlength=1 << 15)
-    return bool((counts == 1).all())
-
-
-def is_extended_perfect16(words, thorough: bool = True) -> bool:
-    """2048 even words of length 16 whose punctures tile F_2^15.
-
-    The quick form (thorough=False) punctures at coordinate 0 only; with
-    16 even-weight words per ball column that already forces distance 4.
-    """
-    ws = np.asarray(words, dtype=np.uint16)
-    if len(ws) != 2048 or len(np.unique(ws)) != 2048:
-        return False
-    if (popcounts16(ws) % 2).any():
-        return False
-    coords = range(16) if thorough else (0,)
-    return all(tiles15(puncture(ws, i)) for i in coords)

@@ -9,8 +9,8 @@ kernel dimension.
 
 The invariants come from algebra.doubled_invariants, which reads them
 off the two partitions; a code is built only when it is kept.
-algebra.kernel_words and rank_of, computed from the built code's words,
-are the oracle the tests compare the rows with.
+algebra.kernel_words and the rank of the differences of the built
+code's words are the oracle the tests compare the rows with.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def iter_sigmas(sample: int | None = None, seed: int = 0, explicit=None):
     rng = np.random.default_rng(seed)
     seen: set = set()
     while len(seen) < sample:
-        s = tuple(int(x) for x in rng.permutation(8))
+        s = tuple(rng.permutation(8).tolist())
         if s not in seen:
             seen.add(s)
             yield s

@@ -124,7 +124,12 @@ def _pair_name(mask8: int) -> str:
     return "".join("%x" % p for p in points_of(mask8))
 
 
-def _as_pair_partition(masks8):
+@functools.lru_cache(maxsize=4096)
+def _as_pair_partition(masks8: tuple):
+    """The pair partition whose pairs are these sorted 8-bit masks, or None.
+
+    Memoized: a graph's links repeat a few pair sets many times.
+    """
     if len(masks8) != 4:
         return None
     try:
@@ -158,8 +163,8 @@ def decompose_mixed(labels):
         groups.setdefault(frozenset(rs), []).append(lp)
     prods = []
     for rs, ls in groups.items():
-        a = _as_pair_partition(sorted(ls))
-        b = _as_pair_partition(sorted(rs))
+        a = _as_pair_partition(tuple(sorted(ls)))
+        b = _as_pair_partition(tuple(sorted(rs)))
         if a is None or b is None:
             prods = None
             break
@@ -170,7 +175,7 @@ def decompose_mixed(labels):
 
     quarters = []
     for lp in sorted(by_left, key=points_of):
-        b = _as_pair_partition(sorted(by_left[lp]))
+        b = _as_pair_partition(tuple(sorted(by_left[lp])))
         if b is None:
             quarters = None
             break
@@ -180,7 +185,7 @@ def decompose_mixed(labels):
 
     swapped = []
     for rp in sorted(by_right, key=points_of):
-        a = _as_pair_partition(sorted(by_right[rp]))
+        a = _as_pair_partition(tuple(sorted(by_right[rp])))
         if a is None:
             return None
         swapped.append((a, rp))

@@ -10,17 +10,20 @@ the 11 type signatures arising from doubled codes, with letter aliases
 c, d, g for the two-digit ids; a signature outside the table types as
 None, rendered "?".
 
-The production counter works on third-point tables.  third_point_table
-turns the 140 blocks at a codeword into Q[a, b, c], the fourth point of
-the block through a, b, c; counting its entries checks that every
-triple is covered once, so the blocks form an SQS(16) and all 16
-derived systems T_i[x, y] = Q[i, x, y] are STS(15).  A Pasch
-configuration through a point p holds exactly two of the 7 lines
-through p, so pasch_per_point counts the configurations through every
-point of all 16 systems of a vertex in one numpy pass over the 21
-pairs of lines through each point.  pasch_profile, a completion search
-over pairs of triples of one derived_sts system, is kept as its
-independent oracle.
+The production counter works on fourth-point tables.  An extended
+1-perfect code puts every odd word at distance 1 from exactly one
+codeword, so one table per code, Code.neighbours, records for each odd
+word w the coordinate d with w + e_d in the code.  Building it checks
+that the 2048 x 16 neighbours are distinct, which is the SQS(16)
+property at every codeword at once.  At codeword v, fourth_point_table
+reads Q[a, b, c], the fourth point of the block through a, b, c, as the
+table's entry at v + e_a + e_b + e_c, so all 16 derived systems T_i[x,
+y] = Q[i, x, y] are STS(15).  A Pasch configuration through a point p
+holds exactly two of the 7 lines through p, so pasch_per_point counts
+the configurations through every point of all 16 systems of a vertex in
+one numpy pass over the 21 pairs of lines through each point.
+pasch_profile, a completion search over pairs of triples of one
+derived_sts system, is kept as its independent oracle.
 
 code_type_grid is the one typing routine: it types every coset of the
 kernel in turn.  fully_tabulated shares its per-vertex step and stops
@@ -34,7 +37,8 @@ the scan kept is not typed again when its grid is written.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -171,35 +175,43 @@ def classify_type(profile: PaschProfile):
     return ROW_OF.get(profile.signature())
 
 
-# the 24 orders of a block's four points, and the distinct (a, b, c)
-_ORDERS = np.array(list(permutations(range(4))))
-_POINTS = np.arange(16)
-_DISTINCT = ((_POINTS[:, None, None] != _POINTS[None, :, None])
-             & (_POINTS[:, None, None] != _POINTS)
-             & (_POINTS[:, None] != _POINTS)).ravel()
+@lru_cache(maxsize=None)
+def _triples() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 3360 ordered triples of distinct points of a 16^3 table.
+
+    Returns their flat positions, their masks e_a ^ e_b ^ e_c cut to the
+    low 15 bits (the index of Code.neighbours), and the masks of the 560
+    increasing triples, one per unordered triple.
+    """
+    a, b, c = np.indices((16, 16, 16)).reshape(3, -1)
+    at = np.flatnonzero((a != b) & (a != c) & (b != c))
+    a, b, c = a[at], b[at], c[at]
+    masks = ((1 << a) ^ (1 << b) ^ (1 << c)) & 0x7FFF
+    return at, masks, masks[(a < b) & (b < c)]
 
 
-def third_point_table(blocks) -> np.ndarray:
-    """Fourth-point table of an SQS(16) given by its blocks.
+def fourth_point_table(code: Code, v: int) -> np.ndarray:
+    """Fourth-point table of the SQS(16) at codeword v, from the code's
+    neighbour table.
 
     Q[a, b, c] is the fourth point of the block through a, b, c, and -1
-    where a, b, c are not distinct.  Each block fills its 24 ordered
-    entries.  Raises unless every triple of distinct points is filled
-    exactly once, which is the SQS(16) property; the derived system
-    Q[i] at each point i is then an STS(15).
+    where a, b, c are not distinct.  v ^ e_a ^ e_b ^ e_c is odd, so it
+    lies next to exactly one codeword, v ^ e_a ^ e_b ^ e_c ^ e_d, and
+    Code.neighbours gives d; its construction checked the SQS(16)
+    property at every codeword at once.
     """
-    blocks = np.asarray(blocks, dtype=np.int64)
-    bits = (blocks[:, None] >> _POINTS) & 1
-    if (bits.sum(axis=1) != 4).any() or (blocks >> 16).any():
-        raise ValueError("a block is not a 4-subset of 16 points")
-    order = np.nonzero(bits)[1].reshape(-1, 4)[:, _ORDERS]
-    flat = (order[..., 0] * 256 + order[..., 1] * 16 + order[..., 2]).ravel()
-    if not (np.bincount(flat, minlength=4096)[_DISTINCT] == 1).all():
-        raise ValueError("%d blocks do not cover every triple exactly once"
-                         % len(blocks))
-    third = np.full(4096, -1, dtype=np.int64)
-    third[flat] = order[..., 3].ravel()
-    return third.reshape(16, 16, 16)
+    at, masks, _ = _triples()
+    q = np.full(4096, -1, dtype=np.int8)
+    q[at] = code.neighbours[masks ^ (v & 0x7FFF)]
+    return q.reshape(16, 16, 16)
+
+
+# the 84 lookups of the 21 pairs of lines (x_a, y_a), (x_b, y_b) through
+# a point, as rows of the (14, lines) point array [x_1..x_7, y_1..y_7]:
+# T[x_a, x_b], T[x_a, y_b] against T[y_a, y_b], T[y_a, x_b]
+_A, _B = np.triu_indices(7, 1)
+_ROW = np.concatenate([_A, _A, _A + 7, _A + 7])
+_COL = np.concatenate([_B, _B + 7, _B + 7, _B])
 
 
 def pasch_per_point(third: np.ndarray) -> np.ndarray:
@@ -213,63 +225,50 @@ def pasch_per_point(third: np.ndarray) -> np.ndarray:
     lines pair their free points in one of two ways: T[x, y] ==
     T[x', y'] or T[x, y'] == T[x', y].  So testing both matchings on
     each of the 21 pairs of lines counts every configuration through p
-    once.  Points outside a system lie on no line and count 0.
+    once.  The 14 line points of every point fill the columns of one
+    array, and the 84 lookups of each column sit at fixed rows of it, so
+    one gather reads all of them.  Points outside a system lie on no line
+    and count 0.
 
-    The table is symmetric and x -> T[p, x] is an involution, since
-    third_point_table fills all 24 orders of each block exactly once;
-    hence each line is listed once.  Raises unless every point lies on
-    0 or 7 lines and each system's counts sum to 6 per configuration.
+    The table is symmetric and x -> T[p, x] is an involution when it is
+    the fourth-point table of an SQS(16) or of one STS, so each line is
+    listed once.  Raises unless every point lies on 0 or 7 lines and
+    each system's counts sum to 6 per configuration.
     """
-    n = third.shape[1]
-    first = third > np.arange(n)     # x < T[p, x]: one entry per line
-    lines = first.sum(axis=2)
+    n = third.shape[-1]
+    flat = third.reshape(-1)
+    at = np.flatnonzero(third > np.arange(n))   # x < T[p, x]: one per line
+    lines = np.bincount(at // n, minlength=flat.size // n)
     if ((lines != 0) & (lines != 7)).any():
         raise AssertionError("a point of a triple system is not on 7 lines")
-    s, p, x = np.nonzero(first)
-    flat = third.reshape(-1)
-    x = x.reshape(-1, 7)
-    y = flat[(s * n + p) * n + x.ravel()].reshape(-1, 7)   # T[p, x]
-    base = s.reshape(-1, 7)[:, :1] * (n * n)
-    a, b = np.triu_indices(7, 1)
-    x1, y1, x2, y2 = x[:, a], y[:, a], x[:, b], y[:, b]
-    hit = ((flat[base + x1 * n + x2] == flat[base + y1 * n + y2]).sum(axis=1)
-           + (flat[base + x1 * n + y2] == flat[base + y1 * n + x2]).sum(axis=1))
-    counts = np.zeros(third.shape[:2], dtype=np.int64)
-    counts[s[::7], p[::7]] = hit
-    if (counts.sum(axis=1) % 6).any():
+    row = at[::7] // n                          # s * n + p, one per point
+    pts = np.empty((14, len(row)), dtype=np.intp)
+    pts[:7] = (at % n).reshape(-1, 7).T
+    pts[7:] = flat[at].reshape(-1, 7).T
+    lookup = (pts * n + row // n * (n * n))[_ROW]
+    lookup += pts[_COL]
+    look = flat[lookup]
+    counts = np.zeros(flat.size // n, dtype=np.int64)
+    counts[row] = np.count_nonzero(look[:42] == look[42:], axis=0)
+    counts = counts.reshape(third.shape[:-1])
+    if (counts.sum(axis=-1) % 6).any():
         raise AssertionError("per-point Pasch counts do not sum to 6 per "
                              "configuration")
     return counts
 
 
-def derived_profiles(blocks) -> list[PaschProfile]:
-    """Pasch profiles of the 16 derived systems of an SQS(16), by point.
-
-    Entry i is the system at point i, its per-point counts in increasing
-    point order with i left out, as pasch_profile(derived_sts) gives.
-    """
-    out = []
-    counts = pasch_per_point(third_point_table(blocks))
-    for i, row in enumerate(counts.tolist()):
-        per_point = tuple(row[:i] + row[i + 1:])
-        out.append(PaschProfile(sum(per_point) // 6, per_point))
-    return out
-
-
-def _w4_set(code: Code, v: int) -> np.ndarray:
-    d = code.words ^ np.uint16(v)
-    return np.sort(d[popcounts16(d) == 4])
-
-
 def _vertex_types(code: Code, v: int) -> tuple:
     """Types of the 16 derived systems at codeword v, None when untabulated.
 
-    Computed in one pass and kept on the code under v.
+    Entry i types the system at point i from its per-point counts with i
+    left out.  Computed in one pass and kept on the code under v.
     """
     known = code.type_tuples.get(v)
     if known is None:
+        rows = pasch_per_point(fourth_point_table(code, v)).tolist()
         known = code.type_tuples[v] = tuple(
-            classify_type(p) for p in derived_profiles(_w4_set(code, v)))
+            classify_type(PaschProfile(sum(r) // 6, tuple(r[:i] + r[i + 1:])))
+            for i, r in enumerate(rows))
     return known
 
 
@@ -280,14 +279,13 @@ def class_type_tuple(code: Code, rep: int) -> tuple:
     signature is not in the table.  The weight-4 difference set at v and
     at v+k coincides for kernel k, which forces equal derived systems at
     every coordinate; the basis translates of the representative certify
-    the whole coset, compared in one (dimension + 1, 2048) array.
+    the whole coset, their fourth-point tables compared on the 560
+    neighbour-table entries of the unordered triples.
     """
     tup = _vertex_types(code, rep)
-    at = np.array((0,) + kernel(code).basis, dtype=np.uint16) ^ np.uint16(rep)
-    d = code.words ^ at[:, None]
-    # 0xFFFF has weight 16, so it pads each sorted row after the blocks
-    w4 = np.sort(np.where(popcounts16(d) == 4, d, 0xFFFF), axis=1)
-    if not (w4 == w4[0]).all():
+    at = np.array((0,) + kernel(code).basis, dtype=np.intp) ^ rep
+    fourth = code.neighbours[(at[:, None] & 0x7FFF) ^ _triples()[2]]
+    if not (fourth == fourth[0]).all():
         raise AssertionError("type tuple differs inside a kernel coset")
     return tup
 

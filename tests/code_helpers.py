@@ -2,14 +2,19 @@
 
 ball and is_perfect state the tiling property of 1-perfect codes of
 length 7 directly; is_extended_perfect8 checks a parity-extended
-component by its distances; enumerate_pair_partitions and product build
+component by its distances; tiles15 and is_extended_perfect16 check a
+length-16 code by the tiling of its punctures, the oracle of
+Code.neighbours; enumerate_pair_partitions and product build
 the pair-partition products that structure.decompose_mixed recognizes.
 """
 
 from itertools import combinations
 
+import numpy as np
+
 from pcl.fano import PairPartition
-from pcl.words import points_of, weight
+from pcl.perfect import puncture
+from pcl.words import points_of, popcounts16, weight
 
 
 def ball(w: int, n: int = 7) -> int:
@@ -61,3 +66,26 @@ def product(a: PairPartition, b: PairPartition) -> tuple:
     """The 16 quadruples (left pair of a) + (right pair of b shifted by 8)."""
     quads = [am | (bm << 8) for am in a.masks() for bm in b.masks()]
     return tuple(sorted(quads, key=points_of))
+
+
+def tiles15(pw: np.ndarray) -> bool:
+    """Do radius-1 balls around these length-15 words tile F_2^15?"""
+    shifts = np.array([0] + [1 << i for i in range(15)], dtype=np.uint16)
+    hits = (pw[:, None] ^ shifts[None, :]).ravel()
+    counts = np.bincount(hits, minlength=1 << 15)
+    return bool((counts == 1).all())
+
+
+def is_extended_perfect16(words, thorough: bool = True) -> bool:
+    """2048 even words of length 16 whose punctures tile F_2^15.
+
+    The quick form (thorough=False) punctures at coordinate 0 only; with
+    16 even-weight words per ball column that already forces distance 4.
+    """
+    ws = np.asarray(words, dtype=np.uint16)
+    if len(ws) != 2048 or len(np.unique(ws)) != 2048:
+        return False
+    if (popcounts16(ws) % 2).any():
+        return False
+    coords = range(16) if thorough else (0,)
+    return all(tiles15(puncture(ws, i)) for i in coords)

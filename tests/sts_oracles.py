@@ -1,0 +1,121 @@
+"""The typing routines the neighbour table replaced, kept as oracles.
+
+Each vertex used to be typed from its 140 blocks: blocks_at collects the
+weight-4 differences at a codeword, third_point_table fills the 24
+orders of every block into a fourth-point table and counts the fills
+(the SQS(16) check), pasch_per_point_line_pairs counts Pasch
+configurations on that table, and derived_profiles turns the counts
+into the 16 profiles.  class_type_tuple_sorted certifies a coset by
+sorting the weight-4 differences at its basis translates.  The package
+now reads the fourth-point table off Code.neighbours and compares
+neighbour-table gathers instead; tests compare the two routes.
+"""
+
+from itertools import permutations
+
+import numpy as np
+
+from pcl.algebra import kernel
+from pcl.sts import PaschProfile, classify_type
+from pcl.words import popcounts16
+
+# the 24 orders of a block's four points, and the distinct (a, b, c)
+_ORDERS = np.array(list(permutations(range(4))))
+_POINTS = np.arange(16)
+_DISTINCT = ((_POINTS[:, None, None] != _POINTS[None, :, None])
+             & (_POINTS[:, None, None] != _POINTS)
+             & (_POINTS[:, None] != _POINTS)).ravel()
+
+
+def blocks_at(code, v: int) -> np.ndarray:
+    """The blocks of the SQS(16) at codeword v, sorted."""
+    d = code.words ^ np.uint16(v)
+    return np.sort(d[popcounts16(d) == 4])
+
+
+def third_point_table(blocks) -> np.ndarray:
+    """Fourth-point table of an SQS(16) given by its blocks.
+
+    Q[a, b, c] is the fourth point of the block through a, b, c, and -1
+    where a, b, c are not distinct.  Each block fills its 24 ordered
+    entries.  Raises unless every triple of distinct points is filled
+    exactly once, which is the SQS(16) property; the derived system
+    Q[i] at each point i is then an STS(15).
+    """
+    blocks = np.asarray(blocks, dtype=np.int64)
+    bits = (blocks[:, None] >> _POINTS) & 1
+    if (bits.sum(axis=1) != 4).any() or (blocks >> 16).any():
+        raise ValueError("a block is not a 4-subset of 16 points")
+    order = np.nonzero(bits)[1].reshape(-1, 4)[:, _ORDERS]
+    flat = (order[..., 0] * 256 + order[..., 1] * 16 + order[..., 2]).ravel()
+    if not (np.bincount(flat, minlength=4096)[_DISTINCT] == 1).all():
+        raise ValueError("%d blocks do not cover every triple exactly once"
+                         % len(blocks))
+    third = np.full(4096, -1, dtype=np.int64)
+    third[flat] = order[..., 3].ravel()
+    return third.reshape(16, 16, 16)
+
+
+def pasch_per_point_line_pairs(third: np.ndarray) -> np.ndarray:
+    """Per-point Pasch counts of (S, n, n) third-point tables.
+
+    The same count as sts.pasch_per_point, both matchings tested on the
+    21 pairs of lines through each point, with the pairs indexed by
+    np.triu_indices and every lookup index computed from the table.
+    """
+    n = third.shape[1]
+    first = third > np.arange(n)     # x < T[p, x]: one entry per line
+    lines = first.sum(axis=2)
+    if ((lines != 0) & (lines != 7)).any():
+        raise AssertionError("a point of a triple system is not on 7 lines")
+    s, p, x = np.nonzero(first)
+    flat = third.reshape(-1)
+    x = x.reshape(-1, 7)
+    y = flat[(s * n + p) * n + x.ravel()].reshape(-1, 7)   # T[p, x]
+    base = s.reshape(-1, 7)[:, :1] * (n * n)
+    a, b = np.triu_indices(7, 1)
+    x1, y1, x2, y2 = x[:, a], y[:, a], x[:, b], y[:, b]
+    hit = ((flat[base + x1 * n + x2] == flat[base + y1 * n + y2]).sum(axis=1)
+           + (flat[base + x1 * n + y2] == flat[base + y1 * n + x2]).sum(axis=1))
+    counts = np.zeros(third.shape[:2], dtype=np.int64)
+    counts[s[::7], p[::7]] = hit
+    if (counts.sum(axis=1) % 6).any():
+        raise AssertionError("per-point Pasch counts do not sum to 6 per "
+                             "configuration")
+    return counts
+
+
+def derived_profiles(blocks) -> list:
+    """Pasch profiles of the 16 derived systems of an SQS(16), by point.
+
+    Entry i is the system at point i, its per-point counts in increasing
+    point order with i left out, as pasch_profile(derived_sts) gives.
+    """
+    out = []
+    counts = pasch_per_point_line_pairs(third_point_table(blocks))
+    for i, row in enumerate(counts.tolist()):
+        per_point = tuple(row[:i] + row[i + 1:])
+        out.append(PaschProfile(sum(per_point) // 6, per_point))
+    return out
+
+
+def vertex_types(code, v: int) -> tuple:
+    """Types of the 16 derived systems at codeword v, from its blocks."""
+    return tuple(classify_type(p) for p in derived_profiles(blocks_at(code, v)))
+
+
+def class_type_tuple_sorted(code, rep: int) -> tuple:
+    """Type tuple of a kernel coset, certified by sorted difference sets.
+
+    The weight-4 differences at the representative and at its basis
+    translates are sorted in one (dimension + 1, 2048) array and
+    compared row by row.
+    """
+    tup = vertex_types(code, rep)
+    at = np.array((0,) + kernel(code).basis, dtype=np.uint16) ^ np.uint16(rep)
+    d = code.words ^ at[:, None]
+    # 0xFFFF has weight 16, so it pads each sorted row after the blocks
+    w4 = np.sort(np.where(popcounts16(d) == 4, d, 0xFFFF), axis=1)
+    if not (w4 == w4[0]).all():
+        raise AssertionError("type tuple differs inside a kernel coset")
+    return tup

@@ -1,4 +1,9 @@
-"""Kernel, rank and coset machinery on the doubled codes."""
+"""Kernel, rank and coset machinery on the doubled codes.
+
+kernel_words_brute, cosets_loop and rank_brute are the oracles of the
+incremental kernel, the coset decomposition by echelon reduction and the
+rank read off the kernel cosets.
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +11,7 @@ import pytest
 from pcl.algebra import (LinearSpan, cosets, half_pure_subgroup, kernel,
                          kernel_cosets, kernel_words, rank_of,
                          weight4_words)
-from pcl.doubling import Code
+from pcl.doubling import SPACE16, Code
 from pcl.scan import iter_sigmas, make_code
 from pcl.structure import split_sides
 from pcl.words import popcounts16, rank_gf2, weight
@@ -30,6 +35,57 @@ def kernel_words_brute(code) -> np.ndarray:
     return np.sort(cand[good])
 
 
+def cosets_loop(code, span):
+    """(reps, index) by a walk over the sorted codewords: each word not yet
+    filed opens a coset, which is filed whole."""
+    lw = span.words()
+    index = np.full(SPACE16, -1, dtype=np.int32)
+    reps = []
+    for w in code.words:
+        if index[w] < 0:
+            index[w ^ lw] = len(reps)
+            reps.append(int(w))
+    return np.array(reps, dtype=np.uint16), index
+
+
+def rank_brute(code) -> int:
+    """Rank of all 2048 codeword differences."""
+    return rank_gf2(code.words ^ code.words[0])
+
+
+def _pair_codes(atlas, witnesses, seed: int) -> list:
+    """The witnesses plus one seeded doubled code per class pair."""
+    n = len(atlas.classes)
+    codes = list(witnesses.values())
+    for left in range(n):
+        for right in range(n):
+            sig = next(iter_sigmas(1, seed=seed + n * left + right))
+            codes.append(make_code(atlas, left, right, sig))
+    return codes
+
+
+def test_cosets_and_rank_match_the_oracles_on_every_pair(atlas, witnesses):
+    for code in _pair_codes(atlas, witnesses, 2000):
+        fresh = Code(code.words.copy())
+        span = kernel(fresh)
+        for sub in (span, LinearSpan(span.basis[1:]),
+                    LinearSpan.from_words(half_pure_subgroup(
+                        kernel_words(fresh)))):
+            dec = cosets(fresh, sub)
+            reps, index = cosets_loop(fresh, sub)
+            assert np.array_equal(dec.reps, reps), code.label
+            assert np.array_equal(dec.index, index), code.label
+        assert rank_of(fresh) == rank_brute(fresh), code.label
+
+
+def test_cosets_of_a_dependent_basis(witnesses):
+    code = witnesses[7]
+    span = kernel(code)
+    b = span.basis
+    doubled = LinearSpan(b + (b[0] ^ b[1],))
+    assert np.array_equal(cosets(code, doubled).reps, cosets(code, span).reps)
+
+
 def test_witness_invariants(witnesses):
     for kappa, (rk, split, hp_dim) in EXPECTED.items():
         code = witnesses[kappa]
@@ -42,13 +98,7 @@ def test_witness_invariants(witnesses):
 
 
 def test_kernel_words_match_brute_on_every_pair(atlas, witnesses):
-    n = len(atlas.classes)
-    codes = list(witnesses.values())
-    for left in range(n):
-        for right in range(n):
-            sig = next(iter_sigmas(1, seed=1000 + n * left + right))
-            codes.append(make_code(atlas, left, right, sig))
-    for code in codes:
+    for code in _pair_codes(atlas, witnesses, 1000):
         assert np.array_equal(kernel_words(code), kernel_words_brute(code)), \
             code.label
 

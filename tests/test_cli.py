@@ -267,6 +267,20 @@ def test_rejects_malformed_code(runner, tmp_path, args, text):
     assert not os.path.exists(tmp_path / "broken.analysis.json")
 
 
+def test_sts_types_rejects_a_replaced_word(runner, tmp_path, witnesses):
+    code = witnesses[8]
+    words = code.words.tolist()
+    words[5] = next(w for w in _even_words(1 << 15) if w not in code)
+    p = tmp_path / "replaced.json"
+    p.write_text(json.dumps({"length": 16, "codewords": [
+        "%04x" % w for w in sorted(words)]}))
+    res = runner.invoke(main, ["sts-types", str(p)])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "cannot read code" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_sts_types(runner, tmp_path, code_files):
     csv = str(tmp_path / "types.csv")
     res = runner.invoke(main, ["sts-types", code_files[9], "--csv", csv])

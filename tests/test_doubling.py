@@ -3,9 +3,10 @@
 import numpy as np
 
 from pcl.doubling import Code
-from pcl.perfect import is_extended_perfect16
 from pcl.scan import make_code
 from pcl.words import parse_sigma, popcounts16
+
+from code_helpers import is_extended_perfect16
 
 
 def test_double_shape_and_metadata(atlas):

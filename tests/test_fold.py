@@ -1,7 +1,8 @@
 """SQS extraction and folding over kernel subspaces.
 
-check_sqs below is the triple-by-triple oracle of the one SQS check in
-the package, the coverage count of sts.third_point_table;
+check_sqs below is the triple-by-triple oracle of the block route's SQS
+check, the coverage count of third_point_table, whose tables equal the
+ones the package reads off Code.neighbours (test_sts);
 quotient_graph_pairwise is the per-pair oracle of quotient_graph's one
 pass over all coset pairs, and pairs_cover the all-pairs covering table
 that quotient_graph's membership check implies.
@@ -17,11 +18,11 @@ from pcl.algebra import (LinearSpan, cosets, half_pure_subgroup,
                          kernel_cosets, kernel_words)
 from pcl.doubling import Code
 from pcl.fold import SqsGraph, quotient_graph
-from pcl.sts import third_point_table
 from pcl.words import popcounts16, quad_name
 
 from graph_helpers import (edge_labels, graph_from_json, row_sums,
                            vertex_sum_check)
+from sts_oracles import third_point_table
 
 # kappa -> (vertex count, loop multiplicity) of the whole-kernel fold
 FOLD_SHAPE = {5: (64, 8), 6: (32, 16), 7: (16, 20), 8: (8, 28), 9: (4, 44)}

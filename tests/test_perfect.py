@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from pcl.doubling import Code
 from pcl.perfect import (enumerate_perfect7, enumerate_zero_subspace_codes,
-                         extend_even, is_extended_perfect16, puncture, tiles15)
+                         extend_even, puncture)
 from pcl.words import weight
 
-from code_helpers import ball, is_extended_perfect8, is_perfect
+from code_helpers import (ball, is_extended_perfect8, is_extended_perfect16,
+                          is_perfect, tiles15)
 
 
 def hamming7() -> tuple:
@@ -118,16 +120,39 @@ def test_is_perfect_rejects():
     assert not is_perfect(tuple(h))
 
 
+def _has_neighbour_table(words) -> bool:
+    try:
+        Code(np.array(words, dtype=np.uint16)).neighbours
+    except ValueError:
+        return False
+    return True
+
+
 def test_extended_perfect16_and_tiling(witnesses):
     code = witnesses[11]
     words = [int(w) for w in code.words]
     assert is_extended_perfect16(words, thorough=True)
+    assert _has_neighbour_table(words)
     pw = puncture(code.words, 0)
     assert tiles15(pw)
     assert not is_extended_perfect16(words[:-1], thorough=False)
+    assert not _has_neighbour_table(words[:-1])
 
 
 def test_extended_perfect16_rejects_odd_tamper(witnesses):
     words = [int(w) for w in witnesses[9].words]
     words[3] ^= 0b111
     assert not is_extended_perfect16(sorted(words), thorough=False)
+    assert not _has_neighbour_table(sorted(words))
+
+
+def test_neighbour_table_agrees_with_the_tiling_check(witnesses):
+    rng = np.random.default_rng(3)
+    for kappa in (5, 7, 9):
+        words = witnesses[kappa].words
+        assert _has_neighbour_table(words)
+        for _ in range(4):
+            bad = words.copy()
+            bad[rng.integers(2048)] ^= np.uint16(3 << rng.integers(15))
+            assert (_has_neighbour_table(np.sort(bad))
+                    == is_extended_perfect16(bad, thorough=True))

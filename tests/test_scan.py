@@ -1,14 +1,15 @@
 """Permutation scans and kernel-dimension representative search.
 
 The invariants the scan reads off the partitions are checked against
-kernel_words and rank_of computed from the built codes' words.
+kernel_words and the rank of the codeword differences, computed from the
+built codes' words.
 """
 
 import pytest
 from click.testing import CliRunner
 
 from pcl import algebra, scan, sts
-from pcl.algebra import doubled_invariants, kernel_words, rank_of
+from pcl.algebra import doubled_invariants, kernel_words
 from pcl.cli import main
 from pcl.partitions import Atlas
 from pcl.scan import (KAPPA_WITNESSES, PRIORITY_PAIRS, ScanRow, iter_sigmas,
@@ -24,7 +25,7 @@ FOUND_AT_400 = {5: (1, 3, "47650123"), 6: (0, 3, "36250417"),
 
 
 def brute_invariants(code) -> tuple[int, int]:
-    return rank_of(code), rank_gf2(kernel_words(code))
+    return rank_gf2(code.words ^ code.words[0]), rank_gf2(kernel_words(code))
 
 
 def test_witness_table_is_consistent(atlas, witnesses):
@@ -92,12 +93,12 @@ def test_find_representatives_work_counts(atlas, monkeypatch):
     their 8 + 4 + 16 + 32 + 64 = 124 coset representatives.
     """
     kernels, vertices, verdicts = [], [], []
-    kw, dp, ft = (algebra.kernel_words, sts.derived_profiles,
-                  scan.fully_tabulated)
+    kw, fpt, ft = (algebra.kernel_words, sts.fourth_point_table,
+                   scan.fully_tabulated)
     monkeypatch.setattr(algebra, "kernel_words",
                         lambda c: kernels.append(c) or kw(c))
-    monkeypatch.setattr(sts, "derived_profiles",
-                        lambda b: vertices.append(b) or dp(b))
+    monkeypatch.setattr(sts, "fourth_point_table",
+                        lambda c, v: vertices.append(v) or fpt(c, v))
 
     def judged(code):
         verdicts.append((code, ft(code)))

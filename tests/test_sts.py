@@ -1,9 +1,13 @@
 """Triple systems of the punctured codes and Pasch-profile typing.
 
-The line-pair counter (pasch_per_point) types the codes.  Its oracles
-are the ordered point-pair counter it replaced (pasch_per_point_ordered),
-the completion search pasch_profile and the 4-subset count below;
-random_sts15 exercises all of them away from the codes.
+The codes are typed from their neighbour tables: fourth_point_table
+reads each vertex's table off Code.neighbours, and pasch_per_point
+counts on it.  The block route it replaced (sts_oracles) is the oracle
+of the tables, the type tuples and the coset certificate; the Pasch
+counter's oracles are the line-pair counter it replaced, the ordered
+point-pair counter (pasch_per_point_ordered), the completion search
+pasch_profile and the 4-subset count below; random_sts15 exercises the
+counters away from the codes.
 """
 
 import random
@@ -14,17 +18,21 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from pcl import sts
+from pcl import scan, sts
 from pcl.algebra import LinearSpan, kernel, kernel_cosets
 from pcl.doubling import Code
 from pcl.perfect import puncture
-from pcl.scan import make_code
+from pcl.scan import PRIORITY_PAIRS, find_representatives, make_code
 from pcl.sts import (LETTERS, ROWS, PaschProfile, StsSystem, check_sts,
                      class_type_tuple, classify_type, code_type_grid,
-                     derived_profiles, derived_sts, fully_tabulated,
+                     derived_sts, fourth_point_table, fully_tabulated,
                      homogeneity, multiset_keys, pasch_per_point,
-                     pasch_profile, render_tuple, third_point_table, type_char)
+                     pasch_profile, render_tuple, type_char)
 from pcl.words import parse_sigma, popcounts16, weight
+
+from sts_oracles import (blocks_at, class_type_tuple_sorted,
+                         derived_profiles, pasch_per_point_line_pairs,
+                         third_point_table, vertex_types)
 
 WITNESS_TYPES = {5: [1, 2, 3, 4, 5, 6, 7], 6: [2, 3, 5, 6, 7],
                  7: [3, 8, 16], 8: [3], 9: [2], 11: [1]}
@@ -141,11 +149,6 @@ def batched_profile(system: StsSystem) -> PaschProfile:
     return PaschProfile(sum(per_point) // 6, per_point)
 
 
-def blocks_at(code, v: int) -> np.ndarray:
-    d = code.words ^ np.uint16(v)
-    return d[popcounts16(d) == 4]
-
-
 def test_rows_table_integrity():
     assert sorted(ROWS) == [1, 2, 3, 4, 5, 6, 7, 8, 13, 14, 16]
     for t, (total, per_point) in ROWS.items():
@@ -249,9 +252,9 @@ def test_untabulated_signatures_regression(atlas):
 
 def test_kept_code_is_typed_once(atlas, monkeypatch):
     vertices, systems = [], []
-    batched, oracle = sts.derived_profiles, sts.pasch_profile
-    monkeypatch.setattr(sts, "derived_profiles",
-                        lambda b: vertices.append(b) or batched(b))
+    table, oracle = sts.fourth_point_table, sts.pasch_profile
+    monkeypatch.setattr(sts, "fourth_point_table",
+                        lambda c, v: vertices.append(v) or table(c, v))
     monkeypatch.setattr(sts, "pasch_profile",
                         lambda s: systems.append(s) or oracle(s))
     code = make_code(atlas, 0, 0, parse_sigma("24365017"))
@@ -296,6 +299,8 @@ def test_dual_pasch_counts_agree(seed):
     third = sts_table(sts)
     assert np.array_equal(pasch_per_point(third),
                           pasch_per_point_ordered(third))
+    assert np.array_equal(pasch_per_point(third),
+                          pasch_per_point_line_pairs(third))
 
 
 def test_point_off_seven_lines_raises():
@@ -330,6 +335,8 @@ def test_batched_profiles_match_completion_search(witnesses):
             third = third_point_table(blocks_at(code, v))
             assert np.array_equal(pasch_per_point(third),
                                   pasch_per_point_ordered(third))
+            assert np.array_equal(pasch_per_point(third),
+                                  pasch_per_point_line_pairs(third))
 
 
 def test_batched_profiles_match_brute(witnesses):
@@ -338,8 +345,11 @@ def test_batched_profiles_match_brute(witnesses):
         code = witnesses[rng.choice((5, 6, 7, 8, 9))]
         v = int(rng.choice(list(kernel_cosets(code).reps)))
         i = rng.randrange(16)
-        assert (derived_profiles(blocks_at(code, v))[i]
-                == pasch_profile_brute(derived_sts(code, v, i)))
+        brute = pasch_profile_brute(derived_sts(code, v, i))
+        assert derived_profiles(blocks_at(code, v))[i] == brute
+        row = pasch_per_point(fourth_point_table(code, v))[i].tolist()
+        per_point = tuple(row[:i] + row[i + 1:])
+        assert PaschProfile(sum(per_point) // 6, per_point) == brute
 
 
 def test_corrupted_block_raises_sqs_error(witnesses):
@@ -357,3 +367,54 @@ def test_corrupted_block_raises_sqs_error(witnesses):
         third_point_table(blocks[1:])
     with pytest.raises(ValueError, match="4-subset"):
         third_point_table(np.append(blocks[1:], 0b111))
+
+
+def test_neighbour_tables_match_the_block_route(atlas, witnesses,
+                                               monkeypatch):
+    typed = 0
+    for kappa in (5, 6, 7, 8, 9):
+        code = witnesses[kappa]
+        for r in kernel_cosets(code).reps.tolist():
+            assert np.array_equal(fourth_point_table(code, r),
+                                  third_point_table(blocks_at(code, r)))
+            assert (class_type_tuple(code, r)
+                    == class_type_tuple_sorted(code, r)
+                    == vertex_types(code, r))
+            typed += 1
+    assert typed == 64 + 32 + 16 + 8 + 4
+    # the 17 codes the per_pair=100 representative scan rejects
+    verdicts, judge = [], scan.fully_tabulated
+    monkeypatch.setattr(scan, "fully_tabulated",
+                        lambda c: verdicts.append((c, judge(c)))
+                        or verdicts[-1][1])
+    find_representatives(atlas, pairs=PRIORITY_PAIRS, per_pair=100, seed=0)
+    rejected = [c for c, ok in verdicts if not ok]
+    assert len(rejected) == 17
+    for code in rejected:
+        v = int(code.words[0])
+        assert np.array_equal(fourth_point_table(code, v),
+                              third_point_table(blocks_at(code, v)))
+        assert code.type_tuples == {v: vertex_types(code, v)}
+        assert None in code.type_tuples[v]
+
+
+def _with_a_replaced_word(code) -> Code:
+    """The code with one codeword swapped for an even non-codeword."""
+    words = code.words.copy()
+    words[5] = next(w for w in range(1 << 16)
+                    if weight(w) % 2 == 0 and w not in code)
+    return Code(np.sort(words), code.left, code.right, code.sigma)
+
+
+def test_a_replaced_word_is_rejected(witnesses):
+    for kappa in (5, 9):
+        with pytest.raises(ValueError, match="not extended 1-perfect"):
+            fully_tabulated(_with_a_replaced_word(witnesses[kappa]))
+    bad = _with_a_replaced_word(witnesses[8])
+    with pytest.raises(ValueError, match="not extended 1-perfect"):
+        code_type_grid(bad)
+    with pytest.raises(ValueError, match="not extended 1-perfect"):
+        fourth_point_table(bad, int(bad.words[0]))
+    odd = Code(witnesses[8].words ^ np.uint16(1))
+    with pytest.raises(ValueError, match="2048 even words"):
+        fully_tabulated(odd)
