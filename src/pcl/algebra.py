@@ -23,16 +23,7 @@ from .doubling import SPACE16, Code
 from .words import echelon_basis, popcounts16, rank_gf2, xor_closure
 
 
-def _words_occ(code) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(code, Code):
-        return code.words, code.occ
-    words = np.asarray(code, dtype=np.uint16)
-    occ = np.zeros(SPACE16, dtype=bool)
-    occ[words] = True
-    return words, occ
-
-
-def kernel_words(code) -> np.ndarray:
+def kernel_words(code: Code) -> np.ndarray:
     """All k with C + k = C, sorted, starting with 0.
 
     Any kernel word is a difference of codewords, so only the 2048
@@ -42,7 +33,7 @@ def kernel_words(code) -> np.ndarray:
     outsider c rules out its whole coset K + c.  Both sets stay unions
     of cosets of the current K, so each test decides a whole coset.
     """
-    words, occ = _words_occ(code)
+    words, occ = code.words, code.occ
     state = np.zeros(SPACE16, dtype=np.int8)  # 1 kernel, -1 not, 0 unknown
     kw = np.zeros(1, dtype=np.uint16)
     out = np.zeros(0, dtype=np.uint16)
@@ -155,13 +146,13 @@ class LinearSpan:
         return len(echelon_basis(self.basis + (int(w),))) == len(self.basis)
 
 
-def kernel(code) -> LinearSpan:
-    """The kernel as a span; a Code keeps it with its cosets.
+def kernel(code: Code) -> LinearSpan:
+    """The kernel as a span, kept on the code with its cosets.
 
     Closure under xor is asserted, not assumed: the full table of
     pairwise sums is checked against the kernel occupancy.
     """
-    if isinstance(code, Code) and code.kernel_cosets is not None:
+    if code.kernel_cosets is not None:
         return code.kernel_cosets.subspace
     kw = kernel_words(code)
     kocc = np.zeros(SPACE16, dtype=bool)
@@ -171,8 +162,7 @@ def kernel(code) -> LinearSpan:
     span = LinearSpan.from_words(kw)
     if len(span) != len(kw):
         raise AssertionError("kernel basis does not regenerate the kernel")
-    if isinstance(code, Code):
-        code.kernel_cosets = cosets(code, span)
+    code.kernel_cosets = cosets(code, span)
     return span
 
 
@@ -194,7 +184,7 @@ class CosetDecomposition:
         return len(self.reps)
 
 
-def cosets(code, span: LinearSpan) -> CosetDecomposition:
+def cosets(code: Code, span: LinearSpan) -> CosetDecomposition:
     """Decompose the code into cosets of a subspace of its kernel.
 
     Representatives are the lexicographic minima, numbered in increasing
@@ -204,7 +194,7 @@ def cosets(code, span: LinearSpan) -> CosetDecomposition:
     down leaves the minimum.  np.unique of the minima gives the
     representatives and every word's coset.
     """
-    words, occ = _words_occ(code)
+    words, occ = code.words, code.occ
     for b in span.basis:
         if not occ[words ^ np.uint16(b)].all():
             raise ValueError("subspace is not contained in the kernel")

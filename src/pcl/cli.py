@@ -27,8 +27,8 @@ import click
 from .algebra import doubled_invariants, kernel, rank_of
 from .fano import fano_families, partition_registry
 from .fold import quotient_graph
-from .ioutil import (atomic_write, load_code, provenance, save_code,
-                     write_json)
+from .ioutil import (atomic_write, code_to_json, load_code, provenance,
+                     save_code, write_json)
 from .partitions import (Atlas, build_atlas, enumerate_partitions7,
                          orbit_classify7)
 from .perfect import enumerate_perfect7
@@ -114,10 +114,7 @@ def perfect_enumerate(out: str | None) -> None:
     click.echo("perfect codes of length 7: %d (%d through zero)"
                % (len(codes), through_zero))
     if out:
-        payload = [{"length": 7,
-                    "codewords": [word_hex(w, 7) for w in c]}
-                   for c in codes]
-        write_json(out, payload)
+        write_json(out, [code_to_json(c, 7) for c in codes])
         click.echo("wrote %s" % out)
 
 
@@ -145,10 +142,7 @@ def partitions_enumerate(length_: str, out: str) -> None:
         classes = [{
             "id": cid,
             "alias": None,
-            "representative": [
-                {"length": 7, "codewords": [word_hex(w, 7) for w in comp]}
-                for comp in parts[rep]
-            ],
+            "representative": [code_to_json(comp, 7) for comp in parts[rep]],
         } for cid, rep in enumerate(c7.reps)]
         write_json(out, {"classes": classes,
                          "partition7Count": len(parts),

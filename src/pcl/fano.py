@@ -7,6 +7,11 @@ into [8,f] by the involution p -> f-p.  Loops and links of folded codes
 are described by unions of these families and by products of pair
 partitions of the two halves.  Products and their quarters are
 recognized in label sets by structure.decompose_mixed.
+
+PRESCRIPTIONS is the paper's whole per-kernel-dimension prescription,
+one Prescription record for each of 5..9: the loop family, the pure
+link families and the mixed link rule.  structure.full_report looks a
+code's record up once and judges its folded graph against it.
 """
 
 from __future__ import annotations
@@ -68,32 +73,46 @@ def fano_families() -> dict:
     }
 
 
-def expected_loop(kappa: int) -> tuple:
-    """Loop label set prescribed for a fold over the kernel.
+XYZ = tuple(sorted(X + Y + Z, key=points_of))       # kappa=8 and 9
 
-    Z plus the 2^(kappa-4)-1 lexicographically largest elements of Y,
-    plus X from kappa=8 on.  The kappa=9 loop additionally holds one
-    full product, checked separately since its identity is free.
+
+@dataclass(frozen=True)
+class Prescription:
+    """The paper's loop and link prescription for one kernel dimension.
+
+    loop is the loop's half-supported family; loop_products full
+    products of pair partitions, 16 labels each, join it.  intra maps
+    the xor of paired vertex labels inside one block of the fold to the
+    family its pure links carry; no pure link is prescribed when it is
+    empty.  A mixed link is link_products full products, or at most
+    three quarters of products when link_products is 0.  half_fold is
+    the prescription of the fold over the half-supported index-2
+    subgroup of the kernel, when that fold is checked.
     """
-    if kappa not in (5, 6, 7, 8, 9):
-        raise ValueError("kappa %d outside [5,9]" % kappa)
-    ytop = min(len(Y), (1 << (kappa - 4)) - 1)
-    fam = Z + tuple(sorted(Y, key=points_of, reverse=True)[:ytop])
-    if kappa >= 8:
-        fam = fam + X
-    return tuple(sorted(fam, key=points_of))
+
+    loop_name: str
+    loop: tuple
+    loop_products: int
+    intra: dict
+    cross_rule: str
+    link_products: int
+    half_fold: Prescription | None = None
 
 
-LOOP_MULTIPLICITY = {5: 15, 6: 17, 7: 21, 8: 28, 9: 44}
+_QUARTERS = "at most three quarters"
+_KAPPA8 = Prescription("X+Y+Z", XYZ, 0, {}, "one full product", 1)
 
-# Intra-link families per vertex, keyed by the xor of paired vertex labels
-# inside one block of the fold; discovered labelings must realize these.
-INTRA_TABLE = {
-    7: {1: X},
-    6: {1: B_PRIME, 2: B, 3: A},
-    5: {1: A1_PRIME, 2: B0_PRIME, 3: B1_PRIME,
-        4: B1, 5: B0, 6: A1, 7: A0},
+PRESCRIPTIONS = {
+    5: Prescription("Z_0", Z0, 0,
+                    {1: A1_PRIME, 2: B0_PRIME, 3: B1_PRIME,
+                     4: B1, 5: B0, 6: A1, 7: A0}, _QUARTERS, 0),
+    6: Prescription("Z'", Z_PRIME, 0, {1: B_PRIME, 2: B, 3: A}, _QUARTERS, 0),
+    7: Prescription("X'", X_PRIME, 0, {1: X}, _QUARTERS, 0),
+    8: _KAPPA8,
+    9: Prescription("X+Y+Z and one full product", XYZ, 1, {},
+                    "two full products", 2, half_fold=_KAPPA8),
 }
+
 
 @dataclass(frozen=True)
 class PairPartition:

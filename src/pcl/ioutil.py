@@ -4,9 +4,11 @@ All writes go through a temp file plus atomic rename so failed runs
 never leave partial artifacts.  JSON artifacts are written exactly as
 json.dumps(obj, indent=1) writes them, by an encoder of that one
 layout; with indent set, the standard library leaves its C encoder for
-a Python generator per nesting level.  Code files use one JSON schema
-everywhere: {"length": n, "codewords": [hex, ...]} with codewords
-sorted ascending, plus optional provenance keys for doubled codes.
+a Python generator per nesting level.  Codes use one JSON schema
+everywhere, written by code_to_json and read by code_from_json:
+{"length": n, "codewords": [hex, ...]} with codewords sorted
+ascending, plus optional provenance keys for doubled codes.  Atlas
+components and the length-7 census dumps use it too.
 Loaded codes are checked to be extended 1-perfect before use, by
 building their neighbour table (Code.neighbours).
 """
@@ -20,7 +22,7 @@ import tempfile
 import numpy as np
 
 from .doubling import Code
-from .words import parse_sigma, sigma_str
+from .words import parse_sigma, parse_word, sigma_str
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -121,12 +123,16 @@ def code_to_json(words, n: int) -> dict:
     }
 
 
-def code_from_json(d: dict) -> tuple[list[int], int]:
+def code_from_json(d: dict, length: int) -> list[int]:
+    """The sorted codewords of a code of the given length."""
     n = int(d["length"])
-    words = sorted(int(s, 16) for s in d["codewords"])
+    if n != length:
+        raise ValueError("expected a length-%d code, got length %d"
+                         % (length, n))
+    words = sorted(parse_word(s) for s in d["codewords"])
     if any(w >> n for w in words):
         raise ValueError("codeword wider than declared length")
-    return words, n
+    return words
 
 
 def provenance(code: Code) -> dict:
@@ -147,9 +153,7 @@ def save_code(path: str, code: Code) -> None:
 
 def load_code(path: str) -> Code:
     d = read_json(path)
-    words, n = code_from_json(d)
-    if n != 16:
-        raise ValueError("expected a length-16 code, got length %d" % n)
+    words = code_from_json(d, 16)
     sigma = parse_sigma(d["sigma"]) if "sigma" in d else None
     code = Code(np.array(words, dtype=np.uint16), d.get("sourceClass"),
                 d.get("targetClass"), sigma)

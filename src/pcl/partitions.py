@@ -25,9 +25,9 @@ import numpy as np
 
 from .canon import (UNASSIGNED, OrbitClasses, generators, minimal_image7,
                     minimal_image8, orbit_classes, relabel_np)
-from .ioutil import write_json
+from .ioutil import code_from_json, code_to_json, write_json
 from .perfect import enumerate_perfect7, extend_even
-from .words import echelon_basis, parse_word, word_hex, xor_closure
+from .words import echelon_basis, xor_closure
 
 SPACE7 = 128
 EVEN8 = tuple(w for w in range(256) if bin(w).count("1") % 2 == 0)
@@ -178,20 +178,16 @@ class ExtClass:
     def to_json(self) -> dict:
         return {
             "alias": self.alias,
-            "representative": [
-                {"length": 8, "codewords": [word_hex(w, 8) for w in comp]}
-                for comp in self.components
-            ],
+            "representative": [code_to_json(comp, 8)
+                               for comp in self.components],
             "length7Classes": list(self.length7_classes),
             "linear": self.linear,
         }
 
     @classmethod
     def from_json(cls, d: dict) -> "ExtClass":
-        comps = tuple(
-            tuple(parse_word(s) for s in comp["codewords"])
-            for comp in d["representative"]
-        )
+        comps = tuple(tuple(code_from_json(comp, 8))
+                      for comp in d["representative"])
         return cls(comps, tuple(d["length7Classes"]), bool(d["linear"]), d.get("alias"))
 
 

@@ -3,8 +3,10 @@
 A quotient graph carries three kinds of label sets: the loop shared by
 every vertex (the weight-4 words of the fold subspace), pure links whose
 labels live in a single half, and mixed links whose labels straddle the
-halves.  Each subject is compared against the prescribed quadruple
-families at one of four levels:
+halves.  Each subject is compared against the quadruple families that
+fano.PRESCRIPTIONS prescribes for the code's kernel dimension; the
+record is looked up once, in full_report, and no check here branches on
+the dimension itself.  A verdict takes one of four levels:
 
   exact      set equality in construction coordinates,
   relabeled  equality after relabeling points inside each half
@@ -21,15 +23,14 @@ relabeling for the whole graph, only existence per loop or link.
 
 Products of pair partitions and their quarters (Phelps, SIAM J. Alg.
 Disc. Meth. 1984) are recognized by decompose_mixed alone, both on
-mixed links and on the product parts of the kappa=9 loop and half-fold
-links.
+mixed links and on the product parts of loops and half-fold links.
 
 The labels of a link (i, j) are the weight-4 words of r_i ^ r_j + L, so
 all links of one difference class carry the same label tuple, and a
 graph has far fewer distinct tuples than links (162 for the 1,472 links
-of the kappa=5 witness).  Link verdicts are therefore computed once per
-distinct tuple and repeated per link.  The key is the whole tuple, since
-which half each label lies in decides the verdict.
+of the dimension-5 witness).  Link verdicts are therefore computed once
+per distinct tuple and repeated per link.  The key is the whole tuple,
+since which half each label lies in decides the verdict.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .algebra import LinearSpan, half_pure_subgroup, kernel
 from .canon import minimal_quadset8
 from .doubling import Code
 from .fold import SqsGraph, quotient_graph
-from .words import points_of, popcounts16
+from .words import points_of, popcounts16, quad_name
 
 LEVELS = ("exact", "relabeled", "spectrum", "fail")
 
@@ -118,10 +119,6 @@ def _grade(labels, family) -> str:
         if got == want or got == want[::-1]:
             return "relabeled"
     return "spectrum"
-
-
-def _pair_name(mask8: int) -> str:
-    return "".join("%x" % p for p in points_of(mask8))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -200,22 +197,18 @@ def _one_product(labels):
     return None
 
 
-_LOOP_NAME = {5: "Z_0", 6: "Z'", 7: "X'", 8: "X+Y+Z",
-              9: "X+Y+Z and one full product"}
-
-
-def verify_loops(G: SqsGraph, kappa: int) -> list[Verdict]:
+def verify_loops(G: SqsGraph, rx: fano.Prescription) -> list[Verdict]:
     """Per-vertex verdicts for the loop label set.
 
     Every vertex shares one loop set by construction, so a single
     comparison is replicated across the graph.
     """
-    fam = fano.expected_loop(kappa)
-    want = fano.LOOP_MULTIPLICITY[kappa]
+    fam = rx.loop
+    want = len(fam) + 16 * rx.loop_products
     obs = tuple(int(m) for m in G.loop_labels)
     mixed = split_sides(obs)[2]
     prod = _one_product(mixed)
-    expected = "%s, %d labels" % (_LOOP_NAME[kappa], want)
+    expected = "%s, %d labels" % (rx.loop_name, want)
     detail = ""
     if len(obs) != want:
         level = "fail"
@@ -224,9 +217,9 @@ def verify_loops(G: SqsGraph, kappa: int) -> list[Verdict]:
                       "half complement, so the odd prescribed half "
                       "count cannot occur")
     else:
-        # the kappa=9 loop holds one full product beside the family
-        graded = (set(obs) - set(mixed) if kappa == 9 and prod is not None
-                  else obs)
+        # a loop prescribed with a full product holds it beside the family
+        graded = (set(obs) - set(mixed)
+                  if rx.loop_products and prod is not None else obs)
         level = _grade(graded, fam)
         if prod is not None:
             detail = "mixed part is the product %s x %s" % (
@@ -264,13 +257,10 @@ def _judge_pure(labels, table, names, expected) -> tuple:
     return True, (LEVELS[at], expected, obs_desc, note)
 
 
-def verify_intra_links(G: SqsGraph, kappa: int) -> list[Verdict]:
+def verify_intra_links(G: SqsGraph, rx: fano.Prescription) -> list[Verdict]:
     """Pure links against the prescribed per-vertex families, plus the
     28-label block invariant of loop and pure links at every vertex."""
-    if kappa not in fano.INTRA_TABLE:
-        raise ValueError(
-            "intra-link prescriptions exist for kappa 5..7, got %d" % kappa)
-    table = [fam for _, fam in sorted(fano.INTRA_TABLE[kappa].items())]
+    table = [fam for _, fam in sorted(rx.intra.items())]
     names = _family_names()
     expected = "one of " + ", ".join(
         "%s(%d)" % (names[f], len(f)) for f in table)
@@ -286,7 +276,7 @@ def verify_intra_links(G: SqsGraph, kappa: int) -> list[Verdict]:
         incident[j].append(labels)
         out.append(Verdict("link(%d,%d)" % (i, j), *fields))
 
-    blk_exp = set(fano.X) | set(fano.Y) | set(fano.Z)
+    blk_exp = set(fano.XYZ)
     for v in range(G.order):
         blk = set(int(m) for m in G.loop_labels)
         for labels in incident[v]:
@@ -298,13 +288,9 @@ def verify_intra_links(G: SqsGraph, kappa: int) -> list[Verdict]:
     return out
 
 
-_CROSS_RULE = {9: "two full products", 8: "one full product",
-               7: "at most three quarters", 6: "at most three quarters",
-               5: "at most three quarters"}
-
-
-def _judge_mixed(labels, kappa: int, expected: str) -> tuple:
+def _judge_mixed(labels, rx: fano.Prescription) -> tuple:
     """(mixed label count, verdict fields) for one link's label set."""
+    expected = rx.cross_rule
     L, R, M = split_sides(labels)
     if not M:
         return 0, None
@@ -322,31 +308,27 @@ def _judge_mixed(labels, kappa: int, expected: str) -> tuple:
                         " split" % len(M),
                         "right fan-out per left pair: %s" % profile)
     kind, parts = dec
+    # parts is never empty, so no product split fits link_products == 0
+    quarters_fit = not rx.link_products and len(parts) <= 3
     if kind == "products":
         desc = "products " + ", ".join(
             "%sx%s" % (a.name, b.name) for a, b in parts)
-        lv = ("exact" if kappa >= 8 and len(parts) == (kappa - 7)
-              else "spectrum")
+        lv = "exact" if len(parts) == rx.link_products else "spectrum"
     elif kind == "quarters":
         desc = "quarters " + ", ".join(
-            "(%s)x%s" % (_pair_name(lp), b.name) for lp, b in parts)
-        lv = "exact" if kappa <= 7 and len(parts) <= 3 else "spectrum"
+            "(%s)x%s" % (quad_name(lp), b.name) for lp, b in parts)
+        lv = "exact" if quarters_fit else "spectrum"
     else:
         desc = "half-swapped quarters " + ", ".join(
-            "%sx(%s)" % (a.name, _pair_name(rp)) for a, rp in parts)
-        lv = "relabeled" if kappa <= 7 and len(parts) <= 3 else "spectrum"
+            "%sx(%s)" % (a.name, quad_name(rp)) for a, rp in parts)
+        lv = "relabeled" if quarters_fit else "spectrum"
     return len(M), (lv, expected, desc, "")
 
 
-def verify_cross_links(G: SqsGraph, kappa: int) -> list[Verdict]:
+def verify_cross_links(G: SqsGraph, rx: fano.Prescription) -> list[Verdict]:
     """Mixed links decomposed into products or quarters, plus the
     112-label cross budget at every vertex."""
-    if kappa not in _CROSS_RULE:
-        raise ValueError(
-            "cross-link prescriptions exist for kappa 5..9, got %d" % kappa)
-    expected = _CROSS_RULE[kappa]
-    judge = _per_label_set(
-        lambda labels: _judge_mixed(labels, kappa, expected))
+    judge = _per_label_set(lambda labels: _judge_mixed(labels, rx))
     out = []
     totals = [0] * G.order
     for (i, j), labels in sorted(G.labels.items()):
@@ -357,7 +339,7 @@ def verify_cross_links(G: SqsGraph, kappa: int) -> list[Verdict]:
         totals[j] += mixed
         out.append(Verdict("link(%d,%d)" % (i, j), *fields))
 
-    in_loop = 16 if kappa == 9 else 0
+    in_loop = 16 * rx.loop_products
     want = 112 - in_loop
     exp_sum = ("112 cross labels, %d on links and %d in the loop"
                % (want, in_loop) if in_loop else "112 cross labels on links")
@@ -385,18 +367,18 @@ def _no_pure_link_verdicts(G: SqsGraph) -> list[Verdict]:
                     "%d pure links at %s" % (len(pure), pure))]
 
 
-def _index2_verdicts(code: Code, kw: np.ndarray,
-                     GK: SqsGraph) -> list[Verdict]:
-    """Fold over the half-supported index-2 subgroup of a dimension-9
-    kernel: loop of 28, and a perfect matching of product links whose
-    labels rejoin the full-kernel loop."""
+def _index2_verdicts(code: Code, kw: np.ndarray, GK: SqsGraph,
+                     half: fano.Prescription) -> list[Verdict]:
+    """Fold over the half-supported index-2 subgroup of the kernel: the
+    loop prescribed by half, and a perfect matching of product links
+    whose labels rejoin the full-kernel loop."""
     L = LinearSpan.from_words(half_pure_subgroup(kw))
     GL = quotient_graph(code, span=L)
     out = []
     loop = tuple(int(m) for m in GL.loop_labels)
-    lv = _grade(loop, fano.expected_loop(8)) if len(loop) == 28 else "fail"
-    out.append(Verdict("half-fold loop", lv, "X+Y+Z, 28 labels",
-                       _describe(loop)))
+    lv = _grade(loop, half.loop) if len(loop) == len(half.loop) else "fail"
+    out.append(Verdict("half-fold loop", lv, "%s, %d labels"
+                       % (half.loop_name, len(half.loop)), _describe(loop)))
 
     kloop = set(int(m) for m in GK.loop_labels)
     met: dict[int, list] = {}
@@ -483,18 +465,19 @@ def full_report(code: Code) -> StructureReport:
     """
     span = kernel(code)
     kappa = span.dimension
-    if not 5 <= kappa <= 9:
+    rx = fano.PRESCRIPTIONS.get(kappa)
+    if rx is None:
         raise ValueError("loop and link prescriptions cover kernel "
                          "dimensions 5..9, got %d" % kappa)
     G = quotient_graph(code)
     _assert_even_left_support(G)
-    verdicts = list(verify_loops(G, kappa))
-    if kappa <= 7:
-        verdicts += verify_intra_links(G, kappa)
+    verdicts = list(verify_loops(G, rx))
+    if rx.intra:
+        verdicts += verify_intra_links(G, rx)
     else:
         verdicts += _no_pure_link_verdicts(G)
-    verdicts += verify_cross_links(G, kappa)
+    verdicts += verify_cross_links(G, rx)
     verdicts += _degree_verdicts(G)
-    if kappa == 9:
-        verdicts += _index2_verdicts(code, span.words(), G)
+    if rx.half_fold is not None:
+        verdicts += _index2_verdicts(code, span.words(), G, rx.half_fold)
     return StructureReport(kappa, tuple(verdicts), G.mult)

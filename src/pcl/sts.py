@@ -5,10 +5,10 @@ code; the distance-3 neighbors of any of its codewords carve a Steiner
 triple system STS(15) out of the 35 supports.  Equivalently, the STS at
 coordinate i is the derived system at i of the SQS(16) that the
 weight-4 differences form at the codeword.  Types are recognized by
-the pair (total Pasch count, sorted per-point counts); the table covers
-the 11 type signatures arising from doubled codes, with letter aliases
-c, d, g for the two-digit ids; a signature outside the table types as
-None, rendered "?".
+the sorted per-point Pasch counts, which fix the total Pasch count, a
+sixth of their sum; the table covers the 11 type signatures arising
+from doubled codes, with letter aliases c, d, g for the two-digit ids;
+a signature outside the table types as None, rendered "?".
 
 The production counter works on fourth-point tables.  An extended
 1-perfect code puts every odd word at distance 1 from exactly one
@@ -65,7 +65,8 @@ ROWS = {
 for _t, (_total, _tup) in ROWS.items():
     assert len(_tup) == 15 and sum(_tup) == 6 * _total, _t
 
-ROW_OF = {v: k for k, v in ROWS.items()}
+# sorted per-point counts -> type id; the total is their sum over 6
+_TYPE_OF = {tup: t for t, (_, tup) in ROWS.items()}
 
 LETTERS = {13: "c", 14: "d", 16: "g"}
 
@@ -170,11 +171,6 @@ def pasch_profile(sts: StsSystem) -> PaschProfile:
     return PaschProfile(total6 // 6, tuple(a // 6 for a in acc))
 
 
-def classify_type(profile: PaschProfile):
-    """Type id from the signature table, or None when absent."""
-    return ROW_OF.get(profile.signature())
-
-
 @lru_cache(maxsize=None)
 def _triples() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 3360 ordered triples of distinct points of a 16^3 table.
@@ -260,15 +256,17 @@ def pasch_per_point(third: np.ndarray) -> np.ndarray:
 def _vertex_types(code: Code, v: int) -> tuple:
     """Types of the 16 derived systems at codeword v, None when untabulated.
 
-    Entry i types the system at point i from its per-point counts with i
-    left out.  Computed in one pass and kept on the code under v.
+    Entry i types the system at point i from its per-point counts sorted
+    nonincreasing; point i itself is on no line of it, so its 0 sorts
+    last and is dropped.  Computed in one pass and kept on the code
+    under v.
     """
     known = code.type_tuples.get(v)
     if known is None:
-        rows = pasch_per_point(fourth_point_table(code, v)).tolist()
+        counts = pasch_per_point(fourth_point_table(code, v))
+        rows = -np.sort(-counts, axis=1)[:, :-1]
         known = code.type_tuples[v] = tuple(
-            classify_type(PaschProfile(sum(r) // 6, tuple(r[:i] + r[i + 1:])))
-            for i, r in enumerate(rows))
+            _TYPE_OF.get(tuple(r)) for r in rows.tolist())
     return known
 
 

@@ -4,11 +4,13 @@ Each vertex used to be typed from its 140 blocks: blocks_at collects the
 weight-4 differences at a codeword, third_point_table fills the 24
 orders of every block into a fourth-point table and counts the fills
 (the SQS(16) check), pasch_per_point_line_pairs counts Pasch
-configurations on that table, and derived_profiles turns the counts
-into the 16 profiles.  class_type_tuple_sorted certifies a coset by
-sorting the weight-4 differences at its basis translates.  The package
-now reads the fourth-point table off Code.neighbours and compares
-neighbour-table gathers instead; tests compare the two routes.
+configurations on that table, derived_profiles turns the counts into
+the 16 profiles, and classify_type looks each profile up by its
+(total, sorted per-point counts) signature.  class_type_tuple_sorted
+certifies a coset by sorting the weight-4 differences at its basis
+translates.  The package now reads the fourth-point table off
+Code.neighbours, types a vertex by one sort of its count table, and
+compares neighbour-table gathers instead; tests compare the two routes.
 """
 
 from itertools import permutations
@@ -16,8 +18,16 @@ from itertools import permutations
 import numpy as np
 
 from pcl.algebra import kernel
-from pcl.sts import PaschProfile, classify_type
+from pcl.sts import ROWS, PaschProfile
 from pcl.words import popcounts16
+
+ROW_OF = {v: k for k, v in ROWS.items()}
+
+
+def classify_type(profile: PaschProfile):
+    """Type id from the signature table, or None when absent."""
+    return ROW_OF.get(profile.signature())
+
 
 # the 24 orders of a block's four points, and the distinct (a, b, c)
 _ORDERS = np.array(list(permutations(range(4))))

@@ -200,6 +200,22 @@ def test_double_scan_sigma_exhaustive(runner, tmp_path, atlas, atlas_file):
             rank_of(code), rank_gf2(kernel_words(code))), r
 
 
+@pytest.mark.parametrize("change", [
+    lambda comp: comp["codewords"].__setitem__(0, "1ff"),
+    lambda comp: comp.update(length="eight"),
+], ids=["codeword-too-wide", "length-not-a-number"])
+def test_double_rejects_a_malformed_atlas_component(runner, tmp_path, atlas,
+                                                    change):
+    d = atlas.to_json()
+    change(d["classes"][3]["representative"][0])
+    bad = tmp_path / "bad_component.json"
+    bad.write_text(json.dumps(d))
+    res = runner.invoke(main, ["double", "--source", "3", "--target", "0",
+                               "--sigma", "01234567", "--atlas", str(bad),
+                               "--out", str(tmp_path / "x.json")])
+    _clean_error(res, "cannot read atlas")
+
+
 def test_double_usage_errors(runner, atlas_file):
     res = runner.invoke(main, ["double", "--source", "0", "--target", "0",
                                "--atlas", atlas_file])

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from pcl.canon import _minimal_quadset8, _permutations, minimal_quadset8
-from pcl.fano import (INTRA_TABLE, LOOP_MULTIPLICITY, PairPartition,
-                      expected_loop, fano_families, left_complement,
-                      pair_partition, parse_pair_name, partition_registry,
-                      supplement)
+from pcl.fano import (PRESCRIPTIONS, X, Y, Z, PairPartition, fano_families,
+                      left_complement, pair_partition, parse_pair_name,
+                      partition_registry, supplement)
 from pcl.structure import decompose_mixed
 from pcl.words import points_of
 
@@ -71,30 +70,49 @@ def test_composite_families():
     assert set(fams["B_0"]) | set(fams["B_1"]) == set(fams["B"])
 
 
+def loop_formula(kappa: int) -> tuple:
+    """Z, the 2^(kappa-4)-1 lexicographically largest members of Y, and
+    X from kappa=8 on, sorted: the oracle of each prescribed loop."""
+    ytop = min(len(Y), (1 << (kappa - 4)) - 1)
+    fam = Z + tuple(sorted(Y, key=points_of, reverse=True)[:ytop])
+    if kappa >= 8:
+        fam = fam + X
+    return tuple(sorted(fam, key=points_of))
+
+
 def test_expected_loop():
+    assert sorted(PRESCRIPTIONS) == [5, 6, 7, 8, 9]
+    for kappa, rx in PRESCRIPTIONS.items():
+        assert rx.loop == loop_formula(kappa), kappa
     fams = fano_families()
-    assert set(expected_loop(5)) == set(fams["Z_0"])
-    assert set(expected_loop(6)) == set(fams["Z'"])
-    assert set(expected_loop(7)) == set(fams["X'"])
-    assert set(expected_loop(8)) == set(fams["X"] + fams["Y"] + fams["Z"])
-    assert set(expected_loop(9)) == set(expected_loop(8))
-    with pytest.raises(ValueError):
-        expected_loop(4)
+    for kappa, name in ((5, "Z_0"), (6, "Z'"), (7, "X'")):
+        assert PRESCRIPTIONS[kappa].loop_name == name
+        assert PRESCRIPTIONS[kappa].loop == fams[name]
 
 
 def test_loop_multiplicity_table():
-    assert LOOP_MULTIPLICITY == {5: 15, 6: 17, 7: 21, 8: 28, 9: 44}
-    for k in (5, 6, 7, 8):
-        assert len(expected_loop(k)) == LOOP_MULTIPLICITY[k]
-    # the kappa=9 loop carries one extra full product of pair partitions
-    assert LOOP_MULTIPLICITY[9] - len(expected_loop(9)) == 16
+    sizes = {k: len(rx.loop) + 16 * rx.loop_products
+             for k, rx in PRESCRIPTIONS.items()}
+    assert sizes == {5: 15, 6: 17, 7: 21, 8: 28, 9: 44}
+    # only the kappa=9 loop carries a full product of pair partitions
+    assert [k for k, rx in PRESCRIPTIONS.items() if rx.loop_products] == [9]
 
 
 def test_intra_table_shape():
-    assert set(INTRA_TABLE) == {5, 6, 7}
-    assert INTRA_TABLE[7] == {1: fano_families()["X"]}
-    assert sum(len(v) for v in INTRA_TABLE[5].values()) == 13
-    assert sum(len(v) for v in INTRA_TABLE[6].values()) == 11
+    intra = {k: sum(len(f) for f in rx.intra.values())
+             for k, rx in PRESCRIPTIONS.items()}
+    assert intra == {5: 13, 6: 11, 7: 7, 8: 0, 9: 0}
+    assert PRESCRIPTIONS[7].intra == {1: X}
+
+
+def test_mixed_link_rule_and_half_fold():
+    assert {k: rx.link_products for k, rx in PRESCRIPTIONS.items()} == {
+        5: 0, 6: 0, 7: 0, 8: 1, 9: 2}
+    assert {k for k, rx in PRESCRIPTIONS.items()
+            if rx.cross_rule == "at most three quarters"} == {5, 6, 7}
+    # a dimension-9 kernel's half fold has dimension 8
+    assert [k for k, rx in PRESCRIPTIONS.items() if rx.half_fold] == [9]
+    assert PRESCRIPTIONS[9].half_fold is PRESCRIPTIONS[8]
 
 
 def test_pair_partition_construction():
@@ -174,8 +192,8 @@ def test_permutations_are_the_itertools_ones_in_order():
 def test_minimal_quadset8_cache_matches_uncached():
     rng = random.Random(5)
     uncached = _minimal_quadset8.__wrapped__
-    for table in INTRA_TABLE.values():
-        for fam in table.values():
+    for rx in PRESCRIPTIONS.values():
+        for fam in rx.intra.values():
             masks = list(fam) + rng.sample(list(fam), len(fam) // 2)
             rng.shuffle(masks)
             want = uncached(tuple(sorted(set(fam))))

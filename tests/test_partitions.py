@@ -278,11 +278,18 @@ def test_atlas_json_roundtrip(atlas, tmp_path):
     (lambda d: d.update(merged=[]), "merged"),
     (lambda d: d.update(merged=[[6, 7], [6, 7]]), "merged"),
     (lambda d: d.update(merged=[[7, 6]]), "merged"),
+    (lambda d: d["classes"][3]["representative"][0]["codewords"]
+     .__setitem__(0, "1ff"), "codeword wider than declared length"),
+    (lambda d: d["classes"][3]["representative"][0].update(length="eight"),
+     "invalid literal"),
+    (lambda d: d["classes"][3]["representative"][0].update(length=7),
+     "expected a length-8 code, got length 7"),
 ], ids=["no-linear", "two-linear", "nonlinear-flagged", "id-gap",
         "count-not-int", "count-not-sum", "count-float", "sizes-string",
         "size-zero", "size-bool", "size-extra", "size-missing",
         "class-named-twice", "merged-empty", "merged-twice",
-        "merged-reordered"])
+        "merged-reordered", "codeword-too-wide", "length-not-a-number",
+        "component-length-7"])
 def test_atlas_from_json_checks_ids_and_linear_flag(atlas, change, message):
     d = json.loads(json.dumps(atlas.to_json()))
     change(d)

@@ -84,7 +84,7 @@ def test_odd_left_support_names_the_first_label(witnesses):
 
 def test_judge_pure_takes_least_level_then_first_family():
     names = structure._family_names()
-    table = [fam for _, fam in sorted(fano.INTRA_TABLE[6].items())]
+    table = [fam for _, fam in sorted(fano.PRESCRIPTIONS[6].intra.items())]
     assert [names[f] for f in table] == ["B'", "B", "A"]
 
     def judge(labels):

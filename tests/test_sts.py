@@ -24,13 +24,13 @@ from pcl.doubling import Code
 from pcl.perfect import puncture
 from pcl.scan import PRIORITY_PAIRS, find_representatives, make_code
 from pcl.sts import (LETTERS, ROWS, PaschProfile, StsSystem, check_sts,
-                     class_type_tuple, classify_type, code_type_grid,
+                     class_type_tuple, code_type_grid,
                      derived_sts, fourth_point_table, fully_tabulated,
                      homogeneity, multiset_keys, pasch_per_point,
                      pasch_profile, render_tuple, type_char)
 from pcl.words import parse_sigma, popcounts16, weight
 
-from sts_oracles import (blocks_at, class_type_tuple_sorted,
+from sts_oracles import (blocks_at, class_type_tuple_sorted, classify_type,
                          derived_profiles, pasch_per_point_line_pairs,
                          third_point_table, vertex_types)
 
