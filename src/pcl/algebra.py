@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .doubling import SPACE16, Code
-from .words import echelon_basis, popcounts16, rank_gf2, xor_closure
+from .words import (coset_minima, echelon_basis, popcounts16, rank_gf2,
+                    xor_closure)
 
 
 def kernel_words(code: Code) -> np.ndarray:
@@ -142,9 +143,6 @@ class LinearSpan:
     def __len__(self) -> int:
         return 1 << len(self.basis)
 
-    def __contains__(self, w: int) -> bool:
-        return len(echelon_basis(self.basis + (int(w),))) == len(self.basis)
-
 
 def kernel(code: Code) -> LinearSpan:
     """The kernel as a span, kept on the code with its cosets.
@@ -174,12 +172,6 @@ class CosetDecomposition:
     reps: np.ndarray
     index: np.ndarray
 
-    def coset_of(self, w: int) -> int:
-        i = int(self.index[w])
-        if i < 0:
-            raise KeyError("word %04x is not in the code" % w)
-        return i
-
     def __len__(self) -> int:
         return len(self.reps)
 
@@ -187,23 +179,18 @@ class CosetDecomposition:
 def cosets(code: Code, span: LinearSpan) -> CosetDecomposition:
     """Decompose the code into cosets of a subspace of its kernel.
 
-    Representatives are the lexicographic minima, numbered in increasing
-    order; every coset is checked to have full size.  The least word of
-    w + L has no leading bit of an echelon basis of L: an element of L
-    has its highest bit at one of them, so clearing them from the top
-    down leaves the minimum.  np.unique of the minima gives the
-    representatives and every word's coset.
+    Representatives are the lexicographic minima (words.coset_minima),
+    numbered in increasing order; every coset is checked to have full
+    size.  np.unique of the minima gives the representatives and every
+    word's coset.
     """
     words, occ = code.words, code.occ
     for b in span.basis:
         if not occ[words ^ np.uint16(b)].all():
             raise ValueError("subspace is not contained in the kernel")
-    basis = echelon_basis(span.basis)
-    low = words.copy()
-    for lead in sorted(basis, reverse=True):
-        low[(low >> lead) & 1 == 1] ^= np.uint16(basis[lead])
-    reps, inverse = np.unique(low, return_inverse=True)
-    if len(reps) << len(basis) != len(words):
+    reps, inverse = np.unique(coset_minima(words, span.basis),
+                              return_inverse=True)
+    if len(reps) << rank_gf2(span.basis) != len(words):
         raise AssertionError("cosets do not partition the code")
     index = np.full(SPACE16, -1, dtype=np.int32)
     index[words] = inverse

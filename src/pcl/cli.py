@@ -72,14 +72,9 @@ def _load_atlas(path: str | None) -> Atlas:
 
 
 def _check_class(atlas: Atlas, cid: int, what: str) -> None:
-    """A class id in range whose representative partitions the even words."""
     if not 0 <= cid < len(atlas.classes):
         raise _fail("%s class %d out of range 0..%d"
                     % (what, cid, len(atlas.classes) - 1))
-    try:
-        atlas.classes[cid].action
-    except ValueError as e:
-        raise _fail("%s class %d: %s" % (what, cid, e))
 
 
 def _census_lines(atlas: Atlas) -> list[str]:

@@ -132,9 +132,6 @@ class PairPartition:
         (_, k), (_, l), (_, m), _ = self.pairs
         return "%d_%d^%d" % (k, l, m)
 
-    def masks(self) -> tuple:
-        return tuple(mask_of(ab) for ab in self.pairs)
-
     def __str__(self) -> str:
         return self.name
 

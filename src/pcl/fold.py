@@ -23,6 +23,10 @@ in every row and every column, which is the weaker statement that all
 rows and columns carry the same labels; and the labels depend only on
 r_i ^ r_j + L.  The membership check also covers a fold with a single
 vertex, where there is no pair of cosets to check.
+
+The fold therefore computes the labels once per class r_i ^ r_j + L,
+keyed by its least word.  No two classes share a label, since a shared
+word would put both differences in one coset of L.
 """
 
 from __future__ import annotations
@@ -33,25 +37,26 @@ import numpy as np
 
 from .algebra import LinearSpan, cosets, kernel_cosets
 from .doubling import Code
-from .words import popcounts16, quad_name, word_hex
+from .words import coset_minima, popcounts16, quad_name, word_hex
 
 
 @dataclass(eq=False)
 class SqsGraph:
     """Fold of a code over a kernel subspace.
 
-    Vertices index the subspace cosets inside the code.  labels[(i, j)]
-    with i < j is the sorted tuple of weight-4 supports between cosets i
-    and j; loop_labels is the common per-vertex loop set.  mult is the
-    full multiplicity matrix with loop counts on the diagonal.
+    Vertices index the subspace cosets inside the code.  Each vertex
+    pair (i, j), the diagonal included, falls in the difference class
+    r_i ^ r_j + L numbered pair_class[i, j]; classes[k] is the sorted
+    tuple of weight-4 words of class k.  Class 0 is L itself, whose
+    words are the loop shared by every vertex.  mult is the full
+    multiplicity matrix with loop counts on the diagonal.
     """
 
     code: Code
     span: LinearSpan
     reps: np.ndarray
-    loop_labels: tuple
-    labels: dict
-    mult: np.ndarray
+    classes: tuple
+    pair_class: np.ndarray
     vertex_sts: list | None = field(default=None)
 
     @property
@@ -59,8 +64,24 @@ class SqsGraph:
         return len(self.reps)
 
     @property
-    def loop_count(self) -> int:
-        return len(self.loop_labels)
+    def loop_labels(self) -> tuple:
+        return self.classes[0]
+
+    def links(self):
+        """(i, j, class) for every vertex pair i < j, row by row."""
+        i, j = np.triu_indices(self.order, 1)
+        return zip(i.tolist(), j.tolist(), self.pair_class[i, j].tolist())
+
+    @property
+    def labels(self) -> dict:
+        """(i, j) -> labels for each pair i < j with one, row by row."""
+        return {(i, j): self.classes[k]
+                for i, j, k in self.links() if self.classes[k]}
+
+    @property
+    def mult(self) -> np.ndarray:
+        return np.array([len(c) for c in self.classes],
+                        dtype=np.int64)[self.pair_class]
 
     def to_json(self) -> dict:
         verts = []
@@ -69,14 +90,10 @@ class SqsGraph:
             if self.vertex_sts is not None:
                 v["stsTuple"] = self.vertex_sts[i]
             verts.append(v)
-        edges = [{"a": i, "b": i,
-                  "quadruples": [quad_name(b) for b in self.loop_labels],
-                  "multiplicity": len(self.loop_labels)}
-                 for i in range(self.order)]
-        for (i, j), labs in sorted(self.labels.items()):
-            edges.append({"a": i, "b": j,
-                          "quadruples": [quad_name(b) for b in labs],
-                          "multiplicity": len(labs)})
+        loops = [((i, i), self.loop_labels) for i in range(self.order)]
+        edges = [{"a": i, "b": j, "quadruples": [quad_name(b) for b in labs],
+                  "multiplicity": len(labs)}
+                 for (i, j), labs in loops + list(self.labels.items())]
         return {"vertices": verts, "edges": edges}
 
     def to_dot(self) -> str:
@@ -103,15 +120,15 @@ def quotient_graph(code: Code, span: LinearSpan | None = None) -> SqsGraph:
     members array, and one gather checks that row i lies in r_i + L,
     which implies the covering property on every coset pair (see the
     module docstring); it fails when the index puts a word in the wrong
-    row.  The labels of every pair are then the weight-4 words of
-    r_i ^ r_j ^ L, read off one (pairs, |L|) array.
+    row.  Every pair is then keyed by the least word of r_i ^ r_j + L,
+    and the labels of each class are the weight-4 words of key ^ L,
+    read off one (classes, |L|) array.
     """
     dec = kernel_cosets(code) if span is None else cosets(code, span)
     span = dec.subspace
     reps = dec.reps
     m = len(reps)
     sub = span.words()
-    loop = tuple(int(b) for b in np.sort(sub[popcounts16(sub) == 4]))
     by_coset = np.argsort(dec.index[code.words], kind="stable")
     members = code.words[by_coset].reshape(m, len(sub))
     inside = np.zeros(1 << 16, dtype=bool)
@@ -121,16 +138,14 @@ def quotient_graph(code: Code, span: LinearSpan | None = None) -> SqsGraph:
         raise AssertionError("covering property fails: coset %d holds a "
                              "word outside its representative's coset"
                              % int(np.argmax(bad)))
-    i, j = np.triu_indices(m, 1)
-    shift = reps[i] ^ reps[j]
-    diffs = shift[:, None] ^ sub[None, :]
+    # the diagonal's key 0 is the least, so L itself is class 0
+    keys, pair_class = np.unique(
+        coset_minima(reps[:, None] ^ reps[None, :], span.basis),
+        return_inverse=True)
+    diffs = keys[:, None] ^ sub[None, :]
     w4 = popcounts16(diffs) == 4
-    sizes = w4.sum(axis=1)
     # 0xFFFF has weight 16, so it pads each sorted row after the labels
     quads = np.sort(np.where(w4, diffs, 0xFFFF), axis=1).tolist()
-    labels = {(a, b): tuple(q[:n]) for a, b, q, n
-              in zip(i.tolist(), j.tolist(), quads, sizes.tolist()) if n}
-    mult = np.zeros((m, m), dtype=np.int64)
-    mult[i, j] = mult[j, i] = sizes
-    np.fill_diagonal(mult, len(loop))
-    return SqsGraph(code, span, reps, loop, labels, mult)
+    classes = tuple(tuple(q[:n])
+                    for q, n in zip(quads, w4.sum(axis=1).tolist()))
+    return SqsGraph(code, span, reps, classes, pair_class.reshape(m, m))

@@ -124,11 +124,12 @@ def code_to_json(words, n: int) -> dict:
 
 
 def code_from_json(d: dict, length: int) -> list[int]:
-    """The sorted codewords of a code of the given length."""
+    """The sorted codewords of a code of the given length, which the
+    declared "length" must equal as an integer, not only in value."""
     n = int(d["length"])
-    if n != length:
-        raise ValueError("expected a length-%d code, got length %d"
-                         % (length, n))
+    if n != length or type(d["length"]) is not int:
+        raise ValueError("expected a length-%d code, got length %r"
+                         % (length, d["length"]))
     words = sorted(parse_word(s) for s in d["codewords"])
     if any(w >> n for w in words):
         raise ValueError("codeword wider than declared length")

@@ -27,7 +27,7 @@ from .canon import (UNASSIGNED, OrbitClasses, generators, minimal_image7,
                     minimal_image8, orbit_classes, relabel_np)
 from .ioutil import code_from_json, code_to_json, write_json
 from .perfect import enumerate_perfect7, extend_even
-from .words import echelon_basis, xor_closure
+from .words import coset_minima, echelon_basis
 
 SPACE7 = 128
 EVEN8 = tuple(w for w in range(256) if bin(w).count("1") % 2 == 0)
@@ -154,14 +154,7 @@ class ExtClass:
 
     @cached_property
     def action(self) -> TranslationAction:
-        """The translation action, after checking that the components
-        are eight 16-word sets partitioning the 128 even words."""
-        comps = self.components
-        if (len(comps) != 8 or any(len(c) != 16 for c in comps)
-                or sorted(int(w) for c in comps for w in c) != list(EVEN8)):
-            raise ValueError("components do not partition the even words "
-                             "of length 8 into eight 16-word sets")
-        comps = np.array(comps, dtype=np.uint8)
+        comps = np.array(self.components, dtype=np.uint8)
         col = np.full(256, UNASSIGNED, dtype=np.uint8)
         col[comps] = np.arange(8, dtype=np.uint8)[:, None]
         # img[a, i] holds the components hit by C_i + a; a permutes the
@@ -169,11 +162,10 @@ class ExtClass:
         img = col[comps[None] ^ np.array(EVEN8, dtype=np.uint8)[:, None, None]]
         moves = (img == img[:, :, :1]).all(axis=(1, 2))
         counts = Counter(tuple(int(j) for j in p) for p in img[moves, :, 0])
-        basis = echelon_basis((comps ^ comps[:, :1]).ravel())
-        span = np.array(xor_closure(basis.values()), dtype=np.intp)
-        least = (np.arange(256)[:, None] ^ span[None, :]).min(axis=1)
-        return TranslationAction(dict(counts), len(basis),
-                                 tuple(int(r) for r in least[comps[:, 0]]))
+        basis = echelon_basis((comps ^ comps[:, :1]).ravel()).values()
+        return TranslationAction(
+            dict(counts), len(basis),
+            tuple(coset_minima(comps[:, 0], basis).tolist()))
 
     def to_json(self) -> dict:
         return {
@@ -188,6 +180,10 @@ class ExtClass:
     def from_json(cls, d: dict) -> "ExtClass":
         comps = tuple(tuple(code_from_json(comp, 8))
                       for comp in d["representative"])
+        if (len(comps) != 8 or any(len(c) != 16 for c in comps)
+                or sorted(w for c in comps for w in c) != list(EVEN8)):
+            raise ValueError("components do not partition the even words "
+                             "of length 8 into eight 16-word sets")
         return cls(comps, tuple(d["length7Classes"]), bool(d["linear"]), d.get("alias"))
 
 
@@ -214,7 +210,9 @@ class Atlas:
 
     @classmethod
     def from_json(cls, d: dict) -> "Atlas":
-        """Parse an atlas; ValueError unless the class ids are 0..n-1,
+        """Parse an atlas; ValueError, naming the class where there is
+        one, unless the class ids are 0..n-1, every class has eight
+        16-word components partitioning the 128 even words of length 8,
         exactly one class is flagged linear, a partition into the cosets
         of one linear code, and the length-7 census agrees with the
         classes: one positive orbit size per length-7 class they name,
@@ -223,8 +221,14 @@ class Atlas:
         entries = sorted(d["classes"], key=lambda c: c["id"])
         if [c["id"] for c in entries] != list(range(len(entries))):
             raise ValueError("class ids are not 0..%d" % (len(entries) - 1))
+        classes = []
+        for c in entries:
+            try:
+                classes.append(ExtClass.from_json(c))
+            except ValueError as e:
+                raise ValueError("class %d: %s" % (c["id"], e)) from e
         atlas = cls(
-            [ExtClass.from_json(c) for c in entries],
+            classes,
             d["partition7Count"],
             list(d["orbitSizes7"]),
             [tuple(m) for m in d["merged"]],

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .words import weight
+from .words import weight, xor_closure
 
 N7 = 7
 SPACE7 = 1 << N7
@@ -40,11 +40,9 @@ def enumerate_zero_subspace_codes() -> list:
                         r |= 1 << c
                     k += 1
                 rows.append(r)
-            span = [0]
-            for r in rows:
-                span += [w ^ r for w in span]
+            span = xor_closure(rows)
             if all(weight(w) >= 3 for w in span if w):
-                out.append(tuple(sorted(span)))
+                out.append(tuple(span))
     return sorted(out)
 
 

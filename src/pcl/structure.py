@@ -25,12 +25,8 @@ Products of pair partitions and their quarters (Phelps, SIAM J. Alg.
 Disc. Meth. 1984) are recognized by decompose_mixed alone, both on
 mixed links and on the product parts of loops and half-fold links.
 
-The labels of a link (i, j) are the weight-4 words of r_i ^ r_j + L, so
-all links of one difference class carry the same label tuple, and a
-graph has far fewer distinct tuples than links (162 for the 1,472 links
-of the dimension-5 witness).  Link verdicts are therefore computed once
-per distinct tuple and repeated per link.  The key is the whole tuple,
-since which half each label lies in decides the verdict.
+Link verdicts are judged once per difference class of the fold
+(SqsGraph.classes) and repeated for each link of the class.
 """
 
 from __future__ import annotations
@@ -205,7 +201,7 @@ def verify_loops(G: SqsGraph, rx: fano.Prescription) -> list[Verdict]:
     """
     fam = rx.loop
     want = len(fam) + 16 * rx.loop_products
-    obs = tuple(int(m) for m in G.loop_labels)
+    obs = G.loop_labels
     mixed = split_sides(obs)[2]
     prod = _one_product(mixed)
     expected = "%s, %d labels" % (rx.loop_name, want)
@@ -226,11 +222,6 @@ def verify_loops(G: SqsGraph, rx: fano.Prescription) -> list[Verdict]:
                 prod[0].name, prod[1].name)
     return [Verdict("loop@v%d" % v, level, expected, _describe(obs), detail)
             for v in range(G.order)]
-
-
-def _per_label_set(judge):
-    """judge, memoized on the whole label tuple for one graph."""
-    return functools.cache(judge)
 
 
 def _family_names() -> dict:
@@ -264,23 +255,17 @@ def verify_intra_links(G: SqsGraph, rx: fano.Prescription) -> list[Verdict]:
     names = _family_names()
     expected = "one of " + ", ".join(
         "%s(%d)" % (names[f], len(f)) for f in table)
-    judge = _per_label_set(
-        lambda labels: _judge_pure(labels, table, names, expected))
-    out = []
-    incident: dict[int, list] = {v: [] for v in range(G.order)}
-    for (i, j), labels in sorted(G.labels.items()):
-        pure, fields = judge(labels)
-        if not pure:
-            continue
-        incident[i].append(labels)
-        incident[j].append(labels)
-        out.append(Verdict("link(%d,%d)" % (i, j), *fields))
+    # class 0 is the loop, which every block holds
+    judged = [(True, None)] + [
+        _judge_pure(labels, table, names, expected) if labels
+        else (False, None) for labels in G.classes[1:]]
+    out = [Verdict("link(%d,%d)" % (i, j), *judged[k][1])
+           for i, j, k in G.links() if judged[k][0]]
 
     blk_exp = set(fano.XYZ)
-    for v in range(G.order):
-        blk = set(int(m) for m in G.loop_labels)
-        for labels in incident[v]:
-            blk |= set(int(m) for m in labels)
+    for v, row in enumerate(G.pair_class.tolist()):
+        blk = set(chain.from_iterable(
+            G.classes[k] for k in set(row) if judged[k][0]))
         out.append(Verdict("block@v%d" % v,
                            _grade(blk, blk_exp) if len(blk) == 28 else "fail",
                            "loop and pure links union to X+Y+Z, 28 labels",
@@ -328,16 +313,13 @@ def _judge_mixed(labels, rx: fano.Prescription) -> tuple:
 def verify_cross_links(G: SqsGraph, rx: fano.Prescription) -> list[Verdict]:
     """Mixed links decomposed into products or quarters, plus the
     112-label cross budget at every vertex."""
-    judge = _per_label_set(lambda labels: _judge_mixed(labels, rx))
-    out = []
-    totals = [0] * G.order
-    for (i, j), labels in sorted(G.labels.items()):
-        mixed, fields = judge(labels)
-        if not mixed:
-            continue
-        totals[i] += mixed
-        totals[j] += mixed
-        out.append(Verdict("link(%d,%d)" % (i, j), *fields))
+    # class 0 is the loop, whose mixed labels are no link's
+    judged = [(0, None)] + [_judge_mixed(labels, rx)
+                            for labels in G.classes[1:]]
+    out = [Verdict("link(%d,%d)" % (i, j), *judged[k][1])
+           for i, j, k in G.links() if judged[k][0]]
+    mixed = np.array([n for n, _ in judged])
+    totals = mixed[G.pair_class].sum(axis=1).tolist()
 
     in_loop = 16 * rx.loop_products
     want = 112 - in_loop
@@ -358,8 +340,9 @@ def _degree_verdicts(G: SqsGraph) -> list[Verdict]:
 
 
 def _no_pure_link_verdicts(G: SqsGraph) -> list[Verdict]:
-    pure = [e for e, labels in sorted(G.labels.items())
-            if not split_sides(labels)[2]]
+    pure_class = [bool(labels) and not split_sides(labels)[2]
+                  for labels in G.classes]
+    pure = [(i, j) for i, j, k in G.links() if pure_class[k]]
     if not pure:
         return [Verdict("pure-links", "exact",
                         "no pure links outside the loop", "none")]
@@ -375,44 +358,41 @@ def _index2_verdicts(code: Code, kw: np.ndarray, GK: SqsGraph,
     L = LinearSpan.from_words(half_pure_subgroup(kw))
     GL = quotient_graph(code, span=L)
     out = []
-    loop = tuple(int(m) for m in GL.loop_labels)
+    loop = GL.loop_labels
     lv = _grade(loop, half.loop) if len(loop) == len(half.loop) else "fail"
     out.append(Verdict("half-fold loop", lv, "%s, %d labels"
                        % (half.loop_name, len(half.loop)), _describe(loop)))
 
-    kloop = set(int(m) for m in GK.loop_labels)
-    met: dict[int, list] = {}
-    for (i, j), labels in sorted(GL.labels.items()):
-        ls = set(int(m) for m in labels)
-        if not ls <= kloop:
+    kloop = set(GK.loop_labels)
+    expected = "one product rejoining the full-kernel loop"
+    judged = [None]  # class 0 is the half-fold loop, no link
+    for labels in GL.classes[1:]:
+        ls = set(labels)
+        if not labels or not ls <= kloop:
+            judged.append(None)
             continue
-        met.setdefault(i, []).append(j)
-        met.setdefault(j, []).append(i)
-        subject = "half-fold link(%d,%d)" % (i, j)
-        prod = _one_product(sorted(ls))
+        prod = _one_product(labels)
         folds = (ls | set(loop)) == kloop
-        if prod is not None and folds:
-            out.append(Verdict(subject, "exact",
-                               "one product rejoining the full-kernel loop",
-                               "product %sx%s" % (prod[0].name, prod[1].name)))
-        else:
-            out.append(Verdict(subject, "fail",
-                               "one product rejoining the full-kernel loop",
-                               "%d labels, product=%s, rejoins=%s"
-                               % (len(ls), prod is not None, folds)))
-    degrees = sorted(len(v) for v in met.values())
-    matched = len(met) == GL.order and degrees == [1] * GL.order
+        judged.append(
+            ("exact", expected,
+             "product %sx%s" % (prod[0].name, prod[1].name))
+            if prod is not None and folds else
+            ("fail", expected, "%d labels, product=%s, rejoins=%s"
+             % (len(ls), prod is not None, folds)))
+    out += [Verdict("half-fold link(%d,%d)" % (i, j), *judged[k])
+            for i, j, k in GL.links() if judged[k] is not None]
+    deg = np.array([f is not None for f in judged])[GL.pair_class].sum(axis=1)
+    met = deg[deg > 0].tolist()
     out.append(Verdict("half-fold matching",
-                       "exact" if matched else "fail",
+                       "exact" if (deg == 1).all() else "fail",
                        "every vertex on exactly one kernel-label link",
                        "degrees %s over %d vertices"
-                       % (sorted(set(degrees)) or [0], len(met))))
+                       % (sorted(set(met)) or [0], len(met))))
     return out
 
 
 def _assert_even_left_support(G: SqsGraph) -> None:
-    labels = np.fromiter(chain(G.loop_labels, *G.labels.values()),
-                         dtype=np.uint16)
+    labels = np.fromiter(chain(*G.classes), dtype=np.uint16)
     odd = popcounts16(labels & 0xFF) % 2 == 1
     if odd.any():
         raise AssertionError("label %04x has odd left support"

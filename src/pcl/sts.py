@@ -6,9 +6,11 @@ triple system STS(15) out of the 35 supports.  Equivalently, the STS at
 coordinate i is the derived system at i of the SQS(16) that the
 weight-4 differences form at the codeword.  Types are recognized by
 the sorted per-point Pasch counts, which fix the total Pasch count, a
-sixth of their sum; the table covers the 11 type signatures arising
-from doubled codes, with letter aliases c, d, g for the two-digit ids;
-a signature outside the table types as None, rendered "?".
+sixth of their sum.  The table's 11 rows, with letter aliases c, d, g
+for the two-digit ids, cover the signatures of the codes that the
+representative scan keeps, not those of all doubled codes, among which
+23 per-point signatures occur at kernel dimensions 5..9; a signature
+outside the table types as None, rendered "?".
 
 The production counter works on fourth-point tables.  An extended
 1-perfect code puts every odd word at distance 1 from exactly one

@@ -109,6 +109,20 @@ def echelon_basis(words) -> dict:
     return basis
 
 
+def coset_minima(words, basis) -> np.ndarray:
+    """The least word of each coset w + S, S spanned by basis.
+
+    Every nonzero word of S has its highest bit at the leading bit of an
+    echelon basis word, so clearing those from the top down leaves the
+    least word of w + S.  basis may be dependent.
+    """
+    ech = echelon_basis(basis)
+    low = np.array(words)
+    for lead in sorted(ech, reverse=True):
+        low[(low >> lead) & 1 == 1] ^= ech[lead]
+    return low
+
+
 def rank_gf2(words) -> int:
     """Rank of a set of words viewed as GF(2) vectors."""
     return len(echelon_basis(words))

@@ -4,8 +4,10 @@ ball and is_perfect state the tiling property of 1-perfect codes of
 length 7 directly; is_extended_perfect8 checks a parity-extended
 component by its distances; tiles15 and is_extended_perfect16 check a
 length-16 code by the tiling of its punctures, the oracle of
-Code.neighbours; enumerate_pair_partitions and product build
-the pair-partition products that structure.decompose_mixed recognizes.
+Code.neighbours; enumerate_pair_partitions, pair_masks and product
+build the pair-partition products that structure.decompose_mixed
+recognizes; in_span and coset_of test membership in a span and in the
+cosets of a decomposition.
 """
 
 from itertools import combinations
@@ -14,7 +16,7 @@ import numpy as np
 
 from pcl.fano import PairPartition
 from pcl.perfect import puncture
-from pcl.words import points_of, popcounts16, weight
+from pcl.words import echelon_basis, mask_of, points_of, popcounts16, weight
 
 
 def ball(w: int, n: int = 7) -> int:
@@ -62,9 +64,14 @@ def enumerate_pair_partitions() -> list[PairPartition]:
     return out
 
 
+def pair_masks(p: PairPartition) -> tuple:
+    """The four pairs of p as 8-bit masks, in p's pair order."""
+    return tuple(mask_of(ab) for ab in p.pairs)
+
+
 def product(a: PairPartition, b: PairPartition) -> tuple:
     """The 16 quadruples (left pair of a) + (right pair of b shifted by 8)."""
-    quads = [am | (bm << 8) for am in a.masks() for bm in b.masks()]
+    quads = [am | (bm << 8) for am in pair_masks(a) for bm in pair_masks(b)]
     return tuple(sorted(quads, key=points_of))
 
 
@@ -89,3 +96,16 @@ def is_extended_perfect16(words, thorough: bool = True) -> bool:
         return False
     coords = range(16) if thorough else (0,)
     return all(tiles15(puncture(ws, i)) for i in coords)
+
+
+def in_span(span, w: int) -> bool:
+    """Is w in the span of a LinearSpan's basis?"""
+    return len(echelon_basis(span.basis + (int(w),))) == len(span.basis)
+
+
+def coset_of(dec, w: int) -> int:
+    """The coset of a decomposition that holds codeword w."""
+    i = int(dec.index[w])
+    if i < 0:
+        raise KeyError("word %04x is not in the code" % w)
+    return i

@@ -1,7 +1,8 @@
 """Readers of folded graphs that only tests use.
 
-graph_from_json parses what SqsGraph.to_json writes; edge_labels and
-row_sums read one edge or the degrees off a graph; vertex_sum_check is
+graph_from_json parses what SqsGraph.to_json writes; edge_labels,
+loop_count and row_sums read one edge, the loop size or the degrees
+off a graph; vertex_sum_check is
 the degree identity of every fold: 140 blocks meet each codeword.
 """
 
@@ -38,6 +39,10 @@ def edge_labels(g, i: int, j: int) -> tuple:
     if i == j:
         return g.loop_labels
     return g.labels.get((min(i, j), max(i, j)), ())
+
+
+def loop_count(g) -> int:
+    return len(g.loop_labels)
 
 
 def row_sums(g) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Command line interface, file formats and the pipeline."""
 
+import gzip
 import json
 import os
+import pathlib
 import random
 import re
 
@@ -23,6 +25,9 @@ from pcl.scan import make_code
 from pcl.words import parse_sigma, rank_gf2
 
 from graph_helpers import graph_from_json
+
+PINNED_ATLAS = (pathlib.Path(__file__).resolve().parents[1]
+                / "perfbench" / "reference" / "atlas.json.gz")
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +219,28 @@ def test_double_rejects_a_malformed_atlas_component(runner, tmp_path, atlas,
                                "--sigma", "01234567", "--atlas", str(bad),
                                "--out", str(tmp_path / "x.json")])
     _clean_error(res, "cannot read atlas")
+
+
+@pytest.mark.parametrize("change", [
+    lambda comp: comp["codewords"].pop(),
+    lambda comp: comp.update(length=8.7),
+], ids=["component-of-15-words", "fractional-length"])
+@pytest.mark.parametrize("args", [
+    lambda path, out: ["double", "--source", "0", "--target", "0", "--sigma",
+                       "01234567", "--atlas", path, "--out", out],
+    lambda path, out: ["partitions", "classify", path],
+], ids=["double", "classify"])
+def test_a_malformed_class_is_rejected_at_load(runner, tmp_path, change,
+                                               args):
+    with gzip.open(PINNED_ATLAS, "rt") as fh:
+        d = json.load(fh)
+    change(next(c for c in d["classes"] if c["id"] == 3)
+           ["representative"][0])
+    bad = tmp_path / "bad_class.json"
+    bad.write_text(json.dumps(d))
+    res = runner.invoke(main, args(str(bad), str(tmp_path / "x.json")))
+    _clean_error(res, "class 3: ")
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_double_usage_errors(runner, atlas_file):

@@ -15,7 +15,7 @@ from pcl.fano import (PRESCRIPTIONS, X, Y, Z, PairPartition, fano_families,
 from pcl.structure import decompose_mixed
 from pcl.words import points_of
 
-from code_helpers import enumerate_pair_partitions, product
+from code_helpers import enumerate_pair_partitions, pair_masks, product
 
 FAMILY_SIZES = {
     "X": 7, "Y": 7, "Z": 14, "X'": 21, "Z'": 17, "Z_0": 15,
@@ -120,7 +120,7 @@ def test_pair_partition_construction():
     assert p.pairs == ((0, 1), (2, 3), (4, 5), (6, 7))
     assert p.name == "1_3^5"
     assert str(p) == "1_3^5"
-    assert p.masks() == (0b11, 0b1100, 0b110000, 0b11000000)
+    assert pair_masks(p) == (0b11, 0b1100, 0b110000, 0b11000000)
     with pytest.raises(ValueError):
         pair_partition(7, 2, 3)
     with pytest.raises(ValueError):
@@ -164,7 +164,7 @@ def test_loq_split_quarters(a, b):
     quarters: dict = {}
     for q in product(a, b):
         quarters.setdefault(q & 0xFF, []).append(q)
-    assert sorted(quarters) == sorted(a.masks())
+    assert sorted(quarters) == sorted(pair_masks(a))
     for lp, quarter in quarters.items():
         assert len(quarter) == 4
         assert decompose_mixed(quarter) == ("quarters", [(lp, b)])

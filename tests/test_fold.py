@@ -4,8 +4,8 @@ check_sqs below is the triple-by-triple oracle of the block route's SQS
 check, the coverage count of third_point_table, whose tables equal the
 ones the package reads off Code.neighbours (test_sts);
 quotient_graph_pairwise is the per-pair oracle of quotient_graph's one
-pass over all coset pairs, and pairs_cover the all-pairs covering table
-that quotient_graph's membership check implies.
+pass over the difference classes, and pairs_cover the all-pairs
+covering table that quotient_graph's membership check implies.
 """
 
 from dataclasses import dataclass
@@ -17,11 +17,11 @@ import pytest
 from pcl.algebra import (LinearSpan, cosets, half_pure_subgroup,
                          kernel_cosets, kernel_words)
 from pcl.doubling import Code
-from pcl.fold import SqsGraph, quotient_graph
+from pcl.fold import quotient_graph
 from pcl.words import popcounts16, quad_name
 
-from graph_helpers import (edge_labels, graph_from_json, row_sums,
-                           vertex_sum_check)
+from graph_helpers import (edge_labels, graph_from_json, loop_count,
+                           row_sums, vertex_sum_check)
 from sts_oracles import third_point_table
 
 # kappa -> (vertex count, loop multiplicity) of the whole-kernel fold
@@ -121,9 +121,10 @@ def pairs_cover(code: Code, span=None) -> bool:
     return bool(inside[table].all())
 
 
-def quotient_graph_pairwise(code: Code, span=None) -> SqsGraph:
-    """The fold built one coset pair at a time.
+def quotient_graph_pairwise(code: Code, span=None) -> tuple:
+    """The fold built one coset pair at a time: (reps, loop, labels, mult).
 
+    labels maps each pair i < j with a label to its sorted label tuple.
     Each pair's difference table is checked for the covering property by
     sorting it along both axes: every row and every column must hold the
     same weight-4 words.
@@ -154,7 +155,7 @@ def quotient_graph_pairwise(code: Code, span=None) -> SqsGraph:
                     "covering property fails between cosets %d and %d" % (i, j))
             labels[(i, j)] = labs
             mult[i, j] = mult[j, i] = len(labs)
-    return SqsGraph(code, span, reps, loop, labels, mult)
+    return reps, loop, labels, mult
 
 
 def test_sqs_of_witness(witnesses):
@@ -206,17 +207,26 @@ def test_quotient_graph_shapes(witnesses):
     for kappa, (order, loop) in FOLD_SHAPE.items():
         g = quotient_graph(witnesses[kappa])
         assert g.order == order
-        assert g.loop_count == loop
+        assert loop_count(g) == loop
         assert (row_sums(g) == 140).all()
         assert vertex_sum_check(g)
         assert np.array_equal(g.mult, g.mult.T)
         assert (np.diag(g.mult) == loop).all()
 
 
-def _same_fold(g, h) -> bool:
-    return (np.array_equal(g.reps, h.reps) and g.loop_labels == h.loop_labels
-            and list(g.labels.items()) == list(h.labels.items())
-            and np.array_equal(g.mult, h.mult))
+def _same_fold(g, oracle) -> bool:
+    """g has the oracle's vertices, loop, labels on every pair (none on a
+    pair the oracle leaves out) and multiplicities."""
+    reps, loop, labels, mult = oracle
+    m = len(reps)
+    pairs = {(i, j): g.classes[g.pair_class[i, j]]
+             for i in range(m) for j in range(i + 1, m)}
+    return (np.array_equal(g.reps, reps) and g.loop_labels == loop
+            and (np.diag(g.pair_class) == 0).all()
+            and np.array_equal(g.pair_class, g.pair_class.T)
+            and pairs == {e: labels.get(e, ()) for e in pairs}
+            and list(g.labels.items()) == list(labels.items())
+            and np.array_equal(g.mult, mult))
 
 
 def test_quotient_graph_matches_pairwise(witnesses):
@@ -284,7 +294,7 @@ def test_to_dot_and_csv(witnesses):
     assert dot.startswith("graph fold {")
     assert dot.rstrip().endswith("}")
     assert 'v0 [label="0"];' in dot
-    assert ("v0 -- v0 [label=\"%d\"];" % g.loop_count) in dot
+    assert ("v0 -- v0 [label=\"%d\"];" % loop_count(g)) in dot
     csv = g.to_csv()
     rows = csv.strip().split("\n")
     assert len(rows) == g.order

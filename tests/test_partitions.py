@@ -284,12 +284,22 @@ def test_atlas_json_roundtrip(atlas, tmp_path):
      "invalid literal"),
     (lambda d: d["classes"][3]["representative"][0].update(length=7),
      "expected a length-8 code, got length 7"),
+    (lambda d: d["classes"][3]["representative"][0].update(length=8.7),
+     "class 3: expected a length-8 code, got length 8.7"),
+    (lambda d: d["classes"][3]["representative"][0].update(length=8.0),
+     "class 3: expected a length-8 code, got length 8.0"),
+    (lambda d: d["classes"][3]["representative"][0]["codewords"].pop(),
+     "class 3: components do not partition"),
+    (lambda d: d["classes"][3]["representative"].pop(),
+     "class 3: components do not partition"),
 ], ids=["no-linear", "two-linear", "nonlinear-flagged", "id-gap",
         "count-not-int", "count-not-sum", "count-float", "sizes-string",
         "size-zero", "size-bool", "size-extra", "size-missing",
         "class-named-twice", "merged-empty", "merged-twice",
         "merged-reordered", "codeword-too-wide", "length-not-a-number",
-        "component-length-7"])
+        "component-length-7", "component-length-fractional",
+        "component-length-float", "component-of-15-words",
+        "seven-components"])
 def test_atlas_from_json_checks_ids_and_linear_flag(atlas, change, message):
     d = json.loads(json.dumps(atlas.to_json()))
     change(d)

@@ -1,4 +1,4 @@
-"""Every public top-level function or class in src/pcl has a user there.
+"""Every top-level function or class in src/pcl has a user there.
 
 A name is used when some module imports it with `from .mod import name`,
 reads it as `mod.name` after `from . import mod`, or its own module
@@ -48,7 +48,8 @@ def _is_click_command(node) -> bool:
     return False
 
 
-def _unused_public_names() -> list:
+def _unused_names(private: bool) -> list:
+    """Unused top-level names, the private (_-prefixed) or the public ones."""
     modules = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     used = _used(modules)
     traced = {n.value for n in ast.walk(ast.parse(TRACER.read_text()))
@@ -56,14 +57,18 @@ def _unused_public_names() -> list:
     return ["%s.%s" % (mod, node.name)
             for mod, tree in modules.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
+            and node.name.startswith("_") == private
             and (mod, node.name) not in used
             and not _is_click_command(node)
             and node.name not in traced]
 
 
 def test_every_public_name_has_a_user_in_src():
-    assert _unused_public_names() == []
+    assert _unused_names(private=False) == []
+
+
+def test_every_private_name_has_a_user_in_src():
+    assert _unused_names(private=True) == []
 
 
 def test_the_scan_sees_imports_attributes_and_local_use():

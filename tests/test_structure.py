@@ -13,7 +13,7 @@ from pcl.structure import (LEVELS, StructureReport, Verdict,
                            decompose_mixed, full_report, worst)
 from pcl.words import mask_of, points_of
 
-from code_helpers import product
+from code_helpers import pair_masks, product
 
 # kappa -> (passed, (exact, relabeled, spectrum, fail)) for the witnesses
 WITNESS_REPORTS = {
@@ -74,9 +74,11 @@ def test_grade_levels(fam):
 def test_odd_left_support_names_the_first_label(witnesses):
     g = quotient_graph(witnesses[9])
     _assert_even_left_support(g)
-    (i, j), labels = next(iter(g.labels.items()))
-    g.labels[(i, j)] = (labels[0] ^ 0x0101,) + labels[1:]
-    g.labels[(i + 1, j + 1)] = (0x0107,)
+    classes = list(g.classes)
+    labels = classes[1]
+    classes[1] = (labels[0] ^ 0x0101,) + labels[1:]
+    classes[2] = (0x0107,)
+    g.classes = tuple(classes)
     with pytest.raises(AssertionError, match="label %04x has odd left"
                        % (labels[0] ^ 0x0101)):
         _assert_even_left_support(g)
@@ -117,19 +119,29 @@ def test_witness_reports(witnesses):
         assert ("kappa=%d %s" % (kappa, want)) in rep.summary()
 
 
+def _all_mixed(labels) -> bool:
+    return bool(labels) and all(m & 0xFF and m >> 8 for m in labels)
+
+
 def test_mixed_label_sets_are_judged_once(witnesses, monkeypatch):
     code = witnesses[5]
-    mixed = [labels for labels in quotient_graph(code).labels.values()
-             if all(m & 0xFF and m >> 8 for m in labels)]
+    g = quotient_graph(code)
+    mixed = [labels for labels in g.classes[1:] if _all_mixed(labels)]
+    links = [e for e, labels in g.labels.items() if _all_mixed(labels)]
     calls = []
     monkeypatch.setattr(structure, "decompose_mixed",
                         lambda M: calls.append(M) or decompose_mixed(M))
-    memoized = full_report(code).verdicts
-    assert len(calls) == len(set(calls)) == len(set(mixed))
-    monkeypatch.setattr(structure, "_per_label_set", lambda judge: judge)
-    calls.clear()
-    assert full_report(code).verdicts == memoized
-    assert len(calls) == len(mixed) > len(set(mixed))
+    full_report(code)
+    assert len(calls) == len(set(calls)) == len(mixed) < len(links)
+    assert set(calls) == set(mixed)
+    # the verdicts of one class equal those judged link by link
+    rx = fano.PRESCRIPTIONS[5]
+    per_link = [(e, structure._judge_mixed(labels, rx))
+                for e, labels in g.labels.items()]
+    assert [v for v in structure.verify_cross_links(g, rx)
+            if v.subject.startswith("link")] == [
+        Verdict("link(%d,%d)" % e, *fields)
+        for e, (n, fields) in per_link if n]
 
 
 def test_report_json(witnesses):
@@ -185,17 +197,17 @@ def test_decompose_mixed_quarters():
     a = pair_partition(1, 3, 5)
     b = pair_partition(4, 5, 7)
     quads = product(a, b)
-    quarter = tuple(q for q in quads if q & 0xFF == a.masks()[0])
+    quarter = tuple(q for q in quads if q & 0xFF == pair_masks(a)[0])
     kind, quarters = decompose_mixed(quarter)
     assert kind == "quarters"
-    assert quarters == [(a.masks()[0], b)]
+    assert quarters == [(pair_masks(a)[0], b)]
 
 
 def test_decompose_mixed_quarters_swapped():
     a = pair_partition(1, 3, 5)
     b = pair_partition(4, 5, 7)
     quads = product(a, b)
-    rp = b.masks()[0]
+    rp = pair_masks(b)[0]
     swapped = tuple(q for q in quads if q >> 8 == rp)
     kind, quarters = decompose_mixed(swapped)
     assert kind == "quarters-swapped"

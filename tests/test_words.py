@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from pcl.words import (mask_of, parse_quad, parse_sigma, parse_word,
-                       perm_word_map, points_of, popcounts16, quad_name,
-                       rank_gf2, sigma_str, weight, word_hex, xor_closure)
+from pcl.words import (coset_minima, mask_of, parse_quad, parse_sigma,
+                       parse_word, perm_word_map, points_of, popcounts16,
+                       quad_name, rank_gf2, sigma_str, weight, word_hex,
+                       xor_closure)
 
 words16 = st.integers(min_value=0, max_value=0xFFFF)
 
@@ -114,3 +115,19 @@ def test_rank_gf2():
     assert rank_gf2([0]) == 0
     assert rank_gf2([1, 2, 3]) == 2
     assert rank_gf2([1, 2, 4, 8]) == 4
+
+
+@pytest.mark.parametrize("bits, dtype", [(8, np.uint8), (16, np.uint16)])
+def test_coset_minima_match_the_brute_minimum(bits, dtype):
+    rng = np.random.default_rng(bits)
+    for dim in range(bits // 2 + 1):
+        gens = [int(g) for g in rng.integers(0, 1 << bits, size=dim)]
+        # the last generator is the sum of two others, so the set is
+        # dependent
+        gens.append(gens[0] ^ gens[1] if dim >= 2 else 0)
+        span = xor_closure(gens)
+        words = rng.integers(0, 1 << bits, size=(3, 40)).astype(dtype)
+        low = coset_minima(words, gens)
+        assert low.dtype == dtype and low.shape == words.shape
+        assert low.tolist() == [[min(int(w) ^ s for s in span) for w in row]
+                                for row in words]
