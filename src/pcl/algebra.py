@@ -6,8 +6,9 @@ built here always contains ffff.  Weight-4 kernel words split by
 support: left means support inside coordinates 0-7, right means inside
 8-15, mixed means both halves are touched.
 
-A doubled code's rank and kernel dimension are read off its two
-partitions by doubled_invariants, without building the code.
+doubled_invariants reads a doubled code's kernel dimension off the
+intersection of its classes' translation groups, and its rank off the
+residues summed over one class's null relations, without building it.
 kernel_words computes the kernel from the 2048 codewords, and rank_of
 the rank from its cosets; they serve codes loaded from files and are
 the test oracle of the formula.
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .doubling import SPACE16, Code
-from .words import (coset_minima, echelon_basis, popcounts16, rank_gf2,
-                    xor_closure)
+from .words import (IDENTITY8, coset_minima, echelon_basis, popcounts16,
+                    rank_gf2, xor_closure)
 
 
 def kernel_words(code: Code) -> np.ndarray:
@@ -57,7 +58,7 @@ def kernel_words(code: Code) -> np.ndarray:
 
 
 def _log2_kernel_size(n: int) -> int:
-    if n & (n - 1):
+    if n < 1 or n & (n - 1):
         raise ValueError("kernel size %d is not a power of two" % n)
     return n.bit_length() - 1
 
@@ -83,28 +84,35 @@ def doubled_invariants(atlas, left: int, right: int, sigma) -> tuple[int, int]:
     never built here (Phelps, SIAM J. Alg. Disc. Meth. 1984).
 
     Kernel: (a, b) fixes the code exactly when a permutes L's components
-    by translation (pa), b permutes R's (pb), and pb = sigma pa sigma^-1,
-    so the kernel size is the sum over pa of mult_L(pa) mult_R(pb).
+    by translation (pa in A_L), b permutes R's (pb in A_R), and pb =
+    sigma pa sigma^-1.  Each element of A_L is realized by f_L
+    translations, so the kernel size is f_L f_R |A_L & sigma^-1 A_R sigma|,
+    counted by conjugating the smaller group's elements into the larger.
 
     Rank: the codeword differences are spanned by the within-component
-    differences of L and of R, each in its own half, and by the seven
-    block words (x_i + x_0) | (y_sigma(i) + y_sigma(0)) << 8.  Reducing
-    each half of a block word modulo its half's span leaves the rank of
-    the block words over the quotient.
+    differences of L and of R, each in its own half, and by the block
+    words u_i | v_i << 8, u_i = x_i + x_0, v_i = y_sigma(i) + y_sigma(0).
+    Projecting them onto the left half gives rank{u_i} plus the rank of
+    the v summed over each null relation of L.
     """
     la, ra = atlas.classes[left].action, atlas.classes[right].action
-    inv = [0] * 8
-    for i, s in enumerate(sigma):
-        inv[s] = i
-    size = 0
-    for pa, mult in la.perm_counts.items():
-        pb = tuple(sigma[pa[inv[j]]] for j in range(8))
-        size += mult * ra.perm_counts.get(pb, 0)
-    x, y = la.residues, ra.residues
-    blocks = [(x[i] ^ x[0]) | ((y[sigma[i]] ^ y[sigma[0]]) << 8)
-              for i in range(1, 8)]
-    return (la.delta_dim + ra.delta_dim + rank_gf2(blocks),
-            _log2_kernel_size(size))
+    sig = bytes(sigma)
+    fwd, back = bytes.maketrans(IDENTITY8, sig), bytes.maketrans(sig, IDENTITY8)
+    if len(la.perms) <= len(ra.perms):  # sigma pa sigma^-1 into A_R
+        moves, big, s, t = la.moves, ra.perms, back[:8], fwd
+    else:  # sigma^-1 pb sigma into A_L
+        moves, big, s, t = ra.moves, la.perms, sig, back
+    meet = 1 + sum([s.translate(p).translate(t) in big for p in moves])
+    z, sums = ra.residues, []
+    for rel in la.nulls if la.rank and ra.rank else ():
+        v = 0
+        for i in rel:
+            v ^= z[sigma[i]]
+        sums.append(v)
+    # with one side's residues all equal the blocks span the other side's
+    blocks = la.rank + rank_gf2(sums) if la.rank else ra.rank
+    return (la.delta_dim + ra.delta_dim + blocks,
+            _log2_kernel_size(la.fixers * ra.fixers * meet))
 
 
 def weight4_words(kw: np.ndarray) -> np.ndarray:

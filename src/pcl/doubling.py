@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .words import popcounts16, sigma_str
+from .words import parse_sigma, popcounts16, sigma_str
 
 if TYPE_CHECKING:
     from .algebra import CosetDecomposition
@@ -94,6 +94,8 @@ class Code:
 
 def double(left_components, right_components, sigma,
            left_id: int | None = None, right_id: int | None = None) -> Code:
+    """The doubled code; ValueError unless sigma is a permutation of 0..7."""
+    sigma = parse_sigma(sigma)
     words = []
     for i, comp in enumerate(left_components):
         d = right_components[sigma[i]]
@@ -101,4 +103,4 @@ def double(left_components, right_components, sigma,
         hi = np.array(d, dtype=np.uint16) << 8
         words.append((lo[:, None] | hi[None, :]).ravel())
     allw = np.sort(np.concatenate(words))
-    return Code(allw, left_id, right_id, tuple(sigma))
+    return Code(allw, left_id, right_id, sigma)

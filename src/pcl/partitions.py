@@ -27,7 +27,7 @@ from .canon import (UNASSIGNED, OrbitClasses, generators, minimal_image7,
                     minimal_image8, orbit_classes, relabel_np)
 from .ioutil import code_from_json, code_to_json, write_json
 from .perfect import enumerate_perfect7, extend_even
-from .words import coset_minima, echelon_basis
+from .words import IDENTITY8, coset_minima, echelon_basis
 
 SPACE7 = 128
 EVEN8 = tuple(w for w in range(256) if bin(w).count("1") % 2 == 0)
@@ -125,17 +125,25 @@ def is_linear_partition(p8: Partition8) -> bool:
 class TranslationAction(NamedTuple):
     """What doubling needs of a partition (C_0..C_7) of the even words.
 
-    perm_counts maps each permutation p with C_i + a = C_p[i] for every i
-    to the number of even translations a that realize it.  delta_dim is
-    the dimension of the span of the within-component differences, and
-    residues[i] is C_i reduced modulo that span: the least word of the
-    coset of the span that C_i lies in.  Taking the least coset word is
-    a linear map, so residues add like the words they reduce.
+    perms is the group A of permutations p, as bytes, with C_i + a =
+    C_p[i] for every i and some even translation a; moves holds the
+    non-identity ones as bytes.translate tables.  Each p is realized by
+    the same number, fixers, of translations: a coset of those fixing
+    every C_i.  delta_dim is the dimension of the span of the
+    within-component differences, and residues[i] is C_i reduced modulo
+    that span, the least word of its coset; that is a linear map, so
+    residues add like the words they reduce.  rank is the rank of the
+    x_i + x_0, and nulls a basis of their relations: 7 - rank index sets
+    of even size (0 added to an odd one) whose residues sum to 0.
     """
 
-    perm_counts: dict
+    perms: frozenset
+    moves: tuple
+    fixers: int
     delta_dim: int
     residues: tuple
+    rank: int
+    nulls: tuple
 
 
 @dataclass
@@ -160,12 +168,20 @@ class ExtClass:
         # img[a, i] holds the components hit by C_i + a; a permutes the
         # components when each row is constant
         img = col[comps[None] ^ np.array(EVEN8, dtype=np.uint8)[:, None, None]]
-        moves = (img == img[:, :, :1]).all(axis=(1, 2))
-        counts = Counter(tuple(int(j) for j in p) for p in img[moves, :, 0])
+        permuting = (img == img[:, :, :1]).all(axis=(1, 2))
+        counts = Counter(p.tobytes() for p in img[permuting, :, 0])
+        if len(set(counts.values())) != 1:
+            raise AssertionError("unequal fibres of the translation action")
         basis = echelon_basis((comps ^ comps[:, :1]).ravel()).values()
+        x = coset_minima(comps[:, 0], basis).tolist()
+        # low bit i tags x_i + x_0, so a word reduced below bit 8 is a relation
+        ech = echelon_basis((x[i] ^ x[0]) << 8 | 1 << i for i in range(1, 8))
+        nulls = tuple(tuple(i for i in range(8) if (t | t.bit_count() & 1) >> i & 1)
+                      for lead, t in ech.items() if lead < 8)
         return TranslationAction(
-            dict(counts), len(basis),
-            tuple(coset_minima(comps[:, 0], basis).tolist()))
+            frozenset(counts), tuple(bytes.maketrans(IDENTITY8, p)
+                                     for p in counts if p != IDENTITY8),
+            counts[IDENTITY8], len(basis), tuple(x), 7 - len(nulls), nulls)
 
     def to_json(self) -> dict:
         return {

@@ -2,21 +2,20 @@
 
 Doubling two fixed partition classes under different permutations
 yields codes whose rank and kernel dimension depend on the permutation.
-The scan walks permutations deterministically (an explicit list, a
-seeded sample without replacement, or all 40320 in lexicographic
-order), tabulates the invariants, and can keep the first code found per
-kernel dimension.
-
-The invariants come from algebra.doubled_invariants, which reads them
-off the two partitions; a code is built only when it is kept.
-algebra.kernel_words and the rank of the differences of the built
-code's words are the oracle the tests compare the rows with.
+The scan walks permutations deterministically (an explicit list, whose
+entries are checked to be permutations, a seeded sample without
+replacement, or all 40320 in lexicographic order), tabulates the
+invariants as ScanRow named tuples, and can keep the first code found
+per kernel dimension.  The invariants come from
+algebra.doubled_invariants, which reads them off the two partitions; a
+code is built only when it is kept.  algebra.kernel_words and the rank
+of the built code's word differences are the oracle of the rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .algebra import doubled_invariants
 from .doubling import Code, double
 from .partitions import Atlas
 from .sts import fully_tabulated
-from .words import sigma_str
+from .words import parse_sigma, sigma_str
 
 FACT8 = 40320
 
@@ -44,9 +43,8 @@ KAPPA_WITNESSES: dict[int, tuple[int, int, str]] = {
 PRIORITY_PAIRS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (0, 3), (1, 3))
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    """Invariants of one doubled code."""
+class ScanRow(NamedTuple):
+    """Invariants of one doubled code; a tuple, so its fields are fixed."""
 
     left: int
     right: int
@@ -61,10 +59,10 @@ class ScanRow:
 
 
 def iter_sigmas(sample: int | None = None, seed: int = 0, explicit=None):
-    """Permutations of [0,7] under the configured enumeration mode."""
+    """Permutations of [0,7] by enumeration mode; ValueError for a bad explicit one."""
     if explicit is not None:
         for s in explicit:
-            yield tuple(s)
+            yield parse_sigma(s)
         return
     if sample is None or sample >= FACT8:
         yield from permutations(range(8))

@@ -17,6 +17,7 @@ POP16 = (POP8[_IDX16 & 0xFF] + POP8[_IDX16 >> 8]).astype(np.uint8)
 del _IDX16
 
 HEX_DIGITS = "0123456789abcdef"
+IDENTITY8 = bytes(range(8))  # permutations of 0..7 as bytes, p[i] = image of i
 
 
 def weight(x: int) -> int:
@@ -57,16 +58,16 @@ def parse_word(s: str) -> int:
     return int(s, 16)
 
 
-def parse_sigma(s: str) -> tuple:
-    """An 8-digit permutation string like '51304276'."""
-    sigma = tuple(int(ch) for ch in s)
-    if sorted(sigma) != list(range(8)):
-        raise ValueError("not a permutation of 0..7: %r" % s)
+def parse_sigma(s) -> tuple:
+    """A permutation of 0..7 from a string like '51304276' or from ints."""
+    sigma = tuple(map(int, s) if isinstance(s, str) else s)
+    if sorted(sigma) != list(IDENTITY8):
+        raise ValueError("not a permutation of 0..7: %r" % (s,))
     return sigma
 
 
 def sigma_str(sigma) -> str:
-    return "".join(str(i) for i in sigma)
+    return ("%d" * len(sigma)) % tuple(sigma)
 
 
 def perm_word_map(perm, n: int) -> np.ndarray:

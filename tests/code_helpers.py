@@ -7,16 +7,20 @@ length-16 code by the tiling of its punctures, the oracle of
 Code.neighbours; enumerate_pair_partitions, pair_masks and product
 build the pair-partition products that structure.decompose_mixed
 recognizes; in_span and coset_of test membership in a span and in the
-cosets of a decomposition.
+cosets of a decomposition; perm_count_invariants is the oracle of
+algebra.doubled_invariants.
 """
 
+from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from pcl.fano import PairPartition
 from pcl.perfect import puncture
-from pcl.words import echelon_basis, mask_of, points_of, popcounts16, weight
+from pcl.words import (echelon_basis, mask_of, points_of, popcounts16,
+                       rank_gf2, weight)
 
 
 def ball(w: int, n: int = 7) -> int:
@@ -109,3 +113,42 @@ def coset_of(dec, w: int) -> int:
     if i < 0:
         raise KeyError("word %04x is not in the code" % w)
     return i
+
+
+@lru_cache(maxsize=None)
+def _partition_oracle(components) -> tuple:
+    """Translation counts, difference basis and first words of a partition.
+
+    The counts map each permutation p with C_i + a = C_p[i] for every i
+    to the number of the 256 words a that realize it.
+    """
+    col = {w: i for i, comp in enumerate(components) for w in comp}
+    counts = Counter()
+    for a in range(256):
+        images = [{col.get(w ^ a) for w in comp} for comp in components]
+        if all(len(img) == 1 and None not in img for img in images):
+            counts[tuple(img.pop() for img in images)] += 1
+    deltas = echelon_basis(w ^ comp[0] for comp in components for w in comp)
+    return counts, tuple(deltas.values()), tuple(c[0] for c in components)
+
+
+def perm_count_invariants(atlas, left: int, right: int, sigma) -> tuple:
+    """(rank, kernel dimension) of a doubled code, summed per permutation.
+
+    The kernel size is the sum over the permutations pa of the left
+    class of mult_L(pa) mult_R(sigma pa sigma^-1); the rank is that of
+    both halves' difference bases and the block words (r_i | s_sigma(i)
+    << 8) + (r_0 | s_sigma(0) << 8), r and s the components' first words.
+    """
+    lc, ld, lr = _partition_oracle(atlas.classes[left].components)
+    rc, rd, rr = _partition_oracle(atlas.classes[right].components)
+    inv = [0] * 8
+    for i, s in enumerate(sigma):
+        inv[s] = i
+    size = sum(mult * rc.get(tuple(sigma[pa[inv[j]]] for j in range(8)), 0)
+               for pa, mult in lc.items())
+    assert size > 0 and size & (size - 1) == 0, size
+    r0 = lr[0] | rr[sigma[0]] << 8
+    blocks = [(lr[i] | rr[sigma[i]] << 8) ^ r0 for i in range(1, 8)]
+    return (rank_gf2(list(ld) + [d << 8 for d in rd] + blocks),
+            size.bit_length() - 1)

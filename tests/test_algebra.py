@@ -215,8 +215,27 @@ def test_half_pure_subgroup_is_swap_stable(witnesses):
 
 
 def test_component_kernels(atlas):
-    # the translations fixing every component: the identity's count in
-    # the translation action
-    identity = tuple(range(8))
-    sizes = [atlas.classes[k].action.perm_counts[identity] for k in (0, 1, 3)]
+    # the translations fixing every component: the fixer count of the
+    # translation action
+    sizes = [atlas.classes[k].action.fixers for k in (0, 1, 3)]
     assert sizes == [16, 8, 4]
+
+
+def test_class_tables_are_pinned(atlas):
+    actions = [c.action for c in atlas.classes]
+    assert [len(a.perms) for a in actions] == [8, 4, 8, 8, 4, 16, 4, 8, 8, 1]
+    assert [len(a.nulls) for a in actions] == [4, 5, 5, 6, 6, 6, 6, 7, 7, 7]
+    for a in actions:
+        assert a.rank + len(a.nulls) == 7
+        assert all(bytes(p[q[i]] for i in range(8)) in a.perms
+                   for p in a.perms for q in a.perms)
+        assert sorted(m[:8] for m in a.moves) == sorted(
+            p for p in a.perms if p != bytes(range(8)))
+        for rel in a.nulls:
+            assert len(rel) % 2 == 0
+            v = 0
+            for i in rel:
+                v ^= a.residues[i]
+            assert v == 0
+        masks = [sum(1 << i for i in rel) for rel in a.nulls]
+        assert rank_gf2(masks) == len(a.nulls)  # a basis of the relations

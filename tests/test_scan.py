@@ -2,7 +2,9 @@
 
 The invariants the scan reads off the partitions are checked against
 kernel_words and the rank of the codeword differences, computed from the
-built codes' words.
+built codes' words, and against code_helpers.perm_count_invariants, the
+per-permutation count formula over translations found from the
+components.
 """
 
 import json
@@ -18,6 +20,8 @@ from pcl.scan import (KAPPA_WITNESSES, PRIORITY_PAIRS, ScanRow, iter_sigmas,
                       find_representatives, make_code, scan_pair)
 from pcl.sts import code_type_grid, fully_tabulated
 from pcl.words import parse_sigma, rank_gf2, sigma_str
+
+from code_helpers import perm_count_invariants
 
 # find_representatives(per_pair=400, seed=0) as it chose when it built
 # and measured every scanned code.
@@ -152,6 +156,37 @@ def test_doubled_invariants_match_brute_on_witnesses(atlas, witnesses):
         got = doubled_invariants(atlas, left, right, parse_sigma(sig))
         assert got == brute_invariants(witnesses[kappa])
         assert got[1] == kappa
+
+
+@pytest.mark.parametrize("pair", [(5, 1), (1, 5), (9, 0)])
+def test_doubled_invariants_match_perm_counts_on_every_sigma(atlas, pair):
+    # both conjugation directions between groups of order 16 and 4, and
+    # the trivial group
+    for sig in iter_sigmas():
+        assert (doubled_invariants(atlas, *pair, sig)
+                == perm_count_invariants(atlas, *pair, sig)), sig
+
+
+def test_doubled_invariants_match_perm_counts_on_every_pair(atlas):
+    n = len(atlas.classes)
+    for left in range(n):
+        for right in range(n):
+            for sig in iter_sigmas(20, seed=1000 + n * left + right):
+                assert (doubled_invariants(atlas, left, right, sig)
+                        == perm_count_invariants(atlas, left, right, sig))
+
+
+@pytest.mark.parametrize("sigma", [(0, 0, 1, 2, 3, 4, 5, 6), tuple(range(9))])
+def test_a_sigma_that_is_no_permutation_is_rejected(atlas, sigma):
+    with pytest.raises(ValueError, match="not a permutation"):
+        scan_pair(atlas, 1, 3, sigmas=[sigma])
+    with pytest.raises(ValueError, match="not a permutation"):
+        make_code(atlas, 1, 3, sigma)
+
+
+def test_an_empty_kernel_is_rejected():
+    with pytest.raises(ValueError, match="power of two"):
+        algebra._log2_kernel_size(0)
 
 
 def test_find_representatives_keeps_its_choices(found):
