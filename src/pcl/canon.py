@@ -3,8 +3,8 @@
 A partition of 128 words into components is a row: row[k] is the
 component id of the k-th word, with ids relabeled by first occurrence
 so that equal rows mean equal unordered partitions.  Length-7 rows index
-the words of F_2^7; length-8 rows index the even words of F_2^8 in
-increasing order, the only words even translations reach.
+the words of F_2^7; length-8 rows index words.EVEN8, the even words of
+F_2^8 in increasing order, the only words even translations reach.
 
 The groups act through generators, each an index map g that moves the
 word at position k to position g[k]: for length 7, S_7 x all
@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .words import POP8, perm_word_map, points_of
+from .words import EVEN8, perm_word_map, points_of
 
 UNASSIGNED = 255
 
@@ -60,7 +60,7 @@ def generators(n: int) -> tuple:
         words = np.arange(128)
         shifts = [1 << i for i in range(7)]
     elif n == 8:
-        words = np.flatnonzero(POP8 % 2 == 0)
+        words = EVEN8
         shifts = [1 | (1 << i) for i in range(1, 8)]
     else:
         raise ValueError("no partition group for length %d" % n)
@@ -176,11 +176,12 @@ def minimal_image8(colw: np.ndarray) -> tuple:
     colw has 256 entries; odd-weight words carry UNASSIGNED and are
     dropped, since even translations preserve the even-weight half.
     """
-    return _orbit_minimum(np.asarray(colw)[POP8 % 2 == 0], generators(8))
+    return _orbit_minimum(np.asarray(colw)[EVEN8], generators(8))
 
 
 def _permutations(n: int) -> np.ndarray:
-    """All permutations of range(n), one per row, in lexicographic order.
+    """All permutations of range(n), one per row, in lexicographic order;
+    perfect labels the Hamming codes by S_7, minimal_quadset8 searches S_8.
 
     Those of range(m) are each first point f followed by those of
     range(m - 1), with every value from f up moved up by one.

@@ -25,10 +25,10 @@ from typing import NamedTuple
 import click
 
 from .algebra import doubled_invariants, kernel, rank_of
-from .fano import fano_families, partition_registry
+from .fano import PRESCRIPTIONS, fano_families, partition_registry
 from .fold import quotient_graph
 from .ioutil import (atomic_write, code_to_json, load_code, provenance,
-                     save_code, write_json)
+                     read_json, save_code, write_json)
 from .partitions import (Atlas, build_atlas, enumerate_partitions7,
                          orbit_classify7)
 from .perfect import enumerate_perfect7
@@ -36,8 +36,6 @@ from .scan import PRIORITY_PAIRS, find_representatives, make_code, scan_pair
 from .sts import code_type_grid, homogeneity, multiset_keys, render_tuple
 from .structure import StructureReport, full_report
 from .words import parse_sigma, quad_name, sigma_str, word_hex
-
-KAPPA_TARGETS = (5, 6, 7, 8, 9)
 
 # What reading a malformed JSON file can raise; the commands turn these
 # into an error message and exit status 1.
@@ -49,15 +47,11 @@ def main() -> None:
     """Doubled length-16 codes and their folded quadruple-system graphs."""
 
 
-def _fail(msg: str) -> "click.ClickException":
-    return click.ClickException(msg)
-
-
 def _load_code_checked(path: str):
     try:
         return load_code(path)
     except _BAD_INPUT as e:
-        raise _fail("cannot read code %s: %s" % (path, e))
+        raise click.ClickException("cannot read code %s: %s" % (path, e))
 
 
 def _load_atlas(path: str | None) -> Atlas:
@@ -68,23 +62,24 @@ def _load_atlas(path: str | None) -> Atlas:
     try:
         return Atlas.load(path)
     except _BAD_INPUT as e:
-        raise _fail("cannot read atlas %s: %s" % (path, e))
+        raise click.ClickException("cannot read atlas %s: %s" % (path, e))
 
 
 def _check_class(atlas: Atlas, cid: int, what: str) -> None:
     if not 0 <= cid < len(atlas.classes):
-        raise _fail("%s class %d out of range 0..%d"
-                    % (what, cid, len(atlas.classes) - 1))
+        raise click.ClickException("%s class %d out of range 0..%d"
+                                   % (what, cid, len(atlas.classes) - 1))
+
+
+def _census7_lines(count: int, sizes) -> list[str]:
+    return ["length-7 partitions: %d in %d classes" % (count, len(sizes)),
+            "orbit sizes: %s" % " ".join(str(s) for s in sizes)]
 
 
 def _census_lines(atlas: Atlas) -> list[str]:
-    lines = [
-        "length-7 partitions: %d in %d classes"
-        % (atlas.partition7_count, len(atlas.orbit_sizes7)),
-        "orbit sizes: %s" % " ".join(str(s) for s in atlas.orbit_sizes7),
-        "extended classes: %d (linear class %d)"
-        % (len(atlas.classes), atlas.linear_class),
-    ]
+    lines = _census7_lines(atlas.partition7_count, atlas.orbit_sizes7)
+    lines.append("extended classes: %d (linear class %d)"
+                 % (len(atlas.classes), atlas.linear_class))
     for m in atlas.merged:
         lines.append("merged under extension: %s"
                      % "+".join(str(x) for x in m))
@@ -128,8 +123,7 @@ def partitions_enumerate(length_: str, out: str) -> None:
     if length_ == "8":
         atlas = build_atlas()
         atlas.save(out)
-        for line in _census_lines(atlas):
-            click.echo(line)
+        lines = _census_lines(atlas)
     else:
         parts = enumerate_partitions7()
         _, c7 = orbit_classify7(parts)
@@ -142,9 +136,8 @@ def partitions_enumerate(length_: str, out: str) -> None:
         write_json(out, {"classes": classes,
                          "partition7Count": len(parts),
                          "orbitSizes7": sizes})
-        click.echo("length-7 partitions: %d in %d classes"
-                   % (len(parts), len(classes)))
-        click.echo("orbit sizes: %s" % " ".join(str(s) for s in sizes))
+        lines = _census7_lines(len(parts), sizes)
+    click.echo("\n".join(lines))
     click.echo("wrote %s" % out)
 
 
@@ -153,22 +146,18 @@ def partitions_enumerate(length_: str, out: str) -> None:
 def partitions_classify(atlas_path: str) -> None:
     """Print the census recorded in an atlas JSON."""
     try:
-        with open(atlas_path) as fh:
-            d = json.load(fh)
+        d = read_json(atlas_path)
     except ValueError as e:  # bad JSON, or bytes that are not UTF-8
-        raise _fail("cannot parse %s: %s" % (atlas_path, e))
+        raise click.ClickException("cannot parse %s: %s" % (atlas_path, e))
     try:
-        reps = d["classes"][0]["representative"]
-        if reps[0]["length"] == 8:
-            for line in _census_lines(Atlas.from_json(d)):
-                click.echo(line)
+        if d["classes"][0]["representative"][0]["length"] == 8:
+            lines = _census_lines(Atlas.from_json(d))
         else:
-            click.echo("length-7 partitions: %d in %d classes"
-                       % (d["partition7Count"], len(d["classes"])))
-            click.echo("orbit sizes: %s"
-                       % " ".join(str(s) for s in d["orbitSizes7"]))
+            lines = _census7_lines(d["partition7Count"], d["orbitSizes7"])
     except _BAD_INPUT as e:
-        raise _fail("%s is not an atlas file: %s" % (atlas_path, e))
+        raise click.ClickException("%s is not an atlas file: %s"
+                                   % (atlas_path, e))
+    click.echo("\n".join(lines))
 
 
 # ---------------------------------------------------------------- doubling
@@ -213,7 +202,7 @@ def double(source: int, target: int, sigma: str | None, scan_sigma: bool,
     try:
         sig = parse_sigma(sigma)
     except ValueError as e:
-        raise _fail(str(e))
+        raise click.ClickException(str(e))
     code = make_code(atlas, source, target, sig)
     save_code(out, code)
     rank, kappa = doubled_invariants(atlas, source, target, sig)
@@ -317,7 +306,7 @@ def verify_theorem5(code_path: str, report_path: str | None) -> None:
     try:
         rep = report_stage(code, report_path)
     except ValueError as e:
-        raise _fail(str(e))
+        raise click.ClickException(str(e))
     click.echo(rep.summary())
     for v in rep.failures():
         msg = v.detail or ("expected %s, observed %s"
@@ -388,7 +377,7 @@ def _stage(tag: str):
     except click.ClickException:
         raise
     except Exception as e:
-        raise _fail("[%s] %s" % (tag, e))
+        raise click.ClickException("[%s] %s" % (tag, e))
 
 
 @main.command()
@@ -433,14 +422,13 @@ def pipeline(out_dir: str, atlas_path: str | None, pairs: tuple,
         base = make_code(atlas, lin, lin, tuple(range(8)))
         save_code(path("code_linear.json"), base)
         _, kap0 = doubled_invariants(atlas, lin, lin, base.sigma)
-        found = find_representatives(atlas, targets=KAPPA_TARGETS,
-                                     pairs=pair_list, per_pair=sample,
-                                     seed=seed)
+        found = find_representatives(atlas, pairs=pair_list,
+                                     per_pair=sample, seed=seed)
     click.echo("[scan] linear baseline kappa=%d, structure check skipped"
                % kap0)
     summary["linear"] = {"sourceClass": lin, "targetClass": lin,
                          "sigma": "01234567", "kernelDim": kap0}
-    missing = sorted(set(KAPPA_TARGETS) - found.keys())
+    missing = sorted(PRESCRIPTIONS.keys() - found.keys())
     if missing:
         click.echo("[scan] no code found for kappa in %s within %d "
                    "permutations per pair" % (missing, sample))

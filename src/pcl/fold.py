@@ -52,8 +52,6 @@ class SqsGraph:
     multiplicity matrix with loop counts on the diagonal.
     """
 
-    code: Code
-    span: LinearSpan
     reps: np.ndarray
     classes: tuple
     pair_class: np.ndarray
@@ -148,4 +146,4 @@ def quotient_graph(code: Code, span: LinearSpan | None = None) -> SqsGraph:
     quads = np.sort(np.where(w4, diffs, 0xFFFF), axis=1).tolist()
     classes = tuple(tuple(q[:n])
                     for q, n in zip(quads, w4.sum(axis=1).tolist()))
-    return SqsGraph(code, span, reps, classes, pair_class.reshape(m, m))
+    return SqsGraph(reps, classes, pair_class.reshape(m, m))

@@ -2,11 +2,12 @@
 
 The pipeline enumerates every partition of the 128 length-7 words into
 eight perfect codes and classifies them up to coordinate permutation and
-translation in one orbit pass over all of them.  A second pass
-classifies their parity extensions up to coordinate permutation and
-even translation.  Two length-7 classes merge under extension, leaving
-ten extended classes.  The Atlas bundles the extended representatives
-for downstream pairing.
+translation in one orbit pass over their component rows (partition_col
+builds these at both lengths).  A second pass classifies their parity
+extensions up to coordinate permutation and even translation.  Two
+length-7 classes merge under extension, leaving ten extended classes.
+The Atlas keeps the extended representatives, for downstream pairing,
+and the length-7 orbit sizes, from which it derives the census totals.
 
 Class ids are the ranks of the orbit minima (canon.orbit_classes), the
 canonical forms of the classes, so the numbering is independent of
@@ -15,9 +16,8 @@ enumeration order.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -25,12 +25,9 @@ import numpy as np
 
 from .canon import (UNASSIGNED, OrbitClasses, generators, minimal_image7,
                     minimal_image8, orbit_classes, relabel_np)
-from .ioutil import code_from_json, code_to_json, write_json
-from .perfect import enumerate_perfect7, extend_even
-from .words import IDENTITY8, coset_minima, echelon_basis
-
-SPACE7 = 128
-EVEN8 = tuple(w for w in range(256) if bin(w).count("1") % 2 == 0)
+from .ioutil import code_from_json, code_to_json, read_json, write_json
+from .perfect import SPACE7, enumerate_perfect7, extend_even
+from .words import EVEN8, IDENTITY8, coset_minima, echelon_basis
 
 Partition7 = tuple  # 8 components, each a sorted tuple of 16 length-7 words
 Partition8 = tuple  # 8 components, each a sorted tuple of 16 length-8 words
@@ -72,25 +69,23 @@ def enumerate_partitions7() -> list[Partition7]:
     return out
 
 
-def partition_col(p: Partition7) -> np.ndarray:
-    col = np.full(SPACE7, UNASSIGNED, dtype=np.uint8)
-    for i, comp in enumerate(p):
-        col[list(comp)] = i
-    return col
-
-
-def extended_col(p8: Partition8) -> np.ndarray:
-    col = np.full(256, UNASSIGNED, dtype=np.uint8)
-    for i, comp in enumerate(p8):
-        col[list(comp)] = i
+def partition_col(p, size: int) -> np.ndarray:
+    """col[w] = i for each word w of component i, UNASSIGNED for the
+    other words below size; one row, or one per partition of an (N, 8,
+    16) array.  Components are of equal size, their words of 8 bits."""
+    comps = np.asarray(p, dtype=np.uint8)
+    words = comps.reshape(comps.shape[:-2] + (-1,))
+    col = np.full(words.shape[:-1] + (size,), UNASSIGNED, dtype=np.uint8)
+    ids = np.arange(comps.shape[-2], dtype=np.uint8).repeat(comps.shape[-1])
+    np.put_along_axis(col, words, ids, axis=-1)
     return col
 
 
 def canonical_form(p, extended: bool = False) -> bytes:
     """The orbit minimum as bytes; equal exactly for equivalent partitions."""
     if extended:
-        return bytes(minimal_image8(extended_col(p)))
-    return bytes(minimal_image7(partition_col(p)))
+        return bytes(minimal_image8(partition_col(p, 256)))
+    return bytes(minimal_image7(partition_col(p, SPACE7)))
 
 
 def orbit_classify7(parts: list[Partition7]) -> tuple[np.ndarray, OrbitClasses]:
@@ -100,11 +95,7 @@ def orbit_classify7(parts: list[Partition7]) -> tuple[np.ndarray, OrbitClasses]:
     complete, since every generator image must be in it.  Class ids are
     the ranks of the orbit minima, representatives the least indices.
     """
-    comps = np.array(parts, dtype=np.uint8)
-    rows = np.empty((len(parts), SPACE7), dtype=np.uint8)
-    rows[np.arange(len(parts))[:, None, None], comps] = \
-        np.arange(8, dtype=np.uint8)[None, :, None]
-    rows = relabel_np(rows)
+    rows = relabel_np(partition_col(parts, SPACE7))
     return rows, orbit_classes(rows, generators(7))
 
 
@@ -163,11 +154,10 @@ class ExtClass:
     @cached_property
     def action(self) -> TranslationAction:
         comps = np.array(self.components, dtype=np.uint8)
-        col = np.full(256, UNASSIGNED, dtype=np.uint8)
-        col[comps] = np.arange(8, dtype=np.uint8)[:, None]
+        col = partition_col(comps, 256)
         # img[a, i] holds the components hit by C_i + a; a permutes the
         # components when each row is constant
-        img = col[comps[None] ^ np.array(EVEN8, dtype=np.uint8)[:, None, None]]
+        img = col[comps[None] ^ EVEN8.astype(np.uint8)[:, None, None]]
         permuting = (img == img[:, :, :1]).all(axis=(1, 2))
         counts = Counter(p.tobytes() for p in img[permuting, :, 0])
         if len(set(counts.values())) != 1:
@@ -197,7 +187,7 @@ class ExtClass:
         comps = tuple(tuple(code_from_json(comp, 8))
                       for comp in d["representative"])
         if (len(comps) != 8 or any(len(c) != 16 for c in comps)
-                or sorted(w for c in comps for w in c) != list(EVEN8)):
+                or sorted(w for c in comps for w in c) != EVEN8.tolist()):
             raise ValueError("components do not partition the even words "
                              "of length 8 into eight 16-word sets")
         return cls(comps, tuple(d["length7Classes"]), bool(d["linear"]), d.get("alias"))
@@ -205,12 +195,20 @@ class ExtClass:
 
 @dataclass
 class Atlas:
-    """Extended partition classes plus length-7 census metadata."""
+    """Extended partition classes plus the length-7 orbit sizes; the
+    census totals partition7_count and merged are read off them."""
 
     classes: list[ExtClass]
-    partition7_count: int
     orbit_sizes7: list[int]
-    merged: list[tuple[int, ...]] = field(default_factory=list)
+
+    @property
+    def partition7_count(self) -> int:
+        return sum(self.orbit_sizes7)
+
+    @property
+    def merged(self) -> list[tuple[int, ...]]:
+        return [c.length7_classes for c in self.classes
+                if len(c.length7_classes) > 1]
 
     @property
     def linear_class(self) -> int:
@@ -243,13 +241,9 @@ class Atlas:
                 classes.append(ExtClass.from_json(c))
             except ValueError as e:
                 raise ValueError("class %d: %s" % (c["id"], e)) from e
-        atlas = cls(
-            classes,
-            d["partition7Count"],
-            list(d["orbitSizes7"]),
-            [tuple(m) for m in d["merged"]],
-        )
-        sizes = atlas.orbit_sizes7
+        count, sizes = d["partition7Count"], list(d["orbitSizes7"])
+        merged = [tuple(m) for m in d["merged"]]
+        atlas = cls(classes, sizes)
         if not all(type(n) is int and n > 0 for n in sizes):
             raise ValueError("orbitSizes7 holds a size that is not a "
                              "positive integer")
@@ -258,14 +252,12 @@ class Atlas:
             raise ValueError("length7Classes name %s, expected each of 0..%d "
                              "once, one per orbit size"
                              % (named, len(sizes) - 1))
-        count = atlas.partition7_count
-        if type(count) is not int or count != sum(sizes):
+        if type(count) is not int or count != atlas.partition7_count:
             raise ValueError("partition7Count %r is not the sum %d of "
-                             "orbitSizes7" % (count, sum(sizes)))
-        if atlas.merged != [c.length7_classes for c in atlas.classes
-                            if len(c.length7_classes) > 1]:
+                             "orbitSizes7" % (count, atlas.partition7_count))
+        if merged != atlas.merged:
             raise ValueError("merged %s does not list the classes with more "
-                             "than one length-7 class" % (atlas.merged,))
+                             "than one length-7 class" % (merged,))
         linear = [i for i, c in enumerate(atlas.classes) if c.linear]
         if len(linear) != 1:
             raise ValueError("%d classes flagged linear, expected exactly one"
@@ -281,8 +273,7 @@ class Atlas:
 
     @classmethod
     def load(cls, path: str) -> "Atlas":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path))
 
 
 def build_atlas() -> Atlas:
@@ -297,15 +288,11 @@ def build_atlas() -> Atlas:
     """
     parts = enumerate_partitions7()
     rows7, c7 = orbit_classify7(parts)
-    c8 = orbit_classes(relabel_np(rows7[:, np.array(EVEN8) & 0x7F]),
-                       generators(8))
+    c8 = orbit_classes(relabel_np(rows7[:, EVEN8 & 0x7F]), generators(8))
     ext_of7 = c8.class_of[c7.reps]
     classes = []
-    merged = []
     for k in range(len(c8.reps)):
         members = tuple(int(c) for c in np.flatnonzero(ext_of7 == k))
         comps = tuple(sorted(extend_partition(parts[c7.reps[members[0]]])))
         classes.append(ExtClass(comps, members, is_linear_partition(comps)))
-        if len(members) > 1:
-            merged.append(members)
-    return Atlas(classes, len(parts), [int(s) for s in c7.sizes], merged)
+    return Atlas(classes, [int(s) for s in c7.sizes])

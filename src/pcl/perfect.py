@@ -1,8 +1,10 @@
 """Enumeration and checks for 1-perfect codes of length 7 and their extensions.
 
 A 1-perfect code of length 7 is a 16-subset of F_2^7 whose radius-1 balls
-tile the space.  There are 30 such codes through the zero word and 240 in
-total.  Parity extension and puncturing move between lengths 7 and 8.
+tile the space.  The 30 through the zero word are the Hamming codes,
+each the kernel of a parity check whose columns are the 7 nonzero
+vectors of F_2^3 in some order; with their translates there are 240.
+Parity extension and puncturing move between lengths 7 and 8.
 The doubled codes of length 16 are checked by the same tiling property
 one length down, punctured at coordinate 15, when doubling.Code builds
 their neighbour table.
@@ -10,40 +12,30 @@ their neighbour table.
 
 from __future__ import annotations
 
-from itertools import combinations
+import numpy as np
 
-from .words import weight, xor_closure
+from .canon import _permutations
+from .words import weight
 
 N7 = 7
 SPACE7 = 1 << N7
 
 
 def enumerate_zero_subspace_codes() -> list:
-    """All 4-dimensional subspaces of F_2^7 with minimum weight 3, via RREF bases.
+    """The 30 perfect codes through zero, the Hamming codes, sorted.
 
-    Every such subspace is a perfect code through zero; the enumeration walks
-    all reduced echelon bases (one per subspace) and keeps those whose nonzero
-    words all have weight at least 3.
+    Label the 7 coordinates with the nonzero vectors of F_2^3, each
+    labelling a permutation from canon's table; the words whose labels
+    xor to 0 form a Hamming code, and every labelling gives one of them.
     """
-    out = []
-    for pivots in combinations(range(N7), 4):
-        nonpiv = [c for c in range(N7) if c not in pivots]
-        free_slots = [[c for c in nonpiv if c > p] for p in pivots]
-        total_free = sum(len(s) for s in free_slots)
-        for bits in range(1 << total_free):
-            rows = []
-            k = 0
-            for i, p in enumerate(pivots):
-                r = 1 << p
-                for c in free_slots[i]:
-                    if (bits >> k) & 1:
-                        r |= 1 << c
-                    k += 1
-                rows.append(r)
-            span = xor_closure(rows)
-            if all(weight(w) >= 3 for w in span if w):
-                out.append(tuple(span))
-    return sorted(out)
+    labels = _permutations(N7) + 1
+    words = np.arange(SPACE7)
+    syndromes = np.zeros((len(labels), SPACE7), dtype=np.uint8)
+    for i in range(N7):
+        syndromes ^= labels[:, i:i + 1] * (words >> i & 1).astype(np.uint8)
+    # the zeros of each row, in order: the 16 words of one code
+    codes = np.nonzero(syndromes == 0)[1].reshape(-1, 16)
+    return sorted(set(map(tuple, codes.tolist())))
 
 
 def enumerate_perfect7() -> list:

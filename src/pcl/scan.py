@@ -21,6 +21,7 @@ import numpy as np
 
 from .algebra import doubled_invariants
 from .doubling import Code, double
+from .fano import PRESCRIPTIONS
 from .partitions import Atlas
 from .sts import fully_tabulated
 from .words import parse_sigma, sigma_str
@@ -91,7 +92,7 @@ def scan_pair(atlas: Atlas, left: int, right: int,
             for sig in iter_sigmas(sample, seed, sigmas)]
 
 
-def find_representatives(atlas: Atlas, targets=(5, 6, 7, 8, 9),
+def find_representatives(atlas: Atlas, targets=tuple(PRESCRIPTIONS),
                          pairs=PRIORITY_PAIRS, per_pair: int = 400,
                          seed: int = 0,
                          ) -> dict[int, tuple[int, int, tuple, Code]]:

@@ -395,8 +395,8 @@ def _assert_even_left_support(G: SqsGraph) -> None:
     labels = np.fromiter(chain(*G.classes), dtype=np.uint16)
     odd = popcounts16(labels & 0xFF) % 2 == 1
     if odd.any():
-        raise AssertionError("label %04x has odd left support"
-                             % int(labels[np.argmax(odd)]))
+        raise ValueError("label %04x has odd left support; not a code in "
+                         "doubling coordinates" % int(labels[np.argmax(odd)]))
 
 
 @dataclass
@@ -448,7 +448,9 @@ def full_report(code: Code) -> StructureReport:
     rx = fano.PRESCRIPTIONS.get(kappa)
     if rx is None:
         raise ValueError("loop and link prescriptions cover kernel "
-                         "dimensions 5..9, got %d" % kappa)
+                         "dimensions %d..%d, got %d"
+                         % (min(fano.PRESCRIPTIONS), max(fano.PRESCRIPTIONS),
+                            kappa))
     G = quotient_graph(code)
     _assert_even_left_support(G)
     verdicts = list(verify_loops(G, rx))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+EVEN8 = np.flatnonzero(POP8 % 2 == 0)  # the 128 even bytes, increasing
 
 _IDX16 = np.arange(1 << 16)
 POP16 = (POP8[_IDX16 & 0xFF] + POP8[_IDX16 >> 8]).astype(np.uint8)

@@ -19,7 +19,7 @@ from pcl.algebra import kernel_words, rank_of
 from pcl.cli import main
 from pcl.doubling import Code
 from pcl.fold import quotient_graph
-from pcl.ioutil import load_code, read_json, save_code
+from pcl.ioutil import code_to_json, load_code, read_json, save_code
 from pcl.partitions import Atlas
 from pcl.scan import make_code
 from pcl.words import parse_sigma, rank_gf2
@@ -373,6 +373,19 @@ def test_verify_theorem5_out_of_range(runner, code_files):
     res = runner.invoke(main, ["verify-theorem5", code_files[11]])
     assert res.exit_code == 1
     assert "kernel dimensions 5..9, got 11" in res.output
+
+
+def test_verify_theorem5_rejects_a_code_outside_doubling_coordinates(
+        runner, tmp_path, witnesses):
+    # the kappa=5 witness with coordinates 0 and 8 swapped is extended
+    # 1-perfect, but its left halves are no longer all even
+    words = witnesses[5].words
+    swapped = words & 0xFEFE | (words & 1) << 8 | (words >> 8) & 1
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(code_to_json(swapped, 16)))
+    res = runner.invoke(main, ["verify-theorem5", str(path)])
+    _clean_error(res, "label 0186 has odd left support")
+    assert "not a code in doubling coordinates" in res.output
 
 
 def test_fano_dump(runner):

@@ -3,8 +3,12 @@
 Hypothesis mutates a valid code file and the pinned atlas: it drops
 keys, changes the type of values, writes odd-width or non-hex words and
 duplicates codewords.  analyze, partitions classify and double --atlas
-read the results; whatever the mutation, each exits 0 or 1, prints
-"Error:" when it exits 1, and raises nothing but SystemExit.
+read the results.  It also permutes the 16 coordinates of a witness
+code, which keeps it extended 1-perfect but in general takes it out of
+doubling coordinates, and runs every command that reads a code on it.
+Whatever the input, each command exits 0 or 1, prints "Error:" when it
+exits 1 (verify-theorem5 also exits 1 on a failing verdict, which it
+prints as FAIL), and raises nothing but SystemExit.
 """
 
 import copy
@@ -12,13 +16,14 @@ import gzip
 import json
 import pathlib
 
+import numpy as np
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from pcl.cli import main
-from pcl.ioutil import save_code
+from pcl.ioutil import code_to_json, save_code
 
 REFERENCE_ATLAS = (pathlib.Path(__file__).resolve().parents[1]
                    / "perfbench" / "reference" / "atlas.json.gz")
@@ -96,12 +101,13 @@ def mutated(draw, doc):
     return doc
 
 
-def _assert_clean_exit(res):
+def _assert_clean_exit(res, verdict=None):
+    """Exit 0, or 1 with "Error:" or with the command's own verdict."""
     assert res.exception is None or isinstance(res.exception, SystemExit), \
         repr(res.exception)
     assert res.exit_code in (0, 1), res.output
     if res.exit_code == 1:
-        assert "Error:" in res.output
+        assert "Error:" in res.output or (verdict and verdict in res.output)
 
 
 @pytest.fixture(scope="module")
@@ -149,3 +155,22 @@ def test_double_survives_mutated_atlas(atlas_doc, fuzz_dir, data):
         main, ["double", "--source", "0", "--target", "1",
                "--sigma", "51304276", "--atlas", str(path),
                "--out", str(fuzz_dir / "doubled.json")]))
+
+
+@FUZZ
+@given(data=st.data())
+def test_code_readers_survive_permuted_coordinates(witnesses, fuzz_dir, data):
+    code = witnesses[data.draw(st.sampled_from(sorted(witnesses)))]
+    perm = data.draw(st.permutations(range(16)))
+    moved = np.zeros_like(code.words)
+    for i, p in enumerate(perm):
+        moved |= (code.words >> i & 1) << p
+    path = str(fuzz_dir / "permuted.json")
+    pathlib.Path(path).write_text(json.dumps(code_to_json(moved, 16)))
+    for args in (["analyze", path, "--out", str(fuzz_dir / "p.json")],
+                 ["sts-types", path],
+                 ["verify-theorem5", path],
+                 ["export", path, "--format", "json",
+                  "--out", str(fuzz_dir / "g.json")]):
+        verdict = " FAIL (" if args[0] == "verify-theorem5" else None
+        _assert_clean_exit(CliRunner().invoke(main, args), verdict)

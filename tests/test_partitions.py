@@ -13,8 +13,8 @@ import pytest
 from pcl.canon import (generators, minimal_quadset8, orbit, orbit_classes,
                        relabel_np)
 from pcl.partitions import (EVEN8, Atlas, ExtClass, canonical_form,
-                            extend_partition, extended_col,
-                            is_linear_partition, partition_col)
+                            extend_partition, is_linear_partition,
+                            partition_col)
 from pcl.perfect import puncture
 from pcl.words import perm_word_map, weight
 
@@ -186,10 +186,10 @@ def test_orbit_minimum_matches_survivor_pruning(atlas):
     moved = _moved(p7, rng, 7)
     check_partition7(moved)
     assert canonical_form(moved) == minimal_image_pruned(
-        partition_col(moved), perm_word_table(7), range(128))
+        partition_col(moved, 128), perm_word_table(7), range(128))
     moved = _moved(atlas.classes[9].components, rng, 8)
     assert canonical_form(moved, extended=True) == minimal_image_pruned(
-        extended_col(moved), perm_word_table(8), EVEN8)
+        partition_col(moved, 256), perm_word_table(8), EVEN8)
 
 
 def test_minimal_quadset8_matches_table():
@@ -206,7 +206,7 @@ def test_minimal_quadset8_matches_table():
 def test_orbit_classes_rank_by_orbit_minimum(atlas):
     # extended classes 0, 2 and 5 puncture to length-7 classes 0, 2 and 5
     gens = generators(7)
-    reps = [relabel_np(partition_col(_punctured7(atlas.classes[k])))
+    reps = [relabel_np(partition_col(_punctured7(atlas.classes[k]), 128))
             for k in (5, 0, 2)]
     rows = np.concatenate([orbit(r, gens) for r in reps])
     c = orbit_classes(rows, gens)
@@ -219,7 +219,8 @@ def test_orbit_classes_rank_by_orbit_minimum(atlas):
 
 def test_orbit_pass_rejects_an_incomplete_set(atlas):
     gens = generators(7)
-    rows = orbit(relabel_np(partition_col(_punctured7(atlas.classes[0]))), gens)
+    rows = orbit(relabel_np(partition_col(_punctured7(atlas.classes[0]), 128)),
+                 gens)
     assert len(rows) == 30
     with pytest.raises(ValueError, match="orbit left the enumerated set"):
         orbit_classes(np.delete(rows, 17, axis=0), gens)

@@ -79,7 +79,7 @@ def test_odd_left_support_names_the_first_label(witnesses):
     classes[1] = (labels[0] ^ 0x0101,) + labels[1:]
     classes[2] = (0x0107,)
     g.classes = tuple(classes)
-    with pytest.raises(AssertionError, match="label %04x has odd left"
+    with pytest.raises(ValueError, match="label %04x has odd left"
                        % (labels[0] ^ 0x0101)):
         _assert_even_left_support(g)
 
