@@ -8,7 +8,8 @@ support: left means support inside coordinates 0-7, right means inside
 
 doubled_invariants reads a doubled code's kernel dimension off the
 intersection of its classes' translation groups, and its rank off the
-residues summed over one class's null relations, without building it.
+intersection of the annihilators of their null relations, without
+building it, through one DoublingPair table per ordered class pair.
 kernel_words computes the kernel from the 2048 codewords, and rank_of
 the rank from its cosets; they serve codes loaded from files and are
 the test oracle of the formula.
@@ -17,12 +18,13 @@ the test oracle of the formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .doubling import SPACE16, Code
 from .words import (IDENTITY8, coset_minima, echelon_basis, popcounts16,
-                    rank_gf2, xor_closure)
+                    rank_gf2, sigma_bytes, xor_closure)
 
 
 def kernel_words(code: Code) -> np.ndarray:
@@ -76,43 +78,114 @@ def rank_of(code: Code) -> int:
     return rank_gf2(dec.subspace.basis + tuple(shifts))
 
 
+def _fixed_points(p: bytes) -> int:
+    return sum(a == b for a, b in zip(p, IDENTITY8))
+
+
+class DoublingPair(NamedTuple):
+    """The tables doubled_invariants reads for one ordered class pair.
+
+    moves: translate tables of the non-identity elements of A_L (when
+    left_moves) or A_R that sigma conjugates into the other group,
+    into.  Conjugation keeps the cycle type, for these involutions the
+    number of fixed points, so only elements of a count the other group
+    has are kept, from the side with fewer.  tables: translate tables of
+    the nonzero sets of the smaller W, W_R when right_w, carried by
+    sigma^-1 (or sigma) into the other side's U, u.  results: (rank,
+    kernel dimension) by the tests passed, one per move and 16 per set;
+    each kernel size in it is checked once, and a count that is not a
+    subgroup's raises KeyError.  Atlas.pair builds one per pair.
+    """
+
+    moves: tuple
+    into: frozenset
+    left_moves: bool
+    tables: tuple
+    u: frozenset
+    right_w: bool
+    results: dict
+
+    @classmethod
+    def of(cls, la, ra) -> "DoublingPair":
+        """The table of two partitions.TranslationAction, left then right."""
+        def candidates(a, b) -> list:
+            kinds = {_fixed_points(p) for p in b.perms if p != IDENTITY8}
+            return [p for p in a.perms
+                    if p != IDENTITY8 and _fixed_points(p) in kinds]
+
+        left, right = candidates(la, ra), candidates(ra, la)
+        # conjugating A_L's elements costs a second maketrans
+        left_moves = len(left) + 1 < len(right)
+        moves, into = (left, ra.perms) if left_moves else (right, la.perms)
+        right_w = ra.rank <= la.rank
+        w, u = (ra, la) if right_w else (la, ra)
+        base = la.delta_dim + ra.delta_dim + la.rank + ra.rank
+        meets = min(len(la.perms), len(ra.perms)).bit_length()
+        results = {(1 << k) - 1 + 16 * ((1 << j) - 1):
+                   (base - j, _log2_kernel_size(la.fixers * ra.fixers << k))
+                   for k in range(meets)
+                   for j in range(min(la.rank, ra.rank) + 1)}
+        return cls(tuple(bytes.maketrans(IDENTITY8, p) for p in moves), into,
+                   left_moves,
+                   tuple(bytes.maketrans(IDENTITY8, t) for t in w.w_sets[1:]),
+                   u.u_sets, right_w, results)
+
+    def invariants(self, sig: bytes) -> tuple[int, int]:
+        """(rank, kernel dimension) of the code doubled under sig, a
+        permutation of 0..7 as 8 bytes (words.sigma_bytes)."""
+        moves, into, left_moves, tables, u, right_w, results = self
+        passed = 0
+        if moves:
+            back = bytes.maketrans(sig, IDENTITY8)  # sigma^-1 as a table
+            if left_moves:  # sigma p sigma^-1, p in A_L
+                s, t = back[:8], bytes.maketrans(IDENTITY8, sig)
+            else:  # sigma^-1 q sigma, q in A_R
+                s, t = sig, back
+            for p in moves:
+                if s.translate(p).translate(t) in into:
+                    passed += 1
+        if tables:  # sigma^-1(w) for w in W_R, sigma(w) for w in W_L
+            s = sig if right_w else bytes.maketrans(sig, IDENTITY8)[:8]
+            for w in tables:
+                if s.translate(w) in u:
+                    passed += 16
+        return results[passed]
+
+
 def doubled_invariants(atlas, left: int, right: int, sigma) -> tuple[int, int]:
     """(rank, kernel dimension) of the doubled code of two atlas classes.
 
     With L = (C_0..C_7) the left class, R = (D_0..D_7) the right one,
     the code is the union of the products C_i x D_sigma(i), which is
-    never built here (Phelps, SIAM J. Alg. Disc. Meth. 1984).
+    never built here (Phelps, SIAM J. Alg. Disc. Meth. 1984).  Both
+    invariants are read off the pair's DoublingPair table in a few
+    bytes.translate calls.
 
     Kernel: (a, b) fixes the code exactly when a permutes L's components
     by translation (pa in A_L), b permutes R's (pb in A_R), and pb =
     sigma pa sigma^-1.  Each element of A_L is realized by f_L
     translations, so the kernel size is f_L f_R |A_L & sigma^-1 A_R sigma|,
-    counted by conjugating the smaller group's elements into the larger.
+    counted by conjugating one group's elements into the other.
 
     Rank: the codeword differences are spanned by the within-component
-    differences of L and of R, each in its own half, and by the block
-    words u_i | v_i << 8, u_i = x_i + x_0, v_i = y_sigma(i) + y_sigma(0).
-    Projecting them onto the left half gives rank{u_i} plus the rank of
-    the v summed over each null relation of L.
+    differences of L and of R, each in its own half, and by the blocks
+    (x_i + x_0, y_sigma(i) + y_sigma(0)) of residues, i = 1..7.  These
+    span 7 - dim(N_L & sigma^-1 N_R), N_L and N_R the null relations of
+    TranslationAction and sigma^-1 S = {i : sigma(i) in S}.  The
+    annihilator of that meet in F_2^8 is U_L + sigma^-1 U_R, of
+    dimension (r_L + 1) + (r_R + 1) - dim(U_L & sigma^-1 U_R), and
+    U_L & sigma^-1 U_R is {0, all eight} plus the sets sigma^-1(w), w in
+    W_R, that lie in U_L (all eight is in neither W).  Hence
+
+        rank = delta_L + delta_R + r_L + r_R
+               - log2 #{w in W_R : sigma^-1(w) in U_L}.
+
+    The count is the same from either side, so the smaller W is the one
+    carried.  With r = 0 on either side W = {0} or U = {0, all eight},
+    and the count is 1.  ValueError unless sigma is a permutation of
+    0..7.
     """
-    la, ra = atlas.classes[left].action, atlas.classes[right].action
-    sig = bytes(sigma)
-    fwd, back = bytes.maketrans(IDENTITY8, sig), bytes.maketrans(sig, IDENTITY8)
-    if len(la.perms) <= len(ra.perms):  # sigma pa sigma^-1 into A_R
-        moves, big, s, t = la.moves, ra.perms, back[:8], fwd
-    else:  # sigma^-1 pb sigma into A_L
-        moves, big, s, t = ra.moves, la.perms, sig, back
-    meet = 1 + sum([s.translate(p).translate(t) in big for p in moves])
-    z, sums = ra.residues, []
-    for rel in la.nulls if la.rank and ra.rank else ():
-        v = 0
-        for i in rel:
-            v ^= z[sigma[i]]
-        sums.append(v)
-    # with one side's residues all equal the blocks span the other side's
-    blocks = la.rank + rank_gf2(sums) if la.rank else ra.rank
-    return (la.delta_dim + ra.delta_dim + blocks,
-            _log2_kernel_size(la.fixers * ra.fixers * meet))
+    return atlas.pair(left, right).invariants(sigma_bytes(sigma))
 
 
 def weight4_words(kw: np.ndarray) -> np.ndarray:

@@ -29,8 +29,8 @@ from .fano import PRESCRIPTIONS, fano_families, partition_registry
 from .fold import quotient_graph
 from .ioutil import (atomic_write, code_to_json, load_code, provenance,
                      read_json, save_code, write_json)
-from .partitions import (Atlas, build_atlas, enumerate_partitions7,
-                         orbit_classify7)
+from .partitions import (Atlas, build_atlas, check_census7,
+                         enumerate_partitions7, orbit_classify7)
 from .perfect import enumerate_perfect7
 from .scan import PRIORITY_PAIRS, find_representatives, make_code, scan_pair
 from .sts import code_type_grid, homogeneity, multiset_keys, render_tuple
@@ -150,10 +150,12 @@ def partitions_classify(atlas_path: str) -> None:
     except ValueError as e:  # bad JSON, or bytes that are not UTF-8
         raise click.ClickException("cannot parse %s: %s" % (atlas_path, e))
     try:
-        if d["classes"][0]["representative"][0]["length"] == 8:
-            lines = _census_lines(Atlas.from_json(d))
+        if d["classes"][0]["representative"][0]["length"] == 7:
+            count, sizes = d["partition7Count"], list(d["orbitSizes7"])
+            check_census7(count, sizes, sorted(c["id"] for c in d["classes"]))
+            lines = _census7_lines(count, sizes)
         else:
-            lines = _census7_lines(d["partition7Count"], d["orbitSizes7"])
+            lines = _census_lines(Atlas.from_json(d))
     except _BAD_INPUT as e:
         raise click.ClickException("%s is not an atlas file: %s"
                                    % (atlas_path, e))

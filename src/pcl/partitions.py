@@ -17,17 +17,19 @@ enumeration order.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
+from .algebra import DoublingPair
 from .canon import (UNASSIGNED, OrbitClasses, generators, minimal_image7,
                     minimal_image8, orbit_classes, relabel_np)
 from .ioutil import code_from_json, code_to_json, read_json, write_json
 from .perfect import SPACE7, enumerate_perfect7, extend_even
-from .words import EVEN8, IDENTITY8, coset_minima, echelon_basis
+from .words import (EVEN8, IDENTITY8, coset_minima, echelon_basis,
+                    xor_closure)
 
 Partition7 = tuple  # 8 components, each a sorted tuple of 16 length-7 words
 Partition8 = tuple  # 8 components, each a sorted tuple of 16 length-8 words
@@ -113,28 +115,59 @@ def is_linear_partition(p8: Partition8) -> bool:
                for comp in p8)
 
 
+def check_census7(count, sizes: list, classes: list) -> None:
+    """ValueError unless a length-7 census is consistent: sizes holds
+    positive ints, the length-7 class ids listed (sorted, with
+    repetition) are 0..len(sizes) - 1 each once, one per orbit size,
+    and count is the sum of the sizes."""
+    if not all(type(n) is int and n > 0 for n in sizes):
+        raise ValueError("orbitSizes7 holds a size that is not a "
+                         "positive integer")
+    if classes != list(range(len(sizes))):
+        raise ValueError("length-7 classes %s listed, expected each of "
+                         "0..%d once, one per orbit size"
+                         % (classes, len(sizes) - 1))
+    if type(count) is not int or count != sum(sizes):
+        raise ValueError("partition7Count %r is not the sum %d of "
+                         "orbitSizes7" % (count, sum(sizes)))
+
+
 class TranslationAction(NamedTuple):
     """What doubling needs of a partition (C_0..C_7) of the even words.
 
     perms is the group A of permutations p, as bytes, with C_i + a =
-    C_p[i] for every i and some even translation a; moves holds the
-    non-identity ones as bytes.translate tables.  Each p is realized by
-    the same number, fixers, of translations: a coset of those fixing
-    every C_i.  delta_dim is the dimension of the span of the
-    within-component differences, and residues[i] is C_i reduced modulo
-    that span, the least word of its coset; that is a linear map, so
-    residues add like the words they reduce.  rank is the rank of the
-    x_i + x_0, and nulls a basis of their relations: 7 - rank index sets
-    of even size (0 added to an odd one) whose residues sum to 0.
+    C_p[i] for every i and some even translation a; a + a = 0, so every
+    p is an involution.  Each p is realized by the same number, fixers,
+    of translations: a coset of those fixing every C_i.  delta_dim is
+    the dimension of the span of the within-component differences, and
+    residues[i] is C_i reduced modulo that span, the least word of its
+    coset; that is a linear map, so residues add like the words they
+    reduce.  rank is the rank r of the z_i = x_i + x_0, x_i the residues.
+
+    Index sets of 0..7, held as 8-byte indicators, carry the residues'
+    linear structure.  The null relations N are the even sets c with
+    sum_{i in c} x_i = 0, a space of dimension 7 - r.  Each linear
+    functional f on the z_i gives the set T_f = {i : f(z_i) = 1}; these
+    form w_sets, the empty set first: the space W spanned by the sets
+    T_b of components whose z_i has bit b.  W has 2^r sets and none
+    holds index 0 (z_0 = 0), so W never holds all eight.  u_sets is
+    U = W + {0, all eight}, the annihilator of N in F_2^8: a set c in N
+    meets T_f evenly, since the parity of the meet is f(sum_c z_i) =
+    f(sum_c x_i) = 0 for c even, and the annihilator of N has dimension
+    8 - (7 - r) = r + 1, that of U.
     """
 
     perms: frozenset
-    moves: tuple
     fixers: int
     delta_dim: int
     residues: tuple
     rank: int
-    nulls: tuple
+    w_sets: tuple
+    u_sets: frozenset
+
+
+def _indicator(s: int) -> bytes:
+    return bytes(s >> i & 1 for i in range(8))
 
 
 @dataclass
@@ -164,14 +197,13 @@ class ExtClass:
             raise AssertionError("unequal fibres of the translation action")
         basis = echelon_basis((comps ^ comps[:, :1]).ravel()).values()
         x = coset_minima(comps[:, 0], basis).tolist()
-        # low bit i tags x_i + x_0, so a word reduced below bit 8 is a relation
-        ech = echelon_basis((x[i] ^ x[0]) << 8 | 1 << i for i in range(1, 8))
-        nulls = tuple(tuple(i for i in range(8) if (t | t.bit_count() & 1) >> i & 1)
-                      for lead, t in ech.items() if lead < 8)
+        # T_b, the components whose residue difference has bit b, spans W
+        w = xor_closure(sum(((x[i] ^ x[0]) >> b & 1) << i for i in range(8))
+                        for b in range(8))
         return TranslationAction(
-            frozenset(counts), tuple(bytes.maketrans(IDENTITY8, p)
-                                     for p in counts if p != IDENTITY8),
-            counts[IDENTITY8], len(basis), tuple(x), 7 - len(nulls), nulls)
+            frozenset(counts), counts[IDENTITY8], len(basis), tuple(x),
+            len(w).bit_length() - 1, tuple(map(_indicator, w)),
+            frozenset(_indicator(t ^ e) for t in w for e in (0, 0xFF)))
 
     def to_json(self) -> dict:
         return {
@@ -196,10 +228,21 @@ class ExtClass:
 @dataclass
 class Atlas:
     """Extended partition classes plus the length-7 orbit sizes; the
-    census totals partition7_count and merged are read off them."""
+    census totals partition7_count and merged are read off them.  The
+    doubling tables of class pairs are kept as they are built."""
 
     classes: list[ExtClass]
     orbit_sizes7: list[int]
+    _pairs: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def pair(self, left: int, right: int) -> DoublingPair:
+        """The doubling table of an ordered class pair, built on first use."""
+        table = self._pairs.get((left, right))
+        if table is None:
+            table = self._pairs[left, right] = DoublingPair.of(
+                self.classes[left].action, self.classes[right].action)
+        return table
 
     @property
     def partition7_count(self) -> int:
@@ -244,17 +287,8 @@ class Atlas:
         count, sizes = d["partition7Count"], list(d["orbitSizes7"])
         merged = [tuple(m) for m in d["merged"]]
         atlas = cls(classes, sizes)
-        if not all(type(n) is int and n > 0 for n in sizes):
-            raise ValueError("orbitSizes7 holds a size that is not a "
-                             "positive integer")
-        named = sorted(i for c in atlas.classes for i in c.length7_classes)
-        if named != list(range(len(sizes))):
-            raise ValueError("length7Classes name %s, expected each of 0..%d "
-                             "once, one per orbit size"
-                             % (named, len(sizes) - 1))
-        if type(count) is not int or count != atlas.partition7_count:
-            raise ValueError("partition7Count %r is not the sum %d of "
-                             "orbitSizes7" % (count, atlas.partition7_count))
+        check_census7(count, sizes, sorted(i for c in atlas.classes
+                                           for i in c.length7_classes))
         if merged != atlas.merged:
             raise ValueError("merged %s does not list the classes with more "
                              "than one length-7 class" % (merged,))

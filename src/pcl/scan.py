@@ -6,7 +6,8 @@ The scan walks permutations deterministically (an explicit list, whose
 entries are checked to be permutations, a seeded sample without
 replacement, or all 40320 in lexicographic order), tabulates the
 invariants as ScanRow named tuples, and can keep the first code found
-per kernel dimension.  The invariants come from
+per kernel dimension.  The invariants come from the class pair's
+algebra.DoublingPair table, the routine behind
 algebra.doubled_invariants, which reads them off the two partitions; a
 code is built only when it is kept.  algebra.kernel_words and the rank
 of the built code's word differences are the oracle of the rows.
@@ -24,7 +25,7 @@ from .doubling import Code, double
 from .fano import PRESCRIPTIONS
 from .partitions import Atlas
 from .sts import fully_tabulated
-from .words import parse_sigma, sigma_str
+from .words import sigma_bytes, sigma_str
 
 FACT8 = 40320
 
@@ -59,12 +60,9 @@ class ScanRow(NamedTuple):
                 "rank": self.rank, "kernelDim": self.kernel}
 
 
-def iter_sigmas(sample: int | None = None, seed: int = 0, explicit=None):
-    """Permutations of [0,7] by enumeration mode; ValueError for a bad explicit one."""
-    if explicit is not None:
-        for s in explicit:
-            yield parse_sigma(s)
-        return
+def iter_sigmas(sample: int | None = None, seed: int = 0):
+    """Permutations of [0,7]: all 40320 in lexicographic order, or a
+    seeded sample without replacement."""
     if sample is None or sample >= FACT8:
         yield from permutations(range(8))
         return
@@ -86,10 +84,21 @@ def make_code(atlas: Atlas, left: int, right: int, sigma) -> Code:
 def scan_pair(atlas: Atlas, left: int, right: int,
               sample: int | None = None, seed: int = 0,
               sigmas=None) -> list[ScanRow]:
-    """One invariant row per permutation, in enumeration order."""
-    return [ScanRow(left, right, sig,
-                    *doubled_invariants(atlas, left, right, sig))
-            for sig in iter_sigmas(sample, seed, sigmas)]
+    """One invariant row per permutation, in enumeration order.
+
+    Explicit sigmas are checked (ValueError for one that is no
+    permutation of 0..7) and kept as given when they are tuples.
+    """
+    invariants = atlas.pair(left, right).invariants
+    rows = []
+    for s in iter_sigmas(sample, seed) if sigmas is None else sigmas:
+        sig = sigma_bytes(s)
+        # tuple.__new__ builds the row ScanRow() would, at about half
+        # the cost: it skips the named tuple's Python-level __new__
+        rows.append(tuple.__new__(ScanRow, (
+            left, right, s if type(s) is tuple else tuple(sig))
+            + invariants(sig)))
+    return rows
 
 
 def find_representatives(atlas: Atlas, targets=tuple(PRESCRIPTIONS),

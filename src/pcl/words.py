@@ -59,16 +59,40 @@ def parse_word(s: str) -> int:
     return int(s, 16)
 
 
-def parse_sigma(s) -> tuple:
-    """A permutation of 0..7 from a string like '51304276' or from ints."""
-    sigma = tuple(map(int, s) if isinstance(s, str) else s)
-    if sorted(sigma) != list(IDENTITY8):
+# byte tables between the digit characters '0'..'7' and the values 0..7;
+# every other character parses to 255, which no permutation holds
+_FROM_DIGITS = bytes(c - 48 if 48 <= c < 56 else 255 for c in range(256))
+_TO_DIGITS = bytes.maketrans(IDENTITY8, b"01234567")
+
+
+def sigma_bytes(s) -> bytes:
+    """A permutation of 0..7 as 8 bytes, from a sequence of ints or from
+    a string like '51304276'; ValueError for anything else.
+
+    bytes() refuses entries that are not ints in 0..255 (tuple() first,
+    so that an int is refused rather than read as a length), and
+    deleting the eight bytes from IDENTITY8 leaves nothing exactly when
+    they hold each of 0..7.
+    """
+    try:
+        sig = bytes(tuple(s))
+    except TypeError:  # a string, an int, or entries that are not ints
+        sig = s.encode().translate(_FROM_DIGITS) if isinstance(s, str) else b""
+    except ValueError:  # an int outside 0..255
+        sig = b""
+    if len(sig) != 8 or IDENTITY8.translate(None, sig):
         raise ValueError("not a permutation of 0..7: %r" % (s,))
-    return sigma
+    return sig
+
+
+def parse_sigma(s) -> tuple:
+    """A permutation of 0..7 as a tuple; a valid tuple is returned as is."""
+    sig = sigma_bytes(s)
+    return s if type(s) is tuple else tuple(sig)
 
 
 def sigma_str(sigma) -> str:
-    return ("%d" * len(sigma)) % tuple(sigma)
+    return bytes(sigma).translate(_TO_DIGITS).decode()
 
 
 def perm_word_map(perm, n: int) -> np.ndarray:

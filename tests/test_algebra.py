@@ -224,18 +224,42 @@ def test_component_kernels(atlas):
 def test_class_tables_are_pinned(atlas):
     actions = [c.action for c in atlas.classes]
     assert [len(a.perms) for a in actions] == [8, 4, 8, 8, 4, 16, 4, 8, 8, 1]
-    assert [len(a.nulls) for a in actions] == [4, 5, 5, 6, 6, 6, 6, 7, 7, 7]
+    assert [len(a.w_sets) for a in actions] == [8, 4, 4, 2, 2, 2, 2, 1, 1, 1]
+    masks = range(256)
+
+    def meets_evenly(c, ind):
+        return sum(ind[i] for i in range(8) if c >> i & 1) % 2 == 0
+
+    annihilated = []
     for a in actions:
-        assert a.rank + len(a.nulls) == 7
         assert all(bytes(p[q[i]] for i in range(8)) in a.perms
                    for p in a.perms for q in a.perms)
-        assert sorted(m[:8] for m in a.moves) == sorted(
-            p for p in a.perms if p != bytes(range(8)))
-        for rel in a.nulls:
-            assert len(rel) % 2 == 0
+        assert all(bytes(p[p[i]] for i in range(8)) == bytes(range(8))
+                   for p in a.perms)  # involutions
+        assert len(a.w_sets) == 1 << a.rank
+        assert bytes([1] * 8) not in a.w_sets
+        assert a.u_sets == {bytes(b ^ e for b in w)
+                            for w in a.w_sets for e in (0, 1)}
+        z = [x ^ a.residues[0] for x in a.residues]
+        for w in a.w_sets:
+            # w is T_f for a linear f: every index set summing the z to 0
+            # meets it evenly
+            for c in masks:
+                v = 0
+                for i in range(8):
+                    if c >> i & 1:
+                        v ^= z[i]
+                assert v or meets_evenly(c, w), (w, c)
+        # U's annihilator is exactly the null relations of the residues
+        perp = [c for c in masks if all(meets_evenly(c, u) for u in a.u_sets)]
+        nulls = []
+        for c in masks:
             v = 0
-            for i in rel:
-                v ^= a.residues[i]
-            assert v == 0
-        masks = [sum(1 << i for i in rel) for rel in a.nulls]
-        assert rank_gf2(masks) == len(a.nulls)  # a basis of the relations
+            for i in range(8):
+                if c >> i & 1:
+                    v ^= a.residues[i]
+            if bin(c).count("1") % 2 == 0 and v == 0:
+                nulls.append(c)
+        assert perp == nulls
+        annihilated.append(len(perp).bit_length() - 1)
+    assert annihilated == [4, 5, 5, 6, 6, 6, 6, 7, 7, 7]

@@ -88,6 +88,19 @@ def test_partitions_enumerate_length7(runner, tmp_path):
     assert d["orbitSizes7"] == [30, 840, 630, 5040, 5040, 420, 2520, 2520,
                                 6720, 1680, 1920]
     assert d["classes"][0]["representative"][0]["length"] == 7
+    res = runner.invoke(main, ["partitions", "classify", out])
+    assert res.exit_code == 0
+    assert "length-7 partitions: 27360 in 11 classes" in res.output
+    # classify checks a length-7 census as Atlas.from_json checks an atlas's
+    for change, message in [
+            ({"partition7Count": 5, "orbitSizes7": [1, 2]},
+             "expected each of 0..1"),
+            ({"partition7Count": 27359}, "partition7Count 27359 is not the sum"),
+            ({"orbitSizes7": [0] + d["orbitSizes7"][1:]}, "positive integer")]:
+        with open(out, "w") as fh:
+            json.dump(dict(d, **change), fh)
+        res = runner.invoke(main, ["partitions", "classify", out])
+        _clean_error(res, message)
 
 
 def test_partitions_classify(runner, atlas_file):
@@ -136,6 +149,12 @@ def test_partitions_classify_checks_the_census(runner, tmp_path, atlas):
     bad.write_text(json.dumps(d))
     res = runner.invoke(main, ["partitions", "classify", str(bad)])
     _clean_error(res, "partition7Count 'x' is not the sum 27360")
+    # only a length-7 dump skips the atlas checks
+    d = atlas.to_json()
+    d["classes"][0]["representative"][0]["length"] = 9
+    bad.write_text(json.dumps(d))
+    res = runner.invoke(main, ["partitions", "classify", str(bad)])
+    _clean_error(res, "class 0: expected a length-8 code, got length 9")
 
 
 def test_non_finite_numbers_are_rejected(runner, tmp_path, atlas,

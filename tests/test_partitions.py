@@ -195,10 +195,18 @@ def test_orbit_minimum_matches_survivor_pruning(atlas):
 def test_minimal_quadset8_matches_table():
     rng = random.Random(11)
     quads = [sum(1 << p for p in c) for c in combinations(range(8), 4)]
-    sets = [quads]
+    # the search starts from the least weight present and sets the empty
+    # and the full mask aside: sets mixing weights, led by weight 1 or 7,
+    # or holding 0 or 0xFF take those branches
+    sets = [quads, [0], [0xFF], [0, 0xFF], [0x01], [0x7F, 0x80],
+            [0, 0x03, 0x70, 0xFF], [0xFE, 0x0F, 0x33]]
     for _ in range(160):
         sets.append(rng.sample(quads, rng.randint(0, 20)))
         sets.append([rng.randrange(256) for _ in range(rng.randint(0, 20))])
+    mixed = random.Random(12)
+    for _ in range(60):
+        sets.append([0] + [mixed.randrange(256)
+                           for _ in range(mixed.randint(0, 8))])
     for masks in sets:
         assert minimal_quadset8(masks) == minimal_quadset8_table(masks)
 

@@ -48,9 +48,12 @@ def test_priority_pairs_are_valid_class_ids(atlas):
         assert 0 <= left < n and 0 <= right < n
 
 
-def test_iter_sigmas_explicit_and_deterministic():
-    explicit = [(0, 1, 2, 3, 4, 5, 6, 7), (7, 6, 5, 4, 3, 2, 1, 0)]
-    assert list(iter_sigmas(explicit=explicit)) == explicit
+def test_iter_sigmas_explicit_and_deterministic(atlas):
+    explicit = [(0, 1, 2, 3, 4, 5, 6, 7), [7, 6, 5, 4, 3, 2, 1, 0], "45026713"]
+    rows = scan_pair(atlas, 0, 0, sigmas=explicit)
+    assert [r.sigma for r in rows] == [tuple(range(8)), tuple(range(7, -1, -1)),
+                                       (4, 5, 0, 2, 6, 7, 1, 3)]
+    assert rows[0].sigma is explicit[0]
     a = list(iter_sigmas(sample=40, seed=3))
     b = list(iter_sigmas(sample=40, seed=3))
     assert a == b
@@ -158,10 +161,11 @@ def test_doubled_invariants_match_brute_on_witnesses(atlas, witnesses):
         assert got[1] == kappa
 
 
-@pytest.mark.parametrize("pair", [(5, 1), (1, 5), (9, 0)])
+@pytest.mark.parametrize("pair", [(5, 1), (1, 5), (9, 0), (0, 0)])
 def test_doubled_invariants_match_perm_counts_on_every_sigma(atlas, pair):
-    # both conjugation directions between groups of order 16 and 4, and
-    # the trivial group
+    # between groups of order 16 and 4 the two orders take both
+    # conjugation directions and both sides' W; then the trivial group,
+    # and rank 3 on both sides (7 sets of W against 16 of U)
     for sig in iter_sigmas():
         assert (doubled_invariants(atlas, *pair, sig)
                 == perm_count_invariants(atlas, *pair, sig)), sig
@@ -176,7 +180,9 @@ def test_doubled_invariants_match_perm_counts_on_every_pair(atlas):
                         == perm_count_invariants(atlas, left, right, sig))
 
 
-@pytest.mark.parametrize("sigma", [(0, 0, 1, 2, 3, 4, 5, 6), tuple(range(9))])
+@pytest.mark.parametrize("sigma", [(0, 0, 1, 2, 3, 4, 5, 6), tuple(range(9)),
+                                   (0.0, 1, 2, 3, 4, 5, 6, 7),
+                                   (256, 1, 2, 3, 4, 5, 6, 7)])
 def test_a_sigma_that_is_no_permutation_is_rejected(atlas, sigma):
     with pytest.raises(ValueError, match="not a permutation"):
         scan_pair(atlas, 1, 3, sigmas=[sigma])
