@@ -6,13 +6,13 @@ built here always contains ffff.  Weight-4 kernel words split by
 support: left means support inside coordinates 0-7, right means inside
 8-15, mixed means both halves are touched.
 
-doubled_invariants reads a doubled code's kernel dimension off the
-intersection of its classes' translation groups, and its rank off the
-intersection of the annihilators of their null relations, without
-building it, through one DoublingPair table per ordered class pair.
-kernel_words computes the kernel from the 2048 codewords, and rank_of
-the rank from its cosets; they serve codes loaded from files and are
-the test oracle of the formula.
+A DoublingPair table, one per ordered class pair, reads a doubled
+code's kernel dimension off the intersection of its classes'
+translation groups, and its rank off the intersection of the
+annihilators of their null relations, without building it;
+scan.scan_pair is its one caller.  kernel_words computes the kernel
+from the 2048 codewords, and rank_of the rank from its cosets; they
+serve codes loaded from files and are the test oracle of the table.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .doubling import SPACE16, Code
 from .words import (IDENTITY8, coset_minima, echelon_basis, popcounts16,
-                    rank_gf2, sigma_bytes, xor_closure)
+                    rank_gf2, xor_closure)
 
 
 def kernel_words(code: Code) -> np.ndarray:
@@ -83,18 +83,49 @@ def _fixed_points(p: bytes) -> int:
 
 
 class DoublingPair(NamedTuple):
-    """The tables doubled_invariants reads for one ordered class pair.
+    """(rank, kernel dimension) of the doubled codes of one ordered
+    class pair, read off the two partitions in a few bytes.translate
+    calls.
 
-    moves: translate tables of the non-identity elements of A_L (when
-    left_moves) or A_R that sigma conjugates into the other group,
-    into.  Conjugation keeps the cycle type, for these involutions the
-    number of fixed points, so only elements of a count the other group
-    has are kept, from the side with fewer.  tables: translate tables of
-    the nonzero sets of the smaller W, W_R when right_w, carried by
-    sigma^-1 (or sigma) into the other side's U, u.  results: (rank,
-    kernel dimension) by the tests passed, one per move and 16 per set;
-    each kernel size in it is checked once, and a count that is not a
-    subgroup's raises KeyError.  Atlas.pair builds one per pair.
+    With L = (C_0..C_7) the left class, R = (D_0..D_7) the right one,
+    the code doubled under sigma is the union of the products
+    C_i x D_sigma(i), which is never built here (Phelps, SIAM J. Alg.
+    Disc. Meth. 1984).
+
+    Kernel: (a, b) fixes the code exactly when a permutes L's components
+    by translation (pa in A_L), b permutes R's (pb in A_R), and pb =
+    sigma pa sigma^-1.  Each element of A_L is realized by f_L
+    translations, so the kernel size is f_L f_R |A_L & sigma^-1 A_R sigma|,
+    counted by conjugating one group's elements into the other.
+
+    Rank: the codeword differences are spanned by the within-component
+    differences of L and of R, each in its own half, and by the blocks
+    (x_i + x_0, y_sigma(i) + y_sigma(0)) of residues, i = 1..7.  These
+    span 7 - dim(N_L & sigma^-1 N_R), N_L and N_R the null relations of
+    TranslationAction and sigma^-1 S = {i : sigma(i) in S}.  The
+    annihilator of that meet in F_2^8 is U_L + sigma^-1 U_R, of
+    dimension (r_L + 1) + (r_R + 1) - dim(U_L & sigma^-1 U_R), and
+    U_L & sigma^-1 U_R is {0, all eight} plus the sets sigma^-1(w), w in
+    W_R, that lie in U_L (all eight is in neither W).  Hence
+
+        rank = delta_L + delta_R + r_L + r_R
+               - log2 #{w in W_R : sigma^-1(w) in U_L}.
+
+    The count is the same from either side, so the smaller W is the one
+    carried.  With r = 0 on either side W = {0} or U = {0, all eight},
+    and the count is 1.
+
+    The table: moves are the translate tables of the non-identity
+    elements of A_L (when left_moves) or A_R that sigma conjugates into
+    the other group, into.  Conjugation keeps the cycle type, for these
+    involutions the number of fixed points, so only elements of a count
+    the other group has are kept, from the side with fewer.  tables:
+    translate tables of the nonzero sets of the smaller W, W_R when
+    right_w, carried by sigma^-1 (or sigma) into the other side's U, u.
+    results: (rank, kernel dimension) by the tests passed, one per move
+    and 16 per set; each kernel size in it is checked once, and a count
+    that is not a subgroup's raises KeyError.  Atlas.pair builds one per
+    pair.
     """
 
     moves: tuple
@@ -150,42 +181,6 @@ class DoublingPair(NamedTuple):
                 if s.translate(w) in u:
                     passed += 16
         return results[passed]
-
-
-def doubled_invariants(atlas, left: int, right: int, sigma) -> tuple[int, int]:
-    """(rank, kernel dimension) of the doubled code of two atlas classes.
-
-    With L = (C_0..C_7) the left class, R = (D_0..D_7) the right one,
-    the code is the union of the products C_i x D_sigma(i), which is
-    never built here (Phelps, SIAM J. Alg. Disc. Meth. 1984).  Both
-    invariants are read off the pair's DoublingPair table in a few
-    bytes.translate calls.
-
-    Kernel: (a, b) fixes the code exactly when a permutes L's components
-    by translation (pa in A_L), b permutes R's (pb in A_R), and pb =
-    sigma pa sigma^-1.  Each element of A_L is realized by f_L
-    translations, so the kernel size is f_L f_R |A_L & sigma^-1 A_R sigma|,
-    counted by conjugating one group's elements into the other.
-
-    Rank: the codeword differences are spanned by the within-component
-    differences of L and of R, each in its own half, and by the blocks
-    (x_i + x_0, y_sigma(i) + y_sigma(0)) of residues, i = 1..7.  These
-    span 7 - dim(N_L & sigma^-1 N_R), N_L and N_R the null relations of
-    TranslationAction and sigma^-1 S = {i : sigma(i) in S}.  The
-    annihilator of that meet in F_2^8 is U_L + sigma^-1 U_R, of
-    dimension (r_L + 1) + (r_R + 1) - dim(U_L & sigma^-1 U_R), and
-    U_L & sigma^-1 U_R is {0, all eight} plus the sets sigma^-1(w), w in
-    W_R, that lie in U_L (all eight is in neither W).  Hence
-
-        rank = delta_L + delta_R + r_L + r_R
-               - log2 #{w in W_R : sigma^-1(w) in U_L}.
-
-    The count is the same from either side, so the smaller W is the one
-    carried.  With r = 0 on either side W = {0} or U = {0, all eight},
-    and the count is 1.  ValueError unless sigma is a permutation of
-    0..7.
-    """
-    return atlas.pair(left, right).invariants(sigma_bytes(sigma))
 
 
 def weight4_words(kw: np.ndarray) -> np.ndarray:
@@ -252,9 +247,6 @@ class CosetDecomposition:
     subspace: LinearSpan
     reps: np.ndarray
     index: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.reps)
 
 
 def cosets(code: Code, span: LinearSpan) -> CosetDecomposition:

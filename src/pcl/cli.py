@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import click
 
-from .algebra import doubled_invariants, kernel, rank_of
+from .algebra import kernel, rank_of
 from .fano import PRESCRIPTIONS, fano_families, partition_registry
 from .fold import quotient_graph
 from .ioutil import (atomic_write, code_to_json, load_code, provenance,
@@ -32,10 +32,11 @@ from .ioutil import (atomic_write, code_to_json, load_code, provenance,
 from .partitions import (Atlas, build_atlas, check_census7,
                          enumerate_partitions7, orbit_classify7)
 from .perfect import enumerate_perfect7
-from .scan import PRIORITY_PAIRS, find_representatives, make_code, scan_pair
+from .scan import (PRIORITY_PAIRS, find_representatives, iter_sigmas,
+                   make_code, scan_pair)
 from .sts import code_type_grid, homogeneity, multiset_keys, render_tuple
 from .structure import StructureReport, full_report
-from .words import parse_sigma, quad_name, sigma_str, word_hex
+from .words import IDENTITY8, quad_name, sigma_str, word_hex
 
 # What reading a malformed JSON file can raise; the commands turn these
 # into an error message and exit status 1.
@@ -174,9 +175,10 @@ def partitions_classify(atlas_path: str) -> None:
               help="component matching, eight digits over 0..7")
 @click.option("--scan-sigma", is_flag=True,
               help="print one invariant row per permutation instead")
-@click.option("--sample", type=int, default=None,
+@click.option("--sample", type=click.IntRange(min=1), default=None,
               help="scan a seeded sample instead of all 40320 permutations")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True)
 @click.option("--atlas", "atlas_path",
               type=click.Path(exists=True, dir_okay=False), default=None,
               help="atlas JSON; classified from scratch when omitted")
@@ -189,7 +191,7 @@ def double(source: int, target: int, sigma: str | None, scan_sigma: bool,
     _check_class(atlas, source, "source")
     _check_class(atlas, target, "target")
     if scan_sigma:
-        rows = scan_pair(atlas, source, target, sample=sample, seed=seed)
+        rows = scan_pair(atlas, source, target, iter_sigmas(sample, seed))
         for r in rows:
             click.echo("sigma=%s rank=%d kernelDim=%d"
                        % (sigma_str(r.sigma), r.rank, r.kernel))
@@ -202,13 +204,13 @@ def double(source: int, target: int, sigma: str | None, scan_sigma: bool,
     if out is None:
         raise click.UsageError("--out is required when building one code")
     try:
-        sig = parse_sigma(sigma)
+        row, = scan_pair(atlas, source, target, [sigma])
     except ValueError as e:
         raise click.ClickException(str(e))
-    code = make_code(atlas, source, target, sig)
+    code = make_code(atlas, source, target, row.sigma)
     save_code(out, code)
-    rank, kappa = doubled_invariants(atlas, source, target, sig)
-    click.echo("code %s: rank=%d kernelDim=%d" % (code.label, rank, kappa))
+    click.echo("code %s: rank=%d kernelDim=%d"
+               % (code.label, row.rank, row.kernel))
     click.echo("wrote %s" % out)
 
 
@@ -390,9 +392,10 @@ def _stage(tag: str):
               help="reuse a classified atlas instead of rebuilding")
 @click.option("--pair", "pairs", multiple=True, metavar="L,R",
               help="class pair to scan (repeatable; default a fixed list)")
-@click.option("--sample", type=int, default=400, show_default=True,
-              help="permutations sampled per pair")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--sample", type=click.IntRange(min=1), default=400,
+              show_default=True, help="permutations sampled per pair")
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True)
 def pipeline(out_dir: str, atlas_path: str | None, pairs: tuple,
              sample: int, seed: int) -> None:
     """Run every stage and leave one artifact set per kernel dimension.
@@ -421,15 +424,16 @@ def pipeline(out_dir: str, atlas_path: str | None, pairs: tuple,
 
     with _stage("scan"):
         lin = atlas.linear_class
-        base = make_code(atlas, lin, lin, tuple(range(8)))
-        save_code(path("code_linear.json"), base)
-        _, kap0 = doubled_invariants(atlas, lin, lin, base.sigma)
+        base, = scan_pair(atlas, lin, lin, [IDENTITY8])
+        save_code(path("code_linear.json"),
+                  make_code(atlas, lin, lin, base.sigma))
         found = find_representatives(atlas, pairs=pair_list,
                                      per_pair=sample, seed=seed)
     click.echo("[scan] linear baseline kappa=%d, structure check skipped"
-               % kap0)
+               % base.kernel)
     summary["linear"] = {"sourceClass": lin, "targetClass": lin,
-                         "sigma": "01234567", "kernelDim": kap0}
+                         "sigma": sigma_str(base.sigma),
+                         "kernelDim": base.kernel}
     missing = sorted(PRESCRIPTIONS.keys() - found.keys())
     if missing:
         click.echo("[scan] no code found for kappa in %s within %d "

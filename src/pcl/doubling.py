@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .words import parse_sigma, popcounts16, sigma_str
+from .words import popcounts16, sigma_bytes, sigma_str
 
 if TYPE_CHECKING:
     from .algebra import CosetDecomposition
@@ -25,7 +25,8 @@ SPACE16 = 1 << 16
 
 @dataclass(eq=False)
 class Code:
-    """A doubled code plus the recipe that produced it.
+    """A doubled code plus the recipe that produced it: the class ids
+    and sigma, a permutation of 0..7 as 8 bytes (words.sigma_bytes).
 
     type_tuples caches the triple-system type tuples sts has computed,
     keyed by the codeword typed (a kernel coset's least word, when the
@@ -38,7 +39,7 @@ class Code:
     words: np.ndarray
     left: int | None = None
     right: int | None = None
-    sigma: tuple | None = field(default=None)
+    sigma: bytes | None = None
     type_tuples: dict = field(default_factory=dict, repr=False)
     kernel_cosets: CosetDecomposition | None = field(default=None,
                                                      repr=False)
@@ -85,17 +86,12 @@ class Code:
         s = sigma_str(self.sigma) if self.sigma is not None else "?"
         return "(%s,%s,%s)" % (self.left, self.right, s)
 
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __contains__(self, w: int) -> bool:
-        return bool(self.occ[w])
-
 
 def double(left_components, right_components, sigma,
            left_id: int | None = None, right_id: int | None = None) -> Code:
-    """The doubled code; ValueError unless sigma is a permutation of 0..7."""
-    sigma = parse_sigma(sigma)
+    """The doubled code; ValueError unless sigma is a permutation of 0..7
+    (words.sigma_bytes), which the code keeps as 8 bytes."""
+    sigma = sigma_bytes(sigma)
     words = []
     for i, comp in enumerate(left_components):
         d = right_components[sigma[i]]

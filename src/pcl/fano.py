@@ -132,9 +132,6 @@ class PairPartition:
         (_, k), (_, l), (_, m), _ = self.pairs
         return "%d_%d^%d" % (k, l, m)
 
-    def __str__(self) -> str:
-        return self.name
-
 
 def pair_partition(k: int, l: int, m: int) -> PairPartition:
     """Decode a k_l^m tag: pair 0 with k, then the least free point with

@@ -22,7 +22,7 @@ import tempfile
 import numpy as np
 
 from .doubling import Code
-from .words import parse_sigma, parse_word, sigma_str
+from .words import parse_word, sigma_bytes, sigma_str
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -155,7 +155,7 @@ def save_code(path: str, code: Code) -> None:
 def load_code(path: str) -> Code:
     d = read_json(path)
     words = code_from_json(d, 16)
-    sigma = parse_sigma(d["sigma"]) if "sigma" in d else None
+    sigma = sigma_bytes(d["sigma"]) if "sigma" in d else None
     code = Code(np.array(words, dtype=np.uint16), d.get("sourceClass"),
                 d.get("targetClass"), sigma)
     code.neighbours  # raises ValueError unless extended 1-perfect

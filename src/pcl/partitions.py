@@ -140,9 +140,9 @@ class TranslationAction(NamedTuple):
     p is an involution.  Each p is realized by the same number, fixers,
     of translations: a coset of those fixing every C_i.  delta_dim is
     the dimension of the span of the within-component differences, and
-    residues[i] is C_i reduced modulo that span, the least word of its
-    coset; that is a linear map, so residues add like the words they
-    reduce.  rank is the rank r of the z_i = x_i + x_0, x_i the residues.
+    the residue x_i is C_i reduced modulo that span, the least word of
+    its coset; that is a linear map, so residues add like the words they
+    reduce.  rank is the rank r of the z_i = x_i + x_0.
 
     Index sets of 0..7, held as 8-byte indicators, carry the residues'
     linear structure.  The null relations N are the even sets c with
@@ -160,7 +160,6 @@ class TranslationAction(NamedTuple):
     perms: frozenset
     fixers: int
     delta_dim: int
-    residues: tuple
     rank: int
     w_sets: tuple
     u_sets: frozenset
@@ -174,9 +173,9 @@ def _indicator(s: int) -> bytes:
 class ExtClass:
     """One extended partition class: a representative and its ancestry.
 
-    The translation action that algebra.doubled_invariants reads the
-    rank and kernel of doubled codes from is built on first use, not
-    when an atlas is loaded.
+    The translation action that algebra.DoublingPair reads the rank and
+    kernel of doubled codes from is built on first use, not when an
+    atlas is loaded.
     """
 
     components: Partition8
@@ -201,7 +200,7 @@ class ExtClass:
         w = xor_closure(sum(((x[i] ^ x[0]) >> b & 1) << i for i in range(8))
                         for b in range(8))
         return TranslationAction(
-            frozenset(counts), counts[IDENTITY8], len(basis), tuple(x),
+            frozenset(counts), counts[IDENTITY8], len(basis),
             len(w).bit_length() - 1, tuple(map(_indicator, w)),
             frozenset(_indicator(t ^ e) for t in w for e in (0, 0xFF)))
 

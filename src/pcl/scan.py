@@ -2,15 +2,17 @@
 
 Doubling two fixed partition classes under different permutations
 yields codes whose rank and kernel dimension depend on the permutation.
+A permutation sigma of 0..7 travels as 8 bytes (words.sigma_bytes).
 The scan walks permutations deterministically (an explicit list, whose
 entries are checked to be permutations, a seeded sample without
-replacement, or all 40320 in lexicographic order), tabulates the
-invariants as ScanRow named tuples, and can keep the first code found
-per kernel dimension.  The invariants come from the class pair's
-algebra.DoublingPair table, the routine behind
-algebra.doubled_invariants, which reads them off the two partitions; a
-code is built only when it is kept.  algebra.kernel_words and the rank
-of the built code's word differences are the oracle of the rows.
+replacement, or all 40320 in lexicographic order, from iter_sigmas) and
+tabulates the invariants as ScanRow named tuples.  scan_pair is the one
+route from sigma to (rank, kernel dimension): it reads them off the
+class pair's algebra.DoublingPair table, without building the code.
+find_representatives walks its rows and builds a code only when it may
+keep it, the first found per kernel dimension.  algebra.kernel_words
+and the rank of the built code's word differences are the oracle of
+the rows.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import doubled_invariants
 from .doubling import Code, double
 from .fano import PRESCRIPTIONS
 from .partitions import Atlas
@@ -50,7 +51,7 @@ class ScanRow(NamedTuple):
 
     left: int
     right: int
-    sigma: tuple
+    sigma: bytes
     rank: int
     kernel: int
 
@@ -61,15 +62,15 @@ class ScanRow(NamedTuple):
 
 
 def iter_sigmas(sample: int | None = None, seed: int = 0):
-    """Permutations of [0,7]: all 40320 in lexicographic order, or a
-    seeded sample without replacement."""
+    """Permutations of [0,7] as bytes: all 40320 in lexicographic order,
+    or a seeded sample without replacement."""
     if sample is None or sample >= FACT8:
-        yield from permutations(range(8))
+        yield from map(bytes, permutations(range(8)))
         return
     rng = np.random.default_rng(seed)
     seen: set = set()
     while len(seen) < sample:
-        s = tuple(rng.permutation(8).tolist())
+        s = bytes(rng.permutation(8).tolist())
         if s not in seen:
             seen.add(s)
             yield s
@@ -78,33 +79,28 @@ def iter_sigmas(sample: int | None = None, seed: int = 0):
 def make_code(atlas: Atlas, left: int, right: int, sigma) -> Code:
     return double(atlas.classes[left].components,
                   atlas.classes[right].components,
-                  tuple(sigma), left, right)
+                  sigma, left, right)
 
 
-def scan_pair(atlas: Atlas, left: int, right: int,
-              sample: int | None = None, seed: int = 0,
-              sigmas=None) -> list[ScanRow]:
-    """One invariant row per permutation, in enumeration order.
-
-    Explicit sigmas are checked (ValueError for one that is no
-    permutation of 0..7) and kept as given when they are tuples.
-    """
+def scan_pair(atlas: Atlas, left: int, right: int, sigmas) -> list[ScanRow]:
+    """One invariant row per permutation, in the order given; each row
+    holds its sigma as checked bytes (ValueError for one that is no
+    permutation of 0..7)."""
     invariants = atlas.pair(left, right).invariants
     rows = []
-    for s in iter_sigmas(sample, seed) if sigmas is None else sigmas:
+    for s in sigmas:
         sig = sigma_bytes(s)
         # tuple.__new__ builds the row ScanRow() would, at about half
         # the cost: it skips the named tuple's Python-level __new__
-        rows.append(tuple.__new__(ScanRow, (
-            left, right, s if type(s) is tuple else tuple(sig))
-            + invariants(sig)))
+        rows.append(tuple.__new__(ScanRow, (left, right, sig)
+                                  + invariants(sig)))
     return rows
 
 
 def find_representatives(atlas: Atlas, targets=tuple(PRESCRIPTIONS),
                          pairs=PRIORITY_PAIRS, per_pair: int = 400,
                          seed: int = 0,
-                         ) -> dict[int, tuple[int, int, tuple, Code]]:
+                         ) -> dict[int, tuple[int, int, bytes, Code]]:
     """One code per kernel dimension from a seeded permutation scan.
 
     Pairs are scanned in order with a fresh sample each; the result maps
@@ -112,18 +108,18 @@ def find_representatives(atlas: Atlas, targets=tuple(PRESCRIPTIONS),
     small kernels puncture to triple systems whose Pasch profiles match
     no type-table row; the scan keeps the first code whose profiles all
     classify and falls back to the first found otherwise.  A code is
-    built only when its kernel dimension, read off the partitions, is
+    built only when its kernel dimension, read off the scan_pair row, is
     wanted and not yet settled.  Deterministic for fixed atlas, pair
     list, sample size and seed.
     """
     want = set(targets)
-    found: dict[int, tuple[int, int, tuple, Code]] = {}
+    found: dict[int, tuple[int, int, bytes, Code]] = {}
     settled: set[int] = set()
     for left, right in pairs:
-        for sig in iter_sigmas(per_pair, seed):
-            if want <= settled:
-                return found
-            _, kap = doubled_invariants(atlas, left, right, sig)
+        if want <= settled:
+            break
+        for _, _, sig, _, kap in scan_pair(atlas, left, right,
+                                           iter_sigmas(per_pair, seed)):
             if kap not in want or kap in settled:
                 continue
             code = make_code(atlas, left, right, sig)

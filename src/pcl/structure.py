@@ -26,7 +26,8 @@ Disc. Meth. 1984) are recognized by decompose_mixed alone, both on
 mixed links and on the product parts of loops and half-fold links.
 
 Link verdicts are judged once per difference class of the fold
-(SqsGraph.classes) and repeated for each link of the class.
+(SqsGraph.classes) and repeated for each link of the class by one
+emitter, _link_verdicts.
 """
 
 from __future__ import annotations
@@ -132,6 +133,18 @@ def _as_pair_partition(masks8: tuple):
         return None
 
 
+def _quarters(partners: dict):
+    """[(pair, partition), ...] over the pairs in point order when each
+    pair's partners form a full pair partition, else None."""
+    out = []
+    for pair in sorted(partners, key=points_of):
+        part = _as_pair_partition(tuple(sorted(partners[pair])))
+        if part is None:
+            return None
+        out.append((pair, part))
+    return out
+
+
 def decompose_mixed(labels):
     """Split an all-mixed label set into whole products or whole quarters.
 
@@ -166,23 +179,13 @@ def decompose_mixed(labels):
         return ("products",
                 sorted(prods, key=lambda ab: (ab[0].name, ab[1].name)))
 
-    quarters = []
-    for lp in sorted(by_left, key=points_of):
-        b = _as_pair_partition(tuple(sorted(by_left[lp])))
-        if b is None:
-            quarters = None
-            break
-        quarters.append((lp, b))
+    quarters = _quarters(by_left)
     if quarters is not None:
         return ("quarters", quarters)
-
-    swapped = []
-    for rp in sorted(by_right, key=points_of):
-        a = _as_pair_partition(tuple(sorted(by_right[rp])))
-        if a is None:
-            return None
-        swapped.append((a, rp))
-    return ("quarters-swapped", swapped)
+    swapped = _quarters(by_right)
+    if swapped is None:
+        return None
+    return ("quarters-swapped", [(a, rp) for rp, a in swapped])
 
 
 def _one_product(labels):
@@ -228,24 +231,32 @@ def _family_names() -> dict:
     return {masks: name for name, masks in fano.fano_families().items()}
 
 
-def _judge_pure(labels, table, names, expected) -> tuple:
-    """(is pure, verdict fields) for one link's label set."""
+def _link_verdicts(G: SqsGraph, judged: list, prefix: str) -> list[Verdict]:
+    """One verdict per link of G, from the verdict fields judged[k] of
+    its difference class k; links of a class judged None get none."""
+    return [Verdict("%slink(%d,%d)" % (prefix, i, j), *judged[k])
+            for i, j, k in G.links() if judged[k] is not None]
+
+
+def _judge_pure(labels, table, names, expected):
+    """Verdict fields for one link's label set, None unless it is a
+    nonempty set of half-supported labels."""
     L, R, M = split_sides(labels)
-    if M:
-        return False, None
+    if M or not labels:
+        return None
     if L and R:
-        return True, ("fail", expected, "%d left and %d right labels on "
-                      "one link" % (len(L), len(R)), "")
+        return ("fail", expected, "%d left and %d right labels on one link"
+                % (len(L), len(R)), "")
     obs_desc = "%d %s-half labels" % (len(L or R), "left" if L else "right")
     graded = [(LEVELS.index(_grade(labels, f)), pos)
               for pos, f in enumerate(table) if len(f) == len(labels)]
     if not graded:
-        return True, ("fail", expected, obs_desc,
-                      "no prescribed family of this size")
+        return ("fail", expected, obs_desc,
+                "no prescribed family of this size")
     at, pos = min(graded)
     note = ("size matches %s only" if LEVELS[at] == "spectrum"
             else "matches %s") % names[table[pos]]
-    return True, (LEVELS[at], expected, obs_desc, note)
+    return (LEVELS[at], expected, obs_desc, note)
 
 
 def verify_intra_links(G: SqsGraph, rx: fano.Prescription) -> list[Verdict]:
@@ -255,17 +266,16 @@ def verify_intra_links(G: SqsGraph, rx: fano.Prescription) -> list[Verdict]:
     names = _family_names()
     expected = "one of " + ", ".join(
         "%s(%d)" % (names[f], len(f)) for f in table)
-    # class 0 is the loop, which every block holds
-    judged = [(True, None)] + [
-        _judge_pure(labels, table, names, expected) if labels
-        else (False, None) for labels in G.classes[1:]]
-    out = [Verdict("link(%d,%d)" % (i, j), *judged[k][1])
-           for i, j, k in G.links() if judged[k][0]]
+    # class 0 is the loop, no link's, which every block holds
+    judged = [None] + [_judge_pure(labels, table, names, expected)
+                       for labels in G.classes[1:]]
+    out = _link_verdicts(G, judged, "")
 
     blk_exp = set(fano.XYZ)
     for v, row in enumerate(G.pair_class.tolist()):
         blk = set(chain.from_iterable(
-            G.classes[k] for k in set(row) if judged[k][0]))
+            G.classes[k] for k in set(row)
+            if k == 0 or judged[k] is not None))
         out.append(Verdict("block@v%d" % v,
                            _grade(blk, blk_exp) if len(blk) == 28 else "fail",
                            "loop and pure links union to X+Y+Z, 28 labels",
@@ -273,25 +283,24 @@ def verify_intra_links(G: SqsGraph, rx: fano.Prescription) -> list[Verdict]:
     return out
 
 
-def _judge_mixed(labels, rx: fano.Prescription) -> tuple:
-    """(mixed label count, verdict fields) for one link's label set."""
+def _judge_mixed(labels, rx: fano.Prescription):
+    """Verdict fields for one link's label set, None unless some label
+    is mixed."""
     expected = rx.cross_rule
     L, R, M = split_sides(labels)
     if not M:
-        return 0, None
+        return None
     if L or R:
-        return len(M), ("fail", expected,
-                        "%d labels with %d half-supported among them"
-                        % (len(labels), len(L) + len(R)), "")
+        return ("fail", expected, "%d labels with %d half-supported among "
+                "them" % (len(labels), len(L) + len(R)), "")
     dec = decompose_mixed(M)
     if dec is None:
         profile = sorted(
             len(set(m >> 8 for m in M if (m & 0xFF) == lp))
             for lp in set(m & 0xFF for m in M))
-        return len(M), ("fail", expected,
-                        "%d labels, no whole-product or whole-quarter"
-                        " split" % len(M),
-                        "right fan-out per left pair: %s" % profile)
+        return ("fail", expected,
+                "%d labels, no whole-product or whole-quarter split" % len(M),
+                "right fan-out per left pair: %s" % profile)
     kind, parts = dec
     # parts is never empty, so no product split fits link_products == 0
     quarters_fit = not rx.link_products and len(parts) <= 3
@@ -307,18 +316,17 @@ def _judge_mixed(labels, rx: fano.Prescription) -> tuple:
         desc = "half-swapped quarters " + ", ".join(
             "%sx(%s)" % (a.name, quad_name(rp)) for a, rp in parts)
         lv = "relabeled" if quarters_fit else "spectrum"
-    return len(M), (lv, expected, desc, "")
+    return (lv, expected, desc, "")
 
 
 def verify_cross_links(G: SqsGraph, rx: fano.Prescription) -> list[Verdict]:
     """Mixed links decomposed into products or quarters, plus the
     112-label cross budget at every vertex."""
     # class 0 is the loop, whose mixed labels are no link's
-    judged = [(0, None)] + [_judge_mixed(labels, rx)
-                            for labels in G.classes[1:]]
-    out = [Verdict("link(%d,%d)" % (i, j), *judged[k][1])
-           for i, j, k in G.links() if judged[k][0]]
-    mixed = np.array([n for n, _ in judged])
+    out = _link_verdicts(G, [None] + [_judge_mixed(labels, rx)
+                                      for labels in G.classes[1:]], "")
+    mixed = np.array([0] + [len(split_sides(labels)[2])
+                            for labels in G.classes[1:]])
     totals = mixed[G.pair_class].sum(axis=1).tolist()
 
     in_loop = 16 * rx.loop_products
@@ -379,8 +387,7 @@ def _index2_verdicts(code: Code, kw: np.ndarray, GK: SqsGraph,
             if prod is not None and folds else
             ("fail", expected, "%d labels, product=%s, rejoins=%s"
              % (len(ls), prod is not None, folds)))
-    out += [Verdict("half-fold link(%d,%d)" % (i, j), *judged[k])
-            for i, j, k in GL.links() if judged[k] is not None]
+    out += _link_verdicts(GL, judged, "half-fold ")
     deg = np.array([f is not None for f in judged])[GL.pair_class].sum(axis=1)
     met = deg[deg > 0].tolist()
     out.append(Verdict("half-fold matching",

@@ -99,9 +99,6 @@ class PaschProfile:
     total: int
     per_point: tuple
 
-    def signature(self) -> tuple:
-        return (self.total, tuple(sorted(self.per_point, reverse=True)))
-
 
 def check_sts(triples, points: int = 15) -> None:
     if len(triples) != points * (points - 1) // 6:

@@ -85,14 +85,8 @@ def sigma_bytes(s) -> bytes:
     return sig
 
 
-def parse_sigma(s) -> tuple:
-    """A permutation of 0..7 as a tuple; a valid tuple is returned as is."""
-    sig = sigma_bytes(s)
-    return s if type(s) is tuple else tuple(sig)
-
-
-def sigma_str(sigma) -> str:
-    return bytes(sigma).translate(_TO_DIGITS).decode()
+def sigma_str(sigma: bytes) -> str:
+    return sigma.translate(_TO_DIGITS).decode()
 
 
 def perm_word_map(perm, n: int) -> np.ndarray:

@@ -7,8 +7,8 @@ length-16 code by the tiling of its punctures, the oracle of
 Code.neighbours; enumerate_pair_partitions, pair_masks and product
 build the pair-partition products that structure.decompose_mixed
 recognizes; in_span and coset_of test membership in a span and in the
-cosets of a decomposition; perm_count_invariants is the oracle of
-algebra.doubled_invariants.
+cosets of a decomposition; perm_count_invariants is the oracle of the
+scan.scan_pair rows, which algebra.DoublingPair evaluates.
 """
 
 from collections import Counter

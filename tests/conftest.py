@@ -30,5 +30,5 @@ def found(atlas):
 
 @pytest.fixture(scope="session")
 def witnesses(atlas):
-    return {k: make_code(atlas, left, right, tuple(int(c) for c in sigma))
+    return {k: make_code(atlas, left, right, sigma)
             for k, (left, right, sigma) in KAPPA_WITNESSES.items()}

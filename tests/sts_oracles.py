@@ -25,8 +25,10 @@ ROW_OF = {v: k for k, v in ROWS.items()}
 
 
 def classify_type(profile: PaschProfile):
-    """Type id from the signature table, or None when absent."""
-    return ROW_OF.get(profile.signature())
+    """Type id from the signature table, or None when absent; the
+    signature is the total and the per-point counts in decreasing order."""
+    return ROW_OF.get((profile.total,
+                       tuple(sorted(profile.per_point, reverse=True))))
 
 
 # the 24 orders of a block's four points, and the distinct (a, b, c)

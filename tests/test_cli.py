@@ -22,7 +22,7 @@ from pcl.fold import quotient_graph
 from pcl.ioutil import code_to_json, load_code, read_json, save_code
 from pcl.partitions import Atlas
 from pcl.scan import make_code
-from pcl.words import parse_sigma, rank_gf2
+from pcl.words import rank_gf2, sigma_bytes
 
 from graph_helpers import graph_from_json
 
@@ -188,7 +188,7 @@ def test_double_one_code(runner, tmp_path, atlas_file):
     assert "code (0,0,45026713): rank=12 kernelDim=9" in res.output
     code = load_code(out)
     assert len(code.words) == 2048
-    assert code.sigma == (4, 5, 0, 2, 6, 7, 1, 3)
+    assert code.sigma == bytes((4, 5, 0, 2, 6, 7, 1, 3))
 
 
 def test_double_scan_sigma(runner, tmp_path, atlas_file):
@@ -219,7 +219,7 @@ def test_double_scan_sigma_exhaustive(runner, tmp_path, atlas, atlas_file):
     assert len(rows) == 40320
     assert len({r["sigma"] for r in rows}) == 40320
     for r in random.Random(0).sample(rows, 50):
-        code = make_code(atlas, 0, 3, parse_sigma(r["sigma"]))
+        code = make_code(atlas, 0, 3, sigma_bytes(r["sigma"]))
         assert (r["rank"], r["kernelDim"]) == (
             rank_of(code), rank_gf2(kernel_words(code))), r
 
@@ -278,6 +278,26 @@ def test_double_usage_errors(runner, atlas_file):
     assert res.exit_code != 0
 
 
+_DOUBLE_SCAN = ["double", "--source", "1", "--target", "3", "--scan-sigma"]
+
+
+@pytest.mark.parametrize("args, option", [
+    (_DOUBLE_SCAN + ["--seed", "-1"], "--seed"),
+    (_DOUBLE_SCAN + ["--sample", "-2"], "--sample"),
+    (["pipeline", "--seed", "-1"], "--seed"),
+    (["pipeline", "--sample", "0"], "--sample"),
+], ids=["double-seed", "double-sample", "pipeline-seed", "pipeline-sample"])
+def test_seeds_and_sample_sizes_are_validated(runner, tmp_path, atlas_file,
+                                               args, option):
+    out_dir = tmp_path / "run"
+    if args[0] == "pipeline":
+        args = args + ["--out-dir", str(out_dir)]
+    res = runner.invoke(main, args + ["--atlas", atlas_file])
+    assert res.exit_code == 2, res.output
+    assert option in res.output
+    assert not out_dir.exists()
+
+
 def test_analyze(runner, tmp_path, code_files):
     out = str(tmp_path / "a.json")
     res = runner.invoke(main, ["analyze", code_files[9], "--out", out])
@@ -332,7 +352,7 @@ def test_rejects_malformed_code(runner, tmp_path, args, text):
 def test_sts_types_rejects_a_replaced_word(runner, tmp_path, witnesses):
     code = witnesses[8]
     words = code.words.tolist()
-    words[5] = next(w for w in _even_words(1 << 15) if w not in code)
+    words[5] = next(w for w in _even_words(1 << 15) if not code.occ[w])
     p = tmp_path / "replaced.json"
     p.write_text(json.dumps({"length": 16, "codewords": [
         "%04x" % w for w in sorted(words)]}))

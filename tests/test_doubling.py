@@ -4,15 +4,15 @@ import numpy as np
 
 from pcl.doubling import Code
 from pcl.scan import make_code
-from pcl.words import parse_sigma, popcounts16
+from pcl.words import popcounts16, sigma_bytes
 
 from code_helpers import is_extended_perfect16
 
 
 def test_double_shape_and_metadata(atlas):
-    sigma = parse_sigma("45026713")
+    sigma = sigma_bytes("45026713")
     code = make_code(atlas, 0, 0, sigma)
-    assert len(code) == 2048
+    assert len(code.words) == 2048
     assert code.words.dtype == np.uint16
     assert (np.diff(code.words.astype(np.int32)) > 0).all()
     assert (popcounts16(code.words) % 2 == 0).all()
@@ -21,12 +21,12 @@ def test_double_shape_and_metadata(atlas):
 
 
 def test_double_is_extended_perfect(atlas):
-    code = make_code(atlas, 1, 3, parse_sigma("41056327"))
+    code = make_code(atlas, 1, 3, sigma_bytes("41056327"))
     assert is_extended_perfect16(code.words, thorough=True)
 
 
 def test_double_respects_sigma(atlas):
-    sigma = parse_sigma("52637140")
+    sigma = sigma_bytes("52637140")
     code = make_code(atlas, 0, 3, sigma)
     lows = [set(c) for c in atlas.classes[0].components]
     highs = [set(c) for c in atlas.classes[3].components]
@@ -38,10 +38,10 @@ def test_double_respects_sigma(atlas):
 
 def test_membership_helpers(atlas):
     code = make_code(atlas, 0, 0, tuple(range(8)))
-    w = int(code.words[5])
-    assert w in code
+    assert code.occ[int(code.words[5])]
+    assert int(code.occ.sum()) == len(code.words)
     hole = next(x for x in range(1 << 16) if not code.occ[x])
-    assert hole not in code
+    assert hole not in set(code.words.tolist())
 
 
 def test_label_without_metadata():

@@ -65,7 +65,7 @@ def is_sqs(blocks, points: int = 16) -> bool:
 
 def sqs_of(code: Code, v: int) -> SqsSystem:
     """The SQS carried by codeword v, validated."""
-    if v not in code:
+    if not code.occ[v]:
         raise ValueError("%04x is not a codeword" % v)
     d = code.words ^ np.uint16(v)
     blocks = tuple(int(b) for b in np.sort(d[popcounts16(d) == 4]))
@@ -83,7 +83,7 @@ def foldable(code, span) -> bool:
     coset too, is sorted on its own; no kernel shortcut.
     """
     dec = cosets(code, span)
-    m = len(dec)
+    m = len(dec.reps)
     size = len(span)
     members = [code.words[dec.index[code.words] == i] for i in range(m)]
     for i in range(m):

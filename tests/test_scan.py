@@ -13,13 +13,13 @@ import pytest
 from click.testing import CliRunner
 
 from pcl import algebra, scan, sts
-from pcl.algebra import doubled_invariants, kernel_words
+from pcl.algebra import kernel_words
 from pcl.cli import main
 from pcl.partitions import Atlas
 from pcl.scan import (KAPPA_WITNESSES, PRIORITY_PAIRS, ScanRow, iter_sigmas,
                       find_representatives, make_code, scan_pair)
 from pcl.sts import code_type_grid, fully_tabulated
-from pcl.words import parse_sigma, rank_gf2, sigma_str
+from pcl.words import rank_gf2, sigma_bytes, sigma_str
 
 from code_helpers import perm_count_invariants
 
@@ -50,10 +50,9 @@ def test_priority_pairs_are_valid_class_ids(atlas):
 
 def test_iter_sigmas_explicit_and_deterministic(atlas):
     explicit = [(0, 1, 2, 3, 4, 5, 6, 7), [7, 6, 5, 4, 3, 2, 1, 0], "45026713"]
-    rows = scan_pair(atlas, 0, 0, sigmas=explicit)
-    assert [r.sigma for r in rows] == [tuple(range(8)), tuple(range(7, -1, -1)),
-                                       (4, 5, 0, 2, 6, 7, 1, 3)]
-    assert rows[0].sigma is explicit[0]
+    rows = scan_pair(atlas, 0, 0, explicit)
+    assert [r.sigma for r in rows] == [bytes(range(8)), bytes(range(7, -1, -1)),
+                                       bytes((4, 5, 0, 2, 6, 7, 1, 3))]
     a = list(iter_sigmas(sample=40, seed=3))
     b = list(iter_sigmas(sample=40, seed=3))
     assert a == b
@@ -64,13 +63,13 @@ def test_iter_sigmas_explicit_and_deterministic(atlas):
 
 def test_iter_sigmas_full_enumeration_prefix():
     it = iter_sigmas()
-    assert next(it) == tuple(range(8))
-    assert next(it) == (0, 1, 2, 3, 4, 5, 7, 6)
+    assert next(it) == bytes(range(8))
+    assert next(it) == bytes((0, 1, 2, 3, 4, 5, 7, 6))
 
 
 def test_scan_pair_rows(atlas):
-    sigmas = [parse_sigma("01234567"), parse_sigma("45026713")]
-    rows = scan_pair(atlas, 0, 0, sigmas=sigmas)
+    sigmas = [sigma_bytes("01234567"), sigma_bytes("45026713")]
+    rows = scan_pair(atlas, 0, 0, sigmas)
     assert [r.kernel for r in rows] == [11, 9]
     assert [r.rank for r in rows] == [11, 12]
     d = rows[1].to_json()
@@ -139,7 +138,7 @@ def test_fully_tabulated_matches_type_grid(atlas):
 
 
 def test_scan_row_frozen():
-    r = ScanRow(0, 1, tuple(range(8)), 11, 11)
+    r = ScanRow(0, 1, bytes(range(8)), 11, 11)
     with pytest.raises(AttributeError):
         r.rank = 5
 
@@ -148,15 +147,17 @@ def test_doubled_invariants_match_brute_on_every_pair(atlas):
     n = len(atlas.classes)
     for left in range(n):
         for right in range(n):
-            for sig in iter_sigmas(2, seed=n * left + right):
-                code = make_code(atlas, left, right, sig)
-                assert (doubled_invariants(atlas, left, right, sig)
-                        == brute_invariants(code)), code.label
+            for row in scan_pair(atlas, left, right,
+                                 iter_sigmas(2, seed=n * left + right)):
+                code = make_code(atlas, left, right, row.sigma)
+                assert (row.rank, row.kernel) == brute_invariants(code), \
+                    code.label
 
 
 def test_doubled_invariants_match_brute_on_witnesses(atlas, witnesses):
     for kappa, (left, right, sig) in KAPPA_WITNESSES.items():
-        got = doubled_invariants(atlas, left, right, parse_sigma(sig))
+        row, = scan_pair(atlas, left, right, [sig])
+        got = (row.rank, row.kernel)
         assert got == brute_invariants(witnesses[kappa])
         assert got[1] == kappa
 
@@ -166,18 +167,19 @@ def test_doubled_invariants_match_perm_counts_on_every_sigma(atlas, pair):
     # between groups of order 16 and 4 the two orders take both
     # conjugation directions and both sides' W; then the trivial group,
     # and rank 3 on both sides (7 sets of W against 16 of U)
-    for sig in iter_sigmas():
-        assert (doubled_invariants(atlas, *pair, sig)
-                == perm_count_invariants(atlas, *pair, sig)), sig
+    for row in scan_pair(atlas, *pair, iter_sigmas()):
+        assert ((row.rank, row.kernel)
+                == perm_count_invariants(atlas, *pair, row.sigma)), row.sigma
 
 
 def test_doubled_invariants_match_perm_counts_on_every_pair(atlas):
     n = len(atlas.classes)
     for left in range(n):
         for right in range(n):
-            for sig in iter_sigmas(20, seed=1000 + n * left + right):
-                assert (doubled_invariants(atlas, left, right, sig)
-                        == perm_count_invariants(atlas, left, right, sig))
+            for row in scan_pair(atlas, left, right,
+                                 iter_sigmas(20, seed=1000 + n * left + right)):
+                assert ((row.rank, row.kernel)
+                        == perm_count_invariants(atlas, left, right, row.sigma))
 
 
 @pytest.mark.parametrize("sigma", [(0, 0, 1, 2, 3, 4, 5, 6), tuple(range(9)),
@@ -185,7 +187,7 @@ def test_doubled_invariants_match_perm_counts_on_every_pair(atlas):
                                    (256, 1, 2, 3, 4, 5, 6, 7)])
 def test_a_sigma_that_is_no_permutation_is_rejected(atlas, sigma):
     with pytest.raises(ValueError, match="not a permutation"):
-        scan_pair(atlas, 1, 3, sigmas=[sigma])
+        scan_pair(atlas, 1, 3, [sigma])
     with pytest.raises(ValueError, match="not a permutation"):
         make_code(atlas, 1, 3, sigma)
 

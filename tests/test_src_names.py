@@ -1,11 +1,14 @@
-"""Every top-level function or class in src/pcl has a user there.
+"""Every top-level function or class in src/pcl has a user there, and so
+does every public method and property of its classes.
 
 A name is used when some module imports it with `from .mod import name`,
 reads it as `mod.name` after `from . import mod`, or its own module
 refers to it by name.  Click commands are registered by their
 decorators, and the names quoted in perfbench/tracer.py are used by the
-benchmark, which this test reads and does not change.  Helpers that
-only tests call live in tests/.
+benchmark, which this test reads and does not change.  A method or
+property is used when some module reads an attribute of its name, on
+whatever object; dunders and the fields of dataclasses and named tuples
+are not checked.  Helpers that only tests call live in tests/.
 """
 
 import ast
@@ -48,9 +51,26 @@ def _is_click_command(node) -> bool:
     return False
 
 
+def _modules() -> dict:
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+
+
+def _unused_members(modules: dict) -> list:
+    """Public methods and properties whose name no module reads as an
+    attribute."""
+    read = {node.attr for tree in modules.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    return ["%s.%s.%s" % (mod, cls.name, fn.name)
+            for mod, tree in modules.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef)
+            and not fn.name.startswith("_") and fn.name not in read]
+
+
 def _unused_names(private: bool) -> list:
     """Unused top-level names, the private (_-prefixed) or the public ones."""
-    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    modules = _modules()
     used = _used(modules)
     traced = {n.value for n in ast.walk(ast.parse(TRACER.read_text()))
               if isinstance(n, ast.Constant) and isinstance(n.value, str)}
@@ -69,6 +89,22 @@ def test_every_public_name_has_a_user_in_src():
 
 def test_every_private_name_has_a_user_in_src():
     assert _unused_names(private=True) == []
+
+
+def test_every_public_member_has_a_user_in_src():
+    assert _unused_members(_modules()) == []
+
+
+def test_the_member_scan_skips_dunders_and_fields():
+    modules = {
+        "a": ast.parse("class K:\n    x: int\n"
+                       "    def __len__(self):\n        return 0\n"
+                       "    def read(self):\n        return self.x\n"
+                       "    @property\n    def shown(self):\n        return 1\n"
+                       "    def unread(self):\n        return 2\n"),
+        "b": ast.parse("def f(k):\n    return k.read() + k.shown\n"),
+    }
+    assert _unused_members(modules) == ["a.K.unread"]
 
 
 def test_the_scan_sees_imports_attributes_and_local_use():

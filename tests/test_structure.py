@@ -90,9 +90,9 @@ def test_judge_pure_takes_least_level_then_first_family():
     assert [names[f] for f in table] == ["B'", "B", "A"]
 
     def judge(labels):
-        pure, (level, _, observed, note) = structure._judge_pure(
-            labels, table, names, "")
-        assert pure
+        fields = structure._judge_pure(labels, table, names, "")
+        assert fields is not None
+        level, _, observed, note = fields
         return level, observed, note
 
     # B' and B have one canonical form: a level beats a table position,
@@ -141,7 +141,7 @@ def test_mixed_label_sets_are_judged_once(witnesses, monkeypatch):
     assert [v for v in structure.verify_cross_links(g, rx)
             if v.subject.startswith("link")] == [
         Verdict("link(%d,%d)" % e, *fields)
-        for e, (n, fields) in per_link if n]
+        for e, fields in per_link if fields is not None]
 
 
 def test_report_json(witnesses):

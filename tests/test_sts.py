@@ -28,7 +28,7 @@ from pcl.sts import (LETTERS, ROWS, PaschProfile, StsSystem, check_sts,
                      derived_sts, fourth_point_table, fully_tabulated,
                      homogeneity, multiset_keys, pasch_per_point,
                      pasch_profile, render_tuple, type_char)
-from pcl.words import parse_sigma, popcounts16, weight
+from pcl.words import popcounts16, sigma_bytes, weight
 
 from sts_oracles import (blocks_at, class_type_tuple_sorted, classify_type,
                          derived_profiles, pasch_per_point_line_pairs,
@@ -212,7 +212,7 @@ def test_linear_profile(witnesses):
     code = witnesses[11]
     v = int(code.words[0])
     prof = pasch_profile(derived_sts(code, v, 0))
-    assert prof.signature() == (105, (42,) * 15)
+    assert (prof.total, prof.per_point) == (105, (42,) * 15)
     assert classify_type(prof) == 1
 
 
@@ -237,7 +237,7 @@ def test_class_type_tuple_rejects_a_translate_outside_the_kernel(witnesses):
 
 
 def test_untabulated_signatures_regression(atlas):
-    code = make_code(atlas, 1, 3, parse_sigma("24365017"))
+    code = make_code(atlas, 1, 3, sigma_bytes("24365017"))
     assert not fully_tabulated(code)
     fresh = code_type_grid(make_code(atlas, 1, 3, code.sigma))
     assert code.type_tuples
@@ -257,7 +257,7 @@ def test_kept_code_is_typed_once(atlas, monkeypatch):
                         lambda c, v: vertices.append(v) or table(c, v))
     monkeypatch.setattr(sts, "pasch_profile",
                         lambda s: systems.append(s) or oracle(s))
-    code = make_code(atlas, 0, 0, parse_sigma("24365017"))
+    code = make_code(atlas, 0, 0, sigma_bytes("24365017"))
     assert fully_tabulated(code)
     cosets = 2048 >> 8
     assert len(vertices) == cosets
@@ -321,8 +321,12 @@ def test_dual_pasch_on_code_systems(witnesses):
 
 
 def test_profile_signature_is_sorted():
-    p = PaschProfile(10, (1, 3, 2) + (0,) * 12)
-    assert p.signature() == (10, (3, 2, 1) + (0,) * 12)
+    # classify_type reads a profile by its total and its per-point
+    # counts sorted in decreasing order, whatever order they come in
+    t, (total, per_point) = next((t, row) for t, row in ROWS.items()
+                                 if len(set(row[1])) > 1)
+    assert classify_type(PaschProfile(total, per_point[::-1])) == t
+    assert classify_type(PaschProfile(10, (1, 3, 2) + (0,) * 12)) is None
 
 
 def test_batched_profiles_match_completion_search(witnesses):
@@ -402,7 +406,7 @@ def _with_a_replaced_word(code) -> Code:
     """The code with one codeword swapped for an even non-codeword."""
     words = code.words.copy()
     words[5] = next(w for w in range(1 << 16)
-                    if weight(w) % 2 == 0 and w not in code)
+                    if weight(w) % 2 == 0 and not code.occ[w])
     return Code(np.sort(words), code.left, code.right, code.sigma)
 
 

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from pcl.words import (coset_minima, mask_of, parse_quad, parse_sigma,
-                       parse_word, perm_word_map, points_of, popcounts16,
-                       quad_name, rank_gf2, sigma_str, weight, word_hex,
+from pcl.words import (coset_minima, mask_of, parse_quad, parse_word,
+                       perm_word_map, points_of, popcounts16, quad_name,
+                       rank_gf2, sigma_bytes, sigma_str, weight, word_hex,
                        xor_closure)
 
 words16 = st.integers(min_value=0, max_value=0xFFFF)
@@ -66,13 +66,13 @@ def test_word_hex_roundtrip():
 
 
 def test_parse_sigma():
-    assert parse_sigma("01234567") == tuple(range(8))
-    assert parse_sigma("24365017") == (2, 4, 3, 6, 5, 0, 1, 7)
-    assert sigma_str(parse_sigma("45026713")) == "45026713"
+    assert sigma_bytes("01234567") == bytes(range(8))
+    assert sigma_bytes("24365017") == bytes((2, 4, 3, 6, 5, 0, 1, 7))
+    assert sigma_str(sigma_bytes("45026713")) == "45026713"
     with pytest.raises(ValueError):
-        parse_sigma("0123456")
+        sigma_bytes("0123456")
     with pytest.raises(ValueError):
-        parse_sigma("01234566")
+        sigma_bytes("01234566")
 
 
 perms8 = st.permutations(range(8))
