@@ -6,11 +6,13 @@ so that equal rows mean equal unordered partitions.  Length-7 rows index
 the words of F_2^7; length-8 rows index words.EVEN8, the even words of
 F_2^8 in increasing order, the only words even translations reach.
 
-The groups act through generators, each an index map g that moves the
-word at position k to position g[k]: for length 7, S_7 x all
-translations, generated by (0 1), the 7-cycle and the 7 unit
-translations; for length 8, S_8 x even translations, generated by
-(0 1), the 8-cycle and the 7 translations by e0 + ei.
+The groups act through generators, each a gather map g: the moved rows
+are rows[:, g], whose position k holds the word at position g[k].  For
+length 7 they generate S_7 x all translations: (0 1), the inverse of
+the 7-cycle and the 7 unit translations; for length 8, S_8 x even
+translations: (0 1), the inverse of the 8-cycle and the 7 translations
+by e0 + ei.  A moved row is relabeled by relabel_np, which assumes what
+every row of a whole partition satisfies: each id 0..7 is present.
 
 orbit_classes applies every generator to all rows at once and labels
 the orbits as connected components.  An orbit's minimum, its
@@ -22,40 +24,29 @@ are equal, and class ids are the ranks of the orbit minima.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
 
 from .words import EVEN8, perm_word_map, points_of
 
-UNASSIGNED = 255
-
 
 def relabel_np(col: np.ndarray) -> np.ndarray:
-    """Relabel component ids by first occurrence; UNASSIGNED stays put.
-
-    Works on one row or on every row of a 2-D array at once.
-    """
+    """Relabel component ids by first occurrence, on one row or on every
+    row of a 2-D array at once; each row must hold every id 0..7."""
     a = np.asarray(col, dtype=np.uint8)
     rows = a.reshape(-1, a.shape[-1])
-    present = np.flatnonzero(np.bincount(rows.ravel(), minlength=256)[:UNASSIGNED])
-    hits = [rows == v for v in present]
-    # first position of each id in each row; ids absent from a row sort
-    # last there and are never looked up
-    first = np.stack([np.where(h.any(axis=1), h.argmax(axis=1), rows.shape[1])
-                      for h in hits], axis=1)
-    new = np.argsort(np.argsort(first, axis=1, kind="stable"), axis=1)
-    out = np.full(rows.shape, UNASSIGNED, dtype=np.uint8)
-    for j, h in enumerate(hits):
-        np.copyto(out, new[:, j:j + 1].astype(np.uint8), where=h)
-    return out.reshape(a.shape)
+    first = np.stack([(rows == v).argmax(axis=1) for v in range(8)], axis=1)
+    new = np.argsort(np.argsort(first, axis=1), axis=1).astype(np.uint8)
+    return np.take_along_axis(new, rows, axis=1).reshape(a.shape)
 
 
 @lru_cache(maxsize=None)
 def generators(n: int) -> tuple:
-    """Index maps of the generators of the length-n group on the 128 row positions."""
+    """Gather maps of the generators of the length-n group on the 128 row positions."""
     swap01 = perm_word_map((1, 0) + tuple(range(2, n)), n)
-    cycle = perm_word_map(tuple((i + 1) % n for i in range(n)), n)
+    cycle = perm_word_map(tuple((i - 1) % n for i in range(n)), n)
     if n == 7:
         words = np.arange(128)
         shifts = [1 << i for i in range(7)]
@@ -68,13 +59,6 @@ def generators(n: int) -> tuple:
     position[words] = np.arange(128)
     maps = [swap01[words], cycle[words]] + [words ^ s for s in shifts]
     return tuple(position[m] for m in maps)
-
-
-def _moved(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Rows with the word at position k moved to position g[k], not relabeled."""
-    img = np.empty_like(rows)
-    img[:, g] = rows
-    return img
 
 
 def _keys(rows: np.ndarray) -> np.ndarray:
@@ -117,7 +101,7 @@ def orbit_classes(rows: np.ndarray, gens) -> OrbitClasses:
         raise ValueError("duplicate partitions in the enumerated set")
     moves = []
     for g in gens:
-        img = _keys(relabel_np(_moved(rows, g)))
+        img = _keys(relabel_np(rows[:, g]))
         at = np.minimum(np.searchsorted(ranked, img), n - 1)
         if (ranked[at] != img).any():
             raise ValueError("orbit left the enumerated set")
@@ -148,7 +132,7 @@ def orbit(row: np.ndarray, gens) -> np.ndarray:
     found = [row]
     frontier = row[None, :]
     while len(frontier):
-        imgs = relabel_np(np.concatenate([_moved(frontier, g) for g in gens]))
+        imgs = relabel_np(np.concatenate([frontier[:, g] for g in gens]))
         fresh = []
         for img in imgs:
             key = img.tobytes()
@@ -173,27 +157,11 @@ def minimal_image7(col: np.ndarray) -> tuple:
 def minimal_image8(colw: np.ndarray) -> tuple:
     """Canonical row of a length-8 extended partition, over the even words.
 
-    colw has 256 entries; odd-weight words carry UNASSIGNED and are
-    dropped, since even translations preserve the even-weight half.
+    colw has 256 entries; only the even words are read, since even
+    translations preserve the even-weight half, so the odd words may
+    carry any filler.
     """
     return _orbit_minimum(np.asarray(colw)[EVEN8], generators(8))
-
-
-def _permutations(n: int) -> np.ndarray:
-    """All permutations of range(n), one per row, in lexicographic order;
-    perfect labels the Hamming codes by S_7, minimal_quadset8 searches
-    products of two smaller ones.
-
-    Those of range(m) are each first point f followed by those of
-    range(m - 1), with every value from f up moved up by one.
-    """
-    perms = np.zeros((1, 0), dtype=np.uint8)
-    for m in range(1, n + 1):
-        first = np.repeat(np.arange(m, dtype=np.uint8), len(perms))
-        rest = np.tile(perms, (m, 1))
-        rest += rest >= first[:, None]
-        perms = np.column_stack([first, rest])
-    return perms
 
 
 @lru_cache(maxsize=None)
@@ -201,7 +169,8 @@ def _split_permutations(w: int) -> np.ndarray:
     """Permutations of range(8) as rows, row[p] the image of point p,
     that send points 0..w-1 onto 0..w-1: the w! (8 - w)! pairs of one
     permutation of the low points and one of the high points."""
-    low, high = _permutations(w), _permutations(8 - w) + np.uint8(w)
+    low = np.array(list(permutations(range(w))), dtype=np.uint8)
+    high = np.array(list(permutations(range(w, 8))), dtype=np.uint8)
     return np.column_stack([np.repeat(low, len(high), axis=0),
                             np.tile(high, (len(low), 1))])
 

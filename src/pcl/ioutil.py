@@ -153,8 +153,15 @@ def save_code(path: str, code: Code) -> None:
 
 
 def load_code(path: str) -> Code:
+    """The code in a file, with the provenance keys it has; sourceClass
+    and targetClass, where present, must be class ids."""
     d = read_json(path)
     words = code_from_json(d, 16)
+    for key in ("sourceClass", "targetClass"):
+        v = d.get(key, 0)
+        if type(v) is not int or v < 0:
+            raise ValueError("%s %r is not a class id, a non-negative "
+                             "integer" % (key, v))
     sigma = sigma_bytes(d["sigma"]) if "sigma" in d else None
     code = Code(np.array(words, dtype=np.uint16), d.get("sourceClass"),
                 d.get("targetClass"), sigma)

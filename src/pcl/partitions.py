@@ -24,12 +24,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import DoublingPair
-from .canon import (UNASSIGNED, OrbitClasses, generators, minimal_image7,
-                    minimal_image8, orbit_classes, relabel_np)
+from .canon import (OrbitClasses, generators, minimal_image7, minimal_image8,
+                    orbit_classes, relabel_np)
 from .ioutil import code_from_json, code_to_json, read_json, write_json
 from .perfect import SPACE7, enumerate_perfect7, extend_even
 from .words import (EVEN8, IDENTITY8, coset_minima, echelon_basis,
                     xor_closure)
+
+UNASSIGNED = 255  # partition_col's id for the words outside every component
 
 Partition7 = tuple  # 8 components, each a sorted tuple of 16 length-7 words
 Partition8 = tuple  # 8 components, each a sorted tuple of 16 length-8 words
@@ -58,7 +60,7 @@ def enumerate_partitions7() -> list[Partition7]:
 
     def rec(covered: int, chosen: list[int]) -> None:
         if covered == full:
-            out.append(tuple(tuple(sorted(codes[i])) for i in chosen))
+            out.append(tuple(codes[i] for i in chosen))
             return
         w = ((covered + 1) & ~covered).bit_length() - 1
         for i in through[w]:
@@ -221,7 +223,12 @@ class ExtClass:
                 or sorted(w for c in comps for w in c) != EVEN8.tolist()):
             raise ValueError("components do not partition the even words "
                              "of length 8 into eight 16-word sets")
-        return cls(comps, tuple(d["length7Classes"]), bool(d["linear"]), d.get("alias"))
+        linear, alias = d["linear"], d.get("alias")
+        if type(linear) is not bool:
+            raise ValueError("linear %r is not a boolean" % (linear,))
+        if alias is not None and type(alias) is not str:
+            raise ValueError("alias %r is not a string or null" % (alias,))
+        return cls(comps, tuple(d["length7Classes"]), linear, alias)
 
 
 @dataclass

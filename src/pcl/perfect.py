@@ -12,9 +12,10 @@ their neighbour table.
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import numpy as np
 
-from .canon import _permutations
 from .words import weight
 
 N7 = 7
@@ -25,10 +26,10 @@ def enumerate_zero_subspace_codes() -> list:
     """The 30 perfect codes through zero, the Hamming codes, sorted.
 
     Label the 7 coordinates with the nonzero vectors of F_2^3, each
-    labelling a permutation from canon's table; the words whose labels
-    xor to 0 form a Hamming code, and every labelling gives one of them.
+    labelling one permutation of them; the words whose labels xor to 0
+    form a Hamming code, and every labelling gives one of them.
     """
-    labels = _permutations(N7) + 1
+    labels = np.array(list(permutations(range(1, N7 + 1))), dtype=np.uint8)
     words = np.arange(SPACE7)
     syndromes = np.zeros((len(labels), SPACE7), dtype=np.uint8)
     for i in range(N7):

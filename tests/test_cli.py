@@ -349,6 +349,30 @@ def test_rejects_malformed_code(runner, tmp_path, args, text):
     assert not os.path.exists(tmp_path / "broken.analysis.json")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("sourceClass", "abc"), ("targetClass", -1), ("sourceClass", True),
+    ("targetClass", 2.0), ("sourceClass", None)],
+    ids=["string", "negative", "bool", "float", "null"])
+@pytest.mark.parametrize("args", [
+    ["analyze"], ["sts-types"], ["verify-theorem5"],
+    ["export", "--format", "json", "--out", "g.json"],
+], ids=lambda a: a[0])
+def test_rejects_a_class_id_that_is_not_one(runner, tmp_path, witnesses,
+                                            args, key, value):
+    p = tmp_path / "bad-class.json"
+    save_code(str(p), witnesses[9])
+    d = read_json(str(p))
+    d[key] = value
+    p.write_text(json.dumps(d))
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        res = runner.invoke(main, [args[0], str(p)] + args[1:])
+        assert not os.listdir(".")
+    assert res.exit_code == 1, res.output
+    assert "cannot read code" in res.output
+    assert "%s %r is not a class id" % (key, value) in res.output
+    assert not os.path.exists(tmp_path / "bad-class.analysis.json")
+
+
 def test_sts_types_rejects_a_replaced_word(runner, tmp_path, witnesses):
     code = witnesses[8]
     words = code.words.tolist()

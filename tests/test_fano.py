@@ -1,14 +1,12 @@
 """Named quadruple families and pair-partition algebra on the byte halves."""
 
 import random
-from itertools import permutations
 
 from hypothesis import given
 from hypothesis import strategies as st
-import numpy as np
 import pytest
 
-from pcl.canon import _minimal_quadset8, _permutations, minimal_quadset8
+from pcl.canon import _minimal_quadset8, minimal_quadset8
 from pcl.fano import (PRESCRIPTIONS, X, Y, Z, PairPartition, fano_families,
                       left_complement, pair_partition, parse_pair_name,
                       partition_registry, supplement)
@@ -180,12 +178,6 @@ def test_minimal_quadset8_rejects_masks_beyond_8_bits():
         with pytest.raises(ValueError, match="0..255"):
             minimal_quadset8(bad)
     assert minimal_quadset8([0xFF, 0]) == (0, 0xFF)
-
-
-def test_permutations_are_the_itertools_ones_in_order():
-    for n in (1, 2, 3, 5, 8):
-        want = np.array(list(permutations(range(n))), dtype=np.uint8)
-        assert np.array_equal(_permutations(n), want)
 
 
 def test_minimal_quadset8_cache_matches_uncached():

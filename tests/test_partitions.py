@@ -13,8 +13,8 @@ import pytest
 from pcl.canon import (generators, minimal_quadset8, orbit, orbit_classes,
                        relabel_np)
 from pcl.partitions import (EVEN8, Atlas, ExtClass, canonical_form,
-                            extend_partition, is_linear_partition,
-                            partition_col)
+                            enumerate_partitions7, extend_partition,
+                            is_linear_partition, partition_col)
 from pcl.perfect import puncture
 from pcl.words import perm_word_map, weight
 
@@ -211,6 +211,65 @@ def test_minimal_quadset8_matches_table():
         assert minimal_quadset8(masks) == minimal_quadset8_table(masks)
 
 
+def relabel_oracle(row) -> list:
+    """Ids renumbered by first occurrence, one word at a time."""
+    first: dict = {}
+    return [first.setdefault(v, len(first)) for v in row.tolist()]
+
+
+def _ids_permuted(rows, rng):
+    """Each row with its ids 0..7 renamed by a random permutation of its own."""
+    ids = np.argsort(rng.random((len(rows), 8)), axis=1).astype(np.uint8)
+    return np.take_along_axis(ids, rows, axis=1)
+
+
+def test_relabel_np_relabels_by_first_occurrence(atlas):
+    rng = np.random.default_rng(19)
+    rows = np.stack([partition_col(_punctured7(c), 128) for c in atlas.classes]
+                    + [partition_col(c.components, 256)[EVEN8]
+                       for c in atlas.classes])
+    for moved in (_ids_permuted(rows, rng) for _ in range(3)):
+        got = relabel_np(moved)
+        for row, out in zip(moved, got):
+            assert out.tolist() == relabel_oracle(row)
+            assert np.array_equal(relabel_np(row), out)
+
+
+def test_relabel_np_on_every_length7_partition():
+    rows = _ids_permuted(partition_col(enumerate_partitions7(), 128),
+                         np.random.default_rng(7))
+    assert len(rows) == 27360
+    assert relabel_np(rows).tolist() == [relabel_oracle(r) for r in rows]
+
+
+def _generator_moves(n):
+    """The word maps whose inverses are generators(n), in its order: the
+    transposition (0 1), the cycle i -> i + 1, then the translations."""
+    swap = perm_word_map((1, 0) + tuple(range(2, n)), n)
+    cycle = perm_word_map(tuple((i + 1) % n for i in range(n)), n)
+    shifts = ([1 << i for i in range(7)] if n == 7
+              else [1 | (1 << i) for i in range(1, 8)])
+    words = np.arange(1 << n)
+    return [swap, cycle] + [words ^ s for s in shifts]
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_generators_gather_the_moved_partition(atlas, n):
+    base = (_punctured7(atlas.classes[4]) if n == 7
+            else atlas.classes[9].components)
+    p = _moved(base, random.Random(n), n)
+    positions = np.arange(128) if n == 7 else EVEN8
+    row = partition_col(p, 1 << n)[positions]
+    gens = generators(n)
+    moves = _generator_moves(n)
+    assert len(gens) == len(moves) == 9
+    for g, move in zip(gens, moves):
+        assert np.array_equal(np.sort(g), np.arange(128))
+        moved = [[int(move[w]) for w in comp] for comp in p]
+        want = partition_col(moved, 1 << n)[positions]
+        assert np.array_equal(row[g], want)
+
+
 def test_orbit_classes_rank_by_orbit_minimum(atlas):
     # extended classes 0, 2 and 5 puncture to length-7 classes 0, 2 and 5
     gens = generators(7)
@@ -301,6 +360,16 @@ def test_atlas_json_roundtrip(atlas, tmp_path):
      "class 3: components do not partition"),
     (lambda d: d["classes"][3]["representative"].pop(),
      "class 3: components do not partition"),
+    (lambda d: d["classes"][0].update(linear="no"),
+     "class 0: linear 'no' is not a boolean"),
+    (lambda d: d["classes"][3].update(linear="false"),
+     "class 3: linear 'false' is not a boolean"),
+    (lambda d: d["classes"][0].update(linear=1),
+     "class 0: linear 1 is not a boolean"),
+    (lambda d: d["classes"][4].update(alias=[1, 2]),
+     r"class 4: alias \[1, 2\] is not a string or null"),
+    (lambda d: d["classes"][4].update(alias=7),
+     "class 4: alias 7 is not a string or null"),
 ], ids=["no-linear", "two-linear", "nonlinear-flagged", "id-gap",
         "count-not-int", "count-not-sum", "count-float", "sizes-string",
         "size-zero", "size-bool", "size-extra", "size-missing",
@@ -308,7 +377,8 @@ def test_atlas_json_roundtrip(atlas, tmp_path):
         "merged-reordered", "codeword-too-wide", "length-not-a-number",
         "component-length-7", "component-length-fractional",
         "component-length-float", "component-of-15-words",
-        "seven-components"])
+        "seven-components", "linear-string", "linear-string-false",
+        "linear-int", "alias-list", "alias-int"])
 def test_atlas_from_json_checks_ids_and_linear_flag(atlas, change, message):
     d = json.loads(json.dumps(atlas.to_json()))
     change(d)

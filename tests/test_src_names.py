@@ -83,6 +83,41 @@ def _unused_names(private: bool) -> list:
             and node.name not in traced]
 
 
+def _private_imports(modules: dict) -> list:
+    """Private (_-prefixed) names one module takes from another, by
+    `from .mod import _name` or as `mod._name` after `from . import mod`."""
+    found = []
+    for mod, tree in modules.items():
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    found += ["%s <- %s.%s" % (mod, node.module, a.name)
+                              for a in node.names if a.name.startswith("_")]
+                else:
+                    aliases.update((a.asname or a.name, a.name)
+                                   for a in node.names)
+        found += ["%s <- %s.%s" % (mod, aliases[node.value.id], node.attr)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases and node.attr.startswith("_")]
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    assert _private_imports(_modules()) == []
+
+
+def test_the_private_import_scan_sees_both_forms():
+    modules = {
+        "a": ast.parse("from .b import _f, g\nfrom . import c\n"
+                       "def h():\n    return _f() + g() + c._k + c.m\n"
+                       "def _own():\n    return _own\n"),
+    }
+    assert _private_imports(modules) == ["a <- b._f", "a <- c._k"]
+
+
 def test_every_public_name_has_a_user_in_src():
     assert _unused_names(private=False) == []
 
