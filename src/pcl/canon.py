@@ -165,27 +165,30 @@ def minimal_image8(colw: np.ndarray) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _split_permutations(w: int) -> np.ndarray:
-    """Permutations of range(8) as rows, row[p] the image of point p,
-    that send points 0..w-1 onto 0..w-1: the w! (8 - w)! pairs of one
-    permutation of the low points and one of the high points."""
-    low = np.array(list(permutations(range(w))), dtype=np.uint8)
-    high = np.array(list(permutations(range(w, 8))), dtype=np.uint8)
-    return np.column_stack([np.repeat(low, len(high), axis=0),
-                            np.tile(high, (len(low), 1))])
+def _split_permutations() -> np.ndarray:
+    """The 4! 4! = 576 permutations of range(8) that send points 0..3
+    onto 0..3, as rows, row[p] the image of point p: one permutation of
+    the low points paired with one of the high points."""
+    low = np.array(list(permutations(range(4))), dtype=np.uint8)
+    return np.column_stack([np.repeat(low, 24, axis=0),
+                            np.tile(low + 4, (24, 1))])
 
 
 def minimal_quadset8(masks) -> tuple:
-    """Least sorted image of a set of 8-bit masks over all point relabelings.
+    """Least sorted image of a set of quadruples of the 8 points, over
+    all point relabelings.
 
-    Two mask sets have equal minimal images exactly when some permutation
-    of the 8 points carries one onto the other.  Results are memoized on
-    the sorted distinct masks: structure checks canonicalize the same
-    fixed families on every link.  Masks outside 0..255 raise ValueError.
+    Each mask is a quadruple: an 8-bit mask of weight 4.  Two sets have
+    equal minimal images exactly when some permutation of the 8 points
+    carries one onto the other.  Results are memoized on the sorted
+    distinct masks: structure checks canonicalize the same fixed
+    families on every link.  Any other mask raises ValueError.
     """
     masks = tuple(sorted(set(int(m) for m in masks)))
-    if masks and not 0 <= masks[0] <= masks[-1] <= 0xFF:
-        raise ValueError("8-bit masks lie in 0..255, got %r" % (masks,))
+    for m in masks:
+        if not (0 <= m <= 0xFF and m.bit_count() == 4):
+            raise ValueError("expected quadruples, 8-bit masks in 0..255 "
+                             "of weight 4, got %#x" % m)
     return _minimal_quadset8(masks)
 
 
@@ -194,28 +197,18 @@ def _minimal_quadset8(masks: tuple) -> tuple:
     """The least sorted image, searched over the permutations that can
     give it.
 
-    The empty mask and the full one are fixed by every relabeling and
-    are the least and the greatest mask, so they are set aside.  Any
-    image of a mask of weight w is at least (1 << w) - 1, reached
-    exactly by the permutations carrying the mask onto points 0..w-1.
-    So the least sorted image starts with (1 << w) - 1 for the least
-    weight w present, and only the permutations carrying some mask of
-    that weight onto 0..w-1 can give it: w! (8 - w)! per such mask,
-    576 at weight 4, instead of all 40,320.
+    Any image of a quadruple is at least 0x0F, reached exactly by the
+    permutations carrying it onto points 0..3.  So the least sorted
+    image starts with 0x0F, and only the permutations carrying some
+    mask of the set onto 0..3 can give it: 576 per mask, instead of all
+    40,320.
     """
-    if masks[:1] == (0,):
-        return (0,) + _minimal_quadset8(masks[1:])
-    if masks[-1:] == (0xFF,):
-        return _minimal_quadset8(masks[:-1]) + (0xFF,)
     if not masks:
         return ()
-    w = min(m.bit_count() for m in masks)
-    split = _split_permutations(w)
-    perms = []
-    for m in masks:
-        if m.bit_count() == w:  # relabel so that m's points come first
-            order = points_of(m) + [p for p in range(8) if not m >> p & 1]
-            perms.append(split[:, np.argsort(order)])
+    split, perms = _split_permutations(), []
+    for m in masks:  # relabel so that m's points come first
+        order = points_of(m) + [p for p in range(8) if not m >> p & 1]
+        perms.append(split[:, np.argsort(order)])
     perms = np.concatenate(perms)
     bits = np.left_shift(np.uint8(1), perms.T)  # [p, k]: point p's image
     imgs = np.sort(np.stack([np.bitwise_or.reduce(bits[points_of(m)], axis=0)

@@ -43,6 +43,22 @@ from .words import IDENTITY8, quad_name, sigma_str, word_hex
 _BAD_INPUT = (KeyError, IndexError, TypeError, ValueError, OverflowError)
 
 
+class OutPath(click.Path):
+    """A file to write: it may not be a directory, and the directory it
+    would go in must exist, so a bad path fails before the command runs."""
+
+    def __init__(self):
+        super().__init__(dir_okay=False)
+
+    def convert(self, value, param, ctx):
+        path = super().convert(value, param, ctx)
+        d = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(d):
+            self.fail("directory %s does not exist"
+                      % click.format_filename(d), param, ctx)
+        return path
+
+
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
 def main() -> None:
     """Doubled length-16 codes and their folded quadruple-system graphs."""
@@ -96,7 +112,7 @@ def perfect_codes() -> None:
 
 
 @perfect_codes.command("enumerate")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
+@click.option("--out", type=OutPath(), default=None,
               help="write all codes as a JSON array")
 def perfect_enumerate(out: str | None) -> None:
     """Count the perfect codes of length 7 and optionally dump them."""
@@ -118,7 +134,7 @@ def partitions() -> None:
 @click.option("--length", "length_", type=click.Choice(["7", "8"]),
               default="8", show_default=True,
               help="7 for the raw classes, 8 for the extended atlas")
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
+@click.option("--out", type=OutPath(), required=True)
 def partitions_enumerate(length_: str, out: str) -> None:
     """Enumerate and classify the partitions, writing an atlas JSON."""
     if length_ == "8":
@@ -182,7 +198,7 @@ def partitions_classify(atlas_path: str) -> None:
 @click.option("--atlas", "atlas_path",
               type=click.Path(exists=True, dir_okay=False), default=None,
               help="atlas JSON; classified from scratch when omitted")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@click.option("--out", type=OutPath(), default=None)
 def double(source: int, target: int, sigma: str | None, scan_sigma: bool,
            sample: int | None, seed: int, atlas_path: str | None,
            out: str | None) -> None:
@@ -226,7 +242,7 @@ def analysis_stage(code, out: str) -> dict:
 
 @main.command()
 @click.argument("code_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
+@click.option("--out", type=OutPath(), default=None,
               help="analysis JSON path (default: next to the code)")
 def analyze(code_path: str, out: str | None) -> None:
     """Rank, kernel dimension and kernel coset count of a code."""
@@ -269,7 +285,7 @@ def types_stage(code, csv_path: str | None) -> TypeGrid:
 
 @main.command("sts-types")
 @click.argument("code_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--csv", "csv_path", type=click.Path(dir_okay=False),
+@click.option("--csv", "csv_path", type=OutPath(),
               default=None, help="write one row per kernel coset")
 def sts_types(code_path: str, csv_path: str | None) -> None:
     """Triple-system types of the punctured code, one tuple per coset."""
@@ -302,7 +318,7 @@ def report_stage(code, report_path: str | None) -> StructureReport:
 
 @main.command("verify-theorem5")
 @click.argument("code_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--report", "report_path", type=click.Path(dir_okay=False),
+@click.option("--report", "report_path", type=OutPath(),
               default=None, help="write the full verdict list as JSON")
 def verify_theorem5(code_path: str, report_path: str | None) -> None:
     """Check the folded graph against the prescribed loop and link families."""
@@ -345,7 +361,7 @@ def fano_dump() -> None:
 @click.argument("code_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["dot", "csv", "json"]),
               required=True)
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
+@click.option("--out", type=OutPath(), required=True)
 @click.option("--sts/--no-sts", "with_sts", default=True, show_default=True,
               help="label vertices with triple-system type tuples")
 def export(code_path: str, fmt: str, out: str, with_sts: bool) -> None:

@@ -1,14 +1,13 @@
 """Shared persistence helpers for the CLI commands.
 
 All writes go through a temp file plus atomic rename so failed runs
-never leave partial artifacts.  JSON artifacts are written exactly as
-json.dumps(obj, indent=1) writes them, by an encoder of that one
-layout; with indent set, the standard library leaves its C encoder for
-a Python generator per nesting level.  Codes use one JSON schema
-everywhere, written by code_to_json and read by code_from_json:
-{"length": n, "codewords": [hex, ...]} with codewords sorted
-ascending, plus optional provenance keys for doubled codes.  Atlas
-components and the length-7 census dumps use it too.
+never leave partial artifacts, and the file gets the mode open() would
+give it.  Every JSON artifact is written by write_json, so its layout,
+json.dumps(obj, indent=1) plus a newline, is decided in one place.
+Codes use one JSON schema everywhere, written by code_to_json and read
+by code_from_json: {"length": n, "codewords": [hex, ...]} with
+codewords sorted ascending, plus optional provenance keys for doubled
+codes.  Atlas components and the length-7 census dumps use it too.
 Loaded codes are checked to be extended 1-perfect before use, by
 building their neighbour table (Code.neighbours).
 """
@@ -26,11 +25,19 @@ from .words import parse_word, sigma_bytes, sigma_str
 
 
 def atomic_write(path: str, text: str) -> None:
+    """Write text to path through a temp file in the same directory.
+
+    mkstemp makes the temp file owner-only; before the rename it gets
+    0o666 less the umask, the mode open(path, "w") gives a new file.
+    """
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0)  # read by setting; restored at once
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -38,76 +45,10 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
-_string = json.encoder.encode_basestring_ascii
-_INF = float("inf")
-
-
-def _number(x) -> str:
-    """A float as json writes it: repr, or NaN and the infinities."""
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-# the scalar types, matched exactly; subclasses take the isinstance path
-_LEAVES = {str: _string, int: int.__repr__, float: _number,
-           bool: {True: "true", False: "false"}.__getitem__,
-           type(None): lambda _: "null"}
-
-
-def _key(k) -> str:
-    """A dict key as json writes it, before quoting."""
-    if isinstance(k, str):
-        return k
-    if k is None or isinstance(k, (int, float)):
-        return _dumps(k, "")
-    raise TypeError("keys must be str, int, float, bool or None, not %s"
-                    % type(k).__name__)
-
-
-def _dumps(x, indent: str) -> str:
-    """x as json.dumps(x, indent=1) writes it at the depth of indent.
-
-    indent is a newline and one space per enclosing container.  Strings
-    go through the standard library's own escaping, and subclasses of
-    the scalar and container types are written as their bases are.
-    Scalar items are looked up inline, without a call per item.
-    """
-    leaf = _LEAVES.get(type(x))
-    if leaf is not None:
-        return leaf(x)
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        inner = indent + " "
-        body = [_string(k if type(k) is str else _key(k)) + ": "
-                + (f(v) if (f := _LEAVES.get(type(v))) else _dumps(v, inner))
-                for k, v in x.items()]
-        return "{" + inner + ("," + inner).join(body) + indent + "}"
-    if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        inner = indent + " "
-        body = [f(v) if (f := _LEAVES.get(type(v))) else _dumps(v, inner)
-                for v in x]
-        return "[" + inner + ("," + inner).join(body) + indent + "]"
-    if isinstance(x, str):
-        return _string(x)
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        return _number(x)
-    raise TypeError("Object of type %s is not JSON serializable"
-                    % type(x).__name__)
-
-
 def write_json(path: str, obj) -> None:
-    """obj as json.dumps(obj, indent=1) writes it, plus a newline."""
-    atomic_write(path, _dumps(obj, "\n") + "\n")
+    """Write obj as a JSON artifact: one space of indent per nesting
+    level, ASCII escapes, and a closing newline."""
+    atomic_write(path, json.dumps(obj, indent=1) + "\n")
 
 
 def read_json(path: str):

@@ -120,12 +120,13 @@ def is_linear_partition(p8: Partition8) -> bool:
 def check_census7(count, sizes: list, classes: list) -> None:
     """ValueError unless a length-7 census is consistent: sizes holds
     positive ints, the length-7 class ids listed (sorted, with
-    repetition) are 0..len(sizes) - 1 each once, one per orbit size,
-    and count is the sum of the sizes."""
+    repetition) are the ints 0..len(sizes) - 1 each once, one per orbit
+    size, and count is the sum of the sizes."""
     if not all(type(n) is int and n > 0 for n in sizes):
         raise ValueError("orbitSizes7 holds a size that is not a "
                          "positive integer")
-    if classes != list(range(len(sizes))):
+    if (any(type(i) is not int for i in classes)
+            or classes != list(range(len(sizes)))):
         raise ValueError("length-7 classes %s listed, expected each of "
                          "0..%d once, one per orbit size"
                          % (classes, len(sizes) - 1))
@@ -282,7 +283,9 @@ class Atlas:
         summing to partition7Count, and merged lists the classes that
         contain more than one length-7 class."""
         entries = sorted(d["classes"], key=lambda c: c["id"])
-        if [c["id"] for c in entries] != list(range(len(entries))):
+        ids = [c["id"] for c in entries]
+        if (any(type(i) is not int for i in ids)
+                or ids != list(range(len(entries)))):
             raise ValueError("class ids are not 0..%d" % (len(entries) - 1))
         classes = []
         for c in entries:

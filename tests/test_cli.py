@@ -1,6 +1,7 @@
 """Command line interface, file formats and the pipeline."""
 
 import gzip
+import hashlib
 import json
 import os
 import pathlib
@@ -96,7 +97,10 @@ def test_partitions_enumerate_length7(runner, tmp_path):
             ({"partition7Count": 5, "orbitSizes7": [1, 2]},
              "expected each of 0..1"),
             ({"partition7Count": 27359}, "partition7Count 27359 is not the sum"),
-            ({"orbitSizes7": [0] + d["orbitSizes7"][1:]}, "positive integer")]:
+            ({"orbitSizes7": [0] + d["orbitSizes7"][1:]}, "positive integer"),
+            ({"classes": [dict(c, id=0.0) if c["id"] == 0 else c
+                          for c in d["classes"]]},
+             "length-7 classes [0.0, 1, 2")]:
         with open(out, "w") as fh:
             json.dump(dict(d, **change), fh)
         res = runner.invoke(main, ["partitions", "classify", out])
@@ -373,6 +377,32 @@ def test_rejects_a_class_id_that_is_not_one(runner, tmp_path, witnesses,
     assert not os.path.exists(tmp_path / "bad-class.analysis.json")
 
 
+@pytest.mark.parametrize("args", [
+    ["perfect-codes", "enumerate", "--out"],
+    ["partitions", "enumerate", "--length", "7", "--out"],
+    ["double", "--source", "0", "--target", "0", "--sigma", "01234567",
+     "--out"],
+    ["analyze", "CODE", "--out"],
+    ["sts-types", "CODE", "--csv"],
+    ["verify-theorem5", "CODE", "--report"],
+    ["export", "CODE", "--format", "json", "--out"],
+], ids=lambda a: a[0])
+def test_an_output_in_a_missing_directory_is_a_usage_error(
+        runner, tmp_path, code_files, monkeypatch, args):
+    def never():
+        raise AssertionError("the command ran")
+    for name in ("build_atlas", "enumerate_partitions7", "enumerate_perfect7",
+                 "load_code"):
+        monkeypatch.setattr(pcl.cli, name, never)
+    missing = tmp_path / "no" / "such"
+    res = runner.invoke(main, [code_files[9] if a == "CODE" else a
+                               for a in args] + [str(missing / "x.out")])
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '%s'" % args[-1] in res.output
+    assert "directory %s does not exist" % missing in res.output
+    assert not (tmp_path / "no").exists()
+
+
 def test_sts_types_rejects_a_replaced_word(runner, tmp_path, witnesses):
     code = witnesses[8]
     words = code.words.tolist()
@@ -543,6 +573,44 @@ def test_pipeline_is_deterministic(pipeline_runs):
     for name in names:
         assert _read_bytes(os.path.join(d1, name)) == \
             _read_bytes(os.path.join(d2, name)), name
+
+
+# sha256 of every artifact of the --sample 60 --seed 0 run: a change to
+# any artifact's layout or content fails here
+PIPELINE_SHA256 = {
+    "analysis_k5.json": "623e2748f1aad0c303d8fa78a72fdec9803ce96aff961dc5f46e1c0c75fbb57b",
+    "analysis_k6.json": "14578cc684051f1a877f9bb7aa32fe48e440b11caa023cb3836363ef4acbcdd5",
+    "analysis_k7.json": "6cee8ab5915a48d973d308583b62cd41136c6720a8cc9811248c44bfa0170d68",
+    "analysis_k8.json": "80741c6c8e7f0bd80b3b4620bf5bae17ce0ae13a8b08c958aafc52bc2248a108",
+    "analysis_k9.json": "20d9624fc6bf1a8896fb59ab12687b0aff06917c9120d6dbe7ffd22b003f648b",
+    "atlas.json": "00ff84e58415bfcb90a3e5dce42d10b7ba26d33c6e4925a917b8af6c0bec4152",
+    "code_k5.json": "e1bccef892baa96eeac7f1f66b8177bfa6d645d30c29a79d835a9c3ca08c18b8",
+    "code_k6.json": "69f841460f29d0acf15551c3cecbc738ff1e163504da442b220c33971a82aa3f",
+    "code_k7.json": "eaf3b1b7e1ecb3dbc364eb9ee34c9a9085a8c1f1a9ecf698994382e9934d6dea",
+    "code_k8.json": "9135b5e22e425b133e7b07a1a68856a2c8a73288aad6558605f59081d66f7302",
+    "code_k9.json": "0787da8c0b2f8c34d3a3860b4d06696a6d6b168d497d3c20b290e9b96334c1cc",
+    "code_linear.json": "ef60913a7c6eb8b6140ffb14e87e7a4170be0b1935410801796c664b4fab8cc3",
+    "report_k5.json": "aa04b291625b7482e0c44113adcb4f95bbb27db5db4d35a8c37d48e3419b37bd",
+    "report_k6.json": "ebb8eaced86cdc27ee7eb63f23a6f4c30265d0cd8919bc653343d6fe4b9bc4d4",
+    "report_k7.json": "2963548d9bf1d475b0eb042ca3b290c3e2445555849b55fb74384d5a7b266d6c",
+    "report_k8.json": "9aea81a02a026b0f867f96a2e483208e5dfc3f0d1f08bbb47a26f557ac94f195",
+    "report_k9.json": "1dbf630b180ba38a10294e9ae5b4f134f5f376636af2493d8ae681037d9e5c1d",
+    "sts_k5.csv": "fc6d6bcd0c36b30d77dc1c80e2548f081bc666162aff65f903c2a1cc5543ff59",
+    "sts_k6.csv": "db41cb89b46caa6d8839ecf26bcaf43a0d0eadd8c42dc520d7a4d9b6a68dfd56",
+    "sts_k7.csv": "27e49a25355c814400c74972a2c19f5996748867f85c9b0735f9e843a6dc8e5d",
+    "sts_k8.csv": "f74905b8f9429ab49c52d8dbe4f6ddce023ca7b71a87987135a8f4ba052b5fdd",
+    "sts_k9.csv": "70c83b6692d86e37ab4e516b28a357feb532cc09f843556173229cba00cb66b9",
+    "summary.json": "3393b003547f9fa6bc8499e41a4a776d047d4f591903e47b0b3fcc079da870d9",
+}
+
+
+def test_pipeline_artifacts_are_pinned(pipeline_runs):
+    d, res = pipeline_runs[0]
+    assert res.exit_code == 0, res.output
+    assert sorted(os.listdir(d)) == sorted(PIPELINE_SHA256)
+    for name, digest in PIPELINE_SHA256.items():
+        assert hashlib.sha256(_read_bytes(os.path.join(d, name))).hexdigest() \
+            == digest, name
 
 
 def test_subcommands_reproduce_pipeline_artifacts(runner, tmp_path,

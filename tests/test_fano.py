@@ -174,10 +174,9 @@ def test_recognize_rejects_non_products():
 
 
 def test_minimal_quadset8_rejects_masks_beyond_8_bits():
-    for bad in ([0x1FF], [0x0F, 0x100], [-1]):
+    for bad in ([0x1FF], [0x0F, 0x100], [-1], [0xFF, 0]):
         with pytest.raises(ValueError, match="0..255"):
             minimal_quadset8(bad)
-    assert minimal_quadset8([0xFF, 0]) == (0, 0xFF)
 
 
 def test_minimal_quadset8_cache_matches_uncached():

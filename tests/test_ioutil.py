@@ -1,22 +1,17 @@
-"""write_json writes exactly what json.dumps(obj, indent=1) writes.
+"""The artifact writers: what write_json refuses, the modes atomic_write
+gives, and the code schema.
 
-The standard library is the oracle: every artifact object of a pipeline
-run and hypothesis-drawn values must come out byte for byte as
-json.dumps(obj, indent=1) + "\\n", and what it refuses must raise the
-same TypeError.
+The artifacts' bytes are pinned in test_cli.py.
 """
 
 import json
-import math
+import os
 
 from click.testing import CliRunner
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 import numpy as np
 import pytest
 
 import pcl.cli
-from pcl import ioutil, partitions
 from pcl.ioutil import code_to_json, write_json
 from pcl.words import word_hex
 
@@ -24,61 +19,6 @@ from pcl.words import word_hex
 @pytest.fixture(scope="module")
 def out_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("json")
-
-
-def _written(path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _oracle(obj) -> bytes:
-    return (json.dumps(obj, indent=1) + "\n").encode()
-
-
-def test_pipeline_artifacts_match_the_stdlib(atlas_file, tmp_path,
-                                             monkeypatch):
-    written = []
-    plain = ioutil.write_json
-
-    def recording(path, obj):
-        plain(path, obj)
-        written.append((path, obj))
-
-    for module in (ioutil, partitions, pcl.cli):
-        monkeypatch.setattr(module, "write_json", recording)
-    res = CliRunner().invoke(pcl.cli.main, [
-        "pipeline", "--out-dir", str(tmp_path), "--atlas", atlas_file,
-        "--sample", "100"])
-    assert res.exit_code == 0, res.output
-    # atlas, six codes, five analyses, five reports and the summary
-    assert len(written) == 18
-    for path, obj in written:
-        assert _written(path) == _oracle(obj), path
-
-
-KEYS = (st.text() | st.integers() | st.floats(allow_nan=True)
-        | st.booleans() | st.none())
-SCALARS = (st.none() | st.booleans() | st.integers()
-           | st.floats(allow_nan=True, allow_infinity=True)
-           | st.text() | st.text(st.characters(max_codepoint=0x1F)))
-VALUES = st.recursive(
-    SCALARS,
-    lambda inner: (st.lists(inner, max_size=4)
-                   | st.lists(inner, max_size=4).map(tuple)
-                   | st.dictionaries(KEYS, inner, max_size=4)),
-    max_leaves=20)
-
-
-@settings(deadline=None, max_examples=200)
-@given(VALUES)
-@example([True, 1, False, 0, 1.0, None])
-@example({-0.0: -0.0, 1e300: [1e300, -1e-300], math.nan: math.inf,
-          True: -math.inf, None: "", 7: {}, "é\x00 \U0001F600": []})
-@example([[], {}, [[]], [{}], ()])
-def test_drawn_values_match_the_stdlib(out_dir, obj):
-    path = str(out_dir / "drawn.json")
-    write_json(path, obj)
-    assert _written(path) == _oracle(obj)
 
 
 @pytest.mark.parametrize("obj", [
@@ -102,3 +42,35 @@ def test_code_to_json_formats_sorted_hex():
         got = code_to_json(words[words < (1 << n)], n)
         assert got == {"length": n, "codewords": want}
     assert code_to_json([5, 3], 7) == {"length": 7, "codewords": ["03", "05"]}
+
+
+@pytest.fixture()
+def umask(request):
+    """Set the process umask for one test and restore it afterwards."""
+    old = os.umask(request.param)
+    yield request.param
+    os.umask(old)
+
+
+def _mode(path) -> int:
+    return os.stat(path).st_mode & 0o777
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], indirect=True,
+                         ids=["022", "077"])
+def test_written_files_get_the_mode_open_gives(umask, tmp_path):
+    plain = tmp_path / "plain.json"
+    with open(plain, "w") as fh:
+        fh.write("{}")
+    want = _mode(plain)
+    path = tmp_path / "a.json"
+    write_json(str(path), {})
+    assert _mode(path) == want
+    os.chmod(path, 0o600)  # overwriting gives the mode of a new file
+    write_json(str(path), [])
+    assert _mode(path) == want
+    out = tmp_path / "codes.json"
+    res = CliRunner().invoke(pcl.cli.main, ["perfect-codes", "enumerate",
+                                            "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert _mode(out) == want

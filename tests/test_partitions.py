@@ -195,20 +195,24 @@ def test_orbit_minimum_matches_survivor_pruning(atlas):
 def test_minimal_quadset8_matches_table():
     rng = random.Random(11)
     quads = [sum(1 << p for p in c) for c in combinations(range(8), 4)]
-    # the search starts from the least weight present and sets the empty
-    # and the full mask aside: sets mixing weights, led by weight 1 or 7,
-    # or holding 0 or 0xFF take those branches
-    sets = [quads, [0], [0xFF], [0, 0xFF], [0x01], [0x7F, 0x80],
-            [0, 0x03, 0x70, 0xFF], [0xFE, 0x0F, 0x33]]
+    # masks of another weight, alone or beside quadruples, are refused
+    sets, refused = [quads, []], [
+        [0], [0xFF], [0, 0xFF], [0xFF, 0], [0x01], [0x7F, 0x80],
+        [0, 0x03, 0x70, 0xFF], [0xFE, 0x0F, 0x33]]
     for _ in range(160):
         sets.append(rng.sample(quads, rng.randint(0, 20)))
-        sets.append([rng.randrange(256) for _ in range(rng.randint(0, 20))])
+        drawn = [rng.randrange(256) for _ in range(rng.randint(0, 20))]
+        (sets if set(drawn) <= set(quads) else refused).append(drawn)
     mixed = random.Random(12)
     for _ in range(60):
-        sets.append([0] + [mixed.randrange(256)
-                           for _ in range(mixed.randint(0, 8))])
+        refused.append([0] + [mixed.randrange(256)
+                              for _ in range(mixed.randint(0, 8))])
     for masks in sets:
         assert minimal_quadset8(masks) == minimal_quadset8_table(masks)
+    assert len(refused) > 200
+    for masks in refused:
+        with pytest.raises(ValueError, match="weight 4"):
+            minimal_quadset8(masks)
 
 
 def relabel_oracle(row) -> list:
@@ -370,6 +374,12 @@ def test_atlas_json_roundtrip(atlas, tmp_path):
      r"class 4: alias \[1, 2\] is not a string or null"),
     (lambda d: d["classes"][4].update(alias=7),
      "class 4: alias 7 is not a string or null"),
+    (lambda d: d["classes"][0].update(length7Classes=[False]),
+     r"classes \[False, 1, .*expected each of 0..10"),
+    (lambda d: d["classes"][1].update(length7Classes=[1.0]),
+     r"classes \[0, 1.0, .*expected each of 0..10"),
+    (lambda d: d["classes"][1].update(id=True), "class ids are not 0..9"),
+    (lambda d: d["classes"][1].update(id=1.0), "class ids are not 0..9"),
 ], ids=["no-linear", "two-linear", "nonlinear-flagged", "id-gap",
         "count-not-int", "count-not-sum", "count-float", "sizes-string",
         "size-zero", "size-bool", "size-extra", "size-missing",
@@ -378,7 +388,8 @@ def test_atlas_json_roundtrip(atlas, tmp_path):
         "component-length-7", "component-length-fractional",
         "component-length-float", "component-of-15-words",
         "seven-components", "linear-string", "linear-string-false",
-        "linear-int", "alias-list", "alias-int"])
+        "linear-int", "alias-list", "alias-int", "length7-class-bool",
+        "length7-class-float", "id-bool", "id-float"])
 def test_atlas_from_json_checks_ids_and_linear_flag(atlas, change, message):
     d = json.loads(json.dumps(atlas.to_json()))
     change(d)
