@@ -1,24 +1,21 @@
 """Orbit classes of code partitions under coordinate and translation symmetry.
 
-A partition of 128 words into components is a row: row[k] is the
-component id of the k-th word, with ids relabeled by first occurrence
-so that equal rows mean equal unordered partitions.  Length-7 rows index
-the words of F_2^7; length-8 rows index words.EVEN8, the even words of
-F_2^8 in increasing order, the only words even translations reach.
+Each component of a partition of F_2^7 into perfect codes is one of the
+240 perfect codes of length 7, and each component of its parity
+extension is the even extension of one.  code_table(n) lists the codes
+of length n, row i code i at both lengths, so a partition is the ids of
+its eight codes; sorted, they are one uint64 key.  The groups, S_7 x
+all translations at length 7 and S_8 x even translations at length 8,
+act through generators, each a table over the 240 ids (code_moves), so
+a moved key is one gather, one sort and one view.
 
-The groups act through generators, each a gather map g: the moved rows
-are rows[:, g], whose position k holds the word at position g[k].  For
-length 7 they generate S_7 x all translations: (0 1), the inverse of
-the 7-cycle and the 7 unit translations; for length 8, S_8 x even
-translations: (0 1), the inverse of the 8-cycle and the 7 translations
-by e0 + ei.  A moved row is relabeled by relabel_np, which assumes what
-every row of a whole partition satisfies: each id 0..7 is present.
-
-orbit_classes applies every generator to all rows at once and labels
-the orbits as connected components.  An orbit's minimum, its
-lexicographically least row, is the canonical form of every partition
-in it: two partitions are equivalent exactly when their orbit minima
-are equal, and class ids are the ranks of the orbit minima.
+Canonical forms are rows.  A partition's row holds at position k the
+component id of the k-th word, relabeled by first occurrence so that
+equal rows mean equal unordered partitions; length-7 rows index the
+words of F_2^7, length-8 rows words.EVEN8, the even words of F_2^8 in
+increasing order.  An orbit's minimum, its least row, is the canonical
+form of every partition in it, and class ids are the ranks of the
+orbit minima.
 """
 
 from __future__ import annotations
@@ -29,7 +26,23 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .perfect import enumerate_perfect7, extend_even
 from .words import EVEN8, perm_word_map, points_of
+
+UNASSIGNED = 255  # partition_col's id for the words outside every component
+_ROW_WORDS = {7: np.arange(128), 8: EVEN8}
+
+
+def partition_col(p, size: int) -> np.ndarray:
+    """col[w] = i for each word w of component i, UNASSIGNED for the
+    other words below size; one row, or one per partition of an (N, 8,
+    16) array.  Components are of equal size, their words of 8 bits."""
+    comps = np.asarray(p, dtype=np.uint8)
+    words = comps.reshape(comps.shape[:-2] + (-1,))
+    col = np.full(words.shape[:-1] + (size,), UNASSIGNED, dtype=np.uint8)
+    ids = np.arange(comps.shape[-2], dtype=np.uint8).repeat(comps.shape[-1])
+    np.put_along_axis(col, words, ids, axis=-1)
+    return col
 
 
 def relabel_np(col: np.ndarray) -> np.ndarray:
@@ -43,115 +56,130 @@ def relabel_np(col: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def generators(n: int) -> tuple:
-    """Gather maps of the generators of the length-n group on the 128 row positions."""
-    swap01 = perm_word_map((1, 0) + tuple(range(2, n)), n)
-    cycle = perm_word_map(tuple((i - 1) % n for i in range(n)), n)
+def code_table(n: int) -> np.ndarray:
+    """The 240 perfect codes of length 7, or for n = 8 their even
+    extensions, as sorted rows of 16 words; row i is code i."""
     if n == 7:
-        words = np.arange(128)
-        shifts = [1 << i for i in range(7)]
-    elif n == 8:
-        words = EVEN8
-        shifts = [1 | (1 << i) for i in range(1, 8)]
-    else:
-        raise ValueError("no partition group for length %d" % n)
-    position = np.zeros(1 << n, dtype=np.intp)
-    position[words] = np.arange(128)
-    maps = [swap01[words], cycle[words]] + [words ^ s for s in shifts]
-    return tuple(position[m] for m in maps)
+        return np.array(enumerate_perfect7(), dtype=np.uint8)
+    return np.array([extend_even(c) for c in code_table(7).tolist()],
+                    dtype=np.uint8)
 
 
-def _keys(rows: np.ndarray) -> np.ndarray:
+def _code_ids(comps, n: int) -> np.ndarray:
+    """The code ids of components given as sorted word arrays;
+    ValueError naming the first component that is no code of length n."""
+    index = {row.tobytes(): i for i, row in enumerate(code_table(n))}
+    ids = [index.get(np.asarray(c, dtype=np.uint8).tobytes(), -1)
+           for c in comps]
+    if -1 in ids:
+        raise ValueError("component %d is not a%s perfect code of length %d"
+                         % (ids.index(-1), "n extended" * (n == 8), n))
+    return np.array(ids, dtype=np.uint8)
+
+
+@lru_cache(maxsize=None)
+def code_moves(n: int) -> tuple:
+    """The generators of the length-n group as tables over the code ids,
+    entry i the id of the image of code i: (0 1), the cycle i -> i + 1,
+    then the unit translations, or at length 8 those by e0 + ei."""
+    swap01 = perm_word_map((1, 0) + tuple(range(2, n)), n)
+    cycle = perm_word_map(tuple((i + 1) % n for i in range(n)), n)
+    shifts = ([1 << i for i in range(7)] if n == 7
+              else [1 | (1 << i) for i in range(1, 8)])
+    words = np.arange(1 << n, dtype=np.uint8)
+    return tuple(_code_ids(np.sort(m[code_table(n)], axis=1), n)
+                 for m in [swap01, cycle] + [words ^ s for s in shifts])
+
+
+def _keys(ids: np.ndarray) -> np.ndarray:
+    """One uint64 key per partition of code ids: its eight ids, sorted."""
+    return np.sort(ids, axis=-1).view(np.uint64).ravel()
+
+
+def _ids(keys: np.ndarray) -> np.ndarray:
+    return keys.view(np.uint8).reshape(-1, 8)
+
+
+def _rows(ids: np.ndarray, n: int) -> np.ndarray:
+    """The relabeled rows of partitions given by their code ids."""
+    col = partition_col(code_table(n)[ids], 1 << n)
+    return relabel_np(col[..., _ROW_WORDS[n]])
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One byte-string key per row; keys sort as the rows do, lexicographically."""
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
 
 
 class OrbitClasses(NamedTuple):
-    """Orbits of a row set, ranked by orbit minimum.
+    """Orbits of a partition set, ranked by orbit minimum.
 
-    class_of[i] is the class id of row i; reps[c] is the least row index
-    in class c, sizes[c] its number of rows and minima[c] its orbit
-    minimum.  Class ids are the ranks of the minima.
+    class_of[i] is the class id of partition i; reps[c] is the least
+    partition index in class c and sizes[c] its number of partitions.
+    Class ids are the ranks of the orbit minima.
     """
 
     class_of: np.ndarray
     reps: np.ndarray
     sizes: np.ndarray
-    minima: np.ndarray
 
 
-def orbit_classes(rows: np.ndarray, gens) -> OrbitClasses:
-    """Classify relabeled rows into the orbits of the generated group.
+def orbit_classes(ids: np.ndarray, n: int) -> OrbitClasses:
+    """Classify partitions, an (N, 8) array of code ids, into the orbits
+    of the length-n group.
 
-    Each generator moves all rows in one step, and each image is looked
-    up among the sorted row keys.  The rows must be distinct and closed
+    Each generator moves all keys in one step, and each image is looked
+    up among the sorted keys.  The partitions must be distinct and closed
     under the group: an image outside the set raises, which makes the
     pass a completeness check of the enumeration that produced them.
-    Orbits are labeled by propagating the least row index along the
-    generator edges until nothing changes.  Each generator permutes the
-    closed set, so following its edges forward goes round its cycles
-    and reaches every row of the orbit.
+    Orbits are labeled by propagating the least index along the
+    generator edges until nothing changes; each generator permutes the
+    closed set, so its edges go round its cycles and reach every
+    partition of the orbit.  Rows are built only to rank the orbits.
     """
-    n = len(rows)
-    keys = _keys(rows)
-    order = np.argsort(keys, kind="stable")
+    count = len(ids)
+    keys = _keys(ids)
+    order = np.argsort(keys)
     ranked = keys[order]
     if (ranked[1:] == ranked[:-1]).any():
         raise ValueError("duplicate partitions in the enumerated set")
     moves = []
-    for g in gens:
-        img = _keys(relabel_np(rows[:, g]))
-        at = np.minimum(np.searchsorted(ranked, img), n - 1)
+    for table in code_moves(n):
+        img = _keys(table[ids])
+        at = np.minimum(np.searchsorted(ranked, img), count - 1)
         if (ranked[at] != img).any():
             raise ValueError("orbit left the enumerated set")
         moves.append(order[at])
-    label = np.arange(n)
-    while True:
-        new = label.copy()
-        for m in moves:
-            np.minimum(new, label[m], out=new)
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    # a class ranks by the first of its rows in sorted key order
-    comps, first = np.unique(label[order], return_index=True)
-    rank = np.argsort(first)
-    reps = comps[rank]
-    class_id = np.empty(n, dtype=np.intp)
-    class_id[reps] = np.arange(len(reps))
-    class_of = class_id[label]
-    return OrbitClasses(class_of, reps, np.bincount(class_of),
-                        rows[order[first[rank]]])
+    label, prev = np.arange(count), None
+    while not np.array_equal(label, prev):
+        prev = label
+        label = np.minimum.reduce([prev] + [prev[m] for m in moves])
+        label = label[label]
+    # a class ranks by the first of its partitions in sorted row order
+    by_row = np.argsort(_row_keys(_rows(ids, n)), kind="stable")
+    comps, first = np.unique(label[by_row], return_index=True)
+    class_of = np.argsort(np.argsort(first))[np.searchsorted(comps, label)]
+    return OrbitClasses(class_of, comps[np.argsort(first)],
+                        np.bincount(class_of))
 
 
-def orbit(row: np.ndarray, gens) -> np.ndarray:
-    """Every relabeled row the generators reach from one relabeled row."""
-    seen = {row.tobytes()}
-    found = [row]
-    frontier = row[None, :]
-    while len(frontier):
-        imgs = relabel_np(np.concatenate([frontier[:, g] for g in gens]))
-        fresh = []
-        for img in imgs:
-            key = img.tobytes()
-            if key not in seen:
-                seen.add(key)
-                fresh.append(img)
-        found += fresh
-        frontier = np.array(fresh, dtype=np.uint8).reshape(-1, row.size)
-    return np.array(found)
-
-
-def _orbit_minimum(row: np.ndarray, gens) -> tuple:
-    minima = orbit_classes(orbit(relabel_np(row), gens), gens).minima
-    return tuple(int(x) for x in minima[0])
+def _least_row(col: np.ndarray, n: int) -> tuple:
+    """The least row over the orbit of the partition col, closed under
+    the generators one key set at a time."""
+    col, words = np.asarray(col), _ROW_WORDS[n]
+    orbit = new = _keys(_code_ids([words[col[words] == i]
+                                   for i in range(8)], n))
+    while len(new):
+        imgs = np.concatenate([_keys(t[_ids(new)]) for t in code_moves(n)])
+        new = np.setdiff1d(imgs, orbit)
+        orbit = np.union1d(orbit, new)
+    return tuple(np.sort(_row_keys(_rows(_ids(orbit), n)))[0].tobytes())
 
 
 def minimal_image7(col: np.ndarray) -> tuple:
     """Canonical row of a length-7 partition: the minimum of its orbit."""
-    return _orbit_minimum(col, generators(7))
+    return _least_row(col, 7)
 
 
 def minimal_image8(colw: np.ndarray) -> tuple:
@@ -161,7 +189,7 @@ def minimal_image8(colw: np.ndarray) -> tuple:
     translations preserve the even-weight half, so the odd words may
     carry any filler.
     """
-    return _orbit_minimum(np.asarray(colw)[EVEN8], generators(8))
+    return _least_row(colw, 8)
 
 
 @lru_cache(maxsize=None)

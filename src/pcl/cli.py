@@ -25,6 +25,7 @@ from typing import NamedTuple
 import click
 
 from .algebra import kernel, rank_of
+from .canon import code_table
 from .fano import PRESCRIPTIONS, fano_families, partition_registry
 from .fold import quotient_graph
 from .ioutil import (atomic_write, code_to_json, load_code, provenance,
@@ -44,15 +45,15 @@ _BAD_INPUT = (KeyError, IndexError, TypeError, ValueError, OverflowError)
 
 
 class OutPath(click.Path):
-    """A file to write: it may not be a directory, and the directory it
-    would go in must exist, so a bad path fails before the command runs."""
+    """A file to write, not a directory, whose directory, symlinks
+    followed, must exist: a bad path fails before the command runs."""
 
     def __init__(self):
         super().__init__(dir_okay=False)
 
     def convert(self, value, param, ctx):
         path = super().convert(value, param, ctx)
-        d = os.path.dirname(os.path.abspath(path))
+        d = os.path.dirname(os.path.realpath(path))
         if not os.path.isdir(d):
             self.fail("directory %s does not exist"
                       % click.format_filename(d), param, ctx)
@@ -142,18 +143,19 @@ def partitions_enumerate(length_: str, out: str) -> None:
         atlas.save(out)
         lines = _census_lines(atlas)
     else:
-        parts = enumerate_partitions7()
-        _, c7 = orbit_classify7(parts)
+        ids = enumerate_partitions7()
+        c7 = orbit_classify7(ids)
         sizes = [int(s) for s in c7.sizes]
         classes = [{
             "id": cid,
             "alias": None,
-            "representative": [code_to_json(comp, 7) for comp in parts[rep]],
+            "representative": [code_to_json(comp, 7)
+                               for comp in code_table(7)[ids[rep]]],
         } for cid, rep in enumerate(c7.reps)]
         write_json(out, {"classes": classes,
-                         "partition7Count": len(parts),
+                         "partition7Count": len(ids),
                          "orbitSizes7": sizes})
-        lines = _census7_lines(len(parts), sizes)
+        lines = _census7_lines(len(ids), sizes)
     click.echo("\n".join(lines))
     click.echo("wrote %s" % out)
 

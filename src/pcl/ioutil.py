@@ -27,10 +27,13 @@ from .words import parse_word, sigma_bytes, sigma_str
 def atomic_write(path: str, text: str) -> None:
     """Write text to path through a temp file in the same directory.
 
-    mkstemp makes the temp file owner-only; before the rename it gets
-    0o666 less the umask, the mode open(path, "w") gives a new file.
+    A symlinked path is written through, as open(path, "w") does: the
+    file the link resolves to is replaced, not the link.  mkstemp makes
+    the temp file owner-only; before the rename it gets 0o666 less the
+    umask, the mode open(path, "w") gives a new file.
     """
-    d = os.path.dirname(os.path.abspath(path))
+    path = os.path.realpath(path)
+    d = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as fh:

@@ -1,13 +1,14 @@
 """Partitions of F_2^7 into perfect codes and their even extensions.
 
 The pipeline enumerates every partition of the 128 length-7 words into
-eight perfect codes and classifies them up to coordinate permutation and
-translation in one orbit pass over their component rows (partition_col
-builds these at both lengths).  A second pass classifies their parity
-extensions up to coordinate permutation and even translation.  Two
-length-7 classes merge under extension, leaving ten extended classes.
-The Atlas keeps the extended representatives, for downstream pairing,
-and the length-7 orbit sizes, from which it derives the census totals.
+eight perfect codes as the ids of its codes, and classifies them up to
+coordinate permutation and translation in one orbit pass over the ids.
+The same ids name the codes' even extensions, so a second pass over the
+same array classifies the parity extensions up to coordinate
+permutation and even translation.  Two length-7 classes merge under
+extension, leaving ten extended classes.  The Atlas keeps the extended
+representatives, for downstream pairing, and the length-7 orbit sizes,
+from which it derives the census totals.
 
 Class ids are the ranks of the orbit minima (canon.orbit_classes), the
 canonical forms of the classes, so the numbering is independent of
@@ -24,43 +25,31 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import DoublingPair
-from .canon import (OrbitClasses, generators, minimal_image7, minimal_image8,
-                    orbit_classes, relabel_np)
+from .canon import (OrbitClasses, code_table, minimal_image7, minimal_image8,
+                    orbit_classes, partition_col)
 from .ioutil import code_from_json, code_to_json, read_json, write_json
-from .perfect import SPACE7, enumerate_perfect7, extend_even
+from .perfect import SPACE7
 from .words import (EVEN8, IDENTITY8, coset_minima, echelon_basis,
                     xor_closure)
 
-UNASSIGNED = 255  # partition_col's id for the words outside every component
 
-Partition7 = tuple  # 8 components, each a sorted tuple of 16 length-7 words
-Partition8 = tuple  # 8 components, each a sorted tuple of 16 length-8 words
-
-
-def enumerate_partitions7() -> list[Partition7]:
+def enumerate_partitions7() -> np.ndarray:
     """All partitions of F_2^7 into eight perfect codes, in branching order.
 
     Branches on the component containing the lowest uncovered word, so
-    each partition appears exactly once with components ordered by their
-    minimum element.
+    each partition appears exactly once, as a row of the ids of its
+    codes in canon.code_table(7), ordered by their minimum element.
     """
-    codes = enumerate_perfect7()
-    masks = []
-    for c in codes:
-        m = 0
-        for w in c:
-            m |= 1 << w
-        masks.append(m)
-    through = [[] for _ in range(SPACE7)]
-    for i, c in enumerate(codes):
-        for w in c:
-            through[w].append(i)
-    out: list[Partition7] = []
+    codes = code_table(7).tolist()
+    masks = [sum(1 << w for w in c) for c in codes]
+    through = [[i for i, m in enumerate(masks) if m >> w & 1]
+               for w in range(SPACE7)]
+    out: list[tuple] = []
     full = (1 << SPACE7) - 1
 
     def rec(covered: int, chosen: list[int]) -> None:
         if covered == full:
-            out.append(tuple(codes[i] for i in chosen))
+            out.append(tuple(chosen))
             return
         w = ((covered + 1) & ~covered).bit_length() - 1
         for i in through[w]:
@@ -70,44 +59,24 @@ def enumerate_partitions7() -> list[Partition7]:
                 chosen.pop()
 
     rec(0, [])
-    return out
-
-
-def partition_col(p, size: int) -> np.ndarray:
-    """col[w] = i for each word w of component i, UNASSIGNED for the
-    other words below size; one row, or one per partition of an (N, 8,
-    16) array.  Components are of equal size, their words of 8 bits."""
-    comps = np.asarray(p, dtype=np.uint8)
-    words = comps.reshape(comps.shape[:-2] + (-1,))
-    col = np.full(words.shape[:-1] + (size,), UNASSIGNED, dtype=np.uint8)
-    ids = np.arange(comps.shape[-2], dtype=np.uint8).repeat(comps.shape[-1])
-    np.put_along_axis(col, words, ids, axis=-1)
-    return col
+    return np.array(out, dtype=np.uint8)
 
 
 def canonical_form(p, extended: bool = False) -> bytes:
-    """The orbit minimum as bytes; equal exactly for equivalent partitions."""
+    """The orbit minimum as bytes; equal exactly for equivalent partitions.
+    ValueError names a component that is not a code of the length."""
     if extended:
         return bytes(minimal_image8(partition_col(p, 256)))
     return bytes(minimal_image7(partition_col(p, SPACE7)))
 
 
-def orbit_classify7(parts: list[Partition7]) -> tuple[np.ndarray, OrbitClasses]:
-    """Relabeled rows of the length-7 partitions and their classes.
-
-    One orbit pass under S_7 x F_2^7; it also checks that the list is
-    complete, since every generator image must be in it.  Class ids are
-    the ranks of the orbit minima, representatives the least indices.
-    """
-    rows = relabel_np(partition_col(parts, SPACE7))
-    return rows, orbit_classes(rows, generators(7))
+def orbit_classify7(ids: np.ndarray) -> OrbitClasses:
+    """Classes of the length-7 partitions, given as code ids: one orbit
+    pass under S_7 x F_2^7, which also checks that the set is complete."""
+    return orbit_classes(ids, 7)
 
 
-def extend_partition(p: Partition7) -> Partition8:
-    return tuple(tuple(sorted(extend_even(comp))) for comp in p)
-
-
-def is_linear_partition(p8: Partition8) -> bool:
+def is_linear_partition(p8) -> bool:
     """True when the components are the cosets of one linear code."""
     base = next((comp for comp in p8 if 0 in comp), ())
     bs = frozenset(base)
@@ -181,7 +150,7 @@ class ExtClass:
     atlas is loaded.
     """
 
-    components: Partition8
+    components: tuple
     length7_classes: tuple[int, ...]
     linear: bool
     alias: str | None = None
@@ -329,13 +298,14 @@ def build_atlas() -> Atlas:
     extended class lists the length-7 classes it contains and is
     represented by the extension of the first one's representative.
     """
-    parts = enumerate_partitions7()
-    rows7, c7 = orbit_classify7(parts)
-    c8 = orbit_classes(relabel_np(rows7[:, EVEN8 & 0x7F]), generators(8))
+    ids = enumerate_partitions7()
+    c7 = orbit_classify7(ids)
+    c8 = orbit_classes(ids, 8)
     ext_of7 = c8.class_of[c7.reps]
     classes = []
     for k in range(len(c8.reps)):
         members = tuple(int(c) for c in np.flatnonzero(ext_of7 == k))
-        comps = tuple(sorted(extend_partition(parts[c7.reps[members[0]]])))
+        rep = code_table(8)[ids[c7.reps[members[0]]]]
+        comps = tuple(sorted(map(tuple, rep.tolist())))
         classes.append(ExtClass(comps, members, is_linear_partition(comps)))
     return Atlas(classes, [int(s) for s in c7.sizes])

@@ -84,6 +84,9 @@ def test_partitions_enumerate_length7(runner, tmp_path):
                          "--out", out])
     assert res.exit_code == 0
     assert "length-7 partitions: 27360 in 11 classes" in res.output
+    # the census's bytes, pinned before the pass moved to code ids
+    assert hashlib.sha256(_read_bytes(out)).hexdigest() == (
+        "d88253b0b85720d82cf484fad1e2c8c0f819387d99554e83b107279c5908a7aa")
     d = read_json(out)
     assert len(d["classes"]) == 11
     assert d["orbitSizes7"] == [30, 840, 630, 5040, 5040, 420, 2520, 2520,
@@ -399,6 +402,14 @@ def test_an_output_in_a_missing_directory_is_a_usage_error(
                                for a in args] + [str(missing / "x.out")])
     assert res.exit_code == 2, res.output
     assert "Invalid value for '%s'" % args[-1] in res.output
+    assert "directory %s does not exist" % missing in res.output
+    assert not (tmp_path / "no").exists()
+    # a symlink is written through, so its target's directory must exist
+    link = tmp_path / "link.out"
+    link.symlink_to(missing / "x.out")
+    res = runner.invoke(main, [code_files[9] if a == "CODE" else a
+                               for a in args] + [str(link)])
+    assert res.exit_code == 2, res.output
     assert "directory %s does not exist" % missing in res.output
     assert not (tmp_path / "no").exists()
 

@@ -1,5 +1,5 @@
 """The artifact writers: what write_json refuses, the modes atomic_write
-gives, and the code schema.
+gives, the symlinks it writes through, and the code schema.
 
 The artifacts' bytes are pinned in test_cli.py.
 """
@@ -74,3 +74,18 @@ def test_written_files_get_the_mode_open_gives(umask, tmp_path):
                                             "--out", str(out)])
     assert res.exit_code == 0, res.output
     assert _mode(out) == want
+
+
+@pytest.mark.parametrize("exists", [True, False], ids=["existing", "missing"])
+def test_a_symlinked_output_is_written_through(tmp_path, exists):
+    """As open() does: the link stays and the file it names gets the
+    text, whether or not that file existed."""
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    if exists:
+        real.write_text("old")
+    link.symlink_to("real.json")
+    write_json(str(link), {"a": 1})
+    assert link.is_symlink() and os.readlink(link) == "real.json"
+    assert real.read_text() == '{\n "a": 1\n}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json",
+                                                          "real.json"]

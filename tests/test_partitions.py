@@ -2,28 +2,38 @@
 
 import gzip
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
-from pcl.canon import (generators, minimal_quadset8, orbit, orbit_classes,
-                       relabel_np)
+import pcl
+from pcl.canon import (code_moves, code_table, minimal_quadset8,
+                       orbit_classes, partition_col, relabel_np)
 from pcl.partitions import (EVEN8, Atlas, ExtClass, canonical_form,
-                            enumerate_partitions7, extend_partition,
-                            is_linear_partition, partition_col)
-from pcl.perfect import puncture
+                            enumerate_partitions7, is_linear_partition)
+from pcl.perfect import enumerate_perfect7, puncture
 from pcl.words import perm_word_map, weight
 
 from code_helpers import is_extended_perfect8, is_perfect
+from partition_oracles import (row_generators, row_ids, row_orbit,
+                               row_orbit_classes)
 
 CANON_ORBIT_SIZES = [30, 840, 630, 5040, 5040, 420, 2520, 2520, 6720, 1680, 1920]
 
 REFERENCE_ATLAS = (pathlib.Path(__file__).resolve().parents[1]
                    / "perfbench" / "reference" / "atlas.json.gz")
+
+
+@pytest.fixture(scope="module")
+def ids7():
+    return enumerate_partitions7()
 
 
 @lru_cache(maxsize=None)
@@ -239,15 +249,15 @@ def test_relabel_np_relabels_by_first_occurrence(atlas):
             assert np.array_equal(relabel_np(row), out)
 
 
-def test_relabel_np_on_every_length7_partition():
-    rows = _ids_permuted(partition_col(enumerate_partitions7(), 128),
+def test_relabel_np_on_every_length7_partition(ids7):
+    rows = _ids_permuted(partition_col(code_table(7)[ids7], 128),
                          np.random.default_rng(7))
     assert len(rows) == 27360
     assert relabel_np(rows).tolist() == [relabel_oracle(r) for r in rows]
 
 
 def _generator_moves(n):
-    """The word maps whose inverses are generators(n), in its order: the
+    """The word maps of the generators, in code_moves' order: the
     transposition (0 1), the cycle i -> i + 1, then the translations."""
     swap = perm_word_map((1, 0) + tuple(range(2, n)), n)
     cycle = perm_word_map(tuple((i + 1) % n for i in range(n)), n)
@@ -258,45 +268,102 @@ def _generator_moves(n):
 
 
 @pytest.mark.parametrize("n", [7, 8])
-def test_generators_gather_the_moved_partition(atlas, n):
-    base = (_punctured7(atlas.classes[4]) if n == 7
-            else atlas.classes[9].components)
-    p = _moved(base, random.Random(n), n)
-    positions = np.arange(128) if n == 7 else EVEN8
-    row = partition_col(p, 1 << n)[positions]
-    gens = generators(n)
-    moves = _generator_moves(n)
-    assert len(gens) == len(moves) == 9
-    for g, move in zip(gens, moves):
-        assert np.array_equal(np.sort(g), np.arange(128))
-        moved = [[int(move[w]) for w in comp] for comp in p]
-        want = partition_col(moved, 1 << n)[positions]
-        assert np.array_equal(row[g], want)
+def test_generators_gather_the_moved_partition(n):
+    codes = code_table(n).tolist()
+    tables, moves = code_moves(n), _generator_moves(n)
+    assert len(tables) == len(moves) == 9
+    for table, move in zip(tables, moves):
+        assert sorted(table.tolist()) == list(range(240))
+        for code, image in zip(codes, table):
+            assert sorted(int(move[w]) for w in code) == codes[image]
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_orbit_classes_match_the_row_oracle(ids7, n):
+    """The id pass against the row pass on every partition: length-8
+    rows are the length-7 ones read at the punctured even words."""
+    rows = relabel_np(partition_col(code_table(7)[ids7], 128))
+    if n == 8:
+        rows = relabel_np(rows[:, EVEN8 & 0x7F])
+    want = row_orbit_classes(rows, row_generators(n))
+    got = orbit_classes(ids7, n)
+    assert len(ids7) == 27360
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g)
+    assert len(got.sizes) == (11 if n == 7 else 10)
 
 
 def test_orbit_classes_rank_by_orbit_minimum(atlas):
     # extended classes 0, 2 and 5 puncture to length-7 classes 0, 2 and 5
-    gens = generators(7)
+    gens = row_generators(7)
     reps = [relabel_np(partition_col(_punctured7(atlas.classes[k]), 128))
             for k in (5, 0, 2)]
-    rows = np.concatenate([orbit(r, gens) for r in reps])
-    c = orbit_classes(rows, gens)
+    ids = np.concatenate([row_ids(row_orbit(r, gens)) for r in reps])
+    c = orbit_classes(ids, 7)
     assert list(c.sizes) == [30, 630, 420]
     assert list(c.reps) == [420, 450, 0]
     assert list(c.class_of[[0, 419, 420, 449, 450, 1079]]) == [2, 2, 0, 0, 1, 1]
-    assert [m.tobytes() for m in c.minima] == [
+    minima = [canonical_form(code_table(7)[ids[r]]) for r in c.reps]
+    assert minima == sorted(minima) == [
         canonical_form(_punctured7(atlas.classes[k])) for k in (0, 2, 5)]
 
 
 def test_orbit_pass_rejects_an_incomplete_set(atlas):
-    gens = generators(7)
-    rows = orbit(relabel_np(partition_col(_punctured7(atlas.classes[0]), 128)),
-                 gens)
-    assert len(rows) == 30
+    ids = row_ids(row_orbit(relabel_np(partition_col(
+        _punctured7(atlas.classes[0]), 128)), row_generators(7)))
+    assert len(ids) == 30
     with pytest.raises(ValueError, match="orbit left the enumerated set"):
-        orbit_classes(np.delete(rows, 17, axis=0), gens)
+        orbit_classes(np.delete(ids, 17, axis=0), 7)
+    # the same partition with its codes listed in another order
     with pytest.raises(ValueError, match="duplicate"):
-        orbit_classes(np.concatenate([rows, rows[:1]]), gens)
+        orbit_classes(np.concatenate([ids, ids[5:6, ::-1]]), 7)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_canonical_form_rejects_a_component_that_is_no_code(atlas, n):
+    words = np.arange(128) if n == 7 else EVEN8
+    kind = "a perfect code" if n == 7 else "an extended perfect code"
+    with pytest.raises(ValueError, match="component 0 is not %s of length %d"
+                       % (kind, n)):
+        canonical_form(words.reshape(8, 16), extended=n == 8)
+    base = [list(c) for c in (_punctured7(atlas.classes[3]) if n == 7
+                              else atlas.classes[3].components)]
+    p = [list(c) for c in base]
+    p[2][0], p[5][0] = p[5][0], p[2][0]  # one word traded between two codes
+    with pytest.raises(ValueError, match="component 2 is not %s" % kind):
+        canonical_form(p, extended=n == 8)
+    with pytest.raises(ValueError, match="component 7 is not %s" % kind):
+        canonical_form(base[:2] + base[3:], extended=n == 8)
+    assert len(canonical_form(base, extended=n == 8)) == 128
+
+
+def test_loading_an_atlas_builds_no_code_table(tmp_path):
+    """Importing the CLI and loading an atlas, what every command that
+    is given --atlas does first, builds none of the cached tables."""
+    path = tmp_path / "atlas.json"
+    with gzip.open(REFERENCE_ATLAS, "rb") as fh:
+        path.write_bytes(fh.read())
+    script = """if True:
+        import importlib, pkgutil, sys
+        import pcl, pcl.cli
+        from pcl.partitions import Atlas
+        Atlas.load(sys.argv[1])
+        for m in pkgutil.iter_modules(pcl.__path__):
+            mod = importlib.import_module("pcl." + m.name)
+            for name, f in sorted(vars(mod).items()):
+                if hasattr(f, "cache_info") and f.__module__ == mod.__name__:
+                    print(mod.__name__, name, f.cache_info().currsize)
+        """
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(path)], check=True, text=True,
+        capture_output=True, cwd=tmp_path,
+        env=dict(os.environ,
+                 PYTHONPATH=str(pathlib.Path(pcl.__file__).parents[1])),
+    ).stdout.split("\n")
+    cached = dict((" ".join(line.split()[:2]), line.split()[2])
+                  for line in out if line)
+    assert {"pcl.canon code_table", "pcl.canon code_moves"} <= set(cached)
+    assert set(cached.values()) == {"0"}, cached
 
 
 def test_atlas_matches_pinned_reference(atlas):
@@ -305,11 +372,12 @@ def test_atlas_matches_pinned_reference(atlas):
     assert json.loads(json.dumps(atlas.to_json())) == pinned
 
 
-def test_extend_partition_roundtrip(atlas):
-    p7 = _punctured7(atlas.classes[1])
-    p8 = extend_partition(p7)
-    assert all(is_extended_perfect8(comp) for comp in p8)
-    assert tuple(tuple(sorted(puncture(w, 7) for w in c)) for c in p8) == p7
+def test_extend_partition_roundtrip():
+    # row i of each table is code i: the length-8 rows puncture back
+    codes7, codes8 = code_table(7), code_table(8)
+    assert codes7.tolist() == [list(c) for c in enumerate_perfect7()]
+    assert all(is_extended_perfect8(c) for c in codes8.tolist())
+    assert np.array_equal(np.sort(puncture(codes8, 7), axis=1), codes7)
 
 
 def test_extclass_json_roundtrip(atlas):
