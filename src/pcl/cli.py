@@ -6,12 +6,15 @@ length-16 code, compute rank and kernel invariants, classify the derived
 triple systems, check the folded graph against the prescribed loop and
 link families, and export graphs.
 
-Each per-code stage (analysis, type grid, structure report) is one
-function that computes the stage and writes its artifact; its
-subcommand and the pipeline command both call it, so the subcommands
-reproduce the pipeline's files byte for byte.  The pipeline chains the
-stages over a seeded permutation scan; identical options and seed
-reproduce byte-identical artifacts.
+The subcommands and the pipeline share one stage layer: one loader per
+input file, and one function per stage (one doubled code, analysis, type
+grid, structure report) that computes it and writes its artifact, so the
+subcommands reproduce the pipeline's files byte for byte.  The pipeline
+chains the stages over a seeded permutation scan; identical options and
+seed reproduce byte-identical artifacts.
+
+Every option is checked before any work, by its click type or, for
+combinations and class ids, before anything is built or written.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from contextlib import contextmanager
 from typing import NamedTuple
 
 import click
@@ -37,7 +39,7 @@ from .scan import (PRIORITY_PAIRS, find_representatives, iter_sigmas,
                    make_code, scan_pair)
 from .sts import code_type_grid, homogeneity, multiset_keys, render_tuple
 from .structure import StructureReport, full_report
-from .words import IDENTITY8, quad_name, sigma_str, word_hex
+from .words import IDENTITY8, quad_name, sigma_bytes, sigma_str, word_hex
 
 # What reading a malformed JSON file can raise; the commands turn these
 # into an error message and exit status 1.
@@ -58,6 +60,20 @@ class OutPath(click.Path):
             self.fail("directory %s does not exist"
                       % click.format_filename(d), param, ctx)
         return path
+
+
+class ClassPair(click.ParamType):
+    """Two class ids written LEFT,RIGHT."""
+
+    name = "L,R"
+
+    def convert(self, value, param, ctx):
+        try:
+            left, right = value.split(",")
+            return int(left), int(right)
+        except ValueError:
+            self.fail("expected LEFT,RIGHT class ids, got %r" % value,
+                      param, ctx)
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -83,10 +99,11 @@ def _load_atlas(path: str | None) -> Atlas:
         raise click.ClickException("cannot read atlas %s: %s" % (path, e))
 
 
-def _check_class(atlas: Atlas, cid: int, what: str) -> None:
+def _check_class(atlas: Atlas, cid: int, option: str) -> None:
     if not 0 <= cid < len(atlas.classes):
-        raise click.ClickException("%s class %d out of range 0..%d"
-                                   % (what, cid, len(atlas.classes) - 1))
+        raise click.BadParameter("class %d out of range 0..%d"
+                                 % (cid, len(atlas.classes) - 1),
+                                 param_hint="'%s'" % option)
 
 
 def _census7_lines(count: int, sizes) -> list[str]:
@@ -189,7 +206,7 @@ def partitions_classify(atlas_path: str) -> None:
               help="extended class id for the low byte")
 @click.option("--target", type=int, required=True,
               help="extended class id for the high byte")
-@click.option("--sigma", default=None,
+@click.option("--sigma", type=sigma_bytes, metavar="SIGMA", default=None,
               help="component matching, eight digits over 0..7")
 @click.option("--scan-sigma", is_flag=True,
               help="print one invariant row per permutation instead")
@@ -201,35 +218,41 @@ def partitions_classify(atlas_path: str) -> None:
               type=click.Path(exists=True, dir_okay=False), default=None,
               help="atlas JSON; classified from scratch when omitted")
 @click.option("--out", type=OutPath(), default=None)
-def double(source: int, target: int, sigma: str | None, scan_sigma: bool,
+def double(source: int, target: int, sigma: bytes | None, scan_sigma: bool,
            sample: int | None, seed: int, atlas_path: str | None,
            out: str | None) -> None:
     """Build a length-16 code from two extended partition classes."""
+    if scan_sigma == (sigma is not None):
+        raise click.UsageError("either --sigma or --scan-sigma is required, "
+                               "not both")
+    if sigma is not None and out is None:
+        raise click.UsageError("--out is required when building one code")
     atlas = _load_atlas(atlas_path)
-    _check_class(atlas, source, "source")
-    _check_class(atlas, target, "target")
-    if scan_sigma:
+    _check_class(atlas, source, "--source")
+    _check_class(atlas, target, "--target")
+    if sigma is not None:
+        code, row = code_stage(atlas, source, target, sigma, out)
+        click.echo("code %s: rank=%d kernelDim=%d"
+                   % (code.label, row.rank, row.kernel))
+    else:
         rows = scan_pair(atlas, source, target, iter_sigmas(sample, seed))
         for r in rows:
             click.echo("sigma=%s rank=%d kernelDim=%d"
                        % (sigma_str(r.sigma), r.rank, r.kernel))
         if out:
             write_json(out, [r.to_json() for r in rows])
-            click.echo("wrote %s" % out)
-        return
-    if sigma is None:
-        raise click.UsageError("either --sigma or --scan-sigma is required")
-    if out is None:
-        raise click.UsageError("--out is required when building one code")
-    try:
-        row, = scan_pair(atlas, source, target, [sigma])
-    except ValueError as e:
-        raise click.ClickException(str(e))
-    code = make_code(atlas, source, target, row.sigma)
+    if out:
+        click.echo("wrote %s" % out)
+
+
+def code_stage(atlas: Atlas, left: int, right: int, sigma: bytes,
+               out: str) -> tuple:
+    """Double a class pair under sigma and write the code to out; the
+    code and its ScanRow, with rank and kernel dimension, are returned."""
+    row, = scan_pair(atlas, left, right, [sigma])
+    code = make_code(atlas, left, right, sigma)
     save_code(out, code)
-    click.echo("code %s: rank=%d kernelDim=%d"
-               % (code.label, row.rank, row.kernel))
-    click.echo("wrote %s" % out)
+    return code, row
 
 
 def analysis_stage(code, out: str) -> dict:
@@ -384,31 +407,13 @@ def export(code_path: str, fmt: str, out: str, with_sts: bool) -> None:
 # ---------------------------------------------------------------- pipeline
 
 
-def _parse_pair(s: str) -> tuple[int, int]:
-    try:
-        a, b = s.split(",")
-        return int(a), int(b)
-    except ValueError:
-        raise click.BadParameter("expected LEFT,RIGHT class ids, got %r" % s)
-
-
-@contextmanager
-def _stage(tag: str):
-    try:
-        yield
-    except click.ClickException:
-        raise
-    except Exception as e:
-        raise click.ClickException("[%s] %s" % (tag, e))
-
-
 @main.command()
 @click.option("--out-dir", type=click.Path(file_okay=False), default="run",
               show_default=True)
 @click.option("--atlas", "atlas_path",
               type=click.Path(exists=True, dir_okay=False), default=None,
               help="reuse a classified atlas instead of rebuilding")
-@click.option("--pair", "pairs", multiple=True, metavar="L,R",
+@click.option("--pair", "pairs", type=ClassPair(), multiple=True,
               help="class pair to scan (repeatable; default a fixed list)")
 @click.option("--sample", type=click.IntRange(min=1), default=400,
               show_default=True, help="permutations sampled per pair")
@@ -423,30 +428,23 @@ def pipeline(out_dir: str, atlas_path: str | None, pairs: tuple,
     found, then analyzes, types and verifies each find.  Check verdicts
     are recorded, not fatal; only stage errors abort.
     """
+    atlas = _load_atlas(atlas_path)
+    pair_list = pairs or PRIORITY_PAIRS
+    for pair in pair_list:
+        for cid in pair:
+            _check_class(atlas, cid, "--pair")
     os.makedirs(out_dir, exist_ok=True)
     path = lambda name: os.path.join(out_dir, name)
-
-    with _stage("partitions"):
-        atlas = Atlas.load(atlas_path) if atlas_path else build_atlas()
-        atlas.save(path("atlas.json"))
-        for line in _census_lines(atlas):
-            click.echo("[partitions] %s" % line)
-
-    pair_list = tuple(_parse_pair(s) for s in pairs) or PRIORITY_PAIRS
-    for left, right in pair_list:
-        _check_class(atlas, left, "source")
-        _check_class(atlas, right, "target")
+    atlas.save(path("atlas.json"))
+    for line in _census_lines(atlas):
+        click.echo("[partitions] %s" % line)
 
     summary: dict = {"seed": seed, "sample": sample,
                      "pairs": [list(p) for p in pair_list], "found": {}}
-
-    with _stage("scan"):
-        lin = atlas.linear_class
-        base, = scan_pair(atlas, lin, lin, [IDENTITY8])
-        save_code(path("code_linear.json"),
-                  make_code(atlas, lin, lin, base.sigma))
-        found = find_representatives(atlas, pairs=pair_list,
-                                     per_pair=sample, seed=seed)
+    lin = atlas.linear_class
+    _, base = code_stage(atlas, lin, lin, IDENTITY8, path("code_linear.json"))
+    found = find_representatives(atlas, pairs=pair_list, per_pair=sample,
+                                 seed=seed)
     click.echo("[scan] linear baseline kappa=%d, structure check skipped"
                % base.kernel)
     summary["linear"] = {"sourceClass": lin, "targetClass": lin,
@@ -462,31 +460,23 @@ def pipeline(out_dir: str, atlas_path: str | None, pairs: tuple,
         tag = "k%d" % kap
         click.echo("[scan] kappa=%d from classes (%d,%d) sigma=%s"
                    % (kap, left, right, sigma_str(sig)))
-        with _stage("scan"):
-            save_code(path("code_%s.json" % tag), code)
-
-        with _stage("analyze"):
-            analysis = analysis_stage(code, path("analysis_%s.json" % tag))
+        save_code(path("code_%s.json" % tag), code)
+        analysis = analysis_stage(code, path("analysis_%s.json" % tag))
         click.echo("[analyze] kappa=%d rank=%d cosets=%d"
                    % (kap, analysis["rank"], analysis["cosetCount"]))
-
-        with _stage("sts-types"):
-            grid = types_stage(code, path("sts_%s.csv" % tag))
+        grid = types_stage(code, path("sts_%s.csv" % tag))
         click.echo("[sts-types] kappa=%d: %d vertices, %d distinct tuples%s"
                    % (kap, len(grid.rows), grid.distinct,
                       ", %d coordinates untabulated" % grid.unknown
                       if grid.unknown else ""))
-
-        with _stage("verify"):
-            rep = report_stage(code, path("report_%s.json" % tag))
+        rep = report_stage(code, path("report_%s.json" % tag))
         click.echo("[verify] %s" % rep.summary())
         summary["found"][str(kap)] = {
             "sourceClass": left, "targetClass": right,
             "sigma": sigma_str(sig), "overall": rep.overall,
             "passed": rep.passed, "untabulatedTypes": grid.unknown}
 
-    with _stage("summary"):
-        write_json(path("summary.json"), summary)
+    write_json(path("summary.json"), summary)
     click.echo("[summary] wrote %s" % path("summary.json"))
 
 

@@ -175,7 +175,7 @@ def test_non_finite_numbers_are_rejected(runner, tmp_path, atlas,
     with runner.isolated_filesystem(temp_dir=tmp_path):
         res = runner.invoke(main, ["pipeline", "--sample", "5", "--out-dir",
                                    "run", "--atlas", str(bad)])
-    _clean_error(res, "[partitions]")
+    _clean_error(res, "cannot read atlas")
     d = read_json(code_files[9])
     d["length"] = float("inf")
     bad = tmp_path / "inf_code.json"
@@ -196,6 +196,23 @@ def test_double_one_code(runner, tmp_path, atlas_file):
     code = load_code(out)
     assert len(code.words) == 2048
     assert code.sigma == bytes((4, 5, 0, 2, 6, 7, 1, 3))
+
+
+def test_double_classifies_from_scratch_without_an_atlas(runner, tmp_path):
+    pinned = tmp_path / "atlas.json"
+    with gzip.open(PINNED_ATLAS, "rb") as fh:
+        pinned.write_bytes(fh.read())
+    args = ["double", "--source", "0", "--target", "0", "--sigma", "45026713",
+            "--out"]
+    res = runner.invoke(main, args + [str(tmp_path / "pinned.json"),
+                                      "--atlas", str(pinned)])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, args + [str(tmp_path / "scratch.json")])
+    assert res.exit_code == 0, res.output
+    note = "no --atlas given; classifying partitions from scratch"
+    assert note in res.stderr and note not in res.stdout
+    assert _read_bytes(tmp_path / "scratch.json") == \
+        _read_bytes(tmp_path / "pinned.json")
 
 
 def test_double_scan_sigma(runner, tmp_path, atlas_file):
@@ -274,15 +291,10 @@ def test_double_usage_errors(runner, atlas_file):
                                "--atlas", atlas_file])
     assert res.exit_code == 2
     assert "either --sigma or --scan-sigma" in res.output
-    res = runner.invoke(main, ["double", "--source", "12", "--target", "0",
-                               "--sigma", "01234567", "--atlas", atlas_file,
-                               "--out", "x.json"])
-    assert res.exit_code == 1
-    assert "source class 12 out of range 0..9" in res.output
     res = runner.invoke(main, ["double", "--source", "0", "--target", "0",
                                "--sigma", "0123456x", "--atlas", atlas_file,
                                "--out", "x.json"])
-    assert res.exit_code != 0
+    assert res.exit_code == 2
 
 
 _DOUBLE_SCAN = ["double", "--source", "1", "--target", "3", "--scan-sigma"]
@@ -380,6 +392,14 @@ def test_rejects_a_class_id_that_is_not_one(runner, tmp_path, witnesses,
     assert not os.path.exists(tmp_path / "bad-class.analysis.json")
 
 
+def _forbid(monkeypatch, owner, *names):
+    """Each named callable of owner fails the test when called."""
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran")
+    for name in names:
+        monkeypatch.setattr(owner, name, never)
+
+
 @pytest.mark.parametrize("args", [
     ["perfect-codes", "enumerate", "--out"],
     ["partitions", "enumerate", "--length", "7", "--out"],
@@ -392,11 +412,8 @@ def test_rejects_a_class_id_that_is_not_one(runner, tmp_path, witnesses,
 ], ids=lambda a: a[0])
 def test_an_output_in_a_missing_directory_is_a_usage_error(
         runner, tmp_path, code_files, monkeypatch, args):
-    def never():
-        raise AssertionError("the command ran")
-    for name in ("build_atlas", "enumerate_partitions7", "enumerate_perfect7",
-                 "load_code"):
-        monkeypatch.setattr(pcl.cli, name, never)
+    _forbid(monkeypatch, pcl.cli, "build_atlas", "enumerate_partitions7",
+            "enumerate_perfect7", "load_code")
     missing = tmp_path / "no" / "such"
     res = runner.invoke(main, [code_files[9] if a == "CODE" else a
                                for a in args] + [str(missing / "x.out")])
@@ -412,6 +429,55 @@ def test_an_output_in_a_missing_directory_is_a_usage_error(
     assert res.exit_code == 2, res.output
     assert "directory %s does not exist" % missing in res.output
     assert not (tmp_path / "no").exists()
+
+
+_PIPELINE = ["pipeline", "--sample", "5", "--out-dir", "run"]
+_DOUBLE = ["double", "--source", "0", "--target", "0"]
+_BAD_OPTIONS = {
+    "pair-not-ints": (_PIPELINE + ["--pair", "a,b"],
+                      "Invalid value for '--pair': expected LEFT,RIGHT"),
+    "pair-of-three": (_PIPELINE + ["--pair", "0,1,2"],
+                      "Invalid value for '--pair': expected LEFT,RIGHT"),
+    "sigma-not-digits": (_DOUBLE + ["--sigma", "0123456x", "--out", "c.json"],
+                         "Invalid value for '--sigma': not a permutation"),
+    "sigma-repeats": (_DOUBLE + ["--sigma", "01234566", "--out", "c.json"],
+                      "Invalid value for '--sigma': not a permutation"),
+    "no-mode": (_DOUBLE + ["--out", "c.json"],
+                "either --sigma or --scan-sigma is required"),
+    "both-modes": (_DOUBLE + ["--sigma", "01234567", "--scan-sigma",
+                              "--out", "c.json"], "not both"),
+    "sigma-without-out": (_DOUBLE + ["--sigma", "01234567"],
+                          "--out is required when building one code"),
+    # class ids are checked against the atlas, so it is loaded for these
+    "pair-out-of-range": (_PIPELINE + ["--pair", "0,42"],
+                          "Invalid value for '--pair': class 42 out of "
+                          "range 0..9"),
+    "second-pair-negative": (_PIPELINE + ["--pair", "0,1", "--pair", "-1,0"],
+                             "Invalid value for '--pair': class -1 out of "
+                             "range 0..9"),
+    "source-out-of-range": (["double", "--source", "12", "--target", "0",
+                             "--sigma", "01234567", "--out", "c.json"],
+                            "Invalid value for '--source': class 12 out of "
+                            "range 0..9"),
+    "target-out-of-range": (["double", "--source", "0", "--target", "10",
+                             "--scan-sigma", "--out", "c.json"],
+                            "Invalid value for '--target': class 10 out of "
+                            "range 0..9"),
+}
+
+
+@pytest.mark.parametrize("args, message", _BAD_OPTIONS.values(),
+                         ids=_BAD_OPTIONS.keys())
+def test_a_bad_option_is_a_usage_error_before_any_work(
+        runner, tmp_path, atlas_file, monkeypatch, args, message):
+    _forbid(monkeypatch, pcl.cli, "build_atlas")
+    if "out of range" not in message:  # no atlas is needed to refuse these
+        _forbid(monkeypatch, Atlas, "load")
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        res = runner.invoke(main, args + ["--atlas", atlas_file])
+        assert not os.listdir(".")  # no --out-dir, atlas.json or --out
+    assert res.exit_code == 2, res.output
+    assert message in res.output
 
 
 def test_sts_types_rejects_a_replaced_word(runner, tmp_path, witnesses):
@@ -451,6 +517,18 @@ def test_sts_types_mixed(runner, code_files):
     assert "homogeneous: False" in res.output
     chars = {c for l in vlines for c in l.split()[-1]}
     assert chars == {"3", "8", "g"}
+
+
+def test_sts_types_warns_of_untabulated_systems(runner, tmp_path, atlas):
+    p = tmp_path / "k6.json"
+    save_code(str(p), make_code(atlas, 0, 3, sigma_bytes("24365017")))
+    res = runner.invoke(main, ["sts-types", str(p)])
+    assert res.exit_code == 0, res.output
+    vlines = [l for l in res.output.splitlines() if l.startswith("vertex ")]
+    assert len(vlines) == 32  # kappa 6: 2048 >> 6 cosets
+    assert sum(l.count("?") for l in vlines) == 128
+    assert ("warning: 128 punctured systems match no signature in the "
+            "type table (rendered ?)") in res.output
 
 
 def test_verify_theorem5_pass(runner, tmp_path, code_files):
@@ -568,6 +646,20 @@ def test_pipeline_end_to_end(pipeline_runs):
     assert summary["found"]["5"]["untabulatedTypes"] == 0
     assert summary["linear"]["kernelDim"] == 11
     assert Atlas.load(os.path.join(d1, "atlas.json")).partition7_count == 27360
+
+
+def test_pipeline_reports_kernel_dimensions_it_did_not_find(
+        runner, tmp_path, atlas_file):
+    d = tmp_path / "run"
+    res = runner.invoke(main, ["pipeline", "--pair", "0,0", "--sample", "3",
+                               "--atlas", atlas_file, "--out-dir", str(d)])
+    assert res.exit_code == 0, res.output
+    assert ("[scan] no code found for kappa in [5, 6, 7, 9] within 3 "
+            "permutations per pair") in res.output
+    assert sorted(os.listdir(d)) == [
+        "analysis_k8.json", "atlas.json", "code_k8.json", "code_linear.json",
+        "report_k8.json", "sts_k8.csv", "summary.json"]
+    assert list(read_json(str(d / "summary.json"))["found"]) == ["8"]
 
 
 def _read_bytes(path):

@@ -1,5 +1,6 @@
 """The artifact writers: what write_json refuses, the modes atomic_write
-gives, the symlinks it writes through, and the code schema.
+gives, the symlinks it writes through, what a failed write leaves, and
+the code schema.
 
 The artifacts' bytes are pinned in test_cli.py.
 """
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import pcl.cli
-from pcl.ioutil import code_to_json, write_json
+from pcl.ioutil import atomic_write, code_to_json, write_json
 from pcl.words import word_hex
 
 
@@ -89,3 +90,17 @@ def test_a_symlinked_output_is_written_through(tmp_path, exists):
     assert real.read_text() == '{\n "a": 1\n}\n'
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json",
                                                           "real.json"]
+
+
+def test_a_failed_rename_leaves_the_target_as_it_was(tmp_path, monkeypatch):
+    target = tmp_path / "out.json"
+    target.write_text("old")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        atomic_write(str(target), "new")
+    assert target.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]  # no .part

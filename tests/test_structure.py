@@ -7,7 +7,7 @@ import pytest
 
 from pcl import fano, structure
 from pcl.fano import pair_partition
-from pcl.fold import quotient_graph
+from pcl.fold import SqsGraph, quotient_graph
 from pcl.structure import (LEVELS, StructureReport, Verdict,
                            _assert_even_left_support, _grade,
                            decompose_mixed, full_report, worst)
@@ -104,6 +104,8 @@ def test_judge_pure_takes_least_level_then_first_family():
         "spectrum", "4 left-half labels", "size matches B' only")
     assert judge(fano.X[:5]) == (
         "fail", "5 left-half labels", "no prescribed family of this size")
+    assert structure._judge_pure((0x0F, 0x0F00), table, names, "e") == (
+        "fail", "e", "1 left and 1 right labels on one link", "")
 
 
 def test_witness_reports(witnesses):
@@ -142,6 +144,39 @@ def test_mixed_label_sets_are_judged_once(witnesses, monkeypatch):
             if v.subject.startswith("link")] == [
         Verdict("link(%d,%d)" % e, *fields)
         for e, fields in per_link if fields is not None]
+
+
+def test_judge_mixed_verdicts():
+    rx, rx8 = fano.PRESCRIPTIONS[6], fano.PRESCRIPTIONS[8]
+    assert (rx.cross_rule, rx.link_products) == ("at most three quarters", 0)
+    a, b = pair_partition(1, 3, 5), pair_partition(4, 5, 7)
+    quarter = tuple(q for q in product(a, b) if q & 0xFF == pair_masks(a)[0])
+    desc = "quarters (01)x4_5^7"
+    assert structure._judge_mixed(quarter, rx) == (
+        "exact", "at most three quarters", desc, "")
+    assert structure._judge_mixed(quarter, rx8) == (
+        "spectrum", "one full product", desc, "")
+    assert structure._judge_mixed((0x0F, 0x0303), rx) == (
+        "fail", "at most three quarters",
+        "2 labels with 1 half-supported among them", "")
+    # pairs {0,1} and {1,2} overlap, so neither side is a pair partition
+    overlapping = (0x03, 0x06, 0x30, 0xC0)
+    assert structure._as_pair_partition(overlapping) is None
+    labels = tuple(lp | rp << 8 for lp in overlapping for rp in overlapping)
+    assert structure._judge_mixed(labels, rx) == (
+        "fail", "at most three quarters",
+        "16 labels, no whole-product or whole-quarter split",
+        "right fan-out per left pair: [4, 4, 4, 4]")
+
+
+def test_a_pure_link_fails_where_none_is_prescribed():
+    # vertex pair (0, 1) falls in the pure class 1, the others in the
+    # mixed class 2
+    g = SqsGraph(np.zeros(3, dtype=np.uint16), ((), (0x0F,), (0x0303,)),
+                 np.array([[0, 1, 2], [1, 0, 2], [2, 2, 0]]))
+    assert structure._no_pure_link_verdicts(g) == [
+        Verdict("pure-links", "fail", "no pure links outside the loop",
+                "1 pure links at [(0, 1)]")]
 
 
 def test_report_json(witnesses):
