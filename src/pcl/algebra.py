@@ -2,9 +2,12 @@
 
 The kernel of a code C is the group of words k with C + k = C.  It is
 invariant under translation of C, always contains 0, and for the codes
-built here always contains ffff.  Weight-4 kernel words split by
-support: left means support inside coordinates 0-7, right means inside
-8-15, mixed means both halves are touched.
+built here always contains ffff.
+
+A subspace of the kernel is held as its echelon basis
+(words.echelon_basis), and cosets decomposes a code into its cosets.
+kernel_cosets is the one entry point to the kernel itself: it computes
+and checks the kernel and keeps its cosets on the code.
 
 A DoublingPair table, one per ordered class pair, reads a doubled
 code's kernel dimension off the intersection of its classes'
@@ -23,8 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .doubling import SPACE16, Code
-from .words import (IDENTITY8, coset_minima, echelon_basis, popcounts16,
-                    rank_gf2, xor_closure)
+from .words import IDENTITY8, coset_minima, echelon_basis, rank_gf2
 
 
 def kernel_words(code: Code) -> np.ndarray:
@@ -75,7 +77,7 @@ def rank_of(code: Code) -> int:
     """
     dec = kernel_cosets(code)
     shifts = (dec.reps ^ dec.reps[0]).tolist()
-    return rank_gf2(dec.subspace.basis + tuple(shifts))
+    return rank_gf2(dec.basis + tuple(shifts))
 
 
 def _fixed_points(p: bytes) -> int:
@@ -183,94 +185,58 @@ class DoublingPair(NamedTuple):
         return results[passed]
 
 
-def weight4_words(kw: np.ndarray) -> np.ndarray:
-    return kw[popcounts16(kw) == 4]
-
-
-def half_pure_subgroup(kw: np.ndarray) -> np.ndarray:
-    """Span of the half-supported weight-4 kernel words, inside the kernel."""
-    w4 = weight4_words(kw)
-    half = w4[((w4 & 0xFF00) == 0) | ((w4 & 0x00FF) == 0)]
-    span = np.array(xor_closure(int(w) for w in half), dtype=np.uint16)
-    ks = frozenset(int(k) for k in kw)
-    if any(int(s) not in ks for s in span):
-        raise AssertionError("half-pure span left the kernel")
-    return span
-
-
-@dataclass(frozen=True)
-class LinearSpan:
-    """A GF(2) subspace held by an independent basis."""
-
-    basis: tuple
-
-    @classmethod
-    def from_words(cls, words) -> "LinearSpan":
-        basis = echelon_basis(words)
-        return cls(tuple(basis[k] for k in sorted(basis)))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-    def words(self) -> np.ndarray:
-        return np.array(xor_closure(self.basis), dtype=np.uint16)
-
-    def __len__(self) -> int:
-        return 1 << len(self.basis)
-
-
-def kernel(code: Code) -> LinearSpan:
-    """The kernel as a span, kept on the code with its cosets.
-
-    Closure under xor is asserted, not assumed: the full table of
-    pairwise sums is checked against the kernel occupancy.
-    """
-    if code.kernel_cosets is not None:
-        return code.kernel_cosets.subspace
-    kw = kernel_words(code)
-    kocc = np.zeros(SPACE16, dtype=bool)
-    kocc[kw] = True
-    if not kocc[kw[:, None] ^ kw[None, :]].all():
-        raise AssertionError("kernel is not xor-closed")
-    span = LinearSpan.from_words(kw)
-    if len(span) != len(kw):
-        raise AssertionError("kernel basis does not regenerate the kernel")
-    code.kernel_cosets = cosets(code, span)
-    return span
-
-
 @dataclass(eq=False)
 class CosetDecomposition:
-    """Cosets of a kernel subspace inside a code."""
+    """Cosets of a kernel subspace inside a code: the subspace's echelon
+    basis, the cosets' least words in increasing order, and every
+    codeword's coset number (-1 for words outside the code)."""
 
-    subspace: LinearSpan
+    basis: tuple
     reps: np.ndarray
     index: np.ndarray
 
 
-def cosets(code: Code, span: LinearSpan) -> CosetDecomposition:
+def cosets(code: Code, basis) -> CosetDecomposition:
     """Decompose the code into cosets of a subspace of its kernel.
 
+    basis is any set of words spanning the subspace, dependent or not.
+    Each is checked to be a kernel word (C + b = C), and they are
+    eliminated once into the echelon basis the decomposition keeps.
     Representatives are the lexicographic minima (words.coset_minima),
     numbered in increasing order; every coset is checked to have full
     size.  np.unique of the minima gives the representatives and every
     word's coset.
     """
     words, occ = code.words, code.occ
-    for b in span.basis:
+    for b in basis:
         if not occ[words ^ np.uint16(b)].all():
             raise ValueError("subspace is not contained in the kernel")
-    reps, inverse = np.unique(coset_minima(words, span.basis),
+    basis = echelon_basis(basis)
+    reps, inverse = np.unique(coset_minima(words, basis),
                               return_inverse=True)
-    if len(reps) << rank_gf2(span.basis) != len(words):
+    if len(reps) << len(basis) != len(words):
         raise AssertionError("cosets do not partition the code")
     index = np.full(SPACE16, -1, dtype=np.int32)
     index[words] = inverse
-    return CosetDecomposition(span, reps, index)
+    return CosetDecomposition(basis, reps, index)
 
 
 def kernel_cosets(code: Code) -> CosetDecomposition:
-    """The code's kernel cosets, decomposed once and kept on the code."""
-    kernel(code)
+    """The code's kernel cosets, decomposed once and kept on the code;
+    the kernel dimension is len(kernel_cosets(code).basis).
+
+    Closure under xor is asserted, not assumed: the full table of
+    pairwise sums of kernel_words is checked against the kernel
+    occupancy, and the echelon basis must regenerate every kernel word.
+    """
+    if code.kernel_cosets is None:
+        kw = kernel_words(code)
+        kocc = np.zeros(SPACE16, dtype=bool)
+        kocc[kw] = True
+        if not kocc[kw[:, None] ^ kw[None, :]].all():
+            raise AssertionError("kernel is not xor-closed")
+        basis = echelon_basis(kw)
+        if 1 << len(basis) != len(kw):
+            raise AssertionError("kernel basis does not regenerate the kernel")
+        code.kernel_cosets = cosets(code, basis)
     return code.kernel_cosets

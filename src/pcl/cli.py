@@ -19,14 +19,16 @@ combinations and class ids, before anything is built or written.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
 from typing import NamedTuple
 
 import click
+from click.core import ParameterSource
 
-from .algebra import kernel, rank_of
+from .algebra import kernel_cosets, rank_of
 from .canon import code_table
 from .fano import PRESCRIPTIONS, fano_families, partition_registry
 from .fold import quotient_graph
@@ -218,15 +220,21 @@ def partitions_classify(atlas_path: str) -> None:
               type=click.Path(exists=True, dir_okay=False), default=None,
               help="atlas JSON; classified from scratch when omitted")
 @click.option("--out", type=OutPath(), default=None)
-def double(source: int, target: int, sigma: bytes | None, scan_sigma: bool,
-           sample: int | None, seed: int, atlas_path: str | None,
-           out: str | None) -> None:
+@click.pass_context
+def double(ctx: click.Context, source: int, target: int,
+           sigma: bytes | None, scan_sigma: bool, sample: int | None,
+           seed: int, atlas_path: str | None, out: str | None) -> None:
     """Build a length-16 code from two extended partition classes."""
     if scan_sigma == (sigma is not None):
         raise click.UsageError("either --sigma or --scan-sigma is required, "
                                "not both")
     if sigma is not None and out is None:
         raise click.UsageError("--out is required when building one code")
+    if sigma is not None and sample is not None:
+        raise click.UsageError("--sample applies to --scan-sigma only")
+    if (sigma is not None and ctx.get_parameter_source("seed")
+            is not ParameterSource.DEFAULT):
+        raise click.UsageError("--seed applies to --scan-sigma only")
     atlas = _load_atlas(atlas_path)
     _check_class(atlas, source, "--source")
     _check_class(atlas, target, "--target")
@@ -258,7 +266,7 @@ def code_stage(atlas: Atlas, left: int, right: int, sigma: bytes,
 def analysis_stage(code, out: str) -> dict:
     """Rank, kernel dimension and coset count; written to out with the
     code's provenance keys, returned without them."""
-    kappa = kernel(code).dimension
+    kappa = len(kernel_cosets(code).basis)
     d = {"rank": rank_of(code), "kernelDim": kappa,
          "cosetCount": len(code.words) >> kappa}
     write_json(out, {**d, **provenance(code)})
@@ -426,7 +434,8 @@ def pipeline(out_dir: str, atlas_path: str | None, pairs: tuple,
     Classifies the partitions, scans seeded permutation samples over the
     configured class pairs until one code per kernel dimension 5..9 is
     found, then analyzes, types and verifies each find.  Check verdicts
-    are recorded, not fatal; only stage errors abort.
+    are recorded, not fatal; only stage errors abort.  Per-kappa files
+    an earlier run left in --out-dir for a kappa not found are removed.
     """
     atlas = _load_atlas(atlas_path)
     pair_list = pairs or PRIORITY_PAIRS
@@ -451,6 +460,11 @@ def pipeline(out_dir: str, atlas_path: str | None, pairs: tuple,
                          "sigma": sigma_str(base.sigma),
                          "kernelDim": base.kernel}
     missing = sorted(PRESCRIPTIONS.keys() - found.keys())
+    for kap in missing:  # what an earlier run left for this kappa
+        for name in ("code_k%d.json", "analysis_k%d.json", "sts_k%d.csv",
+                     "report_k%d.json"):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path(name % kap))
     if missing:
         click.echo("[scan] no code found for kappa in %s within %d "
                    "permutations per pair" % (missing, sample))

@@ -31,9 +31,9 @@ class Code:
     type_tuples caches the triple-system type tuples sts has computed,
     keyed by the codeword typed (a kernel coset's least word, when the
     type grid is built).  kernel_cosets caches the decomposition into
-    kernel cosets, which carries the kernel, once algebra has computed
-    it.  occ and neighbours are tables over the words of length 16,
-    built when first read.
+    kernel cosets once algebra.kernel_cosets has computed it; its basis
+    is the kernel's echelon basis.  occ and neighbours are tables over
+    the words of length 16, built when first read.
     """
 
     words: np.ndarray

@@ -35,9 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import LinearSpan, cosets, kernel_cosets
+from .algebra import cosets, kernel_cosets
 from .doubling import Code
-from .words import coset_minima, popcounts16, quad_name, word_hex
+from .words import (coset_minima, popcounts16, quad_name, word_hex,
+                    xor_closure)
 
 
 @dataclass(eq=False)
@@ -111,8 +112,9 @@ class SqsGraph:
         return "\n".join(",".join(str(x) for x in row) for row in self.mult) + "\n"
 
 
-def quotient_graph(code: Code, span: LinearSpan | None = None) -> SqsGraph:
-    """Fold over a kernel subspace; the whole kernel when span is None.
+def quotient_graph(code: Code, basis=None) -> SqsGraph:
+    """Fold over a kernel subspace, spanned by the words of basis
+    (algebra.cosets); the whole kernel when basis is None.
 
     The code's words are sorted by coset index into the rows of a
     members array, and one gather checks that row i lies in r_i + L,
@@ -122,11 +124,10 @@ def quotient_graph(code: Code, span: LinearSpan | None = None) -> SqsGraph:
     and the labels of each class are the weight-4 words of key ^ L,
     read off one (classes, |L|) array.
     """
-    dec = kernel_cosets(code) if span is None else cosets(code, span)
-    span = dec.subspace
+    dec = kernel_cosets(code) if basis is None else cosets(code, basis)
     reps = dec.reps
     m = len(reps)
-    sub = span.words()
+    sub = np.array(xor_closure(dec.basis), dtype=np.uint16)
     by_coset = np.argsort(dec.index[code.words], kind="stable")
     members = code.words[by_coset].reshape(m, len(sub))
     inside = np.zeros(1 << 16, dtype=bool)
@@ -138,7 +139,7 @@ def quotient_graph(code: Code, span: LinearSpan | None = None) -> SqsGraph:
                              % int(np.argmax(bad)))
     # the diagonal's key 0 is the least, so L itself is class 0
     keys, pair_class = np.unique(
-        coset_minima(reps[:, None] ^ reps[None, :], span.basis),
+        coset_minima(reps[:, None] ^ reps[None, :], dec.basis),
         return_inverse=True)
     diffs = keys[:, None] ^ sub[None, :]
     w4 = popcounts16(diffs) == 4

@@ -166,7 +166,7 @@ class ExtClass:
         counts = Counter(p.tobytes() for p in img[permuting, :, 0])
         if len(set(counts.values())) != 1:
             raise AssertionError("unequal fibres of the translation action")
-        basis = echelon_basis((comps ^ comps[:, :1]).ravel()).values()
+        basis = echelon_basis((comps ^ comps[:, :1]).ravel())
         x = coset_minima(comps[:, 0], basis).tolist()
         # T_b, the components whose residue difference has bit b, spans W
         w = xor_closure(sum(((x[i] ^ x[0]) >> b & 1) << i for i in range(8))

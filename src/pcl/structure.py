@@ -39,7 +39,7 @@ from itertools import chain
 import numpy as np
 
 from . import fano
-from .algebra import LinearSpan, half_pure_subgroup, kernel
+from .algebra import kernel_cosets
 from .canon import minimal_quadset8
 from .doubling import Code
 from .fold import SqsGraph, quotient_graph
@@ -358,13 +358,18 @@ def _no_pure_link_verdicts(G: SqsGraph) -> list[Verdict]:
                     "%d pure links at %s" % (len(pure), pure))]
 
 
-def _index2_verdicts(code: Code, kw: np.ndarray, GK: SqsGraph,
+def _index2_verdicts(code: Code, GK: SqsGraph,
                      half: fano.Prescription) -> list[Verdict]:
-    """Fold over the half-supported index-2 subgroup of the kernel: the
-    loop prescribed by half, and a perfect matching of product links
-    whose labels rejoin the full-kernel loop."""
-    L = LinearSpan.from_words(half_pure_subgroup(kw))
-    GL = quotient_graph(code, span=L)
+    """Fold over the half-supported subgroup of the kernel: the loop
+    prescribed by half, and a perfect matching of product links whose
+    labels rejoin the full-kernel loop.
+
+    The full-kernel loop labels are the weight-4 kernel words, so the
+    subgroup is spanned by the half-supported ones among them.  The
+    prescription takes it to be of index 2; where it is smaller, the
+    verdicts fail."""
+    left, right, _ = split_sides(GK.loop_labels)
+    GL = quotient_graph(code, left + tuple(r << 8 for r in right))
     out = []
     loop = GL.loop_labels
     lv = _grade(loop, half.loop) if len(loop) == len(half.loop) else "fail"
@@ -450,8 +455,7 @@ def full_report(code: Code) -> StructureReport:
     Prescribed loop and link families exist for kernel dimensions 5
     through 9 only; anything else raises.
     """
-    span = kernel(code)
-    kappa = span.dimension
+    kappa = len(kernel_cosets(code).basis)
     rx = fano.PRESCRIPTIONS.get(kappa)
     if rx is None:
         raise ValueError("loop and link prescriptions cover kernel "
@@ -468,5 +472,5 @@ def full_report(code: Code) -> StructureReport:
     verdicts += verify_cross_links(G, rx)
     verdicts += _degree_verdicts(G)
     if rx.half_fold is not None:
-        verdicts += _index2_verdicts(code, span.words(), G, rx.half_fold)
+        verdicts += _index2_verdicts(code, G, rx.half_fold)
     return StructureReport(kappa, tuple(verdicts), G.mult)

@@ -44,7 +44,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import kernel, kernel_cosets
+from .algebra import kernel_cosets
 from .doubling import Code
 from .perfect import puncture
 from .words import popcounts16, weight
@@ -280,7 +280,7 @@ def class_type_tuple(code: Code, rep: int) -> tuple:
     neighbour-table entries of the unordered triples.
     """
     tup = _vertex_types(code, rep)
-    at = np.array((0,) + kernel(code).basis, dtype=np.intp) ^ rep
+    at = np.array((0,) + kernel_cosets(code).basis, dtype=np.intp) ^ rep
     fourth = code.neighbours[(at[:, None] & 0x7FFF) ^ _triples()[2]]
     if not (fourth == fourth[0]).all():
         raise AssertionError("type tuple differs inside a kernel coset")

@@ -110,11 +110,14 @@ def xor_closure(gens) -> list:
     return sorted(span)
 
 
-def echelon_basis(words) -> dict:
-    """GF(2) elimination: an independent basis of the span, by leading bit.
+def echelon_basis(words) -> tuple:
+    """GF(2) elimination: an independent basis of the span, as a tuple
+    ordered by leading bit, lowest first.
 
     Each word is reduced against the basis so far and kept, partially
-    reduced, when it gains a new leading bit.
+    reduced, when it gains a new leading bit.  A subspace is held as
+    this tuple: its words are xor_closure(basis), its dimension
+    len(basis).
     """
     basis: dict = {}
     for w in words:
@@ -126,7 +129,7 @@ def echelon_basis(words) -> dict:
             else:
                 basis[lead] = w
                 break
-    return basis
+    return tuple(basis[k] for k in sorted(basis))
 
 
 def coset_minima(words, basis) -> np.ndarray:
@@ -136,10 +139,9 @@ def coset_minima(words, basis) -> np.ndarray:
     echelon basis word, so clearing those from the top down leaves the
     least word of w + S.  basis may be dependent.
     """
-    ech = echelon_basis(basis)
     low = np.array(words)
-    for lead in sorted(ech, reverse=True):
-        low[(low >> lead) & 1 == 1] ^= ech[lead]
+    for b in reversed(echelon_basis(basis)):
+        low[(low >> (b.bit_length() - 1)) & 1 == 1] ^= b
     return low
 
 

@@ -6,9 +6,11 @@ component by its distances; tiles15 and is_extended_perfect16 check a
 length-16 code by the tiling of its punctures, the oracle of
 Code.neighbours; enumerate_pair_partitions, pair_masks and product
 build the pair-partition products that structure.decompose_mixed
-recognizes; in_span and coset_of test membership in a span and in the
-cosets of a decomposition; perm_count_invariants is the oracle of the
-scan.scan_pair rows, which algebra.DoublingPair evaluates.
+recognizes; in_span and coset_of test membership in the span of a
+basis and in the cosets of a decomposition; half_pure_subgroup is the
+oracle of the subgroup structure folds over at kappa = 9;
+perm_count_invariants is the oracle of the scan.scan_pair rows, which
+algebra.DoublingPair evaluates.
 """
 
 from collections import Counter
@@ -20,7 +22,7 @@ import numpy as np
 from pcl.fano import PairPartition
 from pcl.perfect import puncture
 from pcl.words import (echelon_basis, mask_of, points_of, popcounts16,
-                       rank_gf2, weight)
+                       rank_gf2, weight, xor_closure)
 
 
 def ball(w: int, n: int = 7) -> int:
@@ -102,9 +104,20 @@ def is_extended_perfect16(words, thorough: bool = True) -> bool:
     return all(tiles15(puncture(ws, i)) for i in coords)
 
 
-def in_span(span, w: int) -> bool:
-    """Is w in the span of a LinearSpan's basis?"""
-    return len(echelon_basis(span.basis + (int(w),))) == len(span.basis)
+def in_span(basis: tuple, w: int) -> bool:
+    """Is w in the span of an independent basis?"""
+    return len(echelon_basis(basis + (int(w),))) == len(basis)
+
+
+def half_pure_subgroup(kw: np.ndarray) -> np.ndarray:
+    """Span of the half-supported weight-4 words among the kernel words
+    kw, sorted, each checked to lie in the kernel."""
+    w4 = kw[popcounts16(kw) == 4]
+    half = w4[((w4 & 0xFF00) == 0) | ((w4 & 0x00FF) == 0)]
+    span = np.array(xor_closure(int(w) for w in half), dtype=np.uint16)
+    if not np.isin(span, kw).all():
+        raise AssertionError("half-pure span left the kernel")
+    return span
 
 
 def coset_of(dec, w: int) -> int:
@@ -129,7 +142,7 @@ def _partition_oracle(components) -> tuple:
         if all(len(img) == 1 and None not in img for img in images):
             counts[tuple(img.pop() for img in images)] += 1
     deltas = echelon_basis(w ^ comp[0] for comp in components for w in comp)
-    return counts, tuple(deltas.values()), tuple(c[0] for c in components)
+    return counts, deltas, tuple(c[0] for c in components)
 
 
 def perm_count_invariants(atlas, left: int, right: int, sigma) -> tuple:

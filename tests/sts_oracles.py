@@ -17,7 +17,7 @@ from itertools import permutations
 
 import numpy as np
 
-from pcl.algebra import kernel
+from pcl.algebra import kernel_cosets
 from pcl.sts import ROWS, PaschProfile
 from pcl.words import popcounts16
 
@@ -124,7 +124,8 @@ def class_type_tuple_sorted(code, rep: int) -> tuple:
     compared row by row.
     """
     tup = vertex_types(code, rep)
-    at = np.array((0,) + kernel(code).basis, dtype=np.uint16) ^ np.uint16(rep)
+    at = np.array((0,) + kernel_cosets(code).basis,
+                  dtype=np.uint16) ^ np.uint16(rep)
     d = code.words ^ at[:, None]
     # 0xFFFF has weight 16, so it pads each sorted row after the blocks
     w4 = np.sort(np.where(popcounts16(d) == 4, d, 0xFFFF), axis=1)

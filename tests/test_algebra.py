@@ -8,15 +8,15 @@ rank read off the kernel cosets.
 import numpy as np
 import pytest
 
-from pcl.algebra import (LinearSpan, cosets, half_pure_subgroup, kernel,
-                         kernel_cosets, kernel_words, rank_of,
-                         weight4_words)
+from pcl import algebra
+from pcl.algebra import cosets, kernel_cosets, kernel_words, rank_of
 from pcl.doubling import SPACE16, Code
 from pcl.scan import iter_sigmas, make_code
 from pcl.structure import split_sides
-from pcl.words import coset_minima, popcounts16, rank_gf2, weight
+from pcl.words import (coset_minima, echelon_basis, popcounts16, rank_gf2,
+                       weight, xor_closure)
 
-from code_helpers import coset_of, in_span
+from code_helpers import coset_of, half_pure_subgroup, in_span
 
 EXPECTED = {
     # kappa: (rank, weight4 split (left, right, mixed), half-pure dim)
@@ -37,10 +37,10 @@ def kernel_words_brute(code) -> np.ndarray:
     return np.sort(cand[good])
 
 
-def cosets_loop(code, span):
+def cosets_loop(code, basis):
     """(reps, index) by a walk over the sorted codewords: each word not yet
     filed opens a coset, which is filed whole."""
-    lw = span.words()
+    lw = np.array(xor_closure(basis), dtype=np.uint16)
     index = np.full(SPACE16, -1, dtype=np.int32)
     reps = []
     for w in code.words:
@@ -69,10 +69,9 @@ def _pair_codes(atlas, witnesses, seed: int) -> list:
 def test_cosets_and_rank_match_the_oracles_on_every_pair(atlas, witnesses):
     for code in _pair_codes(atlas, witnesses, 2000):
         fresh = Code(code.words.copy())
-        span = kernel(fresh)
-        for sub in (span, LinearSpan(span.basis[1:]),
-                    LinearSpan.from_words(half_pure_subgroup(
-                        kernel_words(fresh)))):
+        basis = kernel_cosets(fresh).basis
+        for sub in (basis, basis[1:],
+                    echelon_basis(half_pure_subgroup(kernel_words(fresh)))):
             dec = cosets(fresh, sub)
             reps, index = cosets_loop(fresh, sub)
             assert np.array_equal(dec.reps, reps), code.label
@@ -82,10 +81,10 @@ def test_cosets_and_rank_match_the_oracles_on_every_pair(atlas, witnesses):
 
 def test_cosets_of_a_dependent_basis(witnesses):
     code = witnesses[7]
-    span = kernel(code)
-    b = span.basis
-    doubled = LinearSpan(b + (b[0] ^ b[1],))
-    assert np.array_equal(cosets(code, doubled).reps, cosets(code, span).reps)
+    b = kernel_cosets(code).basis
+    dec = cosets(code, b + (b[0] ^ b[1],))
+    assert dec.basis == b
+    assert np.array_equal(dec.reps, cosets(code, b).reps)
 
 
 def test_witness_invariants(witnesses):
@@ -94,7 +93,7 @@ def test_witness_invariants(witnesses):
         kw = kernel_words(code)
         assert len(kw) == 1 << kappa
         assert rank_of(code) == rk
-        assert tuple(map(len, split_sides(weight4_words(kw)))) == split
+        assert tuple(map(len, split_sides(kw[popcounts16(kw) == 4]))) == split
         hp = half_pure_subgroup(kw)
         assert rank_gf2([int(x) for x in hp]) == hp_dim
 
@@ -127,8 +126,7 @@ def test_kernel_translate_invariance(witnesses):
 
 def test_weight4_words_and_pure_parts(witnesses):
     kw = kernel_words(witnesses[9])
-    w4 = weight4_words(kw)
-    assert (popcounts16(w4) == 4).all()
+    w4 = kw[popcounts16(kw) == 4]
     assert len(w4) == sum(map(len, split_sides(w4)))
     lo = kw[(kw & 0xFF00) == 0]
     hi = kw[(kw & 0x00FF) == 0] >> 8
@@ -147,26 +145,25 @@ def test_rank_and_kernel_without_zero_codeword(witnesses):
     raw = witnesses[9]
     assert int(raw.words[0]) != 0
     norm = _translate(raw, int(raw.words[0]))
-    assert kernel(raw) == kernel(norm)
-    assert kernel(raw).dimension == 9
+    assert kernel_cosets(raw).basis == kernel_cosets(norm).basis
+    assert len(kernel_cosets(raw).basis) == 9
     assert rank_gf2(norm.words) == rank_of(norm) == rank_of(raw) == 12
 
 
 def test_linear_span_basics():
-    span = LinearSpan.from_words([0b0110, 0b0011, 0b0101, 0])
-    assert span.dimension == 2
-    assert len(span) == 4
-    assert sorted(int(w) for w in span.words()) == [0, 0b0011, 0b0101, 0b0110]
-    assert in_span(span, 0b0110)
-    assert in_span(span, 0)
-    assert not in_span(span, 0b0111)
-    assert not in_span(span, 0b1000)
+    basis = echelon_basis([0b0110, 0b0011, 0b0101, 0])
+    assert basis == (0b0011, 0b0110)  # ordered by leading bit
+    assert xor_closure(basis) == [0, 0b0011, 0b0101, 0b0110]
+    assert in_span(basis, 0b0110)
+    assert in_span(basis, 0)
+    assert not in_span(basis, 0b0111)
+    assert not in_span(basis, 0b1000)
 
 
 def test_cosets(witnesses):
     code = _translate(witnesses[9], int(witnesses[9].words[0]))
-    span = kernel(code)
-    dec = cosets(code, span)
+    basis = kernel_cosets(code).basis
+    dec = cosets(code, basis)
     assert len(dec.reps) == 4
     assert int(dec.reps[0]) == 0
     assert coset_of(dec, 0) == 0
@@ -175,33 +172,47 @@ def test_cosets(witnesses):
     # every codeword's coset contains it
     for w in code.words[::311]:
         i = coset_of(dec, int(w))
-        assert in_span(span, int(w) ^ int(dec.reps[i]))
+        assert in_span(basis, int(w) ^ int(dec.reps[i]))
 
 
 def test_coset_counts_scale_with_kappa(witnesses):
     for kappa in (5, 6, 7, 8, 9, 11):
         code = witnesses[kappa]
-        span = LinearSpan.from_words(kernel_words(code))
-        dec = cosets(code, span)
+        dec = cosets(code, kernel_words(code))
+        assert len(dec.basis) == kappa
         assert len(dec.reps) == 2048 >> kappa
 
 
 def test_cosets_reject_non_kernel_subspace(witnesses):
     code = witnesses[8]
-    bad = LinearSpan.from_words([0b11])
     with pytest.raises(ValueError):
-        cosets(code, bad)
+        cosets(code, (0b11,))
 
 
 def test_coset_reps_helper(witnesses):
     code = witnesses[8]
-    reps = cosets(code, kernel(code)).reps
+    kept = kernel_cosets(code)
+    reps = cosets(code, kept.basis).reps
     assert len(reps) == 8
     assert len({int(r) for r in reps}) == 8
     assert int(reps[0]) == int(code.words[0])
-    kept = kernel_cosets(code)
-    assert kept is kernel_cosets(code) and kept.subspace == kernel(code)
+    assert kept is kernel_cosets(code)
+    assert kept.basis == echelon_basis(kernel_words(code))
     assert np.array_equal(kept.reps, reps)
+
+
+@pytest.mark.parametrize("kw, message", [
+    ([0, 3, 5], "kernel is not xor-closed"),
+    ([0, 0], "kernel basis does not regenerate the kernel"),
+], ids=["not-closed", "repeated-word"])
+def test_kernel_cosets_checks_the_kernel_words(witnesses, monkeypatch, kw,
+                                                message):
+    fresh = Code(witnesses[8].words.copy())
+    monkeypatch.setattr(algebra, "kernel_words",
+                        lambda code: np.array(kw, dtype=np.uint16))
+    with pytest.raises(AssertionError, match=message):
+        kernel_cosets(fresh)
+    assert fresh.kernel_cosets is None
 
 
 def test_half_pure_subgroup_is_swap_stable(witnesses):

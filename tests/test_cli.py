@@ -7,6 +7,7 @@ import os
 import pathlib
 import random
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -448,6 +449,16 @@ _BAD_OPTIONS = {
                               "--out", "c.json"], "not both"),
     "sigma-without-out": (_DOUBLE + ["--sigma", "01234567"],
                           "--out is required when building one code"),
+    "sigma-with-sample": (_DOUBLE + ["--sigma", "01234567", "--sample", "5",
+                                     "--out", "c.json"],
+                          "--sample applies to --scan-sigma only"),
+    "sigma-with-seed": (_DOUBLE + ["--sigma", "01234567", "--seed", "3",
+                                   "--out", "c.json"],
+                        "--seed applies to --scan-sigma only"),
+    # an explicit --seed is refused even at its default value
+    "sigma-with-seed-0": (_DOUBLE + ["--sigma", "01234567", "--seed", "0",
+                                     "--out", "c.json"],
+                          "--seed applies to --scan-sigma only"),
     # class ids are checked against the atlas, so it is loaded for these
     "pair-out-of-range": (_PIPELINE + ["--pair", "0,42"],
                           "Invalid value for '--pair': class 42 out of "
@@ -662,6 +673,23 @@ def test_pipeline_reports_kernel_dimensions_it_did_not_find(
     assert list(read_json(str(d / "summary.json"))["found"]) == ["8"]
 
 
+def test_a_second_pipeline_run_removes_the_first_runs_kappa_files(
+        runner, tmp_path, atlas_file, pipeline_runs):
+    d = tmp_path / "run"
+    shutil.copytree(pipeline_runs[0][0], d)
+    # a kappa without prescriptions and a foreign file are not its own
+    for name in ("code_k4.json", "notes.txt"):
+        (d / name).write_text("kept")
+    res = runner.invoke(main, ["pipeline", "--pair", "0,0", "--sample", "3",
+                               "--atlas", atlas_file, "--out-dir", str(d)])
+    assert res.exit_code == 0, res.output
+    assert sorted(os.listdir(d)) == [
+        "analysis_k8.json", "atlas.json", "code_k4.json", "code_k8.json",
+        "code_linear.json", "notes.txt", "report_k8.json", "sts_k8.csv",
+        "summary.json"]
+    assert list(read_json(str(d / "summary.json"))["found"]) == ["8"]
+
+
 def _read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
@@ -743,9 +771,9 @@ def test_kernel_is_computed_once_per_code(witnesses, tmp_path, monkeypatch):
                         lambda code: calls.append(code) or compute(code))
     decompose = pcl.algebra.cosets
     for module in (pcl.algebra, pcl.fold):
-        monkeypatch.setattr(module, "cosets", lambda code, span:
+        monkeypatch.setattr(module, "cosets", lambda code, basis:
                             decompositions.append(code)
-                            or decompose(code, span))
+                            or decompose(code, basis))
     w = witnesses[8]
     code = Code(w.words.copy(), w.left, w.right, w.sigma)
     assert pcl.sts.fully_tabulated(code)

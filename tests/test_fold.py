@@ -14,12 +14,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from pcl.algebra import (LinearSpan, cosets, half_pure_subgroup,
-                         kernel_cosets, kernel_words)
+from pcl.algebra import cosets, kernel_cosets, kernel_words
 from pcl.doubling import Code
 from pcl.fold import quotient_graph
-from pcl.words import popcounts16, quad_name
+from pcl.words import echelon_basis, popcounts16, quad_name, xor_closure
 
+from code_helpers import half_pure_subgroup
 from graph_helpers import (edge_labels, graph_from_json, loop_count,
                            row_sums, vertex_sum_check)
 from sts_oracles import third_point_table
@@ -73,7 +73,7 @@ def sqs_of(code: Code, v: int) -> SqsSystem:
     return SqsSystem(blocks)
 
 
-def foldable(code, span) -> bool:
+def foldable(code, basis) -> bool:
     """Does every weight-4 label repeat exactly once per source codeword?
 
     The oracle of quotient_graph's covering check.  For cosets U, V of
@@ -82,9 +82,9 @@ def foldable(code, span) -> bool:
     coset and every row and column of every coset-pair table, within a
     coset too, is sorted on its own; no kernel shortcut.
     """
-    dec = cosets(code, span)
+    dec = cosets(code, basis)
     m = len(dec.reps)
-    size = len(span)
+    size = 1 << len(dec.basis)
     members = [code.words[dec.index[code.words] == i] for i in range(m)]
     for i in range(m):
         for j in range(i, m):
@@ -101,15 +101,15 @@ def foldable(code, span) -> bool:
     return True
 
 
-def pairs_cover(code: Code, span=None) -> bool:
+def pairs_cover(code: Code, basis=None) -> bool:
     """The covering property on every coset pair i < j, by one table.
 
     Words are filed by the coset index into rows as quotient_graph does;
     every u ^ v with u in row i and v in row j must lie in r_i ^ r_j + L,
     checked on the (pairs, |L|, |L|) table of differences.
     """
-    dec = kernel_cosets(code) if span is None else cosets(code, span)
-    sub = dec.subspace.words()
+    dec = kernel_cosets(code) if basis is None else cosets(code, basis)
+    sub = np.array(xor_closure(dec.basis), dtype=np.uint16)
     m = len(dec.reps)
     by_coset = np.argsort(dec.index[code.words], kind="stable")
     members = code.words[by_coset].reshape(m, len(sub))
@@ -121,7 +121,7 @@ def pairs_cover(code: Code, span=None) -> bool:
     return bool(inside[table].all())
 
 
-def quotient_graph_pairwise(code: Code, span=None) -> tuple:
+def quotient_graph_pairwise(code: Code, basis=None) -> tuple:
     """The fold built one coset pair at a time: (reps, loop, labels, mult).
 
     labels maps each pair i < j with a label to its sorted label tuple.
@@ -129,11 +129,10 @@ def quotient_graph_pairwise(code: Code, span=None) -> tuple:
     sorting it along both axes: every row and every column must hold the
     same weight-4 words.
     """
-    dec = kernel_cosets(code) if span is None else cosets(code, span)
-    span = dec.subspace
+    dec = kernel_cosets(code) if basis is None else cosets(code, basis)
     reps = dec.reps
     m = len(reps)
-    sub = span.words()
+    sub = np.array(xor_closure(dec.basis), dtype=np.uint16)
     loop = tuple(int(b) for b in np.sort(sub[popcounts16(sub) == 4]))
     labels: dict = {}
     mult = np.zeros((m, m), dtype=np.int64)
@@ -189,16 +188,15 @@ def test_check_sqs_rejects():
 def test_foldable_over_kernel(witnesses):
     for kappa in (5, 6, 7, 8, 9):
         code = witnesses[kappa]
-        span = LinearSpan.from_words(kernel_words(code))
-        assert foldable(code, span)
+        assert foldable(code, kernel_words(code))
 
 
 def test_foldable_over_half_pure_subgroup(witnesses):
     code = witnesses[9]
-    span = LinearSpan.from_words(half_pure_subgroup(kernel_words(code)))
-    assert span.dimension == 8
-    assert foldable(code, span)
-    g = quotient_graph(code, span)
+    basis = echelon_basis(half_pure_subgroup(kernel_words(code)))
+    assert len(basis) == 8
+    assert foldable(code, basis)
+    g = quotient_graph(code, basis)
     assert g.order == 8
     assert vertex_sum_check(g)
 
@@ -235,10 +233,10 @@ def test_quotient_graph_matches_pairwise(witnesses):
         assert pairs_cover(code)
         assert _same_fold(quotient_graph(code), quotient_graph_pairwise(code))
     code = witnesses[9]
-    span = LinearSpan.from_words(half_pure_subgroup(kernel_words(code)))
-    assert pairs_cover(code, span)
-    assert _same_fold(quotient_graph(code, span),
-                      quotient_graph_pairwise(code, span))
+    basis = echelon_basis(half_pure_subgroup(kernel_words(code)))
+    assert pairs_cover(code, basis)
+    assert _same_fold(quotient_graph(code, basis),
+                      quotient_graph_pairwise(code, basis))
 
 
 def test_quotient_graph_rejects_misplaced_words(witnesses):

@@ -5,15 +5,17 @@ import random
 import numpy as np
 import pytest
 
-from pcl import fano, structure
+from pcl import fano, fold, structure
+from pcl.algebra import kernel_words
 from pcl.fano import pair_partition
 from pcl.fold import SqsGraph, quotient_graph
+from pcl.scan import iter_sigmas, make_code, scan_pair
 from pcl.structure import (LEVELS, StructureReport, Verdict,
                            _assert_even_left_support, _grade,
                            decompose_mixed, full_report, worst)
-from pcl.words import mask_of, points_of
+from pcl.words import mask_of, points_of, xor_closure
 
-from code_helpers import pair_masks, product
+from code_helpers import half_pure_subgroup, pair_masks, product
 
 # kappa -> (passed, (exact, relabeled, spectrum, fail)) for the witnesses
 WITNESS_REPORTS = {
@@ -208,6 +210,39 @@ def test_index2_verdicts_present_only_at_kappa9(witnesses):
     assert not has_half_fold(subjects8)
     assert "half-fold loop" in subjects9
     assert "half-fold matching" in subjects9
+
+
+# index of the half-supported subgroup in the kernel of every kappa = 9
+# code of each class pair that has any, over all 40320 sigmas; only the
+# (0,0) codes meet the kappa = 9 prescriptions, the others fail them
+HALF_FOLD_INDEX = {(0, 0): 2, (0, 2): 4, (2, 0): 4, (2, 2): 8}
+
+
+def test_half_fold_subgroup_matches_the_oracle(atlas, witnesses,
+                                               monkeypatch):
+    """The half fold folds over the span of the half-supported weight-4
+    kernel words, on the witness and on the kappa = 9 codes of a seeded
+    sample of every pair that has any."""
+    codes = [witnesses[9]] + [
+        make_code(atlas, left, right, row.sigma)
+        for left, right in HALF_FOLD_INDEX
+        for row in scan_pair(atlas, left, right, iter_sigmas(40, seed=24))
+        if row.kernel == 9]
+    assert {(c.left, c.right) for c in codes} >= {(0, 0), (0, 2), (2, 0)}
+    decompose, seen = fold.cosets, []
+    # the whole-kernel fold goes through kernel_cosets, not fold.cosets
+    monkeypatch.setattr(fold, "cosets", lambda code, basis:
+                        seen.append(decompose(code, basis)) or seen[-1])
+    for code in codes:
+        seen.clear()
+        rep = full_report(code)
+        half, = seen
+        kw = kernel_words(code)
+        sub = xor_closure(half.basis)
+        assert sub == half_pure_subgroup(kw).tolist(), code.label
+        index = HALF_FOLD_INDEX[code.left, code.right]
+        assert index * len(sub) == len(kw), code.label
+        assert rep.passed == (index == 2), code.label
 
 
 def test_full_report_rejects_out_of_range_kernel(witnesses):
