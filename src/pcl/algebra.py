@@ -188,12 +188,12 @@ class DoublingPair(NamedTuple):
 @dataclass(eq=False)
 class CosetDecomposition:
     """Cosets of a kernel subspace inside a code: the subspace's echelon
-    basis, the cosets' least words in increasing order, and every
-    codeword's coset number (-1 for words outside the code)."""
+    basis, the cosets' least words in increasing order, and the coset
+    number of every codeword, aligned with code.words."""
 
     basis: tuple
     reps: np.ndarray
-    index: np.ndarray
+    word_coset: np.ndarray
 
 
 def cosets(code: Code, basis) -> CosetDecomposition:
@@ -204,8 +204,8 @@ def cosets(code: Code, basis) -> CosetDecomposition:
     eliminated once into the echelon basis the decomposition keeps.
     Representatives are the lexicographic minima (words.coset_minima),
     numbered in increasing order; every coset is checked to have full
-    size.  np.unique of the minima gives the representatives and every
-    word's coset.
+    size.  np.unique of the minima gives the representatives and, as
+    its inverse, every word's coset.
     """
     words, occ = code.words, code.occ
     for b in basis:
@@ -216,9 +216,7 @@ def cosets(code: Code, basis) -> CosetDecomposition:
                               return_inverse=True)
     if len(reps) << len(basis) != len(words):
         raise AssertionError("cosets do not partition the code")
-    index = np.full(SPACE16, -1, dtype=np.int32)
-    index[words] = inverse
-    return CosetDecomposition(basis, reps, index)
+    return CosetDecomposition(basis, reps, inverse)
 
 
 def kernel_cosets(code: Code) -> CosetDecomposition:

@@ -23,7 +23,6 @@ import contextlib
 import json
 import os
 import sys
-from typing import NamedTuple
 
 import click
 from click.core import ParameterSource
@@ -39,9 +38,9 @@ from .partitions import (Atlas, build_atlas, check_census7,
 from .perfect import enumerate_perfect7
 from .scan import (PRIORITY_PAIRS, find_representatives, iter_sigmas,
                    make_code, scan_pair)
-from .sts import code_type_grid, homogeneity, multiset_keys, render_tuple
+from .sts import TypeGrid, type_grid
 from .structure import StructureReport, full_report
-from .words import IDENTITY8, quad_name, sigma_bytes, sigma_str, word_hex
+from .words import IDENTITY8, quad_name, sigma_bytes, sigma_str
 
 # What reading a malformed JSON file can raise; the commands turn these
 # into an error message and exit status 1.
@@ -289,31 +288,14 @@ def analyze(code_path: str, out: str | None) -> None:
 # ------------------------------------------------------- typing and checks
 
 
-class TypeGrid(NamedTuple):
-    """Rendered type tuples of the kernel cosets and what is read off them.
-
-    Untabulated Pasch signatures render as "?"; they do occur for some
-    doubled codes with small kernels.
-    """
-
-    rows: list            # (vertex, representative hex, rendered tuple)
-    homogeneous: tuple    # (alike as multisets, alike and constant)
-    distinct: int         # distinct type multisets
-    unknown: int          # untabulated coordinates over all vertices
-
-
 def types_stage(code, csv_path: str | None) -> TypeGrid:
     """Type every kernel coset; write one CSV row per coset to csv_path."""
-    grid = code_type_grid(code)
-    tuples = [tup for _, tup in grid]
-    rows = [(i, word_hex(rep, 16), render_tuple(tup))
-            for i, (rep, tup) in enumerate(grid)]
+    grid = type_grid(code)
     if csv_path:
         lines = ["vertex,representative,types"]
-        lines += ["%d,%s,%s" % row for row in rows]
+        lines += ["%d,%s,%s" % row for row in grid.rows]
         atomic_write(csv_path, "\n".join(lines) + "\n")
-    return TypeGrid(rows, homogeneity(tuples), len(multiset_keys(tuples)),
-                    sum(s.count("?") for _, _, s in rows))
+    return grid
 
 
 @main.command("sts-types")
@@ -396,13 +378,14 @@ def fano_dump() -> None:
               required=True)
 @click.option("--out", type=OutPath(), required=True)
 @click.option("--sts/--no-sts", "with_sts", default=True, show_default=True,
-              help="label vertices with triple-system type tuples")
+              help="label vertices with triple-system type tuples (dot "
+              "and json only; csv has no vertex labels)")
 def export(code_path: str, fmt: str, out: str, with_sts: bool) -> None:
     """Fold a code over its kernel and write the graph."""
     code = _load_code_checked(code_path)
     g = quotient_graph(code)
     if with_sts and fmt in ("dot", "json"):
-        g.vertex_sts = [s for _, _, s in types_stage(code, None).rows]
+        g.vertex_sts = [s for _, _, s in type_grid(code).rows]
     if fmt == "dot":
         atomic_write(out, g.to_dot() + "\n")
     elif fmt == "csv":

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .words import popcounts16, sigma_bytes, sigma_str
+from .words import sigma_bytes, sigma_str
 
 if TYPE_CHECKING:
     from .algebra import CosetDecomposition
@@ -66,7 +66,7 @@ class Code:
         codeword v.  Raises ValueError otherwise.  int8, 32 KB.
         """
         words = self.words
-        odd = int((popcounts16(words) & 1).sum())
+        odd = int((np.bitwise_count(words) & 1).sum())
         if len(words) != 2048 or odd:
             raise ValueError("an extended 1-perfect code of length 16 has "
                              "2048 even words, not %d words with %d odd"

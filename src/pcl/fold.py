@@ -37,8 +37,7 @@ import numpy as np
 
 from .algebra import cosets, kernel_cosets
 from .doubling import Code
-from .words import (coset_minima, popcounts16, quad_name, word_hex,
-                    xor_closure)
+from .words import coset_minima, quad_name, word_hex, xor_closure
 
 
 @dataclass(eq=False)
@@ -116,10 +115,10 @@ def quotient_graph(code: Code, basis=None) -> SqsGraph:
     """Fold over a kernel subspace, spanned by the words of basis
     (algebra.cosets); the whole kernel when basis is None.
 
-    The code's words are sorted by coset index into the rows of a
+    The code's words are sorted by coset number into the rows of a
     members array, and one gather checks that row i lies in r_i + L,
     which implies the covering property on every coset pair (see the
-    module docstring); it fails when the index puts a word in the wrong
+    module docstring); it fails when a word is numbered into the wrong
     row.  Every pair is then keyed by the least word of r_i ^ r_j + L,
     and the labels of each class are the weight-4 words of key ^ L,
     read off one (classes, |L|) array.
@@ -128,7 +127,7 @@ def quotient_graph(code: Code, basis=None) -> SqsGraph:
     reps = dec.reps
     m = len(reps)
     sub = np.array(xor_closure(dec.basis), dtype=np.uint16)
-    by_coset = np.argsort(dec.index[code.words], kind="stable")
+    by_coset = np.argsort(dec.word_coset, kind="stable")
     members = code.words[by_coset].reshape(m, len(sub))
     inside = np.zeros(1 << 16, dtype=bool)
     inside[sub] = True
@@ -142,7 +141,7 @@ def quotient_graph(code: Code, basis=None) -> SqsGraph:
         coset_minima(reps[:, None] ^ reps[None, :], dec.basis),
         return_inverse=True)
     diffs = keys[:, None] ^ sub[None, :]
-    w4 = popcounts16(diffs) == 4
+    w4 = np.bitwise_count(diffs) == 4
     # 0xFFFF has weight 16, so it pads each sorted row after the labels
     quads = np.sort(np.where(w4, diffs, 0xFFFF), axis=1).tolist()
     classes = tuple(tuple(q[:n])

@@ -21,7 +21,7 @@ import tempfile
 import numpy as np
 
 from .doubling import Code
-from .words import parse_word, sigma_bytes, sigma_str
+from .words import parse_word, sigma_bytes, sigma_str, word_hex
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -60,10 +60,9 @@ def read_json(path: str):
 
 
 def code_to_json(words, n: int) -> dict:
-    digits = "%%0%dx" % ((n + 3) // 4)
     return {
         "length": n,
-        "codewords": [digits % w for w in np.sort(words).tolist()],
+        "codewords": [word_hex(w, n) for w in np.sort(words).tolist()],
     }
 
 

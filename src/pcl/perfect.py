@@ -16,8 +16,6 @@ from itertools import permutations
 
 import numpy as np
 
-from .words import weight
-
 N7 = 7
 SPACE7 = 1 << N7
 
@@ -50,7 +48,7 @@ def enumerate_perfect7() -> list:
 
 def extend_even(words7) -> tuple:
     """Append an overall parity coordinate (position 7)."""
-    return tuple(sorted(w | ((weight(w) & 1) << N7) for w in words7))
+    return tuple(sorted(w | ((w.bit_count() & 1) << N7) for w in words7))
 
 
 def puncture(w, i: int):

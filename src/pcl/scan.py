@@ -97,11 +97,11 @@ def scan_pair(atlas: Atlas, left: int, right: int, sigmas) -> list[ScanRow]:
     return rows
 
 
-def find_representatives(atlas: Atlas, targets=tuple(PRESCRIPTIONS),
-                         pairs=PRIORITY_PAIRS, per_pair: int = 400,
-                         seed: int = 0,
+def find_representatives(atlas: Atlas, pairs=PRIORITY_PAIRS,
+                         per_pair: int = 400, seed: int = 0,
                          ) -> dict[int, tuple[int, int, bytes, Code]]:
-    """One code per kernel dimension from a seeded permutation scan.
+    """One code per prescribed kernel dimension (fano.PRESCRIPTIONS)
+    from a seeded permutation scan.
 
     Pairs are scanned in order with a fresh sample each; the result maps
     kernel dimension to (left, right, sigma, code).  Some codes with
@@ -112,7 +112,7 @@ def find_representatives(atlas: Atlas, targets=tuple(PRESCRIPTIONS),
     wanted and not yet settled.  Deterministic for fixed atlas, pair
     list, sample size and seed.
     """
-    want = set(targets)
+    want = set(PRESCRIPTIONS)
     found: dict[int, tuple[int, int, bytes, Code]] = {}
     settled: set[int] = set()
     for left, right in pairs:

@@ -43,7 +43,7 @@ from .algebra import kernel_cosets
 from .canon import minimal_quadset8
 from .doubling import Code
 from .fold import SqsGraph, quotient_graph
-from .words import points_of, popcounts16, quad_name
+from .words import points_of, quad_name
 
 LEVELS = ("exact", "relabeled", "spectrum", "fail")
 
@@ -159,7 +159,7 @@ def decompose_mixed(labels):
     for m in labels:
         m = int(m)
         lp, rp = m & 0xFF, m >> 8
-        if bin(lp).count("1") != 2 or bin(rp).count("1") != 2:
+        if lp.bit_count() != 2 or rp.bit_count() != 2:
             return None
         by_left.setdefault(lp, set()).add(rp)
         by_right.setdefault(rp, set()).add(lp)
@@ -405,7 +405,7 @@ def _index2_verdicts(code: Code, GK: SqsGraph,
 
 def _assert_even_left_support(G: SqsGraph) -> None:
     labels = np.fromiter(chain(*G.classes), dtype=np.uint16)
-    odd = popcounts16(labels & 0xFF) % 2 == 1
+    odd = np.bitwise_count(labels & 0xFF) % 2 == 1
     if odd.any():
         raise ValueError("label %04x has odd left support; not a code in "
                          "doubling coordinates" % int(labels[np.argmax(odd)]))

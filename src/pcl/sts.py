@@ -28,12 +28,14 @@ pasch_profile, a completion search over pairs of triples of one
 derived_sts system, is kept as its independent oracle.
 
 code_type_grid is the one typing routine: it types every coset of the
-kernel in turn.  fully_tabulated shares its per-vertex step and stops
-at the first vertex with an untabulated system, which is what the
-representative scan needs; it types the least codeword before it
-computes the kernel, so most rejected codes never need one.  Both keep
-each coset's complete tuple on the code (Code.type_tuples), so a code
-the scan kept is not typed again when its grid is written.
+kernel in turn, and type_grid renders its tuples once, "?" for an
+untabulated entry, into the TypeGrid that the commands print and write.
+fully_tabulated shares its per-vertex step and stops at the first
+vertex with an untabulated system, which is what the representative
+scan needs; it types the least codeword before it computes the kernel,
+so most rejected codes never need one.  Both keep each coset's complete
+tuple on the code (Code.type_tuples), so a code the scan kept is not
+typed again when its grid is written.
 """
 
 from __future__ import annotations
@@ -41,13 +43,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import kernel_cosets
 from .doubling import Code
 from .perfect import puncture
-from .words import popcounts16, weight
+from .words import word_hex
 
 # type id -> (total Pasch count, per-point counts sorted nonincreasing)
 ROWS = {
@@ -117,7 +120,7 @@ def check_sts(triples, points: int = 15) -> None:
 def derived_sts(code: Code, v: int, i: int) -> StsSystem:
     """STS at coordinate i: blocks through i of the SQS at v, i deleted."""
     d = code.words ^ np.uint16(v)
-    w4 = d[popcounts16(d) == 4]
+    w4 = d[np.bitwise_count(d) == 4]
     hit = w4[(w4 >> i) & 1 == 1]
     tr = tuple(int(t) for t in np.sort(puncture(hit, i)))
     check_sts(tr)
@@ -142,7 +145,7 @@ def pasch_profile(sts: StsSystem) -> PaschProfile:
     acc = [0] * 15
     for t1, t2 in combinations(triples, 2):
         common = t1 & t2
-        if weight(common) != 1:
+        if common.bit_count() != 1:
             continue
         r1 = t1 ^ common
         r2 = t2 ^ common
@@ -155,7 +158,7 @@ def pasch_profile(sts: StsSystem) -> PaschProfile:
             if t3 is None or t4 is None:
                 continue
             x = t3 & t4
-            if weight(x) != 1 or x & (t1 | t2):
+            if x.bit_count() != 1 or x & (t1 | t2):
                 continue
             if t3 & common or t4 & common:
                 continue
@@ -297,6 +300,27 @@ def render_tuple(types) -> str:
     return "".join(type_char(t) for t in types)
 
 
+class TypeGrid(NamedTuple):
+    """The type grid rendered, one row per kernel coset, and what is read
+    off it.  An untabulated entry, which some doubled codes with small
+    kernels have, renders as "?" and counts as a type of its own."""
+
+    rows: list            # (vertex, representative hex, rendered tuple)
+    homogeneous: tuple    # (alike as multisets, alike and constant)
+    distinct: int         # distinct type multisets
+    unknown: int          # untabulated coordinates over all vertices
+
+
+def type_grid(code: Code) -> TypeGrid:
+    """code_type_grid rendered, and summarized on its rendered rows."""
+    rows = [(i, word_hex(rep, 16), render_tuple(tup))
+            for i, (rep, tup) in enumerate(code_type_grid(code))]
+    keys = {"".join(sorted(s)) for _, _, s in rows}
+    alike = len(keys) == 1
+    return TypeGrid(rows, (alike, alike and len(set(min(keys))) == 1),
+                    len(keys), sum(s.count("?") for _, _, s in rows))
+
+
 def fully_tabulated(code: Code) -> bool:
     """Whether every punctured-system profile matches a table row.
 
@@ -311,19 +335,3 @@ def fully_tabulated(code: Code) -> bool:
         return False
     return all(None not in _vertex_types(code, int(r))
                for r in kernel_cosets(code).reps)
-
-
-def multiset_keys(tuples) -> set[str]:
-    """Distinct type multisets, each as its sorted rendered characters."""
-    return {"".join(sorted(render_tuple(t))) for t in tuples}
-
-
-def homogeneity(tuples) -> tuple[bool, bool]:
-    """(all vertices alike as multisets, alike and constant).
-
-    Compared on rendered characters, so untabulated entries count as '?'.
-    """
-    keys = multiset_keys(tuples)
-    sqs_h = len(keys) == 1
-    sts_h = sqs_h and len(set(next(iter(keys)))) == 1
-    return sqs_h, sts_h

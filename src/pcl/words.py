@@ -3,31 +3,19 @@
 Words are plain ints; coordinates are numbered 0..f and rendered as hex
 digits.  The left half of a length-16 word is coordinates 0-7 (low byte),
 the right half is 8-f (high byte).  Bulk operations work on numpy arrays
-of word values with table lookups for popcounts.
+of word values.  Weights are int.bit_count for one word and
+np.bitwise_count for an array.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-EVEN8 = np.flatnonzero(POP8 % 2 == 0)  # the 128 even bytes, increasing
-
-_IDX16 = np.arange(1 << 16)
-POP16 = (POP8[_IDX16 & 0xFF] + POP8[_IDX16 >> 8]).astype(np.uint8)
-del _IDX16
+# the 128 even bytes, increasing
+EVEN8 = np.flatnonzero(np.bitwise_count(np.arange(256)) % 2 == 0)
 
 HEX_DIGITS = "0123456789abcdef"
 IDENTITY8 = bytes(range(8))  # permutations of 0..7 as bytes, p[i] = image of i
-
-
-def weight(x: int) -> int:
-    return int(x).bit_count()
-
-
-def popcounts16(a: np.ndarray) -> np.ndarray:
-    """Weights of an array of 16-bit words."""
-    return POP16[a]
 
 
 def points_of(mask: int):
@@ -52,7 +40,7 @@ def parse_quad(name: str) -> int:
 
 
 def word_hex(w: int, n: int = 16) -> str:
-    return format(w, "0%dx" % ((n + 3) // 4))
+    return "%0*x" % ((n + 3) // 4, w)
 
 
 def parse_word(s: str) -> int:

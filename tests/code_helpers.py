@@ -21,8 +21,8 @@ import numpy as np
 
 from pcl.fano import PairPartition
 from pcl.perfect import puncture
-from pcl.words import (echelon_basis, mask_of, points_of, popcounts16,
-                       rank_gf2, weight, xor_closure)
+from pcl.words import (echelon_basis, mask_of, points_of, rank_gf2,
+                       xor_closure)
 
 
 def ball(w: int, n: int = 7) -> int:
@@ -49,9 +49,9 @@ def is_perfect(words, n: int = 7) -> bool:
 def is_extended_perfect8(words) -> bool:
     """16 words of length 8, even weights, pairwise distance at least 4."""
     ws = sorted(set(int(w) for w in words))
-    if len(ws) != 16 or any(weight(w) & 1 for w in ws):
+    if len(ws) != 16 or any(w.bit_count() & 1 for w in ws):
         return False
-    return all(weight(a ^ b) >= 4 for a, b in combinations(ws, 2))
+    return all((a ^ b).bit_count() >= 4 for a, b in combinations(ws, 2))
 
 
 def enumerate_pair_partitions() -> list[PairPartition]:
@@ -98,7 +98,7 @@ def is_extended_perfect16(words, thorough: bool = True) -> bool:
     ws = np.asarray(words, dtype=np.uint16)
     if len(ws) != 2048 or len(np.unique(ws)) != 2048:
         return False
-    if (popcounts16(ws) % 2).any():
+    if (np.bitwise_count(ws) % 2).any():
         return False
     coords = range(16) if thorough else (0,)
     return all(tiles15(puncture(ws, i)) for i in coords)
@@ -112,7 +112,7 @@ def in_span(basis: tuple, w: int) -> bool:
 def half_pure_subgroup(kw: np.ndarray) -> np.ndarray:
     """Span of the half-supported weight-4 words among the kernel words
     kw, sorted, each checked to lie in the kernel."""
-    w4 = kw[popcounts16(kw) == 4]
+    w4 = kw[np.bitwise_count(kw) == 4]
     half = w4[((w4 & 0xFF00) == 0) | ((w4 & 0x00FF) == 0)]
     span = np.array(xor_closure(int(w) for w in half), dtype=np.uint16)
     if not np.isin(span, kw).all():
@@ -120,12 +120,12 @@ def half_pure_subgroup(kw: np.ndarray) -> np.ndarray:
     return span
 
 
-def coset_of(dec, w: int) -> int:
-    """The coset of a decomposition that holds codeword w."""
-    i = int(dec.index[w])
-    if i < 0:
+def coset_of(code, dec, w: int) -> int:
+    """The coset of a decomposition of code that holds codeword w."""
+    at = np.flatnonzero(code.words == w)
+    if not len(at):
         raise KeyError("word %04x is not in the code" % w)
-    return i
+    return int(dec.word_coset[at[0]])
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,6 @@ import numpy as np
 
 from pcl.algebra import kernel_cosets
 from pcl.sts import ROWS, PaschProfile
-from pcl.words import popcounts16
 
 ROW_OF = {v: k for k, v in ROWS.items()}
 
@@ -42,7 +41,7 @@ _DISTINCT = ((_POINTS[:, None, None] != _POINTS[None, :, None])
 def blocks_at(code, v: int) -> np.ndarray:
     """The blocks of the SQS(16) at codeword v, sorted."""
     d = code.words ^ np.uint16(v)
-    return np.sort(d[popcounts16(d) == 4])
+    return np.sort(d[np.bitwise_count(d) == 4])
 
 
 def third_point_table(blocks) -> np.ndarray:
@@ -128,7 +127,7 @@ def class_type_tuple_sorted(code, rep: int) -> tuple:
                   dtype=np.uint16) ^ np.uint16(rep)
     d = code.words ^ at[:, None]
     # 0xFFFF has weight 16, so it pads each sorted row after the blocks
-    w4 = np.sort(np.where(popcounts16(d) == 4, d, 0xFFFF), axis=1)
+    w4 = np.sort(np.where(np.bitwise_count(d) == 4, d, 0xFFFF), axis=1)
     if not (w4 == w4[0]).all():
         raise AssertionError("type tuple differs inside a kernel coset")
     return tup

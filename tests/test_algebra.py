@@ -13,8 +13,7 @@ from pcl.algebra import cosets, kernel_cosets, kernel_words, rank_of
 from pcl.doubling import SPACE16, Code
 from pcl.scan import iter_sigmas, make_code
 from pcl.structure import split_sides
-from pcl.words import (coset_minima, echelon_basis, popcounts16, rank_gf2,
-                       weight, xor_closure)
+from pcl.words import coset_minima, echelon_basis, rank_gf2, xor_closure
 
 from code_helpers import coset_of, half_pure_subgroup, in_span
 
@@ -38,8 +37,8 @@ def kernel_words_brute(code) -> np.ndarray:
 
 
 def cosets_loop(code, basis):
-    """(reps, index) by a walk over the sorted codewords: each word not yet
-    filed opens a coset, which is filed whole."""
+    """(reps, coset of each codeword) by a walk over the sorted codewords:
+    each word not yet filed opens a coset, which is filed whole."""
     lw = np.array(xor_closure(basis), dtype=np.uint16)
     index = np.full(SPACE16, -1, dtype=np.int32)
     reps = []
@@ -47,7 +46,7 @@ def cosets_loop(code, basis):
         if index[w] < 0:
             index[w ^ lw] = len(reps)
             reps.append(int(w))
-    return np.array(reps, dtype=np.uint16), index
+    return np.array(reps, dtype=np.uint16), index[code.words]
 
 
 def rank_brute(code) -> int:
@@ -73,9 +72,9 @@ def test_cosets_and_rank_match_the_oracles_on_every_pair(atlas, witnesses):
         for sub in (basis, basis[1:],
                     echelon_basis(half_pure_subgroup(kernel_words(fresh)))):
             dec = cosets(fresh, sub)
-            reps, index = cosets_loop(fresh, sub)
+            reps, word_coset = cosets_loop(fresh, sub)
             assert np.array_equal(dec.reps, reps), code.label
-            assert np.array_equal(dec.index, index), code.label
+            assert np.array_equal(dec.word_coset, word_coset), code.label
         assert rank_of(fresh) == rank_brute(fresh), code.label
 
 
@@ -93,7 +92,8 @@ def test_witness_invariants(witnesses):
         kw = kernel_words(code)
         assert len(kw) == 1 << kappa
         assert rank_of(code) == rk
-        assert tuple(map(len, split_sides(kw[popcounts16(kw) == 4]))) == split
+        w4 = kw[np.bitwise_count(kw) == 4]
+        assert tuple(map(len, split_sides(w4))) == split
         hp = half_pure_subgroup(kw)
         assert rank_gf2([int(x) for x in hp]) == hp_dim
 
@@ -126,7 +126,7 @@ def test_kernel_translate_invariance(witnesses):
 
 def test_weight4_words_and_pure_parts(witnesses):
     kw = kernel_words(witnesses[9])
-    w4 = kw[popcounts16(kw) == 4]
+    w4 = kw[np.bitwise_count(kw) == 4]
     assert len(w4) == sum(map(len, split_sides(w4)))
     lo = kw[(kw & 0xFF00) == 0]
     hi = kw[(kw & 0x00FF) == 0] >> 8
@@ -136,7 +136,7 @@ def test_weight4_words_and_pure_parts(witnesses):
     assert len(lo) == len(hi) == 16
     # pure weight-4 kernel parts come in complementary pairs per half
     for part in (lo, hi):
-        w4 = {int(w) for w in part if weight(int(w)) == 4}
+        w4 = {int(w) for w in part if int(w).bit_count() == 4}
         assert len(w4) == 14
         assert all((w ^ 0xFF) in w4 for w in w4)
 
@@ -166,12 +166,12 @@ def test_cosets(witnesses):
     dec = cosets(code, basis)
     assert len(dec.reps) == 4
     assert int(dec.reps[0]) == 0
-    assert coset_of(dec, 0) == 0
+    assert coset_of(code, dec, 0) == 0
     with pytest.raises(KeyError):
-        coset_of(dec, 1)
+        coset_of(code, dec, 1)
     # every codeword's coset contains it
     for w in code.words[::311]:
-        i = coset_of(dec, int(w))
+        i = coset_of(code, dec, int(w))
         assert in_span(basis, int(w) ^ int(dec.reps[i]))
 
 

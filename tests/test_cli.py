@@ -744,6 +744,74 @@ def test_pipeline_artifacts_are_pinned(pipeline_runs):
             == digest, name
 
 
+# stdout of the --sample 60 --seed 0 run, its output directory masked
+PIPELINE_STDOUT = """\
+[partitions] length-7 partitions: 27360 in 11 classes
+[partitions] orbit sizes: 30 840 630 5040 5040 420 2520 2520 6720 1680 1920
+[partitions] extended classes: 10 (linear class 0)
+[partitions] merged under extension: 6+7
+[scan] linear baseline kappa=11, structure check skipped
+[scan] kappa=5 from classes (1,3) sigma=47650123
+[analyze] kappa=5 rank=13 cosets=64
+[sts-types] kappa=5: 64 vertices, 5 distinct tuples
+[verify] kappa=5 FAIL (128 exact, 128 relabeled, 0 spectrum, 1472 fail)
+[scan] kappa=6 from classes (0,3) sigma=36250417
+[analyze] kappa=6 rank=13 cosets=32
+[sts-types] kappa=6: 32 vertices, 4 distinct tuples
+[verify] kappa=6 FAIL (64 exact, 384 relabeled, 48 spectrum, 32 fail)
+[scan] kappa=7 from classes (0,1) sigma=24365017
+[analyze] kappa=7 rank=13 cosets=16
+[sts-types] kappa=7: 16 vertices, 3 distinct tuples
+[verify] kappa=7 FAIL (32 exact, 112 relabeled, 8 spectrum, 24 fail)
+[scan] kappa=8 from classes (0,0) sigma=24365017
+[analyze] kappa=8 rank=13 cosets=8
+[sts-types] kappa=8: 8 vertices, 1 distinct tuples
+[verify] kappa=8 pass (45 exact, 8 relabeled, 0 spectrum, 0 fail)
+[scan] kappa=9 from classes (0,0) sigma=47650123
+[analyze] kappa=9 rank=12 cosets=4
+[sts-types] kappa=9: 4 vertices, 1 distinct tuples
+[verify] kappa=9 pass (20 exact, 5 relabeled, 0 spectrum, 0 fail)
+[summary] wrote @/summary.json
+"""
+
+
+def test_pipeline_stdout_is_pinned(pipeline_runs):
+    d, res = pipeline_runs[0]
+    assert res.exit_code == 0, res.output
+    assert res.output.replace(d, "@") == PIPELINE_STDOUT
+
+
+# sha256 of `pcl export` of the run's kappa 5 and 9 codes, per format,
+# with and without --sts; csv has no vertex labels, so both are equal
+EXPORT_SHA256 = {
+    (5, "json", True): "1b1bdd056b299e86b20f1ed91f20074a04e9a5341efe815be4a0471a98c96385",
+    (5, "json", False): "627f00fedb40f1d6ee2b3e7386d136566eda9078668e77cd5a4eafd2de130a81",
+    (5, "dot", True): "0f609ab7ff7cc57fea0b02cd7a38eb8c45c3b4d506e4685ff37b4107df131896",
+    (5, "dot", False): "6667ff925eb870f3ccdca1ad59dabf9f2b2f59dec6028806d93cddd2680b2c95",
+    (5, "csv", True): "259ea6dd1fab7b3d529025dc2ebec779818d9205f70ba02d2f8a0edf4e102891",
+    (5, "csv", False): "259ea6dd1fab7b3d529025dc2ebec779818d9205f70ba02d2f8a0edf4e102891",
+    (9, "json", True): "e968ab86b649545cb45989950773e4cdec95ac40a255f3ea4f717a62589c29b3",
+    (9, "json", False): "38e7eefe0670a9c0bcca8bab02e2939050853206984f3f368b724026d672df36",
+    (9, "dot", True): "f5948a19a5646a6e7eaee1ac3f767cd72d26477708c37c27e1a15f6419edfcc8",
+    (9, "dot", False): "9e7739ffe0ad07cb2eb5679def7b9a5b3b241102cd2fee56d5b1d27b2b1f7cad",
+    (9, "csv", True): "bb15f4ef3a21dd821e1cc9a62e46a75834a53b2adcc5f63a1be11c31094a0ebb",
+    (9, "csv", False): "bb15f4ef3a21dd821e1cc9a62e46a75834a53b2adcc5f63a1be11c31094a0ebb",
+}
+
+
+def test_exports_are_pinned(runner, tmp_path, pipeline_runs):
+    d, res = pipeline_runs[0]
+    assert res.exit_code == 0, res.output
+    for (kappa, fmt, with_sts), digest in EXPORT_SHA256.items():
+        out = str(tmp_path / ("g.%s" % fmt))
+        res = runner.invoke(main, [
+            "export", os.path.join(d, "code_k%d.json" % kappa), "--format",
+            fmt, "--out", out, "--sts" if with_sts else "--no-sts"])
+        assert res.exit_code == 0, res.output
+        assert hashlib.sha256(_read_bytes(out)).hexdigest() == digest, \
+            (kappa, fmt, with_sts)
+
+
 def test_subcommands_reproduce_pipeline_artifacts(runner, tmp_path,
                                                   pipeline_runs):
     d, res = pipeline_runs[0]

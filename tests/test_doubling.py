@@ -4,7 +4,7 @@ import numpy as np
 
 from pcl.doubling import Code
 from pcl.scan import make_code
-from pcl.words import popcounts16, sigma_bytes
+from pcl.words import sigma_bytes
 
 from code_helpers import is_extended_perfect16
 
@@ -15,7 +15,7 @@ def test_double_shape_and_metadata(atlas):
     assert len(code.words) == 2048
     assert code.words.dtype == np.uint16
     assert (np.diff(code.words.astype(np.int32)) > 0).all()
-    assert (popcounts16(code.words) % 2 == 0).all()
+    assert (np.bitwise_count(code.words) % 2 == 0).all()
     assert (code.left, code.right, code.sigma) == (0, 0, sigma)
     assert code.label == "(0,0,45026713)"
 

@@ -17,7 +17,7 @@ import pytest
 from pcl.algebra import cosets, kernel_cosets, kernel_words
 from pcl.doubling import Code
 from pcl.fold import quotient_graph
-from pcl.words import echelon_basis, popcounts16, quad_name, xor_closure
+from pcl.words import echelon_basis, quad_name, xor_closure
 
 from code_helpers import half_pure_subgroup
 from graph_helpers import (edge_labels, graph_from_json, loop_count,
@@ -68,7 +68,7 @@ def sqs_of(code: Code, v: int) -> SqsSystem:
     if not code.occ[v]:
         raise ValueError("%04x is not a codeword" % v)
     d = code.words ^ np.uint16(v)
-    blocks = tuple(int(b) for b in np.sort(d[popcounts16(d) == 4]))
+    blocks = tuple(int(b) for b in np.sort(d[np.bitwise_count(d) == 4]))
     check_sqs(blocks)
     return SqsSystem(blocks)
 
@@ -85,11 +85,11 @@ def foldable(code, basis) -> bool:
     dec = cosets(code, basis)
     m = len(dec.reps)
     size = 1 << len(dec.basis)
-    members = [code.words[dec.index[code.words] == i] for i in range(m)]
+    members = [code.words[dec.word_coset == i] for i in range(m)]
     for i in range(m):
         for j in range(i, m):
             d = members[i][:, None] ^ members[j][None, :]
-            w4 = np.where(popcounts16(d) == 4, d, 0)
+            w4 = np.where(np.bitwise_count(d) == 4, d, 0)
             first = np.sort(w4[0])
             for r in range(1, size):
                 if not np.array_equal(np.sort(w4[r]), first):
@@ -104,14 +104,14 @@ def foldable(code, basis) -> bool:
 def pairs_cover(code: Code, basis=None) -> bool:
     """The covering property on every coset pair i < j, by one table.
 
-    Words are filed by the coset index into rows as quotient_graph does;
+    Words are filed by their coset number into rows as quotient_graph does;
     every u ^ v with u in row i and v in row j must lie in r_i ^ r_j + L,
     checked on the (pairs, |L|, |L|) table of differences.
     """
     dec = kernel_cosets(code) if basis is None else cosets(code, basis)
     sub = np.array(xor_closure(dec.basis), dtype=np.uint16)
     m = len(dec.reps)
-    by_coset = np.argsort(dec.index[code.words], kind="stable")
+    by_coset = np.argsort(dec.word_coset, kind="stable")
     members = code.words[by_coset].reshape(m, len(sub))
     inside = np.zeros(1 << 16, dtype=bool)
     inside[sub] = True
@@ -133,20 +133,20 @@ def quotient_graph_pairwise(code: Code, basis=None) -> tuple:
     reps = dec.reps
     m = len(reps)
     sub = np.array(xor_closure(dec.basis), dtype=np.uint16)
-    loop = tuple(int(b) for b in np.sort(sub[popcounts16(sub) == 4]))
+    loop = tuple(int(b) for b in np.sort(sub[np.bitwise_count(sub) == 4]))
     labels: dict = {}
     mult = np.zeros((m, m), dtype=np.int64)
     np.fill_diagonal(mult, len(loop))
-    members = [code.words[dec.index[code.words] == i] for i in range(m)]
+    members = [code.words[dec.word_coset == i] for i in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
             d = reps[i] ^ reps[j] ^ sub
-            w4 = d[popcounts16(d) == 4]
+            w4 = d[np.bitwise_count(d) == 4]
             if len(w4) == 0:
                 continue
             labs = tuple(int(b) for b in np.sort(w4))
             dd = members[i][:, None] ^ members[j][None, :]
-            ww = np.where(popcounts16(dd) == 4, dd, 0)
+            ww = np.where(np.bitwise_count(dd) == 4, dd, 0)
             rows = np.sort(ww, axis=1)
             cols = np.sort(ww, axis=0)
             if not ((rows == rows[0]).all() and (cols == rows[:1].T).all()):
@@ -244,9 +244,10 @@ def test_quotient_graph_rejects_misplaced_words(witnesses):
     rng = np.random.default_rng(3)
     for u in [code.words[0], code.words[-1]] + list(rng.choice(code.words, 4)):
         fresh = Code(code.words.copy(), code.left, code.right, code.sigma)
-        index = kernel_cosets(fresh).index
-        v = rng.choice(fresh.words[index[fresh.words] != index[u]])
-        index[[u, v]] = index[[v, u]]
+        coset = kernel_cosets(fresh).word_coset
+        at = np.searchsorted(fresh.words, u)
+        swap = [at, rng.choice(np.flatnonzero(coset != coset[at]))]
+        coset[swap] = coset[swap[::-1]]
         assert not pairs_cover(fresh)
         with pytest.raises(AssertionError, match="covering property"):
             quotient_graph(fresh)

@@ -19,7 +19,7 @@ from pcl.canon import (code_moves, code_table, minimal_quadset8,
 from pcl.partitions import (EVEN8, Atlas, ExtClass, canonical_form,
                             enumerate_partitions7, is_linear_partition)
 from pcl.perfect import enumerate_perfect7, puncture
-from pcl.words import perm_word_map, weight
+from pcl.words import perm_word_map
 
 from code_helpers import is_extended_perfect8, is_perfect
 from partition_oracles import (row_generators, row_ids, row_orbit,
@@ -121,7 +121,7 @@ def test_class_representatives_partition_the_even_space(atlas):
         for comp in c.components:
             assert len(comp) == 16
             assert is_extended_perfect8(comp)
-            assert all(weight(w) % 2 == 0 for w in comp)
+            assert all(w.bit_count() % 2 == 0 for w in comp)
             seen.update(comp)
         assert len(seen) == 128
 
@@ -172,7 +172,7 @@ def test_canonical_form_invariance8(atlas):
         perm = rng.sample(range(8), 8)
         wmap = perm_word_map(perm, 8)
         t = rng.randrange(256)
-        t ^= (weight(t) & 1)  # keep the translation inside the even space
+        t ^= (t.bit_count() & 1)  # keep the translation inside the even space
         moved = tuple(sorted(tuple(sorted(int(wmap[w]) ^ t for w in comp))
                              for comp in p8))
         assert canonical_form(moved, extended=True) == base
@@ -184,7 +184,7 @@ def _moved(p, rng, n):
     wmap = perm_word_map(rng.sample(range(n), n), n)
     t = rng.randrange(1 << n)
     if n == 8:
-        t ^= weight(t) & 1  # keep the translation inside the even space
+        t ^= t.bit_count() & 1  # keep the translation inside the even space
     moved = [tuple(sorted(int(wmap[w]) ^ t for w in comp)) for comp in p]
     rng.shuffle(moved)
     return tuple(moved)

@@ -6,7 +6,6 @@ import pytest
 from pcl.doubling import Code
 from pcl.perfect import (enumerate_perfect7, enumerate_zero_subspace_codes,
                          extend_even, puncture)
-from pcl.words import weight
 
 from code_helpers import (ball, is_extended_perfect8, is_extended_perfect16,
                           is_perfect, tiles15)
@@ -58,12 +57,12 @@ def test_hamming7_is_a_linear_perfect_code():
     assert is_perfect(h)
     s = set(h)
     assert all((a ^ b) in s for a in h for b in h)
-    assert sorted(weight(w) for w in h) == [0] + [3] * 7 + [4] * 7 + [7]
+    assert sorted(w.bit_count() for w in h) == [0] + [3] * 7 + [4] * 7 + [7]
 
 
 def test_ball_size():
-    assert weight(ball(0)) == 8
-    assert weight(ball(0b1010101)) == 8
+    assert ball(0).bit_count() == 8
+    assert ball(0b1010101).bit_count() == 8
 
 
 def test_zero_code_census_two_routes():
@@ -91,7 +90,7 @@ def test_full_census():
 def test_extend_even_and_puncture():
     h = hamming7()
     e = extend_even(h)
-    assert all(weight(w) % 2 == 0 for w in e)
+    assert all(w.bit_count() % 2 == 0 for w in e)
     assert sorted(puncture(w, 7) for w in e) == sorted(h)
     assert is_extended_perfect8(e)
 

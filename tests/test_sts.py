@@ -26,9 +26,9 @@ from pcl.scan import PRIORITY_PAIRS, find_representatives, make_code
 from pcl.sts import (LETTERS, ROWS, PaschProfile, StsSystem, check_sts,
                      class_type_tuple, code_type_grid,
                      derived_sts, fourth_point_table, fully_tabulated,
-                     homogeneity, multiset_keys, pasch_per_point,
-                     pasch_profile, render_tuple, type_char)
-from pcl.words import popcounts16, sigma_bytes, weight
+                     pasch_per_point, pasch_profile, render_tuple,
+                     type_char, type_grid)
+from pcl.words import sigma_bytes
 
 from sts_oracles import (blocks_at, class_type_tuple_sorted, classify_type,
                          derived_profiles, pasch_per_point_line_pairs,
@@ -42,7 +42,7 @@ def sts_of(words15, v: int) -> StsSystem:
     """The STS carried by a codeword of a length-15 1-perfect code."""
     ws = np.asarray(words15, dtype=np.uint16)
     d = ws ^ np.uint16(v)
-    tr = tuple(int(t) for t in np.sort(d[popcounts16(d) == 3]))
+    tr = tuple(int(t) for t in np.sort(d[np.bitwise_count(d) == 3]))
     check_sts(tr)
     return StsSystem(tr)
 
@@ -54,9 +54,9 @@ def pasch_profile_brute(sts: StsSystem) -> PaschProfile:
     acc = [0] * 15
     for quad in combinations(triples, 4):
         u = quad[0] | quad[1] | quad[2] | quad[3]
-        if weight(u) != 6:
+        if u.bit_count() != 6:
             continue
-        if any(weight(a & b) != 1 for a, b in combinations(quad, 2)):
+        if any((a & b).bit_count() != 1 for a, b in combinations(quad, 2)):
             continue
         total += 1
         for i in range(15):
@@ -197,15 +197,28 @@ def test_witness_type_grids(witnesses):
         assert sorted({t for _, row in grid for t in row}) == types
 
 
-def test_constant_grids(witnesses):
+def test_constant_grids(witnesses, monkeypatch):
     for kappa in (9, 11):
-        tuples = [t for _, t in code_type_grid(witnesses[kappa])]
-        assert homogeneity(tuples) == (True, True)
-    assert homogeneity([(1, 2), (2, 1)]) == (True, False)
-    assert homogeneity([(1, 1), (1, 2)]) == (False, False)
-    assert homogeneity([(1, None), (None, 1)]) == (True, False)
-    assert homogeneity([(None, None)]) == (True, True)
-    assert multiset_keys([(16, 13, None), (None, 16, 13)]) == {"?cg"}
+        grid = type_grid(witnesses[kappa])
+        assert (grid.homogeneous, grid.distinct, grid.unknown) \
+            == ((True, True), 1, 0)
+
+    def summary(tuples):
+        """The TypeGrid summary of a grid with the given type tuples."""
+        monkeypatch.setattr(sts, "code_type_grid",
+                            lambda code: list(enumerate(tuples)))
+        grid = type_grid(None)
+        return grid.homogeneous, grid.distinct, grid.unknown
+
+    assert summary([(1, 2), (2, 1)]) == ((True, False), 1, 0)
+    assert summary([(1, 1), (1, 2)]) == ((False, False), 2, 0)
+    assert summary([(1, None), (None, 1)]) == ((True, False), 1, 2)
+    assert summary([(None, None)]) == ((True, True), 1, 2)
+    assert summary([(16, 13, None), (None, 16, 13), (13, 13, 13)]) \
+        == ((False, False), 2, 2)
+    # the rows of that last grid, each tuple rendered once
+    assert type_grid(None).rows == [(0, "0000", "gc?"), (1, "0001", "?gc"),
+                                    (2, "0002", "ccc")]
 
 
 def test_linear_profile(witnesses):
@@ -364,7 +377,7 @@ def test_corrupted_block_raises_sqs_error(witnesses):
     present = set(blocks.tolist())
     bad = blocks.copy()
     bad[7] = next(q for q in range(1 << 16)
-                  if weight(q) == 4 and q not in present)
+                  if q.bit_count() == 4 and q not in present)
     with pytest.raises(ValueError, match="exactly once"):
         third_point_table(bad)
     with pytest.raises(ValueError, match="exactly once"):
@@ -406,7 +419,7 @@ def _with_a_replaced_word(code) -> Code:
     """The code with one codeword swapped for an even non-codeword."""
     words = code.words.copy()
     words[5] = next(w for w in range(1 << 16)
-                    if weight(w) % 2 == 0 and not code.occ[w])
+                    if w.bit_count() % 2 == 0 and not code.occ[w])
     return Code(np.sort(words), code.left, code.right, code.sigma)
 
 

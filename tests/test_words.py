@@ -5,37 +5,36 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from pcl.words import (coset_minima, mask_of, parse_quad, parse_word,
-                       perm_word_map, points_of, popcounts16, quad_name,
-                       rank_gf2, sigma_bytes, sigma_str, weight, word_hex,
-                       xor_closure)
+from pcl.words import (EVEN8, coset_minima, mask_of, parse_quad, parse_word,
+                       perm_word_map, points_of, quad_name, rank_gf2,
+                       sigma_bytes, sigma_str, word_hex, xor_closure)
 
 words16 = st.integers(min_value=0, max_value=0xFFFF)
 
 
 def test_weight_and_distance_basics():
-    assert weight(0) == 0
-    assert weight(0xFFFF) == 16
-    assert weight(0b1011) == 3
-    assert weight(0b1100 ^ 0b1010) == 2
-    assert weight(5 ^ 5) == 0
+    words = [0, 0xFFFF, 0b1011, 0b1100 ^ 0b1010, 5 ^ 5]
+    assert [w.bit_count() for w in words] == [0, 16, 3, 2, 0]
+    assert np.bitwise_count(np.array(words, dtype=np.uint16)).tolist() \
+        == [0, 16, 3, 2, 0]
 
 
 @given(words16, words16)
 def test_distance_is_symmetric_xor_weight(v, w):
-    assert weight(v ^ w) == weight(w ^ v) == bin(v ^ w).count("1")
+    assert (v ^ w).bit_count() == (w ^ v).bit_count() == bin(v ^ w).count("1")
 
 
 @given(words16, words16, words16)
 def test_distance_triangle(u, v, w):
-    assert weight(u ^ w) <= weight(u ^ v) + weight(v ^ w)
+    assert (u ^ w).bit_count() <= (u ^ v).bit_count() + (v ^ w).bit_count()
 
 
-def test_popcounts16_matches_scalar():
-    a = np.arange(0, 0x10000, 97, dtype=np.uint16)
-    pc = popcounts16(a)
-    assert [int(x) for x in pc[:5]] == [weight(int(w)) for w in a[:5]]
-    assert all(int(pc[i]) == weight(int(a[i])) for i in range(len(a)))
+def test_bitwise_count_matches_scalar():
+    words = range(1 << 16)
+    assert np.bitwise_count(np.array(words, dtype=np.uint16)).tolist() \
+        == [w.bit_count() for w in words]
+    assert EVEN8.tolist() == [b for b in range(256)
+                              if bin(b).count("1") % 2 == 0]
 
 
 def test_halves_and_join():
@@ -83,7 +82,7 @@ def test_perm_word_map_is_weight_preserving_bijection(perm):
     m = perm_word_map(perm, 8)
     assert sorted(int(x) for x in m) == list(range(256))
     ws = np.arange(256, dtype=np.uint16)
-    assert all(weight(int(m[w])) == weight(int(w)) for w in ws[:32])
+    assert all(int(m[w]).bit_count() == int(w).bit_count() for w in ws[:32])
 
 
 @given(perms8, perms8)
