@@ -434,14 +434,13 @@ def pipeline(out_dir: str, atlas_path: str | None, pairs: tuple,
     summary: dict = {"seed": seed, "sample": sample,
                      "pairs": [list(p) for p in pair_list], "found": {}}
     lin = atlas.linear_class
-    _, base = code_stage(atlas, lin, lin, IDENTITY8, path("code_linear.json"))
+    linear, base = code_stage(atlas, lin, lin, IDENTITY8,
+                              path("code_linear.json"))
     found = find_representatives(atlas, pairs=pair_list, per_pair=sample,
                                  seed=seed)
     click.echo("[scan] linear baseline kappa=%d, structure check skipped"
                % base.kernel)
-    summary["linear"] = {"sourceClass": lin, "targetClass": lin,
-                         "sigma": sigma_str(base.sigma),
-                         "kernelDim": base.kernel}
+    summary["linear"] = {**provenance(linear), "kernelDim": base.kernel}
     missing = sorted(PRESCRIPTIONS.keys() - found.keys())
     for kap in missing:  # what an earlier run left for this kappa
         for name in ("code_k%d.json", "analysis_k%d.json", "sts_k%d.csv",
@@ -453,10 +452,10 @@ def pipeline(out_dir: str, atlas_path: str | None, pairs: tuple,
                    "permutations per pair" % (missing, sample))
 
     for kap in sorted(found):
-        left, right, sig, code = found[kap]
+        code = found[kap]
         tag = "k%d" % kap
         click.echo("[scan] kappa=%d from classes (%d,%d) sigma=%s"
-                   % (kap, left, right, sigma_str(sig)))
+                   % (kap, code.left, code.right, sigma_str(code.sigma)))
         save_code(path("code_%s.json" % tag), code)
         analysis = analysis_stage(code, path("analysis_%s.json" % tag))
         click.echo("[analyze] kappa=%d rank=%d cosets=%d"
@@ -469,8 +468,7 @@ def pipeline(out_dir: str, atlas_path: str | None, pairs: tuple,
         rep = report_stage(code, path("report_%s.json" % tag))
         click.echo("[verify] %s" % rep.summary())
         summary["found"][str(kap)] = {
-            "sourceClass": left, "targetClass": right,
-            "sigma": sigma_str(sig), "overall": rep.overall,
+            **provenance(code), "overall": rep.overall,
             "passed": rep.passed, "untabulatedTypes": grid.unknown}
 
     write_json(path("summary.json"), summary)

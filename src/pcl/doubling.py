@@ -29,11 +29,13 @@ class Code:
     and sigma, a permutation of 0..7 as 8 bytes (words.sigma_bytes).
 
     type_tuples caches the triple-system type tuples sts has computed,
-    keyed by the codeword typed (a kernel coset's least word, when the
-    type grid is built).  kernel_cosets caches the decomposition into
-    kernel cosets once algebra.kernel_cosets has computed it; its basis
-    is the kernel's echelon basis.  occ and neighbours are tables over
-    the words of length 16, built when first read.
+    keyed by the codeword typed.  sts's one coset walk, code_type_grid,
+    types each kernel coset at its least word, and the scan's verdict
+    reads that walk, so a kept code is not typed again for its grid.
+    kernel_cosets caches the decomposition into kernel cosets once
+    algebra.kernel_cosets has computed it; its basis is the kernel's
+    echelon basis.  occ and neighbours are tables over the words of
+    length 16, built when first read.
     """
 
     words: np.ndarray

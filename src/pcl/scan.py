@@ -10,7 +10,9 @@ tabulates the invariants as ScanRow named tuples.  scan_pair is the one
 route from sigma to (rank, kernel dimension): it reads them off the
 class pair's algebra.DoublingPair table, without building the code.
 find_representatives walks its rows and builds a code only when it may
-keep it, the first found per kernel dimension.  algebra.kernel_words
+keep it, the first found per kernel dimension; a kept code carries its
+recipe (Code.left, right, sigma), and the one it prefers has every
+kernel coset typed and certified.  algebra.kernel_words
 and the rank of the built code's word differences are the oracle of
 the rows.
 """
@@ -99,12 +101,12 @@ def scan_pair(atlas: Atlas, left: int, right: int, sigmas) -> list[ScanRow]:
 
 def find_representatives(atlas: Atlas, pairs=PRIORITY_PAIRS,
                          per_pair: int = 400, seed: int = 0,
-                         ) -> dict[int, tuple[int, int, bytes, Code]]:
+                         ) -> dict[int, Code]:
     """One code per prescribed kernel dimension (fano.PRESCRIPTIONS)
     from a seeded permutation scan.
 
     Pairs are scanned in order with a fresh sample each; the result maps
-    kernel dimension to (left, right, sigma, code).  Some codes with
+    kernel dimension to the code, which carries its recipe.  Some codes with
     small kernels puncture to triple systems whose Pasch profiles match
     no type-table row; the scan keeps the first code whose profiles all
     classify and falls back to the first found otherwise.  A code is
@@ -113,7 +115,7 @@ def find_representatives(atlas: Atlas, pairs=PRIORITY_PAIRS,
     list, sample size and seed.
     """
     want = set(PRESCRIPTIONS)
-    found: dict[int, tuple[int, int, bytes, Code]] = {}
+    found: dict[int, Code] = {}
     settled: set[int] = set()
     for left, right in pairs:
         if want <= settled:
@@ -124,8 +126,8 @@ def find_representatives(atlas: Atlas, pairs=PRIORITY_PAIRS,
                 continue
             code = make_code(atlas, left, right, sig)
             if fully_tabulated(code):
-                found[kap] = (left, right, sig, code)
+                found[kap] = code
                 settled.add(kap)
             elif kap not in found:
-                found[kap] = (left, right, sig, code)
+                found[kap] = code
     return found

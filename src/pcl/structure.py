@@ -261,7 +261,13 @@ def _judge_pure(labels, table, names, expected):
 
 def verify_intra_links(G: SqsGraph, rx: fano.Prescription) -> list[Verdict]:
     """Pure links against the prescribed per-vertex families, plus the
-    28-label block invariant of loop and pure links at every vertex."""
+    28-label block invariant of loop and pure links at every vertex.
+
+    A link is graded against every family of rx.intra that has its
+    size, and the best grade is kept (_judge_pure).  The vertex-label
+    xor keys of rx.intra thus only order the families: no verdict
+    checks that a link carries the family its key names.
+    """
     table = [fam for _, fam in sorted(rx.intra.items())]
     names = _family_names()
     expected = "one of " + ", ".join(

@@ -24,23 +24,25 @@ y] = Q[i, x, y] are STS(15).  A Pasch configuration through a point p
 holds exactly two of the 7 lines through p, so pasch_per_point counts
 the configurations through every point of all 16 systems of a vertex in
 one numpy pass over the 21 pairs of lines through each point.
-pasch_profile, a completion search over pairs of triples of one
-derived_sts system, is kept as its independent oracle.
+pasch_profile, a completion search over the triple pairs of one
+derived_sts system, a sorted tuple of 35 triple masks, is kept as its
+independent oracle; it returns the 15 per-point counts.
 
-code_type_grid is the one typing routine: it types every coset of the
-kernel in turn, and type_grid renders its tuples once, "?" for an
-untabulated entry, into the TypeGrid that the commands print and write.
-fully_tabulated shares its per-vertex step and stops at the first
-vertex with an untabulated system, which is what the representative
-scan needs; it types the least codeword before it computes the kernel,
-so most rejected codes never need one.  Both keep each coset's complete
-tuple on the code (Code.type_tuples), so a code the scan kept is not
-typed again when its grid is written.
+code_type_grid is the one typing routine and the one walk over the
+kernel cosets: it lazily yields each coset's representative and type
+tuple, checked coset-independent by class_type_tuple, and type_grid
+renders the tuples once, "?" for an untabulated entry, into the TypeGrid
+that the commands print and write.  fully_tabulated reads the same walk
+up to the first vertex with an untabulated system, which is what the
+representative scan needs; it types the least codeword before it
+computes the kernel, so most rejected codes never need one.  Each
+vertex's tuple is kept on the code (Code.type_tuples), so a code the
+scan kept is not typed again when its grid is written.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
@@ -87,22 +89,6 @@ def type_char(t) -> str:
     raise ValueError("no letter alias for type %d" % t)
 
 
-@dataclass(frozen=True)
-class StsSystem:
-    """An STS(15): 35 triple supports over 15 points."""
-
-    triples: tuple
-
-    def __len__(self) -> int:
-        return len(self.triples)
-
-
-@dataclass(frozen=True)
-class PaschProfile:
-    total: int
-    per_point: tuple
-
-
 def check_sts(triples, points: int = 15) -> None:
     if len(triples) != points * (points - 1) // 6:
         raise ValueError("wrong triple count %d" % len(triples))
@@ -117,25 +103,27 @@ def check_sts(triples, points: int = 15) -> None:
             seen.add(pair)
 
 
-def derived_sts(code: Code, v: int, i: int) -> StsSystem:
-    """STS at coordinate i: blocks through i of the SQS at v, i deleted."""
+def derived_sts(code: Code, v: int, i: int) -> tuple:
+    """STS at coordinate i: blocks through i of the SQS at v, i deleted,
+    as the sorted tuple of its 35 triple masks."""
     d = code.words ^ np.uint16(v)
     w4 = d[np.bitwise_count(d) == 4]
     hit = w4[(w4 >> i) & 1 == 1]
     tr = tuple(int(t) for t in np.sort(puncture(hit, i)))
     check_sts(tr)
-    return StsSystem(tr)
+    return tr
 
 
-def pasch_profile(sts: StsSystem) -> PaschProfile:
-    """Pasch count by completion search over intersecting triple pairs.
+def pasch_profile(triples) -> tuple:
+    """Per-point Pasch counts of an STS(15), by completion search over
+    intersecting triple pairs.
 
     For triples t1, t2 sharing one point, each way of matching their
     free points in pairs either closes into a Pasch configuration with
     one new sixth point or does not; every configuration is reached six
-    times, once per triple pair inside it that shares a point.
+    times, once per triple pair inside it that shares a point.  Returns
+    the 15 counts in point order; their sum is six times the total.
     """
-    triples = sts.triples
     through: dict = {}
     for t in triples:
         pts = [i for i in range(15) if (t >> i) & 1]
@@ -170,7 +158,7 @@ def pasch_profile(sts: StsSystem) -> PaschProfile:
                 mm ^= low
     if total6 % 6 or any(a % 6 for a in acc):
         raise AssertionError("completion counts not divisible by 6")
-    return PaschProfile(total6 // 6, tuple(a // 6 for a in acc))
+    return tuple(a // 6 for a in acc)
 
 
 @lru_cache(maxsize=None)
@@ -290,10 +278,14 @@ def class_type_tuple(code: Code, rep: int) -> tuple:
     return tup
 
 
-def code_type_grid(code: Code) -> list[tuple[int, tuple]]:
-    """(representative, type tuple) per kernel coset, in coset order."""
-    return [(int(r), class_type_tuple(code, int(r)))
-            for r in kernel_cosets(code).reps]
+def code_type_grid(code: Code) -> Iterator[tuple[int, tuple]]:
+    """(representative, type tuple) per kernel coset, in coset order.
+
+    Lazy, so a reader may stop early; each tuple is certified
+    coset-independent by class_type_tuple as it is yielded.
+    """
+    for r in kernel_cosets(code).reps.tolist():
+        yield r, class_type_tuple(code, r)
 
 
 def render_tuple(types) -> str:
@@ -322,16 +314,15 @@ def type_grid(code: Code) -> TypeGrid:
 
 
 def fully_tabulated(code: Code) -> bool:
-    """Whether every punctured-system profile matches a table row.
+    """Whether every punctured system of every vertex has a tabulated type.
 
-    Types the least codeword before the kernel is computed; it is always
-    the first coset representative, so its tuple is not computed twice.
-    Then early-exits at the first vertex with a miss, so rejecting a
-    code is much cheaper than building its full type grid.  Skips the
-    coset-independence check; use code_type_grid when emitting
-    artifacts.
+    Types the least codeword before the kernel is computed, so most
+    rejected codes never need one; it is always the first coset
+    representative, so its tuple is not computed twice.  Then reads
+    code_type_grid up to the first vertex with a miss, so rejecting a
+    code is much cheaper than building its full type grid, and every
+    coset it reads is certified.
     """
     if None in _vertex_types(code, int(code.words[0])):
         return False
-    return all(None not in _vertex_types(code, int(r))
-               for r in kernel_cosets(code).reps)
+    return all(None not in tup for _, tup in code_type_grid(code))

@@ -5,8 +5,8 @@ weight-4 differences at a codeword, third_point_table fills the 24
 orders of every block into a fourth-point table and counts the fills
 (the SQS(16) check), pasch_per_point_line_pairs counts Pasch
 configurations on that table, derived_profiles turns the counts into
-the 16 profiles, and classify_type looks each profile up by its
-(total, sorted per-point counts) signature.  class_type_tuple_sorted
+the 16 per-point count tuples, and classify_type looks each up by its
+signature, the counts sorted nonincreasing.  class_type_tuple_sorted
 certifies a coset by sorting the weight-4 differences at its basis
 translates.  The package now reads the fourth-point table off
 Code.neighbours, types a vertex by one sort of its count table, and
@@ -18,16 +18,16 @@ from itertools import permutations
 import numpy as np
 
 from pcl.algebra import kernel_cosets
-from pcl.sts import ROWS, PaschProfile
+from pcl.sts import ROWS
 
-ROW_OF = {v: k for k, v in ROWS.items()}
+ROW_OF = {per_point: t for t, (_, per_point) in ROWS.items()}
 
 
-def classify_type(profile: PaschProfile):
+def classify_type(per_point):
     """Type id from the signature table, or None when absent; the
-    signature is the total and the per-point counts in decreasing order."""
-    return ROW_OF.get((profile.total,
-                       tuple(sorted(profile.per_point, reverse=True))))
+    signature is the per-point counts in decreasing order, which fix the
+    total, a sixth of their sum."""
+    return ROW_OF.get(tuple(sorted(per_point, reverse=True)))
 
 
 # the 24 orders of a block's four points, and the distinct (a, b, c)
@@ -97,17 +97,14 @@ def pasch_per_point_line_pairs(third: np.ndarray) -> np.ndarray:
 
 
 def derived_profiles(blocks) -> list:
-    """Pasch profiles of the 16 derived systems of an SQS(16), by point.
+    """Per-point Pasch counts of the 16 derived systems of an SQS(16).
 
     Entry i is the system at point i, its per-point counts in increasing
     point order with i left out, as pasch_profile(derived_sts) gives.
     """
-    out = []
     counts = pasch_per_point_line_pairs(third_point_table(blocks))
-    for i, row in enumerate(counts.tolist()):
-        per_point = tuple(row[:i] + row[i + 1:])
-        out.append(PaschProfile(sum(per_point) // 6, per_point))
-    return out
+    return [tuple(row[:i] + row[i + 1:])
+            for i, row in enumerate(counts.tolist())]
 
 
 def vertex_types(code, v: int) -> tuple:

@@ -24,6 +24,7 @@ from pcl.fold import quotient_graph
 from pcl.ioutil import code_to_json, load_code, read_json, save_code
 from pcl.partitions import Atlas
 from pcl.scan import make_code
+from pcl.structure import StructureReport, Verdict
 from pcl.words import rank_gf2, sigma_bytes
 
 from graph_helpers import graph_from_json
@@ -560,6 +561,21 @@ def test_verify_theorem5_fail(runner, code_files):
     assert "kappa=7 FAIL (32 exact, 112 relabeled, 8 spectrum, 24 fail)" \
         in res.output
     assert "  fail " in res.output
+
+
+def test_verify_theorem5_cuts_a_long_expectation(runner, code_files,
+                                                 monkeypatch):
+    expected = "".join("%02d," % i for i in range(30))
+    failing = Verdict("link(0,1)", "fail", expected, "3 left-half labels")
+    monkeypatch.setattr(pcl.cli, "report_stage", lambda code, path:
+                        StructureReport(7, (failing,), np.zeros((1, 1))))
+    res = runner.invoke(main, ["verify-theorem5", code_files[7]])
+    assert res.exit_code == 1
+    line, = [l for l in res.output.splitlines() if l.startswith("  fail ")]
+    shown = expected[:61] + "..."
+    assert len(expected) > 64 and len(shown) == 64
+    assert line == ("  fail link(0,1): expected %s, observed 3 left-half "
+                    "labels" % shown)
 
 
 def test_verify_theorem5_out_of_range(runner, code_files):

@@ -81,14 +81,14 @@ def test_find_representatives_on_explicit_budget(atlas):
     found = find_representatives(atlas, pairs=((0, 0),), per_pair=40,
                                  seed=0)
     assert sorted(found) == [8, 9]
-    left, right, sig, code = found[9]
-    assert (left, right) == (0, 0)
+    code = found[9]
+    assert (code.left, code.right) == (0, 0)
     assert len(kernel_words(code)) == 1 << 9
     assert fully_tabulated(code)
 
 
 def test_find_representatives_prefers_tabulated_codes(found):
-    for kappa, (left, right, sig, code) in found.items():
+    for kappa, code in found.items():
         assert len(kernel_words(code)) == 1 << kappa
         assert fully_tabulated(code)
 
@@ -130,7 +130,7 @@ def test_fully_tabulated_matches_type_grid(atlas):
         left, right = PRIORITY_PAIRS[k % len(PRIORITY_PAIRS)]
         sig = next(iter_sigmas(1, seed=100 + k))
         code = make_code(atlas, left, right, sig)
-        grid = code_type_grid(make_code(atlas, left, right, sig))
+        grid = list(code_type_grid(make_code(atlas, left, right, sig)))
         ok = fully_tabulated(code)
         assert ok == all(None not in t for _, t in grid)
         outcomes.add(ok)
@@ -198,8 +198,8 @@ def test_an_empty_kernel_is_rejected():
 
 
 def test_find_representatives_keeps_its_choices(found):
-    assert {k: (left, right, sigma_str(sig))
-            for k, (left, right, sig, _) in found.items()} == FOUND_AT_400
+    assert {k: (code.left, code.right, sigma_str(code.sigma))
+            for k, code in found.items()} == FOUND_AT_400
 
 
 def test_overlapping_components_are_rejected(atlas, tmp_path):

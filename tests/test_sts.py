@@ -23,11 +23,10 @@ from pcl.algebra import kernel_cosets
 from pcl.doubling import Code
 from pcl.perfect import puncture
 from pcl.scan import PRIORITY_PAIRS, find_representatives, make_code
-from pcl.sts import (LETTERS, ROWS, PaschProfile, StsSystem, check_sts,
-                     class_type_tuple, code_type_grid,
-                     derived_sts, fourth_point_table, fully_tabulated,
-                     pasch_per_point, pasch_profile, render_tuple,
-                     type_char, type_grid)
+from pcl.sts import (LETTERS, ROWS, check_sts, class_type_tuple,
+                     code_type_grid, derived_sts, fourth_point_table,
+                     fully_tabulated, pasch_per_point, pasch_profile,
+                     render_tuple, type_char, type_grid)
 from pcl.words import sigma_bytes
 
 from sts_oracles import (blocks_at, class_type_tuple_sorted, classify_type,
@@ -38,19 +37,18 @@ WITNESS_TYPES = {5: [1, 2, 3, 4, 5, 6, 7], 6: [2, 3, 5, 6, 7],
                  7: [3, 8, 16], 8: [3], 9: [2], 11: [1]}
 
 
-def sts_of(words15, v: int) -> StsSystem:
-    """The STS carried by a codeword of a length-15 1-perfect code."""
+def sts_of(words15, v: int) -> tuple:
+    """The STS carried by a codeword of a length-15 1-perfect code, as
+    the sorted tuple of its triple masks."""
     ws = np.asarray(words15, dtype=np.uint16)
     d = ws ^ np.uint16(v)
     tr = tuple(int(t) for t in np.sort(d[np.bitwise_count(d) == 3]))
     check_sts(tr)
-    return StsSystem(tr)
+    return tr
 
 
-def pasch_profile_brute(sts: StsSystem) -> PaschProfile:
-    """Independent Pasch count over all 4-subsets of triples."""
-    triples = sts.triples
-    total = 0
+def pasch_profile_brute(triples) -> tuple:
+    """Independent per-point Pasch counts over all 4-subsets of triples."""
     acc = [0] * 15
     for quad in combinations(triples, 4):
         u = quad[0] | quad[1] | quad[2] | quad[3]
@@ -58,14 +56,13 @@ def pasch_profile_brute(sts: StsSystem) -> PaschProfile:
             continue
         if any((a & b).bit_count() != 1 for a, b in combinations(quad, 2)):
             continue
-        total += 1
         for i in range(15):
             if (u >> i) & 1:
                 acc[i] += 1
-    return PaschProfile(total, tuple(acc))
+    return tuple(acc)
 
 
-def random_sts15(seed: int, max_tries: int = 200000) -> StsSystem:
+def random_sts15(seed: int, max_tries: int = 200000) -> tuple:
     """A random STS(15) by hill-climbing pair coverage.
 
     Keep a partial set of triples covering each pair at most once.  Pick
@@ -111,7 +108,7 @@ def random_sts15(seed: int, max_tries: int = 200000) -> StsSystem:
         raise RuntimeError("hill climb did not converge")
     tr = tuple(sorted(triples))
     check_sts(tr)
-    return StsSystem(tr)
+    return tr
 
 
 def pasch_per_point_ordered(third: np.ndarray) -> np.ndarray:
@@ -133,20 +130,19 @@ def pasch_per_point_ordered(third: np.ndarray) -> np.ndarray:
     return counts // 4
 
 
-def sts_table(system: StsSystem) -> np.ndarray:
+def sts_table(system) -> np.ndarray:
     """The (1, 15, 15) third-point table of one STS(15)."""
     third = np.full((1, 15, 15), -1, dtype=np.int64)
-    for t in system.triples:
+    for t in system:
         a, b, c = [i for i in range(15) if (t >> i) & 1]
         for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
             third[0, x, y] = third[0, y, x] = z
     return third
 
 
-def batched_profile(system: StsSystem) -> PaschProfile:
+def batched_profile(system) -> tuple:
     """pasch_per_point on the third-point table of one STS(15)."""
-    per_point = tuple(pasch_per_point(sts_table(system))[0].tolist())
-    return PaschProfile(sum(per_point) // 6, per_point)
+    return tuple(pasch_per_point(sts_table(system))[0].tolist())
 
 
 def test_rows_table_integrity():
@@ -159,10 +155,10 @@ def test_rows_table_integrity():
 
 def test_classify_type_on_table_rows():
     for t, (total, per_point) in ROWS.items():
-        assert classify_type(PaschProfile(total, per_point)) == t
+        assert classify_type(per_point) == t
         shuffled = per_point[7:] + per_point[:7]
-        assert classify_type(PaschProfile(total, shuffled)) == t
-    assert classify_type(PaschProfile(1, (1,) * 15)) is None
+        assert classify_type(shuffled) == t
+    assert classify_type((1,) * 15) is None
 
 
 def test_type_char():
@@ -186,12 +182,12 @@ def test_derived_sts_matches_puncture_route(witnesses):
         pw = puncture(code.words, i)
         vv = puncture(v, i)
         via_puncture = sts_of(pw, vv)
-        assert via_sqs.triples == via_puncture.triples
+        assert via_sqs == via_puncture
 
 
 def test_witness_type_grids(witnesses):
     for kappa, types in WITNESS_TYPES.items():
-        grid = code_type_grid(witnesses[kappa])
+        grid = list(code_type_grid(witnesses[kappa]))
         assert len(grid) == 2048 >> kappa
         assert all(len(t) == 16 for _, t in grid)
         assert sorted({t for _, row in grid for t in row}) == types
@@ -225,7 +221,8 @@ def test_linear_profile(witnesses):
     code = witnesses[11]
     v = int(code.words[0])
     prof = pasch_profile(derived_sts(code, v, 0))
-    assert (prof.total, prof.per_point) == (105, (42,) * 15)
+    assert sum(prof) == 6 * 105
+    assert prof == (42,) * 15
     assert classify_type(prof) == 1
 
 
@@ -249,14 +246,26 @@ def test_class_type_tuple_rejects_a_translate_outside_the_kernel(witnesses):
         class_type_tuple(fresh, v)
 
 
+def test_fully_tabulated_rejects_a_translate_outside_the_kernel(witnesses):
+    # the scan's verdict reads the checked coset walk, so a basis word
+    # outside the kernel is caught there too
+    code = witnesses[5]
+    assert fully_tabulated(code)
+    fresh = Code(code.words.copy(), code.left, code.right, code.sigma)
+    dec = kernel_cosets(fresh)
+    dec.basis += (int(dec.reps[1]) ^ int(dec.reps[0]),)
+    with pytest.raises(AssertionError, match="differs inside a kernel coset"):
+        fully_tabulated(fresh)
+
+
 def test_untabulated_signatures_regression(atlas):
     code = make_code(atlas, 1, 3, sigma_bytes("24365017"))
     assert not fully_tabulated(code)
-    fresh = code_type_grid(make_code(atlas, 1, 3, code.sigma))
+    fresh = list(code_type_grid(make_code(atlas, 1, 3, code.sigma)))
     assert code.type_tuples
     assert all(len(t) == 16 and t == dict(fresh)[v]
                for v, t in code.type_tuples.items())
-    grid = code_type_grid(code)
+    grid = list(code_type_grid(code))
     missing = sum(t is None for _, row in grid for t in row)
     assert missing > 0
     assert "?" in render_tuple(grid[0][1]) or missing > 0
@@ -274,12 +283,12 @@ def test_kept_code_is_typed_once(atlas, monkeypatch):
     assert fully_tabulated(code)
     cosets = 2048 >> 8
     assert len(vertices) == cosets
-    grid = code_type_grid(code)
+    grid = list(code_type_grid(code))
     assert len(grid) == cosets
     assert len(vertices) == cosets
     assert systems == []
     fresh = Code(code.words.copy(), code.left, code.right, code.sigma)
-    assert code_type_grid(fresh) == grid
+    assert list(code_type_grid(fresh)) == grid
 
 
 def test_fully_tabulated_on_witnesses(witnesses):
@@ -297,10 +306,10 @@ def test_check_sts_rejects():
 def test_random_sts15_deterministic_and_valid():
     a = random_sts15(42)
     b = random_sts15(42)
-    assert a.triples == b.triples
+    assert a == b
     assert len(a) == 35
     c = random_sts15(43)
-    assert c.triples != a.triples
+    assert c != a
 
 
 @settings(deadline=None, max_examples=25)
@@ -338,8 +347,8 @@ def test_profile_signature_is_sorted():
     # counts sorted in decreasing order, whatever order they come in
     t, (total, per_point) = next((t, row) for t, row in ROWS.items()
                                  if len(set(row[1])) > 1)
-    assert classify_type(PaschProfile(total, per_point[::-1])) == t
-    assert classify_type(PaschProfile(10, (1, 3, 2) + (0,) * 12)) is None
+    assert classify_type(per_point[::-1]) == t
+    assert classify_type((1, 3, 2) + (0,) * 12) is None
 
 
 def test_batched_profiles_match_completion_search(witnesses):
@@ -365,8 +374,7 @@ def test_batched_profiles_match_brute(witnesses):
         brute = pasch_profile_brute(derived_sts(code, v, i))
         assert derived_profiles(blocks_at(code, v))[i] == brute
         row = pasch_per_point(fourth_point_table(code, v))[i].tolist()
-        per_point = tuple(row[:i] + row[i + 1:])
-        assert PaschProfile(sum(per_point) // 6, per_point) == brute
+        assert tuple(row[:i] + row[i + 1:]) == brute
 
 
 def test_corrupted_block_raises_sqs_error(witnesses):
@@ -429,7 +437,7 @@ def test_a_replaced_word_is_rejected(witnesses):
             fully_tabulated(_with_a_replaced_word(witnesses[kappa]))
     bad = _with_a_replaced_word(witnesses[8])
     with pytest.raises(ValueError, match="not extended 1-perfect"):
-        code_type_grid(bad)
+        list(code_type_grid(bad))
     with pytest.raises(ValueError, match="not extended 1-perfect"):
         fourth_point_table(bad, int(bad.words[0]))
     odd = Code(witnesses[8].words ^ np.uint16(1))
