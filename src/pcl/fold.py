@@ -101,9 +101,9 @@ class SqsGraph:
             if self.vertex_sts is not None:
                 label += "\\n" + self.vertex_sts[i]
             lines.append('  v%d [label="%s"];' % (i, label))
-        for e in self.to_json()["edges"]:
-            lines.append('  v%d -- v%d [label="%d"];'
-                         % (e["a"], e["b"], e["multiplicity"]))
+        mult = self.mult
+        for i, j in [(i, i) for i in range(self.order)] + list(self.labels):
+            lines.append('  v%d -- v%d [label="%d"];' % (i, j, mult[i, j]))
         lines.append("}")
         return "\n".join(lines)
 

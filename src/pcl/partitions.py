@@ -29,7 +29,7 @@ from .canon import (OrbitClasses, code_table, minimal_image7, minimal_image8,
                     orbit_classes, partition_col)
 from .ioutil import code_from_json, code_to_json, read_json, write_json
 from .perfect import SPACE7
-from .words import (EVEN8, IDENTITY8, coset_minima, echelon_basis,
+from .words import (EVEN8, IDENTITY8, coset_minima, echelon_basis, word_hex,
                     xor_closure)
 
 
@@ -193,6 +193,16 @@ class ExtClass:
                 or sorted(w for c in comps for w in c) != EVEN8.tolist()):
             raise ValueError("components do not partition the even words "
                              "of length 8 into eight 16-word sets")
+        # a 16-word even code of length 8 with minimum distance 4 is an
+        # extended Hamming code; distinct even words are at even distance
+        arr = np.array(comps, dtype=np.uint8)
+        close = np.bitwise_count(arr[:, :, None] ^ arr[:, None]) == 2
+        if close.any():
+            k, i, j = np.argwhere(close)[0].tolist()
+            raise ValueError("component %d is not an extended perfect code: "
+                             "words %s and %s lie at distance 2"
+                             % (k, word_hex(comps[k][i], 8),
+                                word_hex(comps[k][j], 8)))
         linear, alias = d["linear"], d.get("alias")
         if type(linear) is not bool:
             raise ValueError("linear %r is not a boolean" % (linear,))
@@ -246,8 +256,9 @@ class Atlas:
         """Parse an atlas; ValueError, naming the class where there is
         one, unless the class ids are 0..n-1, every class has eight
         16-word components partitioning the 128 even words of length 8,
-        exactly one class is flagged linear, a partition into the cosets
-        of one linear code, and the length-7 census agrees with the
+        each of minimum distance 4 (an extended perfect code), exactly
+        one class is flagged linear, a partition into the cosets of one
+        linear code, and the length-7 census agrees with the
         classes: one positive orbit size per length-7 class they name,
         summing to partition7Count, and merged lists the classes that
         contain more than one length-7 class."""

@@ -70,13 +70,6 @@ class Verdict:
         return d
 
 
-def worst(levels) -> str:
-    at = 0
-    for lv in levels:
-        at = max(at, LEVELS.index(lv))
-    return LEVELS[at]
-
-
 def split_sides(labels) -> tuple[tuple, tuple, tuple]:
     """Split labels into (left 8-bit, right 8-bit, mixed 16-bit) masks."""
     left, right, mixed = [], [], []
@@ -227,10 +220,6 @@ def verify_loops(G: SqsGraph, rx: fano.Prescription) -> list[Verdict]:
             for v in range(G.order)]
 
 
-def _family_names() -> dict:
-    return {masks: name for name, masks in fano.fano_families().items()}
-
-
 def _link_verdicts(G: SqsGraph, judged: list, prefix: str) -> list[Verdict]:
     """One verdict per link of G, from the verdict fields judged[k] of
     its difference class k; links of a class judged None get none."""
@@ -269,7 +258,7 @@ def verify_intra_links(G: SqsGraph, rx: fano.Prescription) -> list[Verdict]:
     checks that a link carries the family its key names.
     """
     table = [fam for _, fam in sorted(rx.intra.items())]
-    names = _family_names()
+    names = {masks: name for name, masks in fano.fano_families().items()}
     expected = "one of " + ", ".join(
         "%s(%d)" % (names[f], len(f)) for f in table)
     # class 0 is the loop, no link's, which every block holds
@@ -339,29 +328,24 @@ def verify_cross_links(G: SqsGraph, rx: fano.Prescription) -> list[Verdict]:
     want = 112 - in_loop
     exp_sum = ("112 cross labels, %d on links and %d in the loop"
                % (want, in_loop) if in_loop else "112 cross labels on links")
-    for v in range(G.order):
-        out.append(Verdict("cross-sum@v%d" % v,
-                           "exact" if totals[v] == want else "fail",
-                           exp_sum, "%d" % totals[v]))
-    return out
+    return out + _row_verdicts("cross-sum", totals, want, exp_sum)
 
 
-def _degree_verdicts(G: SqsGraph) -> list[Verdict]:
-    rows = G.mult.sum(axis=1)
-    return [Verdict("degree@v%d" % v, "exact" if int(r) == 140 else "fail",
-                    "140", "%d" % int(r))
-            for v, r in enumerate(rows)]
+def _row_verdicts(name: str, sums, want: int, expected: str) -> list[Verdict]:
+    """One verdict per vertex: exact when its row sum equals want."""
+    return [Verdict("%s@v%d" % (name, v), "exact" if s == want else "fail",
+                    expected, "%d" % s)
+            for v, s in enumerate(sums)]
 
 
 def _no_pure_link_verdicts(G: SqsGraph) -> list[Verdict]:
     pure_class = [bool(labels) and not split_sides(labels)[2]
                   for labels in G.classes]
     pure = [(i, j) for i, j, k in G.links() if pure_class[k]]
-    if not pure:
-        return [Verdict("pure-links", "exact",
-                        "no pure links outside the loop", "none")]
-    return [Verdict("pure-links", "fail", "no pure links outside the loop",
-                    "%d pure links at %s" % (len(pure), pure))]
+    return [Verdict("pure-links", "fail" if pure else "exact",
+                    "no pure links outside the loop",
+                    "%d pure links at %s" % (len(pure), pure) if pure
+                    else "none")]
 
 
 def _index2_verdicts(code: Code, GK: SqsGraph,
@@ -374,8 +358,8 @@ def _index2_verdicts(code: Code, GK: SqsGraph,
     subgroup is spanned by the half-supported ones among them.  The
     prescription takes it to be of index 2; where it is smaller, the
     verdicts fail."""
-    left, right, _ = split_sides(GK.loop_labels)
-    GL = quotient_graph(code, left + tuple(r << 8 for r in right))
+    GL = quotient_graph(code, [m for m in GK.loop_labels
+                               if not m & 0xFF or not m & 0xFF00])
     out = []
     loop = GL.loop_labels
     lv = _grade(loop, half.loop) if len(loop) == len(half.loop) else "fail"
@@ -427,7 +411,9 @@ class StructureReport:
 
     @property
     def overall(self) -> str:
-        return worst(v.level for v in self.verdicts)
+        """The worst level among the verdicts; "exact" when there are none."""
+        return max((v.level for v in self.verdicts), key=LEVELS.index,
+                   default="exact")
 
     @property
     def passed(self) -> bool:
@@ -476,7 +462,8 @@ def full_report(code: Code) -> StructureReport:
     else:
         verdicts += _no_pure_link_verdicts(G)
     verdicts += verify_cross_links(G, rx)
-    verdicts += _degree_verdicts(G)
+    verdicts += _row_verdicts("degree", G.mult.sum(axis=1).tolist(), 140,
+                              "140")
     if rx.half_fold is not None:
         verdicts += _index2_verdicts(code, G, rx.half_fold)
     return StructureReport(kappa, tuple(verdicts), G.mult)

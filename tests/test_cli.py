@@ -288,6 +288,27 @@ def test_a_malformed_class_is_rejected_at_load(runner, tmp_path, change,
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("args", [
+    lambda path, out: ["partitions", "classify", path],
+    lambda path, out: ["double", "--source", "3", "--target", "0", "--sigma",
+                       "01234567", "--atlas", path, "--out", out],
+    lambda path, out: ["pipeline", "--pair", "0,3", "--atlas", path,
+                       "--out-dir", out],
+], ids=["classify", "double", "pipeline"])
+def test_a_class_of_non_perfect_components_is_rejected(runner, tmp_path,
+                                                       args):
+    with gzip.open(PINNED_ATLAS, "rt") as fh:
+        d = json.load(fh)
+    first, second = (comp["codewords"] for comp in next(
+        c for c in d["classes"] if c["id"] == 3)["representative"][:2])
+    first[0], second[0] = second[0], first[0]
+    bad = tmp_path / "swapped.json"
+    bad.write_text(json.dumps(d))
+    res = runner.invoke(main, args(str(bad), str(tmp_path / "out")))
+    _clean_error(res, "class 3: component 0 is not an extended perfect code")
+    assert sorted(os.listdir(tmp_path)) == ["swapped.json"]
+
+
 def test_double_usage_errors(runner, atlas_file):
     res = runner.invoke(main, ["double", "--source", "0", "--target", "0",
                                "--atlas", atlas_file])

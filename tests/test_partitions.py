@@ -386,6 +386,21 @@ def test_extclass_json_roundtrip(atlas):
     assert back == c
 
 
+def test_a_component_that_is_no_extended_perfect_code_is_rejected(
+        atlas, tmp_path):
+    # swapping one word between two components keeps the partition of
+    # the even words but leaves both components with words at distance 2
+    d = atlas.to_json()
+    first, second = (comp["codewords"]
+                     for comp in d["classes"][3]["representative"][:2])
+    first[0], second[0] = second[0], first[0]
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match="class 3: component 0 is not an "
+                       "extended perfect code: words .* at distance 2"):
+        Atlas.load(str(path))
+
+
 def test_atlas_json_roundtrip(atlas, tmp_path):
     d = atlas.to_json()
     assert [c["id"] for c in d["classes"]] == list(range(10))

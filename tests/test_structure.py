@@ -12,7 +12,7 @@ from pcl.fold import SqsGraph, quotient_graph
 from pcl.scan import iter_sigmas, make_code, scan_pair
 from pcl.structure import (LEVELS, StructureReport, Verdict,
                            _assert_even_left_support, _grade,
-                           decompose_mixed, full_report, worst)
+                           decompose_mixed, full_report)
 from pcl.words import mask_of, points_of, xor_closure
 
 from code_helpers import half_pure_subgroup, pair_masks, product
@@ -28,11 +28,17 @@ WITNESS_REPORTS = {
 
 
 def test_levels_and_worst():
+    def overall(levels):
+        verdicts = tuple(Verdict("v%d" % i, lv, "", "")
+                         for i, lv in enumerate(levels))
+        return StructureReport(5, verdicts, np.zeros((1, 1))).overall
+
     assert LEVELS == ("exact", "relabeled", "spectrum", "fail")
-    assert worst(["exact", "exact"]) == "exact"
-    assert worst(["exact", "relabeled"]) == "relabeled"
-    assert worst(["spectrum", "relabeled", "fail"]) == "fail"
-    assert worst([]) == "exact"
+    assert overall(["exact", "exact"]) == "exact"
+    assert overall(["exact", "relabeled"]) == "relabeled"
+    assert overall(["spectrum", "relabeled", "fail"]) == "fail"
+    assert overall(["relabeled", "spectrum", "exact"]) == "spectrum"
+    assert overall([]) == "exact"
 
 
 def test_verdict_validation():
@@ -87,7 +93,7 @@ def test_odd_left_support_names_the_first_label(witnesses):
 
 
 def test_judge_pure_takes_least_level_then_first_family():
-    names = structure._family_names()
+    names = {masks: name for name, masks in fano.fano_families().items()}
     table = [fam for _, fam in sorted(fano.PRESCRIPTIONS[6].intra.items())]
     assert [names[f] for f in table] == ["B'", "B", "A"]
 
