@@ -17,6 +17,8 @@ annihilators of their null relations, without building it;
 scan.scan_pair is its one caller.  kernel_words computes the kernel
 from the 2048 codewords, and rank_of the rank from its cosets; they
 serve codes loaded from files and are the test oracle of the table.
+kernel_words and cosets read membership off Code.neighbours (AT_CODE
+at a codeword), so they run only on a certified extended 1-perfect code.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .doubling import SPACE16, Code
+from .doubling import AT_CODE, SPACE16, Code
 from .words import (IDENTITY8, coset_minima, echelon_basis, rank_gf2,
                     xor_closure)
 
@@ -41,7 +43,7 @@ def kernel_words(code: Code) -> np.ndarray:
     outsider c rules out its whole coset K + c.  Both sets stay unions
     of cosets of the current K, so each test decides a whole coset.
     """
-    words, occ = code.words, code.occ
+    words, pos = code.words, code.neighbours
     state = np.zeros(SPACE16, dtype=np.int8)  # 1 kernel, -1 not, 0 unknown
     kw = np.zeros(1, dtype=np.uint16)
     out = np.zeros(0, dtype=np.uint16)
@@ -49,7 +51,7 @@ def kernel_words(code: Code) -> np.ndarray:
     for c in words ^ words[0]:
         if state[c]:
             continue
-        if occ[words ^ c].all():
+        if (pos[words ^ c] == AT_CODE).all():
             kw = np.concatenate([kw, kw ^ c])
             state[kw] = 1
             moved = out ^ c
@@ -211,9 +213,9 @@ def cosets(code: Code, basis) -> CosetDecomposition:
     the minima gives the representatives and, as its inverse, every
     word's coset.
     """
-    words, occ = code.words, code.occ
+    words, pos = code.words, code.neighbours
     for b in basis:
-        if not occ[words ^ np.uint16(b)].all():
+        if not (pos[words ^ np.uint16(b)] == AT_CODE).all():
             raise ValueError("subspace is not contained in the kernel")
     basis = echelon_basis(basis)
     reps, inverse = np.unique(coset_minima(words, basis),

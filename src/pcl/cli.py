@@ -247,7 +247,8 @@ def double(ctx: click.Context, source: int, target: int,
             click.echo("sigma=%s rank=%d kernelDim=%d"
                        % (sigma_str(r.sigma), r.rank, r.kernel))
         if out:
-            write_json(out, [r.to_json() for r in rows])
+            write_json(out, [{**provenance(r), "rank": r.rank,
+                              "kernelDim": r.kernel} for r in rows])
     if out:
         click.echo("wrote %s" % out)
 

@@ -21,6 +21,7 @@ if TYPE_CHECKING:
     from .algebra import CosetDecomposition
 
 SPACE16 = 1 << 16
+AT_CODE = 16  # Code.neighbours at a codeword
 
 
 @dataclass(eq=False)
@@ -28,44 +29,37 @@ class Code:
     """A doubled code plus the recipe that produced it: the class ids
     and sigma, a permutation of 0..7 as 8 bytes (words.sigma_bytes).
 
-    type_tuples caches the triple-system type tuples sts has computed,
-    keyed by the codeword typed.  sts's one coset walk, code_type_grid,
-    types each kernel coset at its least word, and the scan's verdict
-    reads that walk, so a kept code is not typed again for its grid.
-    kernel_cosets caches the decomposition into kernel cosets once
-    algebra.kernel_cosets has computed it; its basis is the kernel's
-    echelon basis.  occ and neighbours are tables over the words of
-    length 16, built when first read.
+    signatures caches, keyed by the codeword typed, the 16 sorted
+    per-point Pasch signatures sts has computed at it.  sts's one coset
+    walk, code_type_grid, types each kernel coset at its least word, and
+    the scan's verdict reads that walk, so a kept code is not typed again
+    for its grid.  kernel_cosets caches the decomposition into kernel
+    cosets once algebra.kernel_cosets has computed it; its basis is the
+    kernel's echelon basis.  neighbours is the one table over the words
+    of length 16, built when first read.
     """
 
     words: np.ndarray
     left: int | None = None
     right: int | None = None
     sigma: bytes | None = None
-    type_tuples: dict = field(default_factory=dict, repr=False)
+    signatures: dict = field(default_factory=dict, repr=False)
     kernel_cosets: CosetDecomposition | None = field(default=None,
                                                      repr=False)
-
-    @cached_property
-    def occ(self) -> np.ndarray:
-        occ = np.zeros(SPACE16, dtype=bool)
-        occ[self.words] = True
-        return occ
 
     @cached_property
     def neighbours(self) -> np.ndarray:
         """The codeword next to every odd word, as the coordinate to flip.
 
-        An odd-weight word w is fixed by its low 15 bits u, and entry u
-        is the d with w ^ e_d in the code.  The 2048 x 16 neighbours of
-        the codewords are scattered into it, one coordinate at a time:
-        the neighbour c ^ e_d has low bits c' ^ e_d for d < 15 and c' for
-        d = 15, c' being c punctured at 15.  All 32,768 odd words are
-        reached exactly when the scatter is injective, which for 2048
-        even words is the extended 1-perfect property (minimum distance
-        4), and then reading the table at v ^ e_a ^ e_b ^ e_c gives the
-        fourth point of the block through a, b, c of the SQS(16) at
-        codeword v.  Raises ValueError otherwise.  int8, 32 KB.
+        Entry w is the d with w ^ e_d in the code when w is odd, AT_CODE
+        when w is a codeword, and -1 at every other even word.  The
+        2048 x 16 neighbours c ^ e_d of the codewords are scattered into
+        it, one coordinate at a time.  They fill all 32,768 odd words
+        exactly when the scatter is injective, which for 2048 even words
+        is the extended 1-perfect property (minimum distance 4), and then
+        reading the table at v ^ e_a ^ e_b ^ e_c gives the fourth point
+        of the block through a, b, c of the SQS(16) at codeword v.
+        Raises ValueError otherwise.  int8, 64 KB.
         """
         words = self.words
         odd = int((np.bitwise_count(words) & 1).sum())
@@ -73,14 +67,14 @@ class Code:
             raise ValueError("an extended 1-perfect code of length 16 has "
                              "2048 even words, not %d words with %d odd"
                              % (len(words), odd))
-        low = (words & 0x7FFF).astype(np.intp)
-        pos = np.full(1 << 15, -1, dtype=np.int8)
-        for d in range(15):
-            pos[low ^ (1 << d)] = d
-        pos[low] = 15
-        if (pos < 0).any():
+        words = words.astype(np.intp)
+        pos = np.full(SPACE16, -1, dtype=np.int8)
+        for d in range(16):
+            pos[words ^ (1 << d)] = d
+        if np.count_nonzero(pos >= 0) != SPACE16 // 2:
             raise ValueError("two codewords lie within distance 2: the "
                              "code is not extended 1-perfect")
+        pos[words] = AT_CODE
         return pos
 
     @property

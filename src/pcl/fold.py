@@ -116,12 +116,13 @@ def quotient_graph(code: Code, basis=None) -> SqsGraph:
     (algebra.cosets); the whole kernel when basis is None.
 
     The code's words are sorted by coset number into the rows of a
-    members array, and one gather checks that row i lies in r_i + L,
-    which implies the covering property on every coset pair (see the
-    module docstring); it fails when a word is numbered into the wrong
-    row.  Every pair is then keyed by the least word of r_i ^ r_j + L,
-    and the labels of each class are the weight-4 words of key ^ L,
-    read off one (classes, |L|) array.
+    members array, and row i shifted by r_i and sorted must equal L; the
+    codewords are distinct, so that says row i lies in r_i + L, which
+    implies the covering property on every coset pair (see the module
+    docstring).  It fails when a word is numbered into the wrong row.
+    Every pair is then keyed by the least word of r_i ^ r_j + L, and the
+    labels of each class are the weight-4 words of key ^ L, read off one
+    (classes, |L|) array.
     """
     dec = kernel_cosets(code) if basis is None else cosets(code, basis)
     reps = dec.reps
@@ -129,9 +130,7 @@ def quotient_graph(code: Code, basis=None) -> SqsGraph:
     sub = np.array(xor_closure(dec.basis), dtype=np.uint16)
     by_coset = np.argsort(dec.word_coset, kind="stable")
     members = code.words[by_coset].reshape(m, len(sub))
-    inside = np.zeros(1 << 16, dtype=bool)
-    inside[sub] = True
-    bad = ~inside[members ^ reps[:, None]].all(axis=1)
+    bad = (np.sort(members ^ reps[:, None], axis=1) != sub).any(axis=1)
     if bad.any():
         raise AssertionError("covering property fails: coset %d holds a "
                              "word outside its representative's coset"

@@ -80,7 +80,8 @@ def code_from_json(d: dict, length: int) -> list[int]:
 
 
 def provenance(code: Code) -> dict:
-    """The recipe keys of a doubled code that are known."""
+    """The recipe keys of a doubled code, or of a scan.ScanRow, that are
+    known; the one place they are spelled."""
     d: dict = {}
     if code.left is not None:
         d["sourceClass"] = code.left

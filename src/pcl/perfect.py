@@ -5,9 +5,9 @@ tile the space.  The 30 through the zero word are the Hamming codes,
 each the kernel of a parity check whose columns are the 7 nonzero
 vectors of F_2^3 in some order; with their translates there are 240.
 Parity extension and puncturing move between lengths 7 and 8.
-The doubled codes of length 16 are checked by the same tiling property
-one length down, punctured at coordinate 15, when doubling.Code builds
-their neighbour table.
+The doubled codes of length 16 are checked by the same tiling property,
+stated on their odd words, when doubling.Code builds their neighbour
+table.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from .doubling import Code, double
 from .fano import PRESCRIPTIONS
 from .partitions import Atlas
 from .sts import fully_tabulated
-from .words import sigma_bytes, sigma_str
+from .words import sigma_bytes
 
 FACT8 = 40320
 
@@ -56,11 +56,6 @@ class ScanRow(NamedTuple):
     sigma: bytes
     rank: int
     kernel: int
-
-    def to_json(self) -> dict:
-        return {"sourceClass": self.left, "targetClass": self.right,
-                "sigma": sigma_str(self.sigma),
-                "rank": self.rank, "kernelDim": self.kernel}
 
 
 def iter_sigmas(sample: int | None = None, seed: int = 0):

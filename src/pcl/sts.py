@@ -32,12 +32,14 @@ code_type_grid is the one typing routine and the one walk over the
 kernel cosets: it lazily yields each coset's representative and type
 tuple, checked coset-independent by class_type_tuple, and type_grid
 renders the tuples once, "?" for an untabulated entry, into the TypeGrid
-that the commands print and write.  fully_tabulated reads the same walk
-up to the first vertex with an untabulated system, which is what the
-representative scan needs; it types the least codeword before it
-computes the kernel, so most rejected codes never need one.  Each
-vertex's tuple is kept on the code (Code.type_tuples), so a code the
-scan kept is not typed again when its grid is written.
+that the commands print and write; its summary compares the signatures
+themselves, so two different untabulated systems are not alike.
+fully_tabulated reads the same walk up to the first vertex with an
+untabulated system, which is what the representative scan needs; it
+types the least codeword before it computes the kernel, so most
+rejected codes never need one.  Each
+vertex's signatures are kept on the code (Code.signatures), so a code
+the scan kept is not typed again when its grid is written.
 """
 
 from __future__ import annotations
@@ -165,14 +167,13 @@ def pasch_profile(triples) -> tuple:
 def _triples() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 3360 ordered triples of distinct points of a 16^3 table.
 
-    Returns their flat positions, their masks e_a ^ e_b ^ e_c cut to the
-    low 15 bits (the index of Code.neighbours), and the masks of the 560
-    increasing triples, one per unordered triple.
+    Returns their flat positions, their masks e_a ^ e_b ^ e_c, and the
+    masks of the 560 increasing triples, one per unordered triple.
     """
     a, b, c = np.indices((16, 16, 16)).reshape(3, -1)
     at = np.flatnonzero((a != b) & (a != c) & (b != c))
     a, b, c = a[at], b[at], c[at]
-    masks = ((1 << a) ^ (1 << b) ^ (1 << c)) & 0x7FFF
+    masks = (1 << a) ^ (1 << b) ^ (1 << c)
     return at, masks, masks[(a < b) & (b < c)]
 
 
@@ -188,7 +189,7 @@ def fourth_point_table(code: Code, v: int) -> np.ndarray:
     """
     at, masks, _ = _triples()
     q = np.full(4096, -1, dtype=np.int8)
-    q[at] = code.neighbours[masks ^ (v & 0x7FFF)]
+    q[at] = code.neighbours[masks ^ v]
     return q.reshape(16, 16, 16)
 
 
@@ -246,18 +247,17 @@ def pasch_per_point(third: np.ndarray) -> np.ndarray:
 def _vertex_types(code: Code, v: int) -> tuple:
     """Types of the 16 derived systems at codeword v, None when untabulated.
 
-    Entry i types the system at point i from its per-point counts sorted
-    nonincreasing; point i itself is on no line of it, so its 0 sorts
-    last and is dropped.  Computed in one pass and kept on the code
-    under v.
+    Entry i types the system at point i by its signature, its per-point
+    counts sorted nonincreasing; point i itself is on no line of it, so
+    its 0 sorts last and is dropped.  The 16 signatures are computed in
+    one pass and kept on the code under v.
     """
-    known = code.type_tuples.get(v)
-    if known is None:
+    sigs = code.signatures.get(v)
+    if sigs is None:
         counts = pasch_per_point(fourth_point_table(code, v))
         rows = -np.sort(-counts, axis=1)[:, :-1]
-        known = code.type_tuples[v] = tuple(
-            _TYPE_OF.get(tuple(r)) for r in rows.tolist())
-    return known
+        sigs = code.signatures[v] = tuple(map(tuple, rows.tolist()))
+    return tuple(_TYPE_OF.get(s) for s in sigs)
 
 
 def class_type_tuple(code: Code, rep: int) -> tuple:
@@ -272,7 +272,7 @@ def class_type_tuple(code: Code, rep: int) -> tuple:
     """
     tup = _vertex_types(code, rep)
     at = np.array((0,) + kernel_cosets(code).basis, dtype=np.intp) ^ rep
-    fourth = code.neighbours[(at[:, None] & 0x7FFF) ^ _triples()[2]]
+    fourth = code.neighbours[at[:, None] ^ _triples()[2]]
     if not (fourth == fourth[0]).all():
         raise AssertionError("type tuple differs inside a kernel coset")
     return tup
@@ -295,19 +295,21 @@ def render_tuple(types) -> str:
 class TypeGrid(NamedTuple):
     """The type grid rendered, one row per kernel coset, and what is read
     off it.  An untabulated entry, which some doubled codes with small
-    kernels have, renders as "?" and counts as a type of its own."""
+    kernels have, renders as "?"; its signature is a type of its own."""
 
     rows: list            # (vertex, representative hex, rendered tuple)
     homogeneous: tuple    # (alike as multisets, alike and constant)
-    distinct: int         # distinct type multisets
+    distinct: int         # distinct signature multisets
     unknown: int          # untabulated coordinates over all vertices
 
 
 def type_grid(code: Code) -> TypeGrid:
-    """code_type_grid rendered, and summarized on its rendered rows."""
+    """code_type_grid rendered, and summarized on the signatures the walk
+    kept on the code."""
+    grid = list(code_type_grid(code))
     rows = [(i, word_hex(rep, 16), render_tuple(tup))
-            for i, (rep, tup) in enumerate(code_type_grid(code))]
-    keys = {"".join(sorted(s)) for _, _, s in rows}
+            for i, (rep, tup) in enumerate(grid)]
+    keys = {tuple(sorted(code.signatures[rep])) for rep, _ in grid}
     alike = len(keys) == 1
     return TypeGrid(rows, (alike, alike and len(set(min(keys))) == 1),
                     len(keys), sum(s.count("?") for _, _, s in rows))

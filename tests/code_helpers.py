@@ -4,13 +4,14 @@ ball and is_perfect state the tiling property of 1-perfect codes of
 length 7 directly; is_extended_perfect8 checks a parity-extended
 component by its distances; tiles15 and is_extended_perfect16 check a
 length-16 code by the tiling of its punctures, the oracle of
-Code.neighbours; enumerate_pair_partitions, pair_masks and product
-build the pair-partition products that structure.decompose_mixed
-recognizes; in_span and coset_of test membership in the span of a
-basis and in the cosets of a decomposition; half_pure_subgroup is the
-oracle of the subgroup structure folds over at kappa = 9;
-perm_count_invariants is the oracle of the scan.scan_pair rows, which
-algebra.DoublingPair evaluates.
+Code.neighbours; occupancy marks the codewords in a table of its own, so
+membership tests do not read the table they check;
+enumerate_pair_partitions, pair_masks and product build the
+pair-partition products that structure.decompose_mixed recognizes;
+in_span and coset_of test membership in the span of a basis and in the
+cosets of a decomposition; half_pure_subgroup is the oracle of the
+subgroup structure folds over at kappa = 9; perm_count_invariants is the
+oracle of the scan.scan_pair rows, which algebra.DoublingPair evaluates.
 """
 
 from collections import Counter
@@ -102,6 +103,13 @@ def is_extended_perfect16(words, thorough: bool = True) -> bool:
         return False
     coords = range(16) if thorough else (0,)
     return all(tiles15(puncture(ws, i)) for i in coords)
+
+
+def occupancy(words) -> np.ndarray:
+    """A 65,536-entry table, True exactly at the given words."""
+    occ = np.zeros(1 << 16, dtype=bool)
+    occ[np.asarray(words, dtype=np.intp)] = True
+    return occ
 
 
 def in_span(basis: tuple, w: int) -> bool:

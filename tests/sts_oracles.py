@@ -4,13 +4,14 @@ Each vertex used to be typed from its 140 blocks: blocks_at collects the
 weight-4 differences at a codeword, third_point_table fills the 24
 orders of every block into a fourth-point table and counts the fills
 (the SQS(16) check), pasch_per_point_line_pairs counts Pasch
-configurations on that table, derived_profiles turns the counts into
-the 16 per-point count tuples, and classify_type looks each up by its
-signature, the counts sorted nonincreasing.  class_type_tuple_sorted
-certifies a coset by sorting the weight-4 differences at its basis
-translates.  The package now reads the fourth-point table off
-Code.neighbours, types a vertex by one sort of its count table, and
-compares neighbour-table gathers instead; tests compare the two routes.
+configurations on that table, derived_profiles turns the counts into the
+16 per-point count tuples, vertex_signatures sorts each into its
+signature, the counts nonincreasing, and classify_type looks each up by
+it.  class_type_tuple_sorted certifies a coset by sorting the weight-4
+differences at its basis translates.  The package now reads the
+fourth-point table off Code.neighbours, types a vertex by one sort of
+its count table, and compares neighbour-table gathers instead; tests
+compare the two routes.
 """
 
 from itertools import permutations
@@ -107,9 +108,16 @@ def derived_profiles(blocks) -> list:
             for i, row in enumerate(counts.tolist())]
 
 
+def vertex_signatures(code, v: int) -> tuple:
+    """Signatures of the 16 derived systems at codeword v, from its
+    blocks: each system's per-point counts sorted nonincreasing."""
+    return tuple(tuple(sorted(p, reverse=True))
+                 for p in derived_profiles(blocks_at(code, v)))
+
+
 def vertex_types(code, v: int) -> tuple:
     """Types of the 16 derived systems at codeword v, from its blocks."""
-    return tuple(classify_type(p) for p in derived_profiles(blocks_at(code, v)))
+    return tuple(classify_type(s) for s in vertex_signatures(code, v))
 
 
 def class_type_tuple_sorted(code, rep: int) -> tuple:

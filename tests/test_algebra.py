@@ -15,7 +15,7 @@ from pcl.scan import iter_sigmas, make_code
 from pcl.structure import split_sides
 from pcl.words import coset_minima, echelon_basis, rank_gf2, xor_closure
 
-from code_helpers import coset_of, half_pure_subgroup, in_span
+from code_helpers import coset_of, half_pure_subgroup, in_span, occupancy
 
 EXPECTED = {
     # kappa: (rank, weight4 split (left, right, mixed), half-pure dim)
@@ -32,7 +32,8 @@ def kernel_words_brute(code) -> np.ndarray:
     """Every difference against one codeword, each tested on the whole
     code: the oracle of the incremental kernel_words."""
     cand = code.words ^ code.words[0]
-    good = code.occ[code.words[None, :] ^ cand[:, None]].all(axis=1)
+    good = occupancy(code.words)[code.words[None, :]
+                                 ^ cand[:, None]].all(axis=1)
     return np.sort(cand[good])
 
 

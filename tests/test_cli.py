@@ -27,6 +27,7 @@ from pcl.scan import make_code
 from pcl.structure import StructureReport, Verdict
 from pcl.words import rank_gf2, sigma_bytes
 
+from code_helpers import occupancy
 from graph_helpers import graph_from_json
 
 PINNED_ATLAS = (pathlib.Path(__file__).resolve().parents[1]
@@ -233,6 +234,44 @@ def test_double_scan_sigma(runner, tmp_path, atlas_file):
     assert len(rows) == 3
     assert set(rows[0]) == {"sourceClass", "targetClass", "sigma",
                             "rank", "kernelDim"}
+
+
+def test_double_scan_sigma_rows_are_pinned(runner, tmp_path, atlas_file):
+    out = tmp_path / "rows.json"
+    res = runner.invoke(main,
+                        ["double", "--source", "0", "--target", "1",
+                         "--scan-sigma", "--sample", "3", "--seed", "5",
+                         "--atlas", atlas_file, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert res.output == ("sigma=14237560 rank=14 kernelDim=7\n"
+                          "sigma=01364725 rank=14 kernelDim=7\n"
+                          "sigma=26371054 rank=13 kernelDim=7\n"
+                          "wrote %s\n" % out)
+    assert out.read_bytes() == b"""\
+[
+ {
+  "sourceClass": 0,
+  "targetClass": 1,
+  "sigma": "14237560",
+  "rank": 14,
+  "kernelDim": 7
+ },
+ {
+  "sourceClass": 0,
+  "targetClass": 1,
+  "sigma": "01364725",
+  "rank": 14,
+  "kernelDim": 7
+ },
+ {
+  "sourceClass": 0,
+  "targetClass": 1,
+  "sigma": "26371054",
+  "rank": 13,
+  "kernelDim": 7
+ }
+]
+"""
 
 
 def test_double_scan_sigma_exhaustive(runner, tmp_path, atlas, atlas_file):
@@ -516,7 +555,8 @@ def test_a_bad_option_is_a_usage_error_before_any_work(
 def test_sts_types_rejects_a_replaced_word(runner, tmp_path, witnesses):
     code = witnesses[8]
     words = code.words.tolist()
-    words[5] = next(w for w in _even_words(1 << 15) if not code.occ[w])
+    occ = occupancy(code.words)
+    words[5] = next(w for w in _even_words(1 << 15) if not occ[w])
     p = tmp_path / "replaced.json"
     p.write_text(json.dumps({"length": 16, "codewords": [
         "%04x" % w for w in sorted(words)]}))
@@ -536,7 +576,7 @@ def test_sts_types(runner, tmp_path, code_files):
     assert all(l.endswith(" " + "2" * 16) for l in vlines)
     assert "homogeneous: True (constant)" in res.output
     assert "warning" not in res.output
-    rows = open(csv).read().splitlines()
+    rows = pathlib.Path(csv).read_text().splitlines()
     assert rows[0] == "vertex,representative,types"
     assert len(rows) == 5
     assert rows[1].endswith(",%s" % ("2" * 16))
@@ -651,7 +691,7 @@ def test_export_dot_and_csv(runner, tmp_path, code_files):
     res = runner.invoke(main, ["export", code_files[9], "--format", "dot",
                                "--out", dot])
     assert res.exit_code == 0
-    text = open(dot).read()
+    text = pathlib.Path(dot).read_text()
     assert text.startswith("graph fold {")
     assert text.endswith("}\n")
     assert "2222222222222222" in text
@@ -659,7 +699,7 @@ def test_export_dot_and_csv(runner, tmp_path, code_files):
     res = runner.invoke(main, ["export", code_files[9], "--format", "csv",
                                "--out", csv])
     assert res.exit_code == 0
-    rows = open(csv).read().splitlines()
+    rows = pathlib.Path(csv).read_text().splitlines()
     assert len(rows) == 4
     assert rows[0].split(",")[0] == "44"
 

@@ -2,11 +2,11 @@
 
 import numpy as np
 
-from pcl.doubling import Code
+from pcl.doubling import AT_CODE, Code
 from pcl.scan import make_code
 from pcl.words import sigma_bytes
 
-from code_helpers import is_extended_perfect16
+from code_helpers import is_extended_perfect16, occupancy
 
 
 def test_double_shape_and_metadata(atlas):
@@ -36,12 +36,20 @@ def test_double_respects_sigma(atlas):
         assert (w >> 8) in highs[sigma[i]]
 
 
-def test_membership_helpers(atlas):
-    code = make_code(atlas, 0, 0, tuple(range(8)))
-    assert code.occ[int(code.words[5])]
-    assert int(code.occ.sum()) == len(code.words)
-    hole = next(x for x in range(1 << 16) if not code.occ[x])
-    assert hole not in set(code.words.tolist())
+def test_neighbour_table_on_every_word(witnesses):
+    every = np.arange(1 << 16)
+    odd = np.bitwise_count(every) & 1 == 1
+    assert np.count_nonzero(odd) == 32768
+    for kappa in (11, 5):
+        code = witnesses[kappa]
+        pos, occ = code.neighbours, occupancy(code.words)
+        assert pos.shape == (1 << 16,)
+        assert np.array_equal(pos == AT_CODE, occ)
+        assert np.count_nonzero(pos == AT_CODE) == 2048
+        assert ((0 <= pos[odd]) & (pos[odd] < 16)).all()
+        assert (pos[~odd & ~occ] == -1).all()
+        # each odd word lies next to the codeword its entry names
+        assert occ[every[odd] ^ (1 << pos[odd].astype(np.intp))].all()
 
 
 def test_label_without_metadata():

@@ -19,7 +19,7 @@ from pcl.doubling import Code
 from pcl.fold import quotient_graph
 from pcl.words import echelon_basis, quad_name, xor_closure
 
-from code_helpers import half_pure_subgroup
+from code_helpers import half_pure_subgroup, occupancy
 from graph_helpers import (edge_labels, graph_from_json, loop_count,
                            row_sums, vertex_sum_check)
 from sts_oracles import third_point_table
@@ -65,7 +65,7 @@ def is_sqs(blocks, points: int = 16) -> bool:
 
 def sqs_of(code: Code, v: int) -> SqsSystem:
     """The SQS carried by codeword v, validated."""
-    if not code.occ[v]:
+    if not occupancy(code.words)[v]:
         raise ValueError("%04x is not a codeword" % v)
     d = code.words ^ np.uint16(v)
     blocks = tuple(int(b) for b in np.sort(d[np.bitwise_count(d) == 4]))

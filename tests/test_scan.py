@@ -15,6 +15,7 @@ from click.testing import CliRunner
 from pcl import algebra, scan, sts
 from pcl.algebra import kernel_words
 from pcl.cli import main
+from pcl.ioutil import provenance
 from pcl.partitions import Atlas
 from pcl.scan import (KAPPA_WITNESSES, PRIORITY_PAIRS, ScanRow, iter_sigmas,
                       find_representatives, make_code, scan_pair)
@@ -72,9 +73,8 @@ def test_scan_pair_rows(atlas):
     rows = scan_pair(atlas, 0, 0, sigmas)
     assert [r.kernel for r in rows] == [11, 9]
     assert [r.rank for r in rows] == [11, 12]
-    d = rows[1].to_json()
-    assert d == {"sourceClass": 0, "targetClass": 0, "sigma": "45026713",
-                 "rank": 12, "kernelDim": 9}
+    assert provenance(rows[1]) == {"sourceClass": 0, "targetClass": 0,
+                                   "sigma": "45026713"}
 
 
 def test_find_representatives_on_explicit_budget(atlas):
@@ -121,7 +121,7 @@ def test_find_representatives_work_counts(atlas, monkeypatch):
     rejected = [c for c, ok in verdicts if not ok]
     assert len(rejected) == 17
     assert all(c.kernel_cosets is None for c in rejected)
-    assert all(len(c.type_tuples) == 1 for c in rejected)
+    assert all(len(c.signatures) == 1 for c in rejected)
 
 
 def test_fully_tabulated_matches_type_grid(atlas):

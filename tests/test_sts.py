@@ -29,9 +29,11 @@ from pcl.sts import (LETTERS, ROWS, check_sts, class_type_tuple,
                      render_tuple, type_char, type_grid)
 from pcl.words import sigma_bytes
 
+from code_helpers import occupancy
 from sts_oracles import (blocks_at, class_type_tuple_sorted, classify_type,
                          derived_profiles, pasch_per_point_line_pairs,
-                         third_point_table, vertex_types)
+                         third_point_table, vertex_signatures,
+                         vertex_types)
 
 WITNESS_TYPES = {5: [1, 2, 3, 4, 5, 6, 7], 6: [2, 3, 5, 6, 7],
                  7: [3, 8, 16], 8: [3], 9: [2], 11: [1]}
@@ -199,22 +201,45 @@ def test_constant_grids(witnesses, monkeypatch):
         assert (grid.homogeneous, grid.distinct, grid.unknown) \
             == ((True, True), 1, 0)
 
-    def summary(tuples):
-        """The TypeGrid summary of a grid with the given type tuples."""
-        monkeypatch.setattr(sts, "code_type_grid",
-                            lambda code: list(enumerate(tuples)))
-        grid = type_grid(None)
+    def grid_of(signatures):
+        """The TypeGrid of a grid whose vertices 0, 1, ... carry the given
+        signatures, each typed by its row of the table."""
+        monkeypatch.setattr(sts, "code_type_grid", lambda code: [
+            (v, tuple(map(classify_type, sigs)))
+            for v, sigs in code.signatures.items()])
+        return type_grid(Code(None, signatures=dict(enumerate(signatures))))
+
+    def summary(signatures):
+        grid = grid_of(signatures)
         return grid.homogeneous, grid.distinct, grid.unknown
 
-    assert summary([(1, 2), (2, 1)]) == ((True, False), 1, 0)
-    assert summary([(1, 1), (1, 2)]) == ((False, False), 2, 0)
-    assert summary([(1, None), (None, 1)]) == ((True, False), 1, 2)
-    assert summary([(None, None)]) == ((True, True), 1, 2)
-    assert summary([(16, 13, None), (None, 16, 13), (13, 13, 13)]) \
-        == ((False, False), 2, 2)
+    s = {t: per_point for t, (_, per_point) in ROWS.items()}
+    # two untabulated signatures, both rendered "?"
+    x = (14, 14, 12, 12, 10, 10, 10, 9, 9, 9, 9, 8, 8, 8, 8)
+    y = (14, 12, 12, 12, 12, 12, 9, 9, 9, 9, 8, 8, 8, 8, 8)
+    assert summary([(s[1], s[2]), (s[2], s[1])]) == ((True, False), 1, 0)
+    assert summary([(s[1], s[1]), (s[1], s[2])]) == ((False, False), 2, 0)
+    assert summary([(s[1], x), (x, s[1])]) == ((True, False), 1, 2)
+    assert summary([(x, x)]) == ((True, True), 1, 2)
+    assert summary([(x, y)]) == ((True, False), 1, 2)
+    assert summary([(x, x), (y, y)]) == ((False, False), 2, 4)
+    last = [(s[16], s[13], x), (x, s[16], s[13]), (s[13],) * 3]
+    assert summary(last) == ((False, False), 2, 2)
     # the rows of that last grid, each tuple rendered once
-    assert type_grid(None).rows == [(0, "0000", "gc?"), (1, "0001", "?gc"),
-                                    (2, "0002", "ccc")]
+    assert grid_of(last).rows == [(0, "0000", "gc?"), (1, "0001", "?gc"),
+                                  (2, "0002", "ccc")]
+
+
+def test_distinct_counts_signatures_not_renderings(atlas):
+    # at kappa = 6, three different untabulated signatures all render "?"
+    code = make_code(atlas, 0, 3, sigma_bytes("50142637"))
+    reps = kernel_cosets(code).reps.tolist()
+    assert len(reps) == 2048 >> 6
+    grid = type_grid(code)
+    assert len({"".join(sorted(s)) for _, _, s in grid.rows}) == 4
+    assert grid.distinct == 5 == len(
+        {tuple(sorted(vertex_signatures(code, r))) for r in reps})
+    assert (grid.homogeneous, grid.unknown) == ((False, False), 160)
 
 
 def test_linear_profile(witnesses):
@@ -262,9 +287,10 @@ def test_untabulated_signatures_regression(atlas):
     code = make_code(atlas, 1, 3, sigma_bytes("24365017"))
     assert not fully_tabulated(code)
     fresh = list(code_type_grid(make_code(atlas, 1, 3, code.sigma)))
-    assert code.type_tuples
-    assert all(len(t) == 16 and t == dict(fresh)[v]
-               for v, t in code.type_tuples.items())
+    assert code.signatures
+    assert all(len(s) == 16 and s == vertex_signatures(code, v)
+               and tuple(map(classify_type, s)) == dict(fresh)[v]
+               for v, s in code.signatures.items())
     grid = list(code_type_grid(code))
     missing = sum(t is None for _, row in grid for t in row)
     assert missing > 0
@@ -419,15 +445,15 @@ def test_neighbour_tables_match_the_block_route(atlas, witnesses,
         v = int(code.words[0])
         assert np.array_equal(fourth_point_table(code, v),
                               third_point_table(blocks_at(code, v)))
-        assert code.type_tuples == {v: vertex_types(code, v)}
-        assert None in code.type_tuples[v]
+        assert code.signatures == {v: vertex_signatures(code, v)}
+        assert None in map(classify_type, code.signatures[v])
 
 
 def _with_a_replaced_word(code) -> Code:
     """The code with one codeword swapped for an even non-codeword."""
-    words = code.words.copy()
+    words, occ = code.words.copy(), occupancy(code.words)
     words[5] = next(w for w in range(1 << 16)
-                    if w.bit_count() % 2 == 0 and not code.occ[w])
+                    if w.bit_count() % 2 == 0 and not occ[w])
     return Code(np.sort(words), code.left, code.right, code.sigma)
 
 
