@@ -34,7 +34,8 @@ from .fold import quotient_graph
 from .ioutil import (atomic_write, code_to_json, load_code, provenance,
                      read_json, save_code, write_json)
 from .partitions import (Atlas, build_atlas, check_census7,
-                         enumerate_partitions7, orbit_classify7)
+                         enumerate_partitions7, orbit_classify7,
+                         partition_from_json)
 from .perfect import enumerate_perfect7
 from .scan import (PRIORITY_PAIRS, find_representatives, iter_sigmas,
                    make_code, scan_pair)
@@ -190,6 +191,11 @@ def partitions_classify(atlas_path: str) -> None:
         if d["classes"][0]["representative"][0]["length"] == 7:
             count, sizes = d["partition7Count"], list(d["orbitSizes7"])
             check_census7(count, sizes, sorted(c["id"] for c in d["classes"]))
+            for c in d["classes"]:
+                try:
+                    partition_from_json(c["representative"], 7)
+                except ValueError as e:
+                    raise ValueError("class %d: %s" % (c["id"], e)) from e
             lines = _census7_lines(count, sizes)
         else:
             lines = _census_lines(Atlas.from_json(d))

@@ -104,6 +104,32 @@ def check_census7(count, sizes: list, classes: list) -> None:
                          "orbitSizes7" % (count, sum(sizes)))
 
 
+def partition_from_json(reps: list, length: int) -> tuple:
+    """The components of a class representative as sorted tuples;
+    ValueError unless they are perfect codes, 16 words at distance 3 or
+    more, partitioning the words of length 7, or at length 8 extended
+    ones, at distance 4 or more, partitioning the even words."""
+    comps = tuple(tuple(code_from_json(comp, length)) for comp in reps)
+    even = length == 8
+    if (len(comps) != 8 or any(len(c) != 16 for c in comps)
+            or sorted(w for c in comps for w in c)
+            != (EVEN8.tolist() if even else list(range(SPACE7)))):
+        raise ValueError("components do not partition the %swords of "
+                         "length %d into eight 16-word sets"
+                         % ("even " * even, length))
+    arr = np.array(comps, dtype=np.uint8)
+    dist = np.bitwise_count(arr[:, :, None] ^ arr[:, None])
+    close = (dist > 0) & (dist < 3 + even)
+    if close.any():
+        k, i, j = np.argwhere(close)[0].tolist()
+        raise ValueError("component %d is not %s perfect code: words %s "
+                         "and %s lie at distance %d"
+                         % (k, "an extended" if even else "a",
+                            word_hex(comps[k][i], length),
+                            word_hex(comps[k][j], length), dist[k, i, j]))
+    return comps
+
+
 class TranslationAction(NamedTuple):
     """What doubling needs of a partition (C_0..C_7) of the even words.
 
@@ -187,22 +213,7 @@ class ExtClass:
 
     @classmethod
     def from_json(cls, d: dict) -> "ExtClass":
-        comps = tuple(tuple(code_from_json(comp, 8))
-                      for comp in d["representative"])
-        if (len(comps) != 8 or any(len(c) != 16 for c in comps)
-                or sorted(w for c in comps for w in c) != EVEN8.tolist()):
-            raise ValueError("components do not partition the even words "
-                             "of length 8 into eight 16-word sets")
-        # a 16-word even code of length 8 with minimum distance 4 is an
-        # extended Hamming code; distinct even words are at even distance
-        arr = np.array(comps, dtype=np.uint8)
-        close = np.bitwise_count(arr[:, :, None] ^ arr[:, None]) == 2
-        if close.any():
-            k, i, j = np.argwhere(close)[0].tolist()
-            raise ValueError("component %d is not an extended perfect code: "
-                             "words %s and %s lie at distance 2"
-                             % (k, word_hex(comps[k][i], 8),
-                                word_hex(comps[k][j], 8)))
+        comps = partition_from_json(d["representative"], 8)
         linear, alias = d["linear"], d.get("alias")
         if type(linear) is not bool:
             raise ValueError("linear %r is not a boolean" % (linear,))

@@ -32,17 +32,6 @@ from .words import sigma_bytes
 
 FACT8 = 40320
 
-# Class pairs and permutations recovered by earlier scans; each yields
-# the stated kernel dimension and is exercised end to end in the tests.
-KAPPA_WITNESSES: dict[int, tuple[int, int, str]] = {
-    11: (0, 0, "01234567"),
-    9: (0, 0, "45026713"),
-    8: (0, 0, "15437062"),
-    7: (0, 1, "51304276"),
-    6: (0, 3, "52637140"),
-    5: (1, 3, "41056327"),
-}
-
 # Scan order: the first pair produces kernel dimensions 8, 9 and 11 in
 # quantity, the later pairs lead with 7, 6 and 5 respectively.
 PRIORITY_PAIRS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (0, 3), (1, 3))

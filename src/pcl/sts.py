@@ -24,9 +24,9 @@ y] = Q[i, x, y] are STS(15).  A Pasch configuration through a point p
 holds exactly two of the 7 lines through p, so pasch_per_point counts
 the configurations through every point of all 16 systems of a vertex in
 one numpy pass over the 21 pairs of lines through each point.
-pasch_profile, a completion search over the triple pairs of one
-derived_sts system, a sorted tuple of 35 triple masks, is kept as its
-independent oracle; it returns the 15 per-point counts.
+derived_sts and pasch_profile are readers of the same tables for one
+system, a sorted tuple of 35 triple masks, and its 15 per-point counts;
+no stage calls them, and they keep their names for perfbench's tracer.
 
 code_type_grid is the one typing routine and the one walk over the
 kernel cosets: it lazily yields each coset's representative and type
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -89,78 +88,6 @@ def type_char(t) -> str:
     if t in LETTERS:
         return LETTERS[t]
     raise ValueError("no letter alias for type %d" % t)
-
-
-def check_sts(triples, points: int = 15) -> None:
-    if len(triples) != points * (points - 1) // 6:
-        raise ValueError("wrong triple count %d" % len(triples))
-    seen: set = set()
-    for t in triples:
-        pts = [i for i in range(points) if (int(t) >> i) & 1]
-        if len(pts) != 3 or int(t) >> points:
-            raise ValueError("block %x is not a 3-subset" % int(t))
-        for pair in combinations(pts, 2):
-            if pair in seen:
-                raise ValueError("pair %s covered twice" % (pair,))
-            seen.add(pair)
-
-
-def derived_sts(code: Code, v: int, i: int) -> tuple:
-    """STS at coordinate i: blocks through i of the SQS at v, i deleted,
-    as the sorted tuple of its 35 triple masks."""
-    d = code.words ^ np.uint16(v)
-    w4 = d[np.bitwise_count(d) == 4]
-    hit = w4[(w4 >> i) & 1 == 1]
-    tr = tuple(int(t) for t in np.sort(puncture(hit, i)))
-    check_sts(tr)
-    return tr
-
-
-def pasch_profile(triples) -> tuple:
-    """Per-point Pasch counts of an STS(15), by completion search over
-    intersecting triple pairs.
-
-    For triples t1, t2 sharing one point, each way of matching their
-    free points in pairs either closes into a Pasch configuration with
-    one new sixth point or does not; every configuration is reached six
-    times, once per triple pair inside it that shares a point.  Returns
-    the 15 counts in point order; their sum is six times the total.
-    """
-    through: dict = {}
-    for t in triples:
-        pts = [i for i in range(15) if (t >> i) & 1]
-        for a, b in combinations(pts, 2):
-            through[(1 << a) | (1 << b)] = t
-    total6 = 0
-    acc = [0] * 15
-    for t1, t2 in combinations(triples, 2):
-        common = t1 & t2
-        if common.bit_count() != 1:
-            continue
-        r1 = t1 ^ common
-        r2 = t2 ^ common
-        b = 1 << (r1.bit_length() - 1)
-        c = r1 ^ b
-        for d, e in ((r2 & -r2, r2 ^ (r2 & -r2)),
-                     (r2 ^ (r2 & -r2), r2 & -r2)):
-            t3 = through.get(b | d)
-            t4 = through.get(c | e)
-            if t3 is None or t4 is None:
-                continue
-            x = t3 & t4
-            if x.bit_count() != 1 or x & (t1 | t2):
-                continue
-            if t3 & common or t4 & common:
-                continue
-            total6 += 1
-            mm = t1 | t2 | x
-            while mm:
-                low = mm & -mm
-                acc[low.bit_length() - 1] += 1
-                mm ^= low
-    if total6 % 6 or any(a % 6 for a in acc):
-        raise AssertionError("completion counts not divisible by 6")
-    return tuple(a // 6 for a in acc)
 
 
 @lru_cache(maxsize=None)
@@ -242,6 +169,26 @@ def pasch_per_point(third: np.ndarray) -> np.ndarray:
         raise AssertionError("per-point Pasch counts do not sum to 6 per "
                              "configuration")
     return counts
+
+
+def derived_sts(code: Code, v: int, i: int) -> tuple:
+    """STS at coordinate i of the SQS at v, i deleted, as the sorted tuple
+    of its 35 triple masks: the blocks {i, a, b, c} with a < b < c =
+    Q[i, a, b] of fourth_point_table."""
+    q = fourth_point_table(code, v)[i].astype(np.intp)
+    a, b = np.nonzero(np.triu(q > np.arange(16), 1))
+    blocks = (1 << a) | (1 << b) | (1 << q[a, b])
+    return tuple(sorted(puncture(blocks, i).tolist()))
+
+
+def pasch_profile(triples) -> tuple:
+    """Per-point Pasch counts of an STS(15) given as triple masks:
+    pasch_per_point on its third-point table."""
+    p = np.nonzero((np.array(triples)[:, None] >> np.arange(15)) & 1)[1]
+    x, y, z = p.reshape(-1, 3).T
+    third = np.full((15, 15), -1, dtype=np.int8)
+    third[[x, y, z, y, z, x], [y, z, x, x, y, z]] = [z, x, y, z, x, y]
+    return tuple(pasch_per_point(third[None])[0].tolist())
 
 
 def _vertex_types(code: Code, v: int) -> tuple:

@@ -12,9 +12,14 @@ differences at its basis translates.  The package now reads the
 fourth-point table off Code.neighbours, types a vertex by one sort of
 its count table, and compares neighbour-table gathers instead; tests
 compare the two routes.
+
+The package's second triple-system route is kept here too: check_sts,
+which checks triple masks to form a Steiner triple system, and
+pasch_profile_completion, which counts the Pasch configurations of an
+STS(15) by a completion search over its intersecting triple pairs.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -30,6 +35,67 @@ def classify_type(per_point):
     total, a sixth of their sum."""
     return ROW_OF.get(tuple(sorted(per_point, reverse=True)))
 
+
+def check_sts(triples, points: int = 15) -> None:
+    """ValueError unless the masks are the triples of an STS(points)."""
+    if len(triples) != points * (points - 1) // 6:
+        raise ValueError("wrong triple count %d" % len(triples))
+    seen: set = set()
+    for t in triples:
+        pts = [i for i in range(points) if (int(t) >> i) & 1]
+        if len(pts) != 3 or int(t) >> points:
+            raise ValueError("block %x is not a 3-subset" % int(t))
+        for pair in combinations(pts, 2):
+            if pair in seen:
+                raise ValueError("pair %s covered twice" % (pair,))
+            seen.add(pair)
+
+
+def pasch_profile_completion(triples) -> tuple:
+    """Per-point Pasch counts of an STS(15), by completion search over
+    intersecting triple pairs.
+
+    For triples t1, t2 sharing one point, each way of matching their
+    free points in pairs either closes into a Pasch configuration with
+    one new sixth point or does not; every configuration is reached six
+    times, once per triple pair inside it that shares a point.  Returns
+    the 15 counts in point order; their sum is six times the total.
+    """
+    through: dict = {}
+    for t in triples:
+        pts = [i for i in range(15) if (t >> i) & 1]
+        for a, b in combinations(pts, 2):
+            through[(1 << a) | (1 << b)] = t
+    total6 = 0
+    acc = [0] * 15
+    for t1, t2 in combinations(triples, 2):
+        common = t1 & t2
+        if common.bit_count() != 1:
+            continue
+        r1 = t1 ^ common
+        r2 = t2 ^ common
+        b = 1 << (r1.bit_length() - 1)
+        c = r1 ^ b
+        for d, e in ((r2 & -r2, r2 ^ (r2 & -r2)),
+                     (r2 ^ (r2 & -r2), r2 & -r2)):
+            t3 = through.get(b | d)
+            t4 = through.get(c | e)
+            if t3 is None or t4 is None:
+                continue
+            x = t3 & t4
+            if x.bit_count() != 1 or x & (t1 | t2):
+                continue
+            if t3 & common or t4 & common:
+                continue
+            total6 += 1
+            mm = t1 | t2 | x
+            while mm:
+                low = mm & -mm
+                acc[low.bit_length() - 1] += 1
+                mm ^= low
+    if total6 % 6 or any(a % 6 for a in acc):
+        raise AssertionError("completion counts not divisible by 6")
+    return tuple(a // 6 for a in acc)
 
 # the 24 orders of a block's four points, and the distinct (a, b, c)
 _ORDERS = np.array(list(permutations(range(4))))

@@ -98,7 +98,20 @@ def test_partitions_enumerate_length7(runner, tmp_path):
     res = runner.invoke(main, ["partitions", "classify", out])
     assert res.exit_code == 0
     assert "length-7 partitions: 27360 in 11 classes" in res.output
-    # classify checks a length-7 census as Atlas.from_json checks an atlas's
+
+    def edited(cid, edit):
+        """The census's classes with class cid edited."""
+        classes = json.loads(json.dumps(d["classes"]))
+        edit(classes[cid])
+        return {"classes": classes}
+
+    def swap(c):
+        a, b = (comp["codewords"] for comp in c["representative"][:2])
+        a[1], b[1] = b[1], a[1]
+
+    # classify checks a length-7 census as Atlas.from_json checks an
+    # atlas's, each representative eight perfect codes partitioning the
+    # words
     for change, message in [
             ({"partition7Count": 5, "orbitSizes7": [1, 2]},
              "expected each of 0..1"),
@@ -106,7 +119,15 @@ def test_partitions_enumerate_length7(runner, tmp_path):
             ({"orbitSizes7": [0] + d["orbitSizes7"][1:]}, "positive integer"),
             ({"classes": [dict(c, id=0.0) if c["id"] == 0 else c
                           for c in d["classes"]]},
-             "length-7 classes [0.0, 1, 2")]:
+             "length-7 classes [0.0, 1, 2"),
+            (edited(0, lambda c: c.update(representative=[
+                {"length": 7, "codewords": ["00"]}])),
+             "class 0: components do not partition the words of length 7 "
+             "into eight 16-word sets"),
+            (edited(3, swap), "class 3: component 0 is not a perfect code: "
+             "words 00 and 06 lie at distance 2"),
+            (edited(5, lambda c: c["representative"][2].update(length=8)),
+             "class 5: expected a length-7 code, got length 8")]:
         with open(out, "w") as fh:
             json.dump(dict(d, **change), fh)
         res = runner.invoke(main, ["partitions", "classify", out])

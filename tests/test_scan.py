@@ -17,12 +17,13 @@ from pcl.algebra import kernel_words
 from pcl.cli import main
 from pcl.ioutil import provenance
 from pcl.partitions import Atlas
-from pcl.scan import (KAPPA_WITNESSES, PRIORITY_PAIRS, ScanRow, iter_sigmas,
+from pcl.scan import (PRIORITY_PAIRS, ScanRow, iter_sigmas,
                       find_representatives, make_code, scan_pair)
 from pcl.sts import code_type_grid, fully_tabulated
 from pcl.words import rank_gf2, sigma_bytes, sigma_str
 
 from code_helpers import perm_count_invariants
+from conftest import KAPPA_WITNESSES
 
 # find_representatives(per_pair=400, seed=0) as it chose when it built
 # and measured every scanned code.

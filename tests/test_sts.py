@@ -2,12 +2,15 @@
 
 The codes are typed from their neighbour tables: fourth_point_table
 reads each vertex's table off Code.neighbours, and pasch_per_point
-counts on it.  The block route it replaced (sts_oracles) is the oracle
-of the tables, the type tuples and the coset certificate; the Pasch
+counts on it; derived_sts and pasch_profile read one system and its
+counts off the same tables.  The block route they replaced
+(sts_oracles) is the oracle of the tables, the type tuples and the coset
+certificate, and the puncture route sts_of, checked by
+sts_oracles.check_sts, is the oracle of derived_sts.  The Pasch
 counter's oracles are the line-pair counter it replaced, the ordered
 point-pair counter (pasch_per_point_ordered), the completion search
-pasch_profile and the 4-subset count below; random_sts15 exercises the
-counters away from the codes.
+sts_oracles.pasch_profile_completion and the 4-subset count below;
+random_sts15 exercises the counters away from the codes.
 """
 
 import random
@@ -23,15 +26,16 @@ from pcl.algebra import kernel_cosets
 from pcl.doubling import Code
 from pcl.perfect import puncture
 from pcl.scan import PRIORITY_PAIRS, find_representatives, make_code
-from pcl.sts import (LETTERS, ROWS, check_sts, class_type_tuple,
-                     code_type_grid, derived_sts, fourth_point_table,
-                     fully_tabulated, pasch_per_point, pasch_profile,
-                     render_tuple, type_char, type_grid)
+from pcl.sts import (LETTERS, ROWS, class_type_tuple, code_type_grid,
+                     derived_sts, fourth_point_table, fully_tabulated,
+                     pasch_per_point, pasch_profile, render_tuple, type_char,
+                     type_grid)
 from pcl.words import sigma_bytes
 
 from code_helpers import occupancy
-from sts_oracles import (blocks_at, class_type_tuple_sorted, classify_type,
-                         derived_profiles, pasch_per_point_line_pairs,
+from sts_oracles import (blocks_at, check_sts, class_type_tuple_sorted,
+                         classify_type, derived_profiles,
+                         pasch_per_point_line_pairs, pasch_profile_completion,
                          third_point_table, vertex_signatures,
                          vertex_types)
 
@@ -142,11 +146,6 @@ def sts_table(system) -> np.ndarray:
     return third
 
 
-def batched_profile(system) -> tuple:
-    """pasch_per_point on the third-point table of one STS(15)."""
-    return tuple(pasch_per_point(sts_table(system))[0].tolist())
-
-
 def test_rows_table_integrity():
     assert sorted(ROWS) == [1, 2, 3, 4, 5, 6, 7, 8, 13, 14, 16]
     for t, (total, per_point) in ROWS.items():
@@ -177,14 +176,17 @@ def test_render_tuple():
 
 
 def test_derived_sts_matches_puncture_route(witnesses):
-    code = witnesses[9]
-    v = int(code.words[0])
-    for i in (0, 5, 12, 15):
-        via_sqs = derived_sts(code, v, i)
-        pw = puncture(code.words, i)
-        vv = puncture(v, i)
-        via_puncture = sts_of(pw, vv)
-        assert via_sqs == via_puncture
+    rng = random.Random(9)
+    checked = 0
+    for kappa in (5, 6, 7, 8, 9):
+        code = witnesses[kappa]
+        reps = kernel_cosets(code).reps.tolist()
+        for v in rng.sample(reps, 4):
+            for i in range(16):
+                assert derived_sts(code, v, i) == sts_of(
+                    puncture(code.words, i), puncture(v, i))
+                checked += 1
+    assert checked == 5 * 4 * 16
 
 
 def test_witness_type_grids(witnesses):
@@ -342,8 +344,8 @@ def test_random_sts15_deterministic_and_valid():
 @given(st.integers(min_value=0, max_value=10_000))
 def test_dual_pasch_counts_agree(seed):
     sts = random_sts15(seed)
+    assert pasch_profile_completion(sts) == pasch_profile_brute(sts)
     assert pasch_profile(sts) == pasch_profile_brute(sts)
-    assert batched_profile(sts) == pasch_profile_brute(sts)
     third = sts_table(sts)
     assert np.array_equal(pasch_per_point(third),
                           pasch_per_point_ordered(third))
@@ -365,7 +367,8 @@ def test_dual_pasch_on_code_systems(witnesses):
     v = int(code.words[0])
     for i in (0, 9):
         sts = derived_sts(code, v, i)
-        assert pasch_profile(sts) == pasch_profile_brute(sts)
+        assert (pasch_profile_completion(sts) == pasch_profile(sts)
+                == pasch_profile_brute(sts))
 
 
 def test_profile_signature_is_sorted():
@@ -382,8 +385,10 @@ def test_batched_profiles_match_completion_search(witnesses):
         code = witnesses[kappa]
         for r in kernel_cosets(code).reps:
             v = int(r)
-            assert derived_profiles(blocks_at(code, v)) == [
-                pasch_profile(derived_sts(code, v, i)) for i in range(16)]
+            systems = [derived_sts(code, v, i) for i in range(16)]
+            assert (derived_profiles(blocks_at(code, v))
+                    == list(map(pasch_profile_completion, systems))
+                    == list(map(pasch_profile, systems)))
             third = third_point_table(blocks_at(code, v))
             assert np.array_equal(pasch_per_point(third),
                                   pasch_per_point_ordered(third))
@@ -407,7 +412,8 @@ def test_corrupted_block_raises_sqs_error(witnesses):
     code = witnesses[5]
     v = int(kernel_cosets(code).reps[3])
     blocks = blocks_at(code, v)
-    assert derived_profiles(blocks)[0] == pasch_profile(derived_sts(code, v, 0))
+    assert derived_profiles(blocks)[0] == pasch_profile_completion(
+        derived_sts(code, v, 0))
     present = set(blocks.tolist())
     bad = blocks.copy()
     bad[7] = next(q for q in range(1 << 16)
