@@ -1,10 +1,11 @@
 """Command line front end.
 
 Subcommands mirror the library layers: enumerate the length-7 perfect
-codes and partition classes, double a pair of extended classes into a
-length-16 code, compute rank and kernel invariants, classify the derived
-triple systems, check the folded graph against the prescribed loop and
-link families, and export graphs.
+codes and partition classes, double a pair of extended classes into one
+length-16 code, or tabulate rank and kernel dimension over every
+permutation sigma of the pair, compute rank and kernel invariants,
+classify the derived triple systems, check the folded graph against the
+prescribed loop and link families, and export graphs.
 
 The subcommands and the pipeline share one stage layer: one loader per
 input file, and one function per stage (one doubled code, analysis, type
@@ -13,8 +14,9 @@ subcommands reproduce the pipeline's files byte for byte.  The pipeline
 chains the stages over a seeded permutation scan; identical options and
 seed reproduce byte-identical artifacts.
 
-Every option is checked before any work, by its click type or, for
-combinations and class ids, before anything is built or written.
+Every option is checked before any work: click checks its type and
+presence, and class ids are checked against the atlas before anything
+is built or written.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import os
 import sys
 
 import click
-from click.core import ParameterSource
 
 from .algebra import kernel_cosets, rank_of
 from .canon import code_table
@@ -33,9 +34,8 @@ from .fano import PRESCRIPTIONS, fano_families, partition_registry
 from .fold import quotient_graph
 from .ioutil import (atomic_write, code_to_json, load_code, provenance,
                      read_json, save_code, write_json)
-from .partitions import (Atlas, build_atlas, check_census7,
-                         enumerate_partitions7, orbit_classify7,
-                         partition_from_json)
+from .partitions import (Atlas, build_atlas, check_census7, classes_from_json,
+                         enumerate_partitions7, orbit_classify7)
 from .perfect import enumerate_perfect7
 from .scan import (PRIORITY_PAIRS, find_representatives, iter_sigmas,
                    make_code, scan_pair)
@@ -90,37 +90,36 @@ def _load_code_checked(path: str):
         raise click.ClickException("cannot read code %s: %s" % (path, e))
 
 
-def _load_atlas(path: str | None) -> Atlas:
+def _load_atlas(path: str | None, class_ids) -> Atlas:
+    """The atlas, loaded or classified; each (class id, option) is checked."""
     if path is None:
         click.echo("no --atlas given; classifying partitions from scratch",
                    err=True)
-        return build_atlas()
-    try:
-        return Atlas.load(path)
-    except _BAD_INPUT as e:
-        raise click.ClickException("cannot read atlas %s: %s" % (path, e))
+        atlas = build_atlas()
+    else:
+        try:
+            atlas = Atlas.load(path)
+        except _BAD_INPUT as e:
+            raise click.ClickException("cannot read atlas %s: %s" % (path, e))
+    for cid, option in class_ids:
+        if not 0 <= cid < len(atlas.classes):
+            raise click.BadParameter("class %d out of range 0..%d"
+                                     % (cid, len(atlas.classes) - 1),
+                                     param_hint="'%s'" % option)
+    return atlas
 
 
-def _check_class(atlas: Atlas, cid: int, option: str) -> None:
-    if not 0 <= cid < len(atlas.classes):
-        raise click.BadParameter("class %d out of range 0..%d"
-                                 % (cid, len(atlas.classes) - 1),
-                                 param_hint="'%s'" % option)
-
-
-def _census7_lines(count: int, sizes) -> list[str]:
-    return ["length-7 partitions: %d in %d classes" % (count, len(sizes)),
+def _census7_lines(sizes) -> list[str]:
+    return ["length-7 partitions: %d in %d classes" % (sum(sizes), len(sizes)),
             "orbit sizes: %s" % " ".join(str(s) for s in sizes)]
 
 
 def _census_lines(atlas: Atlas) -> list[str]:
-    lines = _census7_lines(atlas.partition7_count, atlas.orbit_sizes7)
+    lines = _census7_lines(atlas.orbit_sizes7)
     lines.append("extended classes: %d (linear class %d)"
                  % (len(atlas.classes), atlas.linear_class))
-    for m in atlas.merged:
-        lines.append("merged under extension: %s"
-                     % "+".join(str(x) for x in m))
-    return lines
+    return lines + ["merged under extension: %s" % "+".join(map(str, m))
+                    for m in atlas.merged]
 
 
 # ---------------------------------------------------------------- censuses
@@ -165,16 +164,12 @@ def partitions_enumerate(length_: str, out: str) -> None:
         ids = enumerate_partitions7()
         c7 = orbit_classify7(ids)
         sizes = [int(s) for s in c7.sizes]
-        classes = [{
-            "id": cid,
-            "alias": None,
-            "representative": [code_to_json(comp, 7)
-                               for comp in code_table(7)[ids[rep]]],
-        } for cid, rep in enumerate(c7.reps)]
-        write_json(out, {"classes": classes,
-                         "partition7Count": len(ids),
+        classes = [{"id": cid, "alias": None, "representative": [
+            code_to_json(comp, 7) for comp in code_table(7)[ids[rep]]]}
+            for cid, rep in enumerate(c7.reps)]
+        write_json(out, {"classes": classes, "partition7Count": len(ids),
                          "orbitSizes7": sizes})
-        lines = _census7_lines(len(ids), sizes)
+        lines = _census7_lines(sizes)
     click.echo("\n".join(lines))
     click.echo("wrote %s" % out)
 
@@ -189,14 +184,9 @@ def partitions_classify(atlas_path: str) -> None:
         raise click.ClickException("cannot parse %s: %s" % (atlas_path, e))
     try:
         if d["classes"][0]["representative"][0]["length"] == 7:
-            count, sizes = d["partition7Count"], list(d["orbitSizes7"])
-            check_census7(count, sizes, sorted(c["id"] for c in d["classes"]))
-            for c in d["classes"]:
-                try:
-                    partition_from_json(c["representative"], 7)
-                except ValueError as e:
-                    raise ValueError("class %d: %s" % (c["id"], e)) from e
-            lines = _census7_lines(count, sizes)
+            sizes = check_census7(d, sorted(c["id"] for c in d["classes"]))
+            classes_from_json(d["classes"], 7)
+            lines = _census7_lines(sizes)
         else:
             lines = _census_lines(Atlas.from_json(d))
     except _BAD_INPUT as e:
@@ -208,54 +198,54 @@ def partitions_classify(atlas_path: str) -> None:
 # ---------------------------------------------------------------- doubling
 
 
+_SOURCE = click.option("--source", type=int, required=True,
+                       help="extended class id for the low byte")
+_TARGET = click.option("--target", type=int, required=True,
+                       help="extended class id for the high byte")
+_ATLAS = click.option("--atlas", "atlas_path",
+                      type=click.Path(exists=True, dir_okay=False),
+                      help="atlas JSON; classified from scratch when omitted")
+
+
 @main.command()
-@click.option("--source", type=int, required=True,
-              help="extended class id for the low byte")
-@click.option("--target", type=int, required=True,
-              help="extended class id for the high byte")
-@click.option("--sigma", type=sigma_bytes, metavar="SIGMA", default=None,
+@_SOURCE
+@_TARGET
+@_ATLAS
+@click.option("--sigma", type=sigma_bytes, metavar="SIGMA", required=True,
               help="component matching, eight digits over 0..7")
-@click.option("--scan-sigma", is_flag=True,
-              help="print one invariant row per permutation instead")
+@click.option("--out", type=OutPath(), required=True)
+def double(source: int, target: int, atlas_path: str | None, sigma: bytes,
+           out: str) -> None:
+    """Build a length-16 code from two extended partition classes."""
+    atlas = _load_atlas(atlas_path, [(source, "--source"),
+                                     (target, "--target")])
+    code, row = code_stage(atlas, source, target, sigma, out)
+    click.echo("code %s: rank=%d kernelDim=%d"
+               % (code.label, row.rank, row.kernel))
+    click.echo("wrote %s" % out)
+
+
+@main.command()
+@_SOURCE
+@_TARGET
+@_ATLAS
 @click.option("--sample", type=click.IntRange(min=1), default=None,
               help="scan a seeded sample instead of all 40320 permutations")
 @click.option("--seed", type=click.IntRange(min=0), default=0,
               show_default=True)
-@click.option("--atlas", "atlas_path",
-              type=click.Path(exists=True, dir_okay=False), default=None,
-              help="atlas JSON; classified from scratch when omitted")
-@click.option("--out", type=OutPath(), default=None)
-@click.pass_context
-def double(ctx: click.Context, source: int, target: int,
-           sigma: bytes | None, scan_sigma: bool, sample: int | None,
-           seed: int, atlas_path: str | None, out: str | None) -> None:
-    """Build a length-16 code from two extended partition classes."""
-    if scan_sigma == (sigma is not None):
-        raise click.UsageError("either --sigma or --scan-sigma is required, "
-                               "not both")
-    if sigma is not None and out is None:
-        raise click.UsageError("--out is required when building one code")
-    if sigma is not None and sample is not None:
-        raise click.UsageError("--sample applies to --scan-sigma only")
-    if (sigma is not None and ctx.get_parameter_source("seed")
-            is not ParameterSource.DEFAULT):
-        raise click.UsageError("--seed applies to --scan-sigma only")
-    atlas = _load_atlas(atlas_path)
-    _check_class(atlas, source, "--source")
-    _check_class(atlas, target, "--target")
-    if sigma is not None:
-        code, row = code_stage(atlas, source, target, sigma, out)
-        click.echo("code %s: rank=%d kernelDim=%d"
-                   % (code.label, row.rank, row.kernel))
-    else:
-        rows = scan_pair(atlas, source, target, iter_sigmas(sample, seed))
-        for r in rows:
-            click.echo("sigma=%s rank=%d kernelDim=%d"
-                       % (sigma_str(r.sigma), r.rank, r.kernel))
-        if out:
-            write_json(out, [{**provenance(r), "rank": r.rank,
-                              "kernelDim": r.kernel} for r in rows])
+@click.option("--out", type=OutPath(), help="write the rows as JSON")
+def scan(source: int, target: int, atlas_path: str | None,
+         sample: int | None, seed: int, out: str | None) -> None:
+    """Rank and kernel dimension of a class pair doubled under each sigma."""
+    atlas = _load_atlas(atlas_path, [(source, "--source"),
+                                     (target, "--target")])
+    rows = scan_pair(atlas, source, target, iter_sigmas(sample, seed))
+    for r in rows:
+        click.echo("sigma=%s rank=%d kernelDim=%d"
+                   % (sigma_str(r.sigma), r.rank, r.kernel))
     if out:
+        write_json(out, [{**provenance(r), "rank": r.rank,
+                          "kernelDim": r.kernel} for r in rows])
         click.echo("wrote %s" % out)
 
 
@@ -408,9 +398,7 @@ def export(code_path: str, fmt: str, out: str, with_sts: bool) -> None:
 @main.command()
 @click.option("--out-dir", type=click.Path(file_okay=False), default="run",
               show_default=True)
-@click.option("--atlas", "atlas_path",
-              type=click.Path(exists=True, dir_okay=False), default=None,
-              help="reuse a classified atlas instead of rebuilding")
+@_ATLAS
 @click.option("--pair", "pairs", type=ClassPair(), multiple=True,
               help="class pair to scan (repeatable; default a fixed list)")
 @click.option("--sample", type=click.IntRange(min=1), default=400,
@@ -427,11 +415,9 @@ def pipeline(out_dir: str, atlas_path: str | None, pairs: tuple,
     are recorded, not fatal; only stage errors abort.  Per-kappa files
     an earlier run left in --out-dir for a kappa not found are removed.
     """
-    atlas = _load_atlas(atlas_path)
     pair_list = pairs or PRIORITY_PAIRS
-    for pair in pair_list:
-        for cid in pair:
-            _check_class(atlas, cid, "--pair")
+    atlas = _load_atlas(atlas_path, [(cid, "--pair") for pair in pair_list
+                                     for cid in pair])
     os.makedirs(out_dir, exist_ok=True)
     path = lambda name: os.path.join(out_dir, name)
     atlas.save(path("atlas.json"))

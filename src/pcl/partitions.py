@@ -86,11 +86,12 @@ def is_linear_partition(p8) -> bool:
                for comp in p8)
 
 
-def check_census7(count, sizes: list, classes: list) -> None:
-    """ValueError unless a length-7 census is consistent: sizes holds
-    positive ints, the length-7 class ids listed (sorted, with
+def check_census7(d: dict, classes: list) -> list:
+    """orbitSizes7 of an atlas or length-7 census d; ValueError unless
+    they are positive ints, the length-7 class ids listed (sorted, with
     repetition) are the ints 0..len(sizes) - 1 each once, one per orbit
-    size, and count is the sum of the sizes."""
+    size, and partition7Count is the sum of the sizes."""
+    count, sizes = d["partition7Count"], list(d["orbitSizes7"])
     if not all(type(n) is int and n > 0 for n in sizes):
         raise ValueError("orbitSizes7 holds a size that is not a "
                          "positive integer")
@@ -102,13 +103,15 @@ def check_census7(count, sizes: list, classes: list) -> None:
     if type(count) is not int or count != sum(sizes):
         raise ValueError("partition7Count %r is not the sum %d of "
                          "orbitSizes7" % (count, sum(sizes)))
+    return sizes
 
 
 def partition_from_json(reps: list, length: int) -> tuple:
     """The components of a class representative as sorted tuples;
     ValueError unless they are perfect codes, 16 words at distance 3 or
     more, partitioning the words of length 7, or at length 8 extended
-    ones, at distance 4 or more, partitioning the even words."""
+    ones, at distance 4 or more, partitioning the even words, and are
+    in increasing order, the order sigma indexes them by."""
     comps = tuple(tuple(code_from_json(comp, length)) for comp in reps)
     even = length == 8
     if (len(comps) != 8 or any(len(c) != 16 for c in comps)
@@ -127,7 +130,23 @@ def partition_from_json(reps: list, length: int) -> tuple:
                          % (k, "an extended" if even else "a",
                             word_hex(comps[k][i], length),
                             word_hex(comps[k][j], length), dist[k, i, j]))
+    if list(comps) != sorted(comps):
+        raise ValueError("components are not in increasing order: least "
+                         "words %s" % " ".join(word_hex(c[0], length)
+                                               for c in comps))
     return comps
+
+
+def classes_from_json(entries: list, length: int) -> list:
+    """Each class entry read at its length; ValueError names the class."""
+    out = []
+    for c in entries:
+        try:
+            out.append(ExtClass.from_json(c) if length == 8 else
+                       partition_from_json(c["representative"], 7))
+        except ValueError as e:
+            raise ValueError("class %d: %s" % (c["id"], e)) from e
+    return out
 
 
 class TranslationAction(NamedTuple):
@@ -267,28 +286,23 @@ class Atlas:
         """Parse an atlas; ValueError, naming the class where there is
         one, unless the class ids are 0..n-1, every class has eight
         16-word components partitioning the 128 even words of length 8,
-        each of minimum distance 4 (an extended perfect code), exactly
-        one class is flagged linear, a partition into the cosets of one
-        linear code, and the length-7 census agrees with the
-        classes: one positive orbit size per length-7 class they name,
-        summing to partition7Count, and merged lists the classes that
-        contain more than one length-7 class."""
+        each of minimum distance 4 (an extended perfect code), listed
+        in increasing order of their least words, exactly one class is
+        flagged linear, a partition into the cosets of one linear code,
+        and the length-7 census agrees with the classes: one positive
+        orbit size per length-7 class they name, summing to
+        partition7Count, and merged lists the classes that contain more
+        than one length-7 class."""
         entries = sorted(d["classes"], key=lambda c: c["id"])
         ids = [c["id"] for c in entries]
         if (any(type(i) is not int for i in ids)
                 or ids != list(range(len(entries)))):
             raise ValueError("class ids are not 0..%d" % (len(entries) - 1))
-        classes = []
-        for c in entries:
-            try:
-                classes.append(ExtClass.from_json(c))
-            except ValueError as e:
-                raise ValueError("class %d: %s" % (c["id"], e)) from e
-        count, sizes = d["partition7Count"], list(d["orbitSizes7"])
+        classes = classes_from_json(entries, 8)
+        sizes = check_census7(d, sorted(i for c in classes
+                                        for i in c.length7_classes))
         merged = [tuple(m) for m in d["merged"]]
         atlas = cls(classes, sizes)
-        check_census7(count, sizes, sorted(i for c in atlas.classes
-                                           for i in c.length7_classes))
         if merged != atlas.merged:
             raise ValueError("merged %s does not list the classes with more "
                              "than one length-7 class" % (merged,))

@@ -127,7 +127,12 @@ def test_partitions_enumerate_length7(runner, tmp_path):
             (edited(3, swap), "class 3: component 0 is not a perfect code: "
              "words 00 and 06 lie at distance 2"),
             (edited(5, lambda c: c["representative"][2].update(length=8)),
-             "class 5: expected a length-7 code, got length 8")]:
+             "class 5: expected a length-7 code, got length 8"),
+            # sigma indexes components by position, so order is checked
+            (edited(1, lambda c: c["representative"].insert(
+                0, c["representative"].pop(1))),
+             "class 1: components are not in increasing order: least "
+             "words 01 00 02 03 08 09 0a 0b")]:
         with open(out, "w") as fh:
             json.dump(dict(d, **change), fh)
         res = runner.invoke(main, ["partitions", "classify", out])
@@ -242,8 +247,8 @@ def test_double_classifies_from_scratch_without_an_atlas(runner, tmp_path):
 def test_double_scan_sigma(runner, tmp_path, atlas_file):
     out = str(tmp_path / "rows.json")
     res = runner.invoke(main,
-                        ["double", "--source", "0", "--target", "0",
-                         "--scan-sigma", "--sample", "3", "--seed", "0",
+                        ["scan", "--source", "0", "--target", "0",
+                         "--sample", "3", "--seed", "0",
                          "--atlas", atlas_file, "--out", out])
     assert res.exit_code == 0
     lines = [l for l in res.output.splitlines() if l.startswith("sigma=")]
@@ -260,8 +265,8 @@ def test_double_scan_sigma(runner, tmp_path, atlas_file):
 def test_double_scan_sigma_rows_are_pinned(runner, tmp_path, atlas_file):
     out = tmp_path / "rows.json"
     res = runner.invoke(main,
-                        ["double", "--source", "0", "--target", "1",
-                         "--scan-sigma", "--sample", "3", "--seed", "5",
+                        ["scan", "--source", "0", "--target", "1",
+                         "--sample", "3", "--seed", "5",
                          "--atlas", atlas_file, "--out", str(out)])
     assert res.exit_code == 0, res.output
     assert res.output == ("sigma=14237560 rank=14 kernelDim=7\n"
@@ -298,8 +303,8 @@ def test_double_scan_sigma_rows_are_pinned(runner, tmp_path, atlas_file):
 def test_double_scan_sigma_exhaustive(runner, tmp_path, atlas, atlas_file):
     out = str(tmp_path / "rows.json")
     res = runner.invoke(main,
-                        ["double", "--source", "0", "--target", "3",
-                         "--scan-sigma", "--atlas", atlas_file, "--out", out])
+                        ["scan", "--source", "0", "--target", "3",
+                         "--atlas", atlas_file, "--out", out])
     assert res.exit_code == 0
     rows = read_json(out)
     assert len(rows) == 40320
@@ -369,23 +374,46 @@ def test_a_class_of_non_perfect_components_is_rejected(runner, tmp_path,
     assert sorted(os.listdir(tmp_path)) == ["swapped.json"]
 
 
+@pytest.mark.parametrize("args", [
+    lambda path, out: ["partitions", "classify", path],
+    lambda path, out: ["double", "--source", "0", "--target", "1", "--sigma",
+                       "01234567", "--atlas", path, "--out", out],
+    lambda path, out: ["scan", "--source", "0", "--target", "1", "--sample",
+                       "5", "--atlas", path, "--out", out],
+    lambda path, out: ["pipeline", "--pair", "0,1", "--atlas", path,
+                       "--out-dir", out],
+], ids=["classify", "double", "scan", "pipeline"])
+def test_components_out_of_order_are_rejected(runner, tmp_path, args):
+    # sigma matches components by position: with two of them swapped,
+    # (L, R, sigma) would name another code
+    with gzip.open(PINNED_ATLAS, "rt") as fh:
+        d = json.load(fh)
+    comps = next(c for c in d["classes"] if c["id"] == 1)["representative"]
+    comps[0], comps[1] = comps[1], comps[0]
+    bad = tmp_path / "reordered.json"
+    bad.write_text(json.dumps(d))
+    res = runner.invoke(main, args(str(bad), str(tmp_path / "out")))
+    _clean_error(res, "class 1: components are not in increasing order")
+    assert sorted(os.listdir(tmp_path)) == ["reordered.json"]
+
+
 def test_double_usage_errors(runner, atlas_file):
     res = runner.invoke(main, ["double", "--source", "0", "--target", "0",
                                "--atlas", atlas_file])
     assert res.exit_code == 2
-    assert "either --sigma or --scan-sigma" in res.output
+    assert "Missing option '--sigma'" in res.output
     res = runner.invoke(main, ["double", "--source", "0", "--target", "0",
                                "--sigma", "0123456x", "--atlas", atlas_file,
                                "--out", "x.json"])
     assert res.exit_code == 2
 
 
-_DOUBLE_SCAN = ["double", "--source", "1", "--target", "3", "--scan-sigma"]
+_SCAN = ["scan", "--source", "1", "--target", "3"]
 
 
 @pytest.mark.parametrize("args, option", [
-    (_DOUBLE_SCAN + ["--seed", "-1"], "--seed"),
-    (_DOUBLE_SCAN + ["--sample", "-2"], "--sample"),
+    (_SCAN + ["--seed", "-1"], "--seed"),
+    (_SCAN + ["--sample", "-2"], "--sample"),
     (["pipeline", "--seed", "-1"], "--seed"),
     (["pipeline", "--sample", "0"], "--sample"),
 ], ids=["double-seed", "double-sample", "pipeline-seed", "pipeline-sample"])
@@ -488,6 +516,7 @@ def _forbid(monkeypatch, owner, *names):
     ["partitions", "enumerate", "--length", "7", "--out"],
     ["double", "--source", "0", "--target", "0", "--sigma", "01234567",
      "--out"],
+    ["scan", "--source", "0", "--target", "0", "--out"],
     ["analyze", "CODE", "--out"],
     ["sts-types", "CODE", "--csv"],
     ["verify-theorem5", "CODE", "--report"],
@@ -525,22 +554,22 @@ _BAD_OPTIONS = {
                          "Invalid value for '--sigma': not a permutation"),
     "sigma-repeats": (_DOUBLE + ["--sigma", "01234566", "--out", "c.json"],
                       "Invalid value for '--sigma': not a permutation"),
-    "no-mode": (_DOUBLE + ["--out", "c.json"],
-                "either --sigma or --scan-sigma is required"),
+    "no-mode": (_DOUBLE + ["--out", "c.json"], "Missing option '--sigma'"),
+    # click quotes the unknown option in wording that varies by version
     "both-modes": (_DOUBLE + ["--sigma", "01234567", "--scan-sigma",
-                              "--out", "c.json"], "not both"),
+                              "--out", "c.json"], "No such option"),
     "sigma-without-out": (_DOUBLE + ["--sigma", "01234567"],
-                          "--out is required when building one code"),
+                          "Missing option '--out'"),
     "sigma-with-sample": (_DOUBLE + ["--sigma", "01234567", "--sample", "5",
                                      "--out", "c.json"],
-                          "--sample applies to --scan-sigma only"),
+                          "No such option"),
     "sigma-with-seed": (_DOUBLE + ["--sigma", "01234567", "--seed", "3",
                                    "--out", "c.json"],
-                        "--seed applies to --scan-sigma only"),
-    # an explicit --seed is refused even at its default value
+                        "No such option"),
+    # scanning options are refused whatever their value
     "sigma-with-seed-0": (_DOUBLE + ["--sigma", "01234567", "--seed", "0",
                                      "--out", "c.json"],
-                          "--seed applies to --scan-sigma only"),
+                          "No such option"),
     # class ids are checked against the atlas, so it is loaded for these
     "pair-out-of-range": (_PIPELINE + ["--pair", "0,42"],
                           "Invalid value for '--pair': class 42 out of "
@@ -552,8 +581,8 @@ _BAD_OPTIONS = {
                              "--sigma", "01234567", "--out", "c.json"],
                             "Invalid value for '--source': class 12 out of "
                             "range 0..9"),
-    "target-out-of-range": (["double", "--source", "0", "--target", "10",
-                             "--scan-sigma", "--out", "c.json"],
+    "target-out-of-range": (["scan", "--source", "0", "--target", "10",
+                             "--out", "c.json"],
                             "Invalid value for '--target': class 10 out of "
                             "range 0..9"),
 }

@@ -303,9 +303,15 @@ def test_orbit_classes_rank_by_orbit_minimum(atlas):
     assert list(c.sizes) == [30, 630, 420]
     assert list(c.reps) == [420, 450, 0]
     assert list(c.class_of[[0, 419, 420, 449, 450, 1079]]) == [2, 2, 0, 0, 1, 1]
-    minima = [canonical_form(code_table(7)[ids[r]]) for r in c.reps]
+
+    def least_row(p):
+        """The least relabeled row of the orbit of a partition."""
+        return min(row.tobytes() for row in row_orbit(
+            relabel_np(partition_col(p, 128)), gens))
+
+    minima = [least_row(code_table(7)[ids[r]]) for r in c.reps]
     assert minima == sorted(minima) == [
-        canonical_form(_punctured7(atlas.classes[k])) for k in (0, 2, 5)]
+        least_row(_punctured7(atlas.classes[k])) for k in (0, 2, 5)]
 
 
 def test_orbit_pass_rejects_an_incomplete_set(atlas):
@@ -463,6 +469,13 @@ def test_atlas_json_roundtrip(atlas, tmp_path):
      r"classes \[0, 1.0, .*expected each of 0..10"),
     (lambda d: d["classes"][1].update(id=True), "class ids are not 0..9"),
     (lambda d: d["classes"][1].update(id=1.0), "class ids are not 0..9"),
+    # sigma matches components by position, so a reordered class would
+    # double into another code under the same (L, R, sigma)
+    (lambda d: d["classes"][1]["representative"].insert(
+        0, d["classes"][1]["representative"].pop(1)),
+     "class 1: components are not in increasing order: least words"),
+    (lambda d: d["classes"][5]["representative"].reverse(),
+     "class 5: components are not in increasing order"),
 ], ids=["no-linear", "two-linear", "nonlinear-flagged", "id-gap",
         "count-not-int", "count-not-sum", "count-float", "sizes-string",
         "size-zero", "size-bool", "size-extra", "size-missing",
@@ -472,7 +485,8 @@ def test_atlas_json_roundtrip(atlas, tmp_path):
         "component-length-float", "component-of-15-words",
         "seven-components", "linear-string", "linear-string-false",
         "linear-int", "alias-list", "alias-int", "length7-class-bool",
-        "length7-class-float", "id-bool", "id-float"])
+        "length7-class-float", "id-bool", "id-float", "components-swapped",
+        "components-reversed"])
 def test_atlas_from_json_checks_ids_and_linear_flag(atlas, change, message):
     d = json.loads(json.dumps(atlas.to_json()))
     change(d)

@@ -125,6 +125,26 @@ def test_find_representatives_work_counts(atlas, monkeypatch):
     assert all(len(c.signatures) == 1 for c in rejected)
 
 
+def test_find_representatives_stops_once_every_kernel_is_settled(
+        atlas, monkeypatch):
+    # the priority pairs settle every prescribed kernel dimension at 100
+    # permutations a pair, so a pair listed after them is never scanned
+    scanned = []
+    scan_pair_ = scan.scan_pair
+    monkeypatch.setattr(scan, "scan_pair", lambda atlas, left, right, sigmas:
+                        scanned.append((left, right))
+                        or scan_pair_(atlas, left, right, sigmas))
+
+    def recipes(found):
+        return {k: (c.left, c.right, c.sigma) for k, c in found.items()}
+
+    found = find_representatives(atlas, pairs=PRIORITY_PAIRS + ((2, 2),),
+                                 per_pair=100, seed=0)
+    assert scanned == list(PRIORITY_PAIRS)
+    assert recipes(found) == recipes(find_representatives(
+        atlas, pairs=PRIORITY_PAIRS, per_pair=100, seed=0))
+
+
 def test_fully_tabulated_matches_type_grid(atlas):
     outcomes = set()
     for k in range(50):
@@ -144,7 +164,7 @@ def test_scan_row_frozen():
         r.rank = 5
 
 
-def test_doubled_invariants_match_brute_on_every_pair(atlas):
+def test_pair_invariants_match_brute_on_every_pair(atlas):
     n = len(atlas.classes)
     for left in range(n):
         for right in range(n):
@@ -155,7 +175,7 @@ def test_doubled_invariants_match_brute_on_every_pair(atlas):
                     code.label
 
 
-def test_doubled_invariants_match_brute_on_witnesses(atlas, witnesses):
+def test_pair_invariants_match_brute_on_witnesses(atlas, witnesses):
     for kappa, (left, right, sig) in KAPPA_WITNESSES.items():
         row, = scan_pair(atlas, left, right, [sig])
         got = (row.rank, row.kernel)
@@ -164,7 +184,7 @@ def test_doubled_invariants_match_brute_on_witnesses(atlas, witnesses):
 
 
 @pytest.mark.parametrize("pair", [(5, 1), (1, 5), (9, 0), (0, 0)])
-def test_doubled_invariants_match_perm_counts_on_every_sigma(atlas, pair):
+def test_pair_invariants_match_perm_counts_on_every_sigma(atlas, pair):
     # between groups of order 16 and 4 the two orders take both
     # conjugation directions and both sides' W; then the trivial group,
     # and rank 3 on both sides (7 sets of W against 16 of U)
@@ -173,7 +193,7 @@ def test_doubled_invariants_match_perm_counts_on_every_sigma(atlas, pair):
                 == perm_count_invariants(atlas, *pair, row.sigma)), row.sigma
 
 
-def test_doubled_invariants_match_perm_counts_on_every_pair(atlas):
+def test_pair_invariants_match_perm_counts_on_every_pair(atlas):
     n = len(atlas.classes)
     for left in range(n):
         for right in range(n):
@@ -214,8 +234,7 @@ def test_overlapping_components_are_rejected(atlas, tmp_path):
 
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(d))
-    res = CliRunner().invoke(main, ["double", "--source", "0", "--target",
-                                    "1", "--scan-sigma", "--sample", "1",
-                                    "--atlas", str(path)])
+    res = CliRunner().invoke(main, ["scan", "--source", "0", "--target", "1",
+                                    "--sample", "1", "--atlas", str(path)])
     assert res.exit_code == 1
     assert "class 2: components do not partition" in res.output
