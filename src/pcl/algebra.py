@@ -5,10 +5,11 @@ invariant under translation of C, always contains 0, and for the codes
 built here always contains ffff.
 
 A subspace of the kernel is held as its echelon basis
-(words.echelon_basis), and cosets decomposes a code into its cosets.
-kernel_cosets is the one entry point to the kernel itself: it computes
-the kernel words, checks once that they are the span of their basis,
-and keeps the kernel cosets on the code.
+(words.echelon_basis), and cosets decomposes a code into its cosets,
+checked once and read-only after.  kernel_cosets is the one entry point
+to the kernel itself: it computes the kernel words, checks once that
+they are the span of their basis, and keeps the kernel cosets on the
+code.
 
 A DoublingPair table, one per ordered class pair, reads a doubled
 code's kernel dimension off the intersection of its classes'
@@ -189,15 +190,18 @@ class DoublingPair(NamedTuple):
         return results[passed]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CosetDecomposition:
     """Cosets of a kernel subspace inside a code: the subspace's echelon
-    basis, the cosets' least words in increasing order, and the coset
-    number of every codeword, aligned with code.words."""
+    basis and the cosets' least words in increasing order, read-only.
+
+    The package builds one only in cosets, after checking every spanning
+    word, so a decomposition in hand is certified: each coset r_i + L
+    lies whole in the code.  Folding and typing rely on that and check
+    it no further."""
 
     basis: tuple
     reps: np.ndarray
-    word_coset: np.ndarray
 
 
 def cosets(code: Code, basis) -> CosetDecomposition:
@@ -208,19 +212,19 @@ def cosets(code: Code, basis) -> CosetDecomposition:
     eliminated once into the echelon basis the decomposition keeps.
     C + b = C for every spanning word b gives C + s = C for every s in
     the span, so a coset of the subspace that meets C lies in C: every
-    coset is whole.  Representatives are the lexicographic minima
-    (words.coset_minima), numbered in increasing order; np.unique of
-    the minima gives the representatives and, as its inverse, every
-    word's coset.
+    coset is whole, and the code is the disjoint union of r_i + L.
+    Representatives are the lexicographic minima (words.coset_minima),
+    numbered in increasing order; the codewords are distinct, so the
+    sorted minima repeat each one |L| times in a row.
     """
     words, pos = code.words, code.neighbours
     for b in basis:
         if not (pos[words ^ np.uint16(b)] == AT_CODE).all():
             raise ValueError("subspace is not contained in the kernel")
     basis = echelon_basis(basis)
-    reps, inverse = np.unique(coset_minima(words, basis),
-                              return_inverse=True)
-    return CosetDecomposition(basis, reps, inverse)
+    reps = np.sort(coset_minima(words, basis))[::1 << len(basis)]
+    reps.flags.writeable = False
+    return CosetDecomposition(basis, reps)
 
 
 def kernel_cosets(code: Code) -> CosetDecomposition:
@@ -229,7 +233,8 @@ def kernel_cosets(code: Code) -> CosetDecomposition:
 
     That the kernel is a subspace is asserted, not assumed: the sorted
     kernel_words must equal the span of their echelon basis, which fails
-    on a set that is not xor-closed and on a repeated word alike.
+    on a set that is not xor-closed and on a repeated word alike.  This
+    is the one place a decomposition is attached to a code.
     """
     if code.kernel_cosets is None:
         kw = kernel_words(code)

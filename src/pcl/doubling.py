@@ -29,23 +29,23 @@ class Code:
     """A doubled code plus the recipe that produced it: the class ids
     and sigma, a permutation of 0..7 as 8 bytes (words.sigma_bytes).
 
-    signatures caches, keyed by the codeword typed, the 16 sorted
-    per-point Pasch signatures sts has computed at it.  sts's one coset
-    walk, code_type_grid, types each kernel coset at its least word, and
-    the scan's verdict reads that walk, so a kept code is not typed again
-    for its grid.  kernel_cosets caches the decomposition into kernel
-    cosets once algebra.kernel_cosets has computed it; its basis is the
-    kernel's echelon basis.  neighbours is the one table over the words
-    of length 16, built when first read.
+    The caches are not constructor arguments.  signatures holds, keyed
+    by the codeword typed, the 16 sorted per-point Pasch signatures sts
+    has computed at it; sts's one coset walk, code_type_grid, types each
+    kernel coset at its least word, and the scan's verdict reads that
+    walk, so a kept code is not typed again for its grid.  kernel_cosets
+    is the sealed decomposition into kernel cosets, attached only by
+    algebra.kernel_cosets once it has checked it.  neighbours is the one
+    table over the words of length 16, built when first read.
     """
 
     words: np.ndarray
     left: int | None = None
     right: int | None = None
     sigma: bytes | None = None
-    signatures: dict = field(default_factory=dict, repr=False)
+    signatures: dict = field(default_factory=dict, init=False, repr=False)
     kernel_cosets: CosetDecomposition | None = field(default=None,
-                                                     repr=False)
+                                                     init=False, repr=False)
 
     @cached_property
     def neighbours(self) -> np.ndarray:

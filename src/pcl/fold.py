@@ -13,18 +13,12 @@ vertex; a weight-4 difference between cosets becomes an edge labeled by
 its support, and weight-4 words inside L itself become loops.  Loop
 labels are therefore the same at every vertex.
 
-The fold is checked by coset membership: every word filed under coset
-i lies in r_i + L.  By linearity that implies the covering property:
-for cosets r_i + L and r_j + L of the code, every difference u ^ v lies
-in r_i ^ r_j + L.  A row u ^ (r_j + L) of the difference table then
-holds |L| distinct words of that coset, so it is the whole coset, and so
-is every column.  Each label of the edge therefore appears exactly once
-in every row and every column, which is the weaker statement that all
-rows and columns carry the same labels; and the labels depend only on
-r_i ^ r_j + L.  The membership check also covers a fold with a single
-vertex, where there is no pair of cosets to check.
-
-The fold therefore computes the labels once per class r_i ^ r_j + L,
+The fold needs no check of its own.  algebra.cosets certifies that the
+code is the disjoint union of whole cosets r_i + L, so for cosets r_i +
+L and r_j + L every difference u ^ v lies in r_i ^ r_j + L, and a row or
+column of their difference table is that whole coset.  Each label of the
+edge appears exactly once in every row and every column, and the labels
+depend only on r_i ^ r_j + L; the fold computes them once per class,
 keyed by its least word.  No two classes share a label, since a shared
 word would put both differences in one coset of L.
 """
@@ -115,26 +109,15 @@ def quotient_graph(code: Code, basis=None) -> SqsGraph:
     """Fold over a kernel subspace, spanned by the words of basis
     (algebra.cosets); the whole kernel when basis is None.
 
-    The code's words are sorted by coset number into the rows of a
-    members array, and row i shifted by r_i and sorted must equal L; the
-    codewords are distinct, so that says row i lies in r_i + L, which
-    implies the covering property on every coset pair (see the module
-    docstring).  It fails when a word is numbered into the wrong row.
-    Every pair is then keyed by the least word of r_i ^ r_j + L, and the
+    Every pair is keyed by the least word of r_i ^ r_j + L, and the
     labels of each class are the weight-4 words of key ^ L, read off one
-    (classes, |L|) array.
+    (classes, |L|) array.  The covering property that makes this sound
+    follows from the decomposition's own check (module docstring).
     """
     dec = kernel_cosets(code) if basis is None else cosets(code, basis)
     reps = dec.reps
     m = len(reps)
     sub = np.array(xor_closure(dec.basis), dtype=np.uint16)
-    by_coset = np.argsort(dec.word_coset, kind="stable")
-    members = code.words[by_coset].reshape(m, len(sub))
-    bad = (np.sort(members ^ reps[:, None], axis=1) != sub).any(axis=1)
-    if bad.any():
-        raise AssertionError("covering property fails: coset %d holds a "
-                             "word outside its representative's coset"
-                             % int(np.argmax(bad)))
     # the diagonal's key 0 is the least, so L itself is class 0
     keys, pair_class = np.unique(
         coset_minima(reps[:, None] ^ reps[None, :], dec.basis),

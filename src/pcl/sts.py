@@ -28,18 +28,20 @@ derived_sts and pasch_profile are readers of the same tables for one
 system, a sorted tuple of 35 triple masks, and its 15 per-point counts;
 no stage calls them, and they keep their names for perfbench's tracer.
 
-code_type_grid is the one typing routine and the one walk over the
-kernel cosets: it lazily yields each coset's representative and type
-tuple, checked coset-independent by class_type_tuple, and type_grid
-renders the tuples once, "?" for an untabulated entry, into the TypeGrid
-that the commands print and write; its summary compares the signatures
-themselves, so two different untabulated systems are not alike.
-fully_tabulated reads the same walk up to the first vertex with an
-untabulated system, which is what the representative scan needs; it
-types the least codeword before it computes the kernel, so most
-rejected codes never need one.  Each
-vertex's signatures are kept on the code (Code.signatures), so a code
-the scan kept is not typed again when its grid is written.
+A type tuple is one per kernel coset: a kernel word k has C + k = C,
+so Code.neighbours[w ^ k] == Code.neighbours[w] at every odd w, and the
+fourth-point tables at v and v ^ k agree.  class_type_tuple therefore
+types a coset at any one of its words.  code_type_grid is the one walk
+over the kernel cosets: it lazily yields each coset's representative
+and type tuple, the least codeword's before the kernel is computed.
+type_grid renders the tuples once, "?" for an untabulated entry, into
+the TypeGrid that the commands print and write; its summary compares
+the signatures themselves, so two different untabulated systems are not
+alike.  fully_tabulated reads the walk up to the first vertex with an
+untabulated system, so most codes the representative scan rejects never
+need a kernel.  Each vertex's signatures are kept on the code
+(Code.signatures), so a code the scan kept is not typed again when its
+grid is written.
 """
 
 from __future__ import annotations
@@ -91,17 +93,12 @@ def type_char(t) -> str:
 
 
 @lru_cache(maxsize=None)
-def _triples() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 3360 ordered triples of distinct points of a 16^3 table.
-
-    Returns their flat positions, their masks e_a ^ e_b ^ e_c, and the
-    masks of the 560 increasing triples, one per unordered triple.
-    """
+def _triples() -> tuple[np.ndarray, np.ndarray]:
+    """The 3360 ordered triples of distinct points of a 16^3 table: their
+    flat positions and their masks e_a ^ e_b ^ e_c."""
     a, b, c = np.indices((16, 16, 16)).reshape(3, -1)
     at = np.flatnonzero((a != b) & (a != c) & (b != c))
-    a, b, c = a[at], b[at], c[at]
-    masks = (1 << a) ^ (1 << b) ^ (1 << c)
-    return at, masks, masks[(a < b) & (b < c)]
+    return at, (1 << a[at]) ^ (1 << b[at]) ^ (1 << c[at])
 
 
 def fourth_point_table(code: Code, v: int) -> np.ndarray:
@@ -114,7 +111,7 @@ def fourth_point_table(code: Code, v: int) -> np.ndarray:
     Code.neighbours gives d; its construction checked the SQS(16)
     property at every codeword at once.
     """
-    at, masks, _ = _triples()
+    at, masks = _triples()
     q = np.full(4096, -1, dtype=np.int8)
     q[at] = code.neighbours[masks ^ v]
     return q.reshape(16, 16, 16)
@@ -191,13 +188,15 @@ def pasch_profile(triples) -> tuple:
     return tuple(pasch_per_point(third[None])[0].tolist())
 
 
-def _vertex_types(code: Code, v: int) -> tuple:
-    """Types of the 16 derived systems at codeword v, None when untabulated.
+def class_type_tuple(code: Code, v: int) -> tuple:
+    """Type tuple of the kernel coset of codeword v: the types of the 16
+    derived systems at v, None when untabulated.
 
     Entry i types the system at point i by its signature, its per-point
     counts sorted nonincreasing; point i itself is on no line of it, so
     its 0 sorts last and is dropped.  The 16 signatures are computed in
-    one pass and kept on the code under v.
+    one pass and kept on the code under v.  Every word of the coset has
+    the same fourth-point table (module docstring), so v stands for it.
     """
     sigs = code.signatures.get(v)
     if sigs is None:
@@ -207,31 +206,15 @@ def _vertex_types(code: Code, v: int) -> tuple:
     return tuple(_TYPE_OF.get(s) for s in sigs)
 
 
-def class_type_tuple(code: Code, rep: int) -> tuple:
-    """Type tuple of a kernel coset, checked to be coset-independent.
-
-    Entry i types the derived system at coordinate i, None when its
-    signature is not in the table.  The weight-4 difference set at v and
-    at v+k coincides for kernel k, which forces equal derived systems at
-    every coordinate; the basis translates of the representative certify
-    the whole coset, their fourth-point tables compared on the 560
-    neighbour-table entries of the unordered triples.
-    """
-    tup = _vertex_types(code, rep)
-    at = np.array((0,) + kernel_cosets(code).basis, dtype=np.intp) ^ rep
-    fourth = code.neighbours[at[:, None] ^ _triples()[2]]
-    if not (fourth == fourth[0]).all():
-        raise AssertionError("type tuple differs inside a kernel coset")
-    return tup
-
-
 def code_type_grid(code: Code) -> Iterator[tuple[int, tuple]]:
     """(representative, type tuple) per kernel coset, in coset order.
 
-    Lazy, so a reader may stop early; each tuple is certified
-    coset-independent by class_type_tuple as it is yielded.
+    Lazy, so a reader may stop early.  The least codeword is always the
+    first representative, so it is typed before the kernel is computed.
     """
-    for r in kernel_cosets(code).reps.tolist():
+    v = int(code.words.min())
+    yield v, class_type_tuple(code, v)
+    for r in kernel_cosets(code).reps[1:].tolist():
         yield r, class_type_tuple(code, r)
 
 
@@ -263,15 +246,6 @@ def type_grid(code: Code) -> TypeGrid:
 
 
 def fully_tabulated(code: Code) -> bool:
-    """Whether every punctured system of every vertex has a tabulated type.
-
-    Types the least codeword before the kernel is computed, so most
-    rejected codes never need one; it is always the first coset
-    representative, so its tuple is not computed twice.  Then reads
-    code_type_grid up to the first vertex with a miss, so rejecting a
-    code is much cheaper than building its full type grid, and every
-    coset it reads is certified.
-    """
-    if None in _vertex_types(code, int(code.words[0])):
-        return False
+    """Whether every punctured system of every vertex has a tabulated
+    type: code_type_grid read up to the first vertex with a miss."""
     return all(None not in tup for _, tup in code_type_grid(code))

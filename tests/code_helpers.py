@@ -8,10 +8,12 @@ Code.neighbours; occupancy marks the codewords in a table of its own, so
 membership tests do not read the table they check;
 enumerate_pair_partitions, pair_masks and product build the
 pair-partition products that structure.decompose_mixed recognizes;
-in_span and coset_of test membership in the span of a basis and in the
-cosets of a decomposition; half_pure_subgroup is the oracle of the
+in_span tests membership in the span of a basis, and coset_numbers and
+coset_of file codewords into the cosets of a decomposition by span
+membership, not by coset minima; half_pure_subgroup is the oracle of the
 subgroup structure folds over at kappa = 9; perm_count_invariants is the
-oracle of the scan.scan_pair rows, which algebra.DoublingPair evaluates.
+oracle of the scan.scan_pair rows, which algebra.DoublingPair evaluates;
+switched_code builds extended 1-perfect codes outside the doubling.
 """
 
 from collections import Counter
@@ -20,6 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
+from pcl.doubling import Code
 from pcl.fano import PairPartition
 from pcl.perfect import puncture
 from pcl.words import (echelon_basis, mask_of, points_of, rank_gf2,
@@ -128,12 +131,25 @@ def half_pure_subgroup(kw: np.ndarray) -> np.ndarray:
     return span
 
 
+def coset_numbers(code, dec) -> np.ndarray:
+    """The i with w in reps[i] + span(basis) for each codeword w, aligned
+    with code.words; AssertionError when a codeword is in none."""
+    index = np.full(1 << 16, -1, dtype=np.int64)
+    span = np.array(xor_closure(dec.basis), dtype=np.uint16)
+    for i, r in enumerate(dec.reps):
+        index[span ^ r] = i
+    number = index[code.words]
+    if (number < 0).any():
+        raise AssertionError("a codeword lies in no coset")
+    return number
+
+
 def coset_of(code, dec, w: int) -> int:
     """The coset of a decomposition of code that holds codeword w."""
     at = np.flatnonzero(code.words == w)
     if not len(at):
         raise KeyError("word %04x is not in the code" % w)
-    return int(dec.word_coset[at[0]])
+    return int(coset_numbers(code, dec)[at[0]])
 
 
 @lru_cache(maxsize=None)
@@ -173,3 +189,50 @@ def perm_count_invariants(atlas, left: int, right: int, sigma) -> tuple:
     blocks = [(lr[i] | rr[sigma[i]] << 8) ^ r0 for i in range(1, 8)]
     return (rank_gf2(list(ld) + [d << 8 for d in rd] + blocks),
             size.bit_length() - 1)
+
+
+@lru_cache(maxsize=None)
+def _hamming15() -> tuple:
+    """The length-15 Hamming code, bit j standing for point j + 1 of
+    PG(3, 2) (the words whose points xor to 0), and for each coordinate
+    i the span of its 7 weight-3 words through i, its minimal
+    i-component through 0 (128 words)."""
+    w = np.arange(1 << 15)
+    syndrome = np.zeros_like(w)
+    for j in range(15):
+        syndrome ^= ((w >> j) & 1) * (j + 1)
+    lines = [[(1 << i) | (1 << a) | (1 << (((i + 1) ^ (a + 1)) - 1))
+              for a in range(15) if a != i] for i in range(15)]
+    return (w[syndrome == 0].astype(np.uint16),
+            tuple(np.array(xor_closure(ls), dtype=np.uint16) for ls in lines))
+
+
+def switched_code(rng, rounds: int) -> Code:
+    """An extended 1-perfect code of length 16 built without doubling.
+
+    Vasil'ev switching: rounds pairwise disjoint i-components c + K_i of
+    the length-15 Hamming code, each for a random codeword c and
+    coordinate i, are moved by e_i (a component meeting one already
+    taken is drawn again), and a parity bit is appended at coordinate
+    15.  Disjoint components switch independently, since their radius-1
+    balls stay where they were; the result is still checked by
+    is_extended_perfect16.
+    """
+    ham, components = _hamming15()
+    taken = np.zeros(1 << 15, dtype=bool)
+    moves = np.zeros(1 << 15, dtype=np.uint16)
+    for _ in range(rounds):
+        for _ in range(1000):
+            i = int(rng.integers(15))
+            part = components[i] ^ rng.choice(ham)
+            if not taken[part].any():
+                break
+        else:
+            raise ValueError("no free component in 1000 draws")
+        taken[part] = True
+        moves[part] = 1 << i
+    words = ham ^ moves[ham]
+    words |= (np.bitwise_count(words) & 1).astype(np.uint16) << 15
+    if not is_extended_perfect16(words):
+        raise AssertionError("switching left the extended perfect codes")
+    return Code(np.sort(words))

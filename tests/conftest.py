@@ -5,10 +5,13 @@ artifacts; both are built once per session.  No test reads a wall time:
 results must not depend on machine speed.
 """
 
+import numpy as np
 import pytest
 
 from pcl.partitions import build_atlas
 from pcl.scan import find_representatives, make_code
+
+from code_helpers import switched_code
 
 # Class pairs and permutations recovered by earlier scans; each yields
 # the stated kernel dimension and is exercised end to end in the tests.
@@ -20,6 +23,9 @@ KAPPA_WITNESSES: dict[int, tuple[int, int, str]] = {
     6: (0, 3, "52637140"),
     5: (1, 3, "41056327"),
 }
+
+# switching rounds of each code of the seeded corpus outside the doubling
+SWITCH_ROUNDS = (1, 1, 2, 2, 3, 3, 4, 5, 6, 8, 10)
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +49,9 @@ def found(atlas):
 def witnesses(atlas):
     return {k: make_code(atlas, left, right, sigma)
             for k, (left, right, sigma) in KAPPA_WITNESSES.items()}
+
+
+@pytest.fixture(scope="session")
+def switched():
+    rng = np.random.default_rng(0)
+    return [switched_code(rng, rounds) for rounds in SWITCH_ROUNDS]

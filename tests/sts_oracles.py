@@ -10,8 +10,9 @@ signature, the counts nonincreasing, and classify_type looks each up by
 it.  class_type_tuple_sorted certifies a coset by sorting the weight-4
 differences at its basis translates.  The package now reads the
 fourth-point table off Code.neighbours, types a vertex by one sort of
-its count table, and compares neighbour-table gathers instead; tests
-compare the two routes.
+its count table, and types a coset at its representative alone, since
+C + k = C makes the tables of a coset agree; tests compare the two
+routes.
 
 The package's second triple-system route is kept here too: check_sts,
 which checks triple masks to form a Steiner triple system, and

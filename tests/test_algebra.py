@@ -15,7 +15,8 @@ from pcl.scan import iter_sigmas, make_code
 from pcl.structure import split_sides
 from pcl.words import coset_minima, echelon_basis, rank_gf2, xor_closure
 
-from code_helpers import coset_of, half_pure_subgroup, in_span, occupancy
+from code_helpers import (coset_numbers, coset_of, half_pure_subgroup,
+                          in_span, occupancy)
 
 EXPECTED = {
     # kappa: (rank, weight4 split (left, right, mixed), half-pure dim)
@@ -75,8 +76,27 @@ def test_cosets_and_rank_match_the_oracles_on_every_pair(atlas, witnesses):
             dec = cosets(fresh, sub)
             reps, word_coset = cosets_loop(fresh, sub)
             assert np.array_equal(dec.reps, reps), code.label
-            assert np.array_equal(dec.word_coset, word_coset), code.label
+            assert np.array_equal(coset_numbers(fresh, dec), word_coset), \
+                code.label
         assert rank_of(fresh) == rank_brute(fresh), code.label
+
+
+def test_switched_codes_match_the_oracles(switched):
+    # codes no doubling gives: rank 15, and kappa 1 at rank 15
+    assert [(rank_of(c), len(kernel_cosets(c).basis)) for c in switched] \
+        == [(12, 7), (12, 7), (13, 4), (13, 4), (14, 2), (13, 5), (14, 3),
+            (14, 2), (15, 1), (14, 2), (15, 5)]
+    odd = np.flatnonzero(np.bitwise_count(np.arange(SPACE16)) % 2)
+    for code in switched:
+        assert np.array_equal(kernel_words(code), kernel_words_brute(code))
+        assert rank_of(code) == rank_brute(code)
+        dec = kernel_cosets(code)
+        reps, word_coset = cosets_loop(code, dec.basis)
+        assert np.array_equal(dec.reps, reps)
+        assert np.array_equal(coset_numbers(code, dec), word_coset)
+        # every odd word's neighbour, against a table of its own
+        near = odd ^ (1 << code.neighbours[odd].astype(np.intp))
+        assert occupancy(code.words)[near].all()
 
 
 def test_cosets_of_a_dependent_basis(witnesses):
@@ -170,10 +190,11 @@ def test_cosets(witnesses):
     assert coset_of(code, dec, 0) == 0
     with pytest.raises(KeyError):
         coset_of(code, dec, 1)
-    # every codeword's coset contains it
-    for w in code.words[::311]:
-        i = coset_of(code, dec, int(w))
-        assert in_span(basis, int(w) ^ int(dec.reps[i]))
+    # the cosets are whole and disjoint, each led by its least word
+    number = coset_numbers(code, dec)
+    assert np.bincount(number).tolist() == [512] * 4
+    assert [int(code.words[number == i].min()) for i in range(4)] \
+        == dec.reps.tolist()
 
 
 def test_coset_counts_scale_with_kappa(witnesses):
@@ -211,6 +232,24 @@ def test_coset_reps_helper(witnesses):
     assert kept is kernel_cosets(code)
     assert kept.basis == echelon_basis(kernel_words(code))
     assert np.array_equal(kept.reps, reps)
+
+
+def test_a_decomposition_is_sealed(witnesses):
+    # typing and folding trust a decomposition without re-checking it, so
+    # none can be altered after cosets checked it, nor handed to a code
+    code = witnesses[7]
+    for dec in (kernel_cosets(code), cosets(code, kernel_words(code)[:4])):
+        with pytest.raises(ValueError, match="read-only"):
+            dec.reps[1] = dec.reps[0]
+        with pytest.raises(AttributeError):
+            dec.basis = dec.basis[1:]
+        with pytest.raises(AttributeError):
+            dec.reps = dec.reps[::-1]
+    kept = kernel_cosets(code)
+    assert np.array_equal(kept.reps, cosets_loop(code, kept.basis)[0])
+    for cache in ({"kernel_cosets": kept}, {"signatures": {}}):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            Code(code.words.copy(), **cache)
 
 
 @pytest.mark.parametrize("kw", [[0, 3, 5], [0, 0]],

@@ -500,6 +500,16 @@ def test_is_linear_partition_on_malformed_components(atlas):
     assert not is_linear_partition(atlas.classes[0].components + ((),))
 
 
+def test_is_linear_partition_refuses_a_base_not_closed_under_xor():
+    # the translates of {0, 1, 2, 7} by the multiples of 4 tile F_2^8,
+    # like those of the subgroup {0, 1, 2, 3}; every tile is a translate
+    # of the one through 0, which only the closure test tells apart
+    for base, linear in (((0, 1, 2, 3), True), ((0, 1, 2, 7), False)):
+        tiles = tuple(tuple(w ^ t for w in base) for t in range(0, 256, 4))
+        assert sorted(w for tile in tiles for w in tile) == list(range(256))
+        assert is_linear_partition(tiles) is linear
+
+
 def test_atlas_json_schema_keys(atlas):
     d = atlas.to_json()
     assert set(d) == {"classes", "partition7Count", "orbitSizes7", "merged"}

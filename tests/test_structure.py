@@ -27,6 +27,19 @@ WITNESS_REPORTS = {
 }
 
 
+def test_full_report_refuses_switched_codes(switched):
+    refusals = []
+    for code in switched:
+        with pytest.raises(ValueError) as err:
+            full_report(code)
+        refusals.append(str(err.value))
+    odd = "label %s has odd left support; not a code in doubling coordinates"
+    dims = "loop and link prescriptions cover kernel dimensions 5..9, got %d"
+    assert refusals == [odd % "0198", odd % "021c", dims % 4, dims % 4,
+                        dims % 2, odd % "1980", dims % 3, dims % 2, dims % 1,
+                        dims % 2, odd % "8070"]
+
+
 def test_levels_and_worst():
     def overall(levels):
         verdicts = tuple(Verdict("v%d" % i, lv, "", "")

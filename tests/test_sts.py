@@ -30,7 +30,7 @@ from pcl.sts import (LETTERS, ROWS, class_type_tuple, code_type_grid,
                      derived_sts, fourth_point_table, fully_tabulated,
                      pasch_per_point, pasch_profile, render_tuple, type_char,
                      type_grid)
-from pcl.words import sigma_bytes
+from pcl.words import sigma_bytes, xor_closure
 
 from code_helpers import occupancy
 from sts_oracles import (blocks_at, check_sts, class_type_tuple_sorted,
@@ -209,7 +209,9 @@ def test_constant_grids(witnesses, monkeypatch):
         monkeypatch.setattr(sts, "code_type_grid", lambda code: [
             (v, tuple(map(classify_type, sigs)))
             for v, sigs in code.signatures.items()])
-        return type_grid(Code(None, signatures=dict(enumerate(signatures))))
+        code = Code(None)
+        code.signatures.update(enumerate(signatures))
+        return type_grid(code)
 
     def summary(signatures):
         grid = grid_of(signatures)
@@ -261,28 +263,32 @@ def test_vertex_and_class_tuples_agree(witnesses):
     assert render_tuple(class_type_tuple(code, v)) == "3" * 16
 
 
-def test_class_type_tuple_rejects_a_translate_outside_the_kernel(witnesses):
-    code = witnesses[5]
-    fresh = Code(code.words.copy(), code.left, code.right, code.sigma)
-    dec = kernel_cosets(fresh)
-    v = int(dec.reps[0])
-    assert class_type_tuple(fresh, v) == class_type_tuple(code, v)
-    outside = int(dec.reps[1]) ^ v
-    dec.basis += (outside,)
-    with pytest.raises(AssertionError, match="differs inside a kernel coset"):
-        class_type_tuple(fresh, v)
+def test_kernel_words_fix_the_neighbour_table(witnesses):
+    # C + k = C puts w ^ k next to a codeword in the same direction as w,
+    # which is why class_type_tuple types a whole coset at one word
+    odd = np.flatnonzero(np.bitwise_count(np.arange(1 << 16)) % 2)
+    for kappa in (5, 9):
+        code = witnesses[kappa]
+        for k in kernel_cosets(code).basis:
+            assert np.array_equal(code.neighbours[odd ^ k],
+                                  code.neighbours[odd])
 
 
-def test_fully_tabulated_rejects_a_translate_outside_the_kernel(witnesses):
-    # the scan's verdict reads the checked coset walk, so a basis word
-    # outside the kernel is caught there too
-    code = witnesses[5]
-    assert fully_tabulated(code)
-    fresh = Code(code.words.copy(), code.left, code.right, code.sigma)
-    dec = kernel_cosets(fresh)
-    dec.basis += (int(dec.reps[1]) ^ int(dec.reps[0]),)
-    with pytest.raises(AssertionError, match="differs inside a kernel coset"):
-        fully_tabulated(fresh)
+def test_switched_codes_type_like_the_block_route(switched):
+    # a coset typed at its representative has the tuple the sorted
+    # difference sets certify, also at another of its words
+    rng = np.random.default_rng(4)
+    for code in switched:
+        dec = kernel_cosets(code)
+        span = xor_closure(dec.basis)
+        for r in rng.choice(dec.reps, 3, replace=False).tolist():
+            other = r ^ int(rng.choice(span[1:]))
+            assert (class_type_tuple(code, r) == class_type_tuple(code, other)
+                    == class_type_tuple_sorted(code, r)
+                    == vertex_types(code, other))
+        grid = list(code_type_grid(code))
+        assert [v for v, _ in grid] == dec.reps.tolist()
+        assert fully_tabulated(code) == all(None not in t for _, t in grid)
 
 
 def test_untabulated_signatures_regression(atlas):
