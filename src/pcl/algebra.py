@@ -13,9 +13,9 @@ code.
 
 A DoublingPair table, one per ordered class pair, reads a doubled
 code's kernel dimension off the intersection of its classes'
-translation groups, and its rank off the intersection of the
-annihilators of their null relations, without building it;
-scan.scan_pair is its one caller.  kernel_words computes the kernel
+translation groups, and its rank, 14 - j, off the dimension j of the
+right class's sets W_R that sigma carries into the left class's U_L,
+without building it; scan.scan_pair is its one caller.  kernel_words computes the kernel
 from the 2048 codewords, and rank_of the rank from its cosets; they
 serve codes loaded from files and are the test oracle of the table.
 kernel_words and cosets read membership off Code.neighbours (AT_CODE
@@ -107,32 +107,33 @@ class DoublingPair(NamedTuple):
 
     Rank: the codeword differences are spanned by the within-component
     differences of L and of R, each in its own half, and by the blocks
-    (x_i + x_0, y_sigma(i) + y_sigma(0)) of residues, i = 1..7.  These
-    span 7 - dim(N_L & sigma^-1 N_R), N_L and N_R the null relations of
-    TranslationAction and sigma^-1 S = {i : sigma(i) in S}.  The
-    annihilator of that meet in F_2^8 is U_L + sigma^-1 U_R, of
-    dimension (r_L + 1) + (r_R + 1) - dim(U_L & sigma^-1 U_R), and
-    U_L & sigma^-1 U_R is {0, all eight} plus the sets sigma^-1(w), w in
-    W_R, that lie in U_L (all eight is in neither W).  Hence
+    (x_i + x_0, y_sigma(i) + y_sigma(0)) of residues, i = 1..7.  Modulo
+    the differences, the blocks span 7 - dim(N_L & sigma^-1 N_R), N_L
+    and N_R the null relations of TranslationAction and sigma^-1 S =
+    {i : sigma(i) in S}.  The annihilator of that meet in F_2^8 is U_L +
+    sigma^-1 U_R, of dimension (r_L + 1) + (r_R + 1) - dim(U_L &
+    sigma^-1 U_R), and U_L & sigma^-1 U_R is {0, all eight} plus the
+    sets sigma^-1(w), w in W_R, that lie in U_L (all eight is in neither
+    W).  With j the dimension of that meet beyond {0, all eight}, the
+    blocks span r_L + r_R - j, and the differences of a class span 7 - r
+    (TranslationAction), so
 
-        rank = delta_L + delta_R + r_L + r_R
-               - log2 #{w in W_R : sigma^-1(w) in U_L}.
+        rank = 14 - j,  j = log2 #{w in W_R : sigma^-1(w) in U_L}.
 
-    The count is the same from either side, so the smaller W is the one
-    carried.  With r = 0 on either side W = {0} or U = {0, all eight},
-    and the count is 1.
+    Range: each component is a translate of an extended Hamming code, of
+    dimension 4 and holding all ones, so r <= 3 and f >= 2 on each side:
+    rank 11..14 (j <= min(r_L, r_R)) and kernel dimension 2..11.
 
     The table: moves are the translate tables of the non-identity
     elements of A_L (when left_moves) or A_R that sigma conjugates into
     the other group, into.  Conjugation keeps the cycle type, for these
     involutions the number of fixed points, so only elements of a count
     the other group has are kept, from the side with fewer.  tables:
-    translate tables of the nonzero sets of the smaller W, W_R when
-    right_w, carried by sigma^-1 (or sigma) into the other side's U, u.
-    results: (rank, kernel dimension) by the tests passed, one per move
-    and 16 per set; each kernel size in it is checked once, and a count
-    that is not a subgroup's raises KeyError.  Atlas.pair builds one per
-    pair.
+    translate tables of the nonzero sets of W_R, carried by sigma^-1
+    into U_L, u, formed as W_L + {0, all eight}.  results: (rank, kernel
+    dimension) by the tests passed, one per move and 16 per set; each
+    kernel size in it is checked once, and a count that is not a
+    subgroup's raises KeyError.  Atlas.pair builds one per pair.
     """
 
     moves: tuple
@@ -140,7 +141,6 @@ class DoublingPair(NamedTuple):
     left_moves: bool
     tables: tuple
     u: frozenset
-    right_w: bool
     results: dict
 
     @classmethod
@@ -155,23 +155,22 @@ class DoublingPair(NamedTuple):
         # conjugating A_L's elements costs a second maketrans
         left_moves = len(left) + 1 < len(right)
         moves, into = (left, ra.perms) if left_moves else (right, la.perms)
-        right_w = ra.rank <= la.rank
-        w, u = (ra, la) if right_w else (la, ra)
-        base = la.delta_dim + ra.delta_dim + la.rank + ra.rank
         meets = min(len(la.perms), len(ra.perms)).bit_length()
         results = {(1 << k) - 1 + 16 * ((1 << j) - 1):
-                   (base - j, _log2_kernel_size(la.fixers * ra.fixers << k))
+                   (14 - j, _log2_kernel_size(la.fixers * ra.fixers << k))
                    for k in range(meets)
                    for j in range(min(la.rank, ra.rank) + 1)}
+        u = frozenset(bytes(b ^ e for b in w)
+                      for w in la.w_sets for e in (0, 1))
         return cls(tuple(bytes.maketrans(IDENTITY8, p) for p in moves), into,
                    left_moves,
-                   tuple(bytes.maketrans(IDENTITY8, t) for t in w.w_sets[1:]),
-                   u.u_sets, right_w, results)
+                   tuple(bytes.maketrans(IDENTITY8, w) for w in ra.w_sets[1:]),
+                   u, results)
 
     def invariants(self, sig: bytes) -> tuple[int, int]:
         """(rank, kernel dimension) of the code doubled under sig, a
         permutation of 0..7 as 8 bytes (words.sigma_bytes)."""
-        moves, into, left_moves, tables, u, right_w, results = self
+        moves, into, left_moves, tables, u, results = self
         passed = 0
         if moves:
             back = bytes.maketrans(sig, IDENTITY8)  # sigma^-1 as a table
@@ -182,11 +181,9 @@ class DoublingPair(NamedTuple):
             for p in moves:
                 if s.translate(p).translate(t) in into:
                     passed += 1
-        if tables:  # sigma^-1(w) for w in W_R, sigma(w) for w in W_L
-            s = sig if right_w else bytes.maketrans(sig, IDENTITY8)[:8]
-            for w in tables:
-                if s.translate(w) in u:
-                    passed += 16
+        for w in tables:  # sigma^-1(w), w in W_R
+            if sig.translate(w) in u:
+                passed += 16
         return results[passed]
 
 

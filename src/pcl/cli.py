@@ -435,9 +435,10 @@ def pipeline(out_dir: str, atlas_path: str | None, pairs: tuple,
                % base.kernel)
     summary["linear"] = {**provenance(linear), "kernelDim": base.kernel}
     missing = sorted(PRESCRIPTIONS.keys() - found.keys())
+    names = ("code_k%d.json", "analysis_k%d.json", "sts_k%d.csv",
+             "report_k%d.json")  # a kappa's files, written in stage order
     for kap in missing:  # what an earlier run left for this kappa
-        for name in ("code_k%d.json", "analysis_k%d.json", "sts_k%d.csv",
-                     "report_k%d.json"):
+        for name in names:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(path(name % kap))
     if missing:
@@ -446,19 +447,19 @@ def pipeline(out_dir: str, atlas_path: str | None, pairs: tuple,
 
     for kap in sorted(found):
         code = found[kap]
-        tag = "k%d" % kap
+        code_f, analysis_f, sts_f, report_f = (path(n % kap) for n in names)
         click.echo("[scan] kappa=%d from classes (%d,%d) sigma=%s"
                    % (kap, code.left, code.right, sigma_str(code.sigma)))
-        save_code(path("code_%s.json" % tag), code)
-        analysis = analysis_stage(code, path("analysis_%s.json" % tag))
+        save_code(code_f, code)
+        analysis = analysis_stage(code, analysis_f)
         click.echo("[analyze] kappa=%d rank=%d cosets=%d"
                    % (kap, analysis["rank"], analysis["cosetCount"]))
-        grid = types_stage(code, path("sts_%s.csv" % tag))
+        grid = types_stage(code, sts_f)
         click.echo("[sts-types] kappa=%d: %d vertices, %d distinct tuples%s"
                    % (kap, len(grid.rows), grid.distinct,
                       ", %d coordinates untabulated" % grid.unknown
                       if grid.unknown else ""))
-        rep = report_stage(code, path("report_%s.json" % tag))
+        rep = report_stage(code, report_f)
         click.echo("[verify] %s" % rep.summary())
         summary["found"][str(kap)] = {
             **provenance(code), "overall": rep.overall,

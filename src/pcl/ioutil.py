@@ -2,7 +2,8 @@
 
 All writes go through a temp file plus atomic rename so failed runs
 never leave partial artifacts, and the file gets the mode open() would
-give it.  Every JSON artifact is written by write_json, so its layout,
+give it.  Files are UTF-8, JSON's encoding (RFC 8259), whatever the
+locale.  Every JSON artifact is written by write_json, so its layout,
 json.dumps(obj, indent=1) plus a newline, is decided in one place.
 Codes use one JSON schema everywhere, written by code_to_json and read
 by code_from_json: {"length": n, "codewords": [hex, ...]} with
@@ -36,7 +37,7 @@ def atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         umask = os.umask(0)  # read by setting; restored at once
         os.umask(umask)
@@ -55,7 +56,7 @@ def write_json(path: str, obj) -> None:
 
 
 def read_json(path: str):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 

@@ -76,16 +76,6 @@ def orbit_classify7(ids: np.ndarray) -> OrbitClasses:
     return orbit_classes(ids, 7)
 
 
-def is_linear_partition(p8) -> bool:
-    """True when the components are the cosets of one linear code."""
-    base = next((comp for comp in p8 if 0 in comp), ())
-    bs = frozenset(base)
-    if any((a ^ b) not in bs for a in base for b in base):
-        return False
-    return all(comp and frozenset(w ^ comp[0] for w in comp) == bs
-               for comp in p8)
-
-
 def check_census7(d: dict, classes: list) -> list:
     """orbitSizes7 of an atlas or length-7 census d; ValueError unless
     they are positive ints, the length-7 class ids listed (sorted, with
@@ -155,11 +145,13 @@ class TranslationAction(NamedTuple):
     perms is the group A of permutations p, as bytes, with C_i + a =
     C_p[i] for every i and some even translation a; a + a = 0, so every
     p is an involution.  Each p is realized by the same number, fixers,
-    of translations: a coset of those fixing every C_i.  delta_dim is
-    the dimension of the span of the within-component differences, and
-    the residue x_i is C_i reduced modulo that span, the least word of
-    its coset; that is a linear map, so residues add like the words they
-    reduce.  rank is the rank r of the z_i = x_i + x_0.
+    of translations: a coset of those fixing every C_i.  The residue x_i
+    is C_i reduced modulo D, the span of the within-component
+    differences: the least word of its coset, a linear map, so residues
+    add like the words they reduce.  rank is the rank r of the z_i =
+    x_i + x_0.  Every even word lies in some D + x_i, and the component
+    holding 0 has residue 0, so D and the z_i span the 7 dimensions of
+    the even words; reduced words meet D only in 0, so dim D = 7 - r.
 
     Index sets of 0..7, held as 8-byte indicators, carry the residues'
     linear structure.  The null relations N are the even sets c with
@@ -167,23 +159,17 @@ class TranslationAction(NamedTuple):
     functional f on the z_i gives the set T_f = {i : f(z_i) = 1}; these
     form w_sets, the empty set first: the space W spanned by the sets
     T_b of components whose z_i has bit b.  W has 2^r sets and none
-    holds index 0 (z_0 = 0), so W never holds all eight.  u_sets is
-    U = W + {0, all eight}, the annihilator of N in F_2^8: a set c in N
-    meets T_f evenly, since the parity of the meet is f(sum_c z_i) =
-    f(sum_c x_i) = 0 for c even, and the annihilator of N has dimension
-    8 - (7 - r) = r + 1, that of U.
+    holds index 0 (z_0 = 0), so W never holds all eight.  U = W + {0,
+    all eight} is the annihilator of N in F_2^8: a set c in N meets T_f
+    evenly, since the parity of the meet is f(sum_c z_i) = f(sum_c x_i)
+    = 0 for c even, and the annihilator of N has dimension 8 - (7 - r) =
+    r + 1, that of U.
     """
 
     perms: frozenset
     fixers: int
-    delta_dim: int
     rank: int
     w_sets: tuple
-    u_sets: frozenset
-
-
-def _indicator(s: int) -> bytes:
-    return bytes(s >> i & 1 for i in range(8))
 
 
 @dataclass
@@ -192,13 +178,20 @@ class ExtClass:
 
     The translation action that algebra.DoublingPair reads the rank and
     kernel of doubled codes from is built on first use, not when an
-    atlas is loaded.
+    atlas is loaded; linear is read off it, and an atlas file's linear
+    flags are checked against it (Atlas.from_json).
     """
 
     components: tuple
     length7_classes: tuple[int, ...]
-    linear: bool
     alias: str | None = None
+
+    @property
+    def linear(self) -> bool:
+        """The components are the cosets of one linear code exactly when
+        16 translations, a group inside the component through 0, fix
+        them all."""
+        return self.action.fixers == 16
 
     @cached_property
     def action(self) -> TranslationAction:
@@ -216,10 +209,10 @@ class ExtClass:
         # T_b, the components whose residue difference has bit b, spans W
         w = xor_closure(sum(((x[i] ^ x[0]) >> b & 1) << i for i in range(8))
                         for b in range(8))
-        return TranslationAction(
-            frozenset(counts), counts[IDENTITY8], len(basis),
-            len(w).bit_length() - 1, tuple(map(_indicator, w)),
-            frozenset(_indicator(t ^ e) for t in w for e in (0, 0xFF)))
+        return TranslationAction(frozenset(counts), counts[IDENTITY8],
+                                 len(w).bit_length() - 1,
+                                 tuple(bytes(t >> i & 1 for i in range(8))
+                                       for t in w))
 
     def to_json(self) -> dict:
         return {
@@ -238,7 +231,7 @@ class ExtClass:
             raise ValueError("linear %r is not a boolean" % (linear,))
         if alias is not None and type(alias) is not str:
             raise ValueError("alias %r is not a string or null" % (alias,))
-        return cls(comps, tuple(d["length7Classes"]), linear, alias)
+        return cls(comps, tuple(d["length7Classes"]), alias)
 
 
 @dataclass
@@ -306,11 +299,11 @@ class Atlas:
         if merged != atlas.merged:
             raise ValueError("merged %s does not list the classes with more "
                              "than one length-7 class" % (merged,))
-        linear = [i for i, c in enumerate(atlas.classes) if c.linear]
+        linear = [c["id"] for c in entries if c["linear"]]
         if len(linear) != 1:
             raise ValueError("%d classes flagged linear, expected exactly one"
                              % len(linear))
-        if not is_linear_partition(atlas.classes[linear[0]].components):
+        if not atlas.classes[linear[0]].linear:
             raise ValueError("class %d is flagged linear but is not a "
                              "partition into cosets of a linear code"
                              % linear[0])
@@ -343,5 +336,5 @@ def build_atlas() -> Atlas:
         members = tuple(int(c) for c in np.flatnonzero(ext_of7 == k))
         rep = code_table(8)[ids[c7.reps[members[0]]]]
         comps = tuple(sorted(map(tuple, rep.tolist())))
-        classes.append(ExtClass(comps, members, is_linear_partition(comps)))
+        classes.append(ExtClass(comps, members))
     return Atlas(classes, [int(s) for s in c7.sizes])

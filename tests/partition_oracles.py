@@ -7,6 +7,10 @@ rows[:, g] relabeled, and the orbits come from looking every moved row
 up among the sorted rows.  canon classifies on code ids instead and
 builds rows only to rank the orbits; this pass never sees a code id,
 and row_ids converts its rows for the id pass.
+
+is_linear_partition, a closure test on the component through 0, is the
+oracle of partitions.ExtClass.linear, which reads linearity off the
+translation action instead.
 """
 
 import numpy as np
@@ -94,3 +98,13 @@ def row_ids(rows: np.ndarray) -> np.ndarray:
     index = {tuple(c): i for i, c in enumerate(code_table(7).tolist())}
     return np.array([[index[tuple(np.flatnonzero(r == v).tolist())]
                       for v in range(8)] for r in rows], dtype=np.uint8)
+
+
+def is_linear_partition(p8) -> bool:
+    """True when the components are the cosets of one linear code."""
+    base = next((comp for comp in p8 if 0 in comp), ())
+    bs = frozenset(base)
+    if any((a ^ b) not in bs for a in base for b in base):
+        return False
+    return all(comp and frozenset(w ^ comp[0] for w in comp) == bs
+               for comp in p8)

@@ -303,8 +303,8 @@ def test_class_tables_are_pinned(atlas):
                    for p in a.perms)  # involutions
         assert len(a.w_sets) == 1 << a.rank
         assert bytes([1] * 8) not in a.w_sets
-        assert a.u_sets == {bytes(b ^ e for b in w)
-                            for w in a.w_sets for e in (0, 1)}
+        # U = W + {0, all eight}, as algebra.DoublingPair forms it
+        u_sets = {bytes(b ^ e for b in w) for w in a.w_sets for e in (0, 1)}
         z = [x ^ residues[0] for x in residues]
         for w in a.w_sets:
             # w is T_f for a linear f: every index set summing the z to 0
@@ -316,7 +316,7 @@ def test_class_tables_are_pinned(atlas):
                         v ^= z[i]
                 assert v or meets_evenly(c, w), (w, c)
         # U's annihilator is exactly the null relations of the residues
-        perp = [c for c in masks if all(meets_evenly(c, u) for u in a.u_sets)]
+        perp = [c for c in masks if all(meets_evenly(c, u) for u in u_sets)]
         nulls = []
         for c in masks:
             v = 0
@@ -328,3 +328,18 @@ def test_class_tables_are_pinned(atlas):
         assert perp == nulls
         annihilated.append(len(perp).bit_length() - 1)
     assert annihilated == [4, 5, 5, 6, 6, 6, 6, 7, 7, 7]
+
+
+def test_doubled_range_is_a_theorem_of_the_table(atlas):
+    # algebra.DoublingPair: the differences of a class span 7 - r
+    # dimensions and all ones fixes every component, so no pair and no
+    # sigma gives rank above 14 or kernel dimension below 2
+    for ext in atlas.classes:
+        comps = np.array(ext.components)
+        assert rank_gf2((comps ^ comps[:, :1]).ravel()) + ext.action.rank == 7
+        assert ext.action.fixers >= 2
+    n = len(atlas.classes)
+    for left in range(n):
+        for right in range(n):
+            for rank, kappa in atlas.pair(left, right).results.values():
+                assert 11 <= rank <= 14 and 2 <= kappa <= 11, (left, right)

@@ -708,6 +708,30 @@ def test_verify_theorem5_rejects_a_code_outside_doubling_coordinates(
     assert "not a code in doubling coordinates" in res.output
 
 
+@pytest.mark.parametrize("index, analysis, refusal", [
+    (5, {"rank": 13, "kernelDim": 5, "cosetCount": 64},
+     "label 1980 has odd left support; not a code in doubling coordinates"),
+    (8, {"rank": 15, "kernelDim": 1, "cosetCount": 1024},
+     "loop and link prescriptions cover kernel dimensions 5..9, got 1"),
+], ids=["kappa5", "rank15"])
+def test_commands_on_switched_codes(runner, tmp_path, switched, index,
+                                    analysis, refusal):
+    # analyze and sts-types read any extended 1-perfect code; only
+    # verify-theorem5 needs a doubling's coordinates and kappa 5..9
+    path = str(tmp_path / "switched.json")
+    save_code(path, switched[index])
+    res = runner.invoke(main, ["analyze", path])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output.splitlines()[0]) == analysis
+    res = runner.invoke(main, ["sts-types", path])
+    assert res.exit_code == 0, res.output
+    assert len(re.findall(r"^vertex ", res.output, re.M)) \
+        == analysis["cosetCount"]
+    assert ("warning: 8832 punctured systems match no signature"
+            in res.output) == (index == 8)
+    _clean_error(runner.invoke(main, ["verify-theorem5", path]), refusal)
+
+
 def test_fano_dump(runner):
     res = runner.invoke(main, ["fano", "dump"])
     assert res.exit_code == 0

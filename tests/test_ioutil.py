@@ -1,12 +1,15 @@
 """The artifact writers: what write_json refuses, the modes atomic_write
-gives, the symlinks it writes through, what a failed write leaves, and
-the code schema.
+gives, the symlinks it writes through, what a failed write leaves, the
+code schema, and UTF-8 whatever the locale.
 
 The artifacts' bytes are pinned in test_cli.py.
 """
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 from click.testing import CliRunner
 import numpy as np
@@ -104,3 +107,28 @@ def test_a_failed_rename_leaves_the_target_as_it_was(tmp_path, monkeypatch):
         atomic_write(str(target), "new")
     assert target.read_text() == "old"
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]  # no .part
+
+
+def test_json_is_utf8_under_an_ascii_locale(tmp_path, atlas):
+    """JSON files are UTF-8 (RFC 8259): an ASCII locale changes neither
+    what is read nor what is written."""
+    d = atlas.to_json()
+    d["classes"][0]["alias"] = "Fano \u00e9"
+    path = tmp_path / "atlas.json"
+    path.write_bytes(json.dumps(d, ensure_ascii=False).encode("utf-8"))
+    script = """if True:
+        import sys
+        from pcl.ioutil import atomic_write
+        atomic_write(sys.argv[2], "Fano \\u00e9\\n")
+        from pcl.cli import main
+        main(["partitions", "classify", sys.argv[1]])
+        """
+    res = subprocess.run(
+        [sys.executable, "-c", script, str(path), str(tmp_path / "out.txt")],
+        text=True, capture_output=True, cwd=tmp_path,
+        env=dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                 PYTHONCOERCECLOCALE="0",
+                 PYTHONPATH=str(pathlib.Path(pcl.cli.__file__).parents[1])))
+    assert res.returncode == 0, res.stderr + res.stdout
+    assert "extended classes: 10 (linear class 0)" in res.stdout
+    assert (tmp_path / "out.txt").read_bytes() == "Fano \u00e9\n".encode()

@@ -17,13 +17,13 @@ import pcl
 from pcl.canon import (code_moves, code_table, minimal_quadset8,
                        orbit_classes, partition_col, relabel_np)
 from pcl.partitions import (EVEN8, Atlas, ExtClass, canonical_form,
-                            enumerate_partitions7, is_linear_partition)
+                            enumerate_partitions7)
 from pcl.perfect import enumerate_perfect7, puncture
 from pcl.words import perm_word_map
 
 from code_helpers import is_extended_perfect8, is_perfect
-from partition_oracles import (row_generators, row_ids, row_orbit,
-                               row_orbit_classes)
+from partition_oracles import (is_linear_partition, row_generators, row_ids,
+                               row_orbit, row_orbit_classes)
 
 CANON_ORBIT_SIZES = [30, 840, 630, 5040, 5040, 420, 2520, 2520, 6720, 1680, 1920]
 
@@ -508,6 +508,18 @@ def test_is_linear_partition_refuses_a_base_not_closed_under_xor():
         tiles = tuple(tuple(w ^ t for w in base) for t in range(0, 256, 4))
         assert sorted(w for tile in tiles for w in tile) == list(range(256))
         assert is_linear_partition(tiles) is linear
+
+
+def test_linear_matches_the_closure_oracle_on_images_of_every_class(atlas):
+    # ExtClass.linear reads the fixer count; the oracle closes the
+    # component through 0, which a translation moves
+    rng = random.Random(33)
+    for ext in atlas.classes:
+        assert ext.linear is is_linear_partition(ext.components)
+        for _ in range(4):
+            moved = tuple(sorted(_moved(ext.components, rng, 8)))
+            image = ExtClass(moved, ext.length7_classes)
+            assert image.linear is is_linear_partition(moved) is ext.linear
 
 
 def test_atlas_json_schema_keys(atlas):

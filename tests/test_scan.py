@@ -186,8 +186,9 @@ def test_pair_invariants_match_brute_on_witnesses(atlas, witnesses):
 @pytest.mark.parametrize("pair", [(5, 1), (1, 5), (9, 0), (0, 0)])
 def test_pair_invariants_match_perm_counts_on_every_sigma(atlas, pair):
     # between groups of order 16 and 4 the two orders take both
-    # conjugation directions and both sides' W; then the trivial group,
-    # and rank 3 on both sides (7 sets of W against 16 of U)
+    # conjugation directions, with W_R of rank 2 and of rank 1; then the
+    # trivial group, and rank 3 on both sides (7 sets of W_R against 16
+    # of U_L)
     for row in scan_pair(atlas, *pair, iter_sigmas()):
         assert ((row.rank, row.kernel)
                 == perm_count_invariants(atlas, *pair, row.sigma)), row.sigma

@@ -4,8 +4,9 @@ does every public method and property of its classes.
 A name is used when some module imports it with `from .mod import name`,
 reads it as `mod.name` after `from . import mod`, or its own module
 refers to it by name.  Click commands are registered by their
-decorators, and the names quoted in perfbench/tracer.py are used by the
-benchmark, which this test reads and does not change.  A method or
+decorators, and the (module, name) pairs of the TIMED and COUNTED
+tables of perfbench/tracer.py are used by the benchmark, which this
+test reads and does not change.  A method or
 property is used when some module reads an attribute of its name, on
 whatever object; dunders and the fields of dataclasses and named tuples
 are not checked.  Helpers that only tests call live in tests/.
@@ -68,19 +69,27 @@ def _unused_members(modules: dict) -> list:
             and not fn.name.startswith("_") and fn.name not in read]
 
 
+def _traced() -> set:
+    """The (module, name) pairs the tracer wraps: its TIMED and COUNTED
+    tables, not every string it quotes."""
+    return {pair for node in ast.parse(TRACER.read_text()).body
+            if isinstance(node, ast.Assign)
+            and ast.unparse(node.targets[0]) in ("TIMED", "COUNTED")
+            for pair in ast.literal_eval(node.value)}
+
+
 def _unused_names(private: bool) -> list:
     """Unused top-level names, the private (_-prefixed) or the public ones."""
     modules = _modules()
     used = _used(modules)
-    traced = {n.value for n in ast.walk(ast.parse(TRACER.read_text()))
-              if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    traced = _traced()
     return ["%s.%s" % (mod, node.name)
             for mod, tree in modules.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and node.name.startswith("_") == private
             and (mod, node.name) not in used
             and not _is_click_command(node)
-            and node.name not in traced]
+            and (mod, node.name) not in traced]
 
 
 def _private_imports(modules: dict) -> list:
@@ -124,6 +133,12 @@ def test_every_public_name_has_a_user_in_src():
 
 def test_every_private_name_has_a_user_in_src():
     assert _unused_names(private=True) == []
+
+
+def test_the_tracer_exemption_is_the_wrapped_functions():
+    traced = _traced()
+    assert {("sts", "derived_sts"), ("canon", "relabel_np")} <= traced
+    assert all(mod in _modules() for mod, _ in traced)
 
 
 def test_every_public_member_has_a_user_in_src():
