@@ -30,8 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .doubling import AT_CODE, SPACE16, Code
-from .words import (IDENTITY8, coset_minima, echelon_basis, rank_gf2,
-                    xor_closure)
+from .words import (IDENTITY8, coset_minima, echelon_basis, fixed_points,
+                    rank_gf2, xor_closure)
 
 
 def kernel_words(code: Code) -> np.ndarray:
@@ -85,10 +85,6 @@ def rank_of(code: Code) -> int:
     return rank_gf2(dec.basis + tuple(shifts))
 
 
-def _fixed_points(p: bytes) -> int:
-    return sum(a == b for a, b in zip(p, IDENTITY8))
-
-
 class DoublingPair(NamedTuple):
     """(rank, kernel dimension) of the doubled codes of one ordered
     class pair, read off the two partitions in a few bytes.translate
@@ -130,10 +126,12 @@ class DoublingPair(NamedTuple):
     involutions the number of fixed points, so only elements of a count
     the other group has are kept, from the side with fewer.  tables:
     translate tables of the nonzero sets of W_R, carried by sigma^-1
-    into U_L, u, formed as W_L + {0, all eight}.  results: (rank, kernel
-    dimension) by the tests passed, one per move and 16 per set; each
-    kernel size in it is checked once, and a count that is not a
-    subgroup's raises KeyError.  Atlas.pair builds one per pair.
+    into U_L, u, formed as W_L + {0, all eight}; sigma^-1 keeps a set's
+    size, so only sets of a size in U_L are kept, none when r_L = 0.
+    results: (rank, kernel dimension) by the tests passed, one per move
+    and 16 per set; each kernel size in it is checked once, and a count
+    that is not a subgroup's raises KeyError.  Atlas.pair builds one per
+    pair.
     """
 
     moves: tuple
@@ -147,9 +145,9 @@ class DoublingPair(NamedTuple):
     def of(cls, la, ra) -> "DoublingPair":
         """The table of two partitions.TranslationAction, left then right."""
         def candidates(a, b) -> list:
-            kinds = {_fixed_points(p) for p in b.perms if p != IDENTITY8}
+            kinds = {fixed_points(p) for p in b.perms if p != IDENTITY8}
             return [p for p in a.perms
-                    if p != IDENTITY8 and _fixed_points(p) in kinds]
+                    if p != IDENTITY8 and fixed_points(p) in kinds]
 
         left, right = candidates(la, ra), candidates(ra, la)
         # conjugating A_L's elements costs a second maketrans
@@ -162,9 +160,11 @@ class DoublingPair(NamedTuple):
                    for j in range(min(la.rank, ra.rank) + 1)}
         u = frozenset(bytes(b ^ e for b in w)
                       for w in la.w_sets for e in (0, 1))
+        sizes = {sum(w) for w in u}
         return cls(tuple(bytes.maketrans(IDENTITY8, p) for p in moves), into,
                    left_moves,
-                   tuple(bytes.maketrans(IDENTITY8, w) for w in ra.w_sets[1:]),
+                   tuple(bytes.maketrans(IDENTITY8, w) for w in ra.w_sets[1:]
+                         if sum(w) in sizes),
                    u, results)
 
     def invariants(self, sig: bytes) -> tuple[int, int]:

@@ -81,14 +81,14 @@ class Prescription:
     """The paper's loop and link prescription for one kernel dimension.
 
     loop is the loop's half-supported family; loop_products full
-    products of pair partitions, 16 labels each, join it.  intra maps
-    the xor of paired vertex labels inside one block of the fold to the
-    family its pure links carry; no pure link is prescribed when it is
-    empty.  A mixed link is link_products full products, or at most
-    three quarters of products when link_products is 0.  half_fold is
-    the prescription of the fold over the half-supported index-2
-    subgroup of the kernel, when that fold is checked.
-    """
+    products of pair partitions, 16 labels each, join it.  intra holds
+    the families a pure link may carry, none when it is empty; its keys,
+    xors of paired vertex labels in one block of the fold, only order
+    them, as a link is graded against every family of its size.  A mixed
+    link is link_products full products, or at most three quarters of
+    products when link_products is 0.  half_fold prescribes the fold over
+    the half-supported kernel subgroup, taken to have index 2, which
+    holds only for class pair (0, 0)."""
 
     loop_name: str
     loop: tuple

@@ -29,8 +29,8 @@ from .canon import (OrbitClasses, code_table, minimal_image7, minimal_image8,
                     orbit_classes, partition_col)
 from .ioutil import code_from_json, code_to_json, read_json, write_json
 from .perfect import SPACE7
-from .words import (EVEN8, IDENTITY8, coset_minima, echelon_basis, word_hex,
-                    xor_closure)
+from .words import (EVEN8, IDENTITY8, coset_minima, echelon_basis,
+                    fixed_points, word_hex, xor_closure)
 
 
 def enumerate_partitions7() -> np.ndarray:
@@ -177,10 +177,8 @@ class ExtClass:
     """One extended partition class: a representative and its ancestry.
 
     The translation action that algebra.DoublingPair reads the rank and
-    kernel of doubled codes from is built on first use, not when an
-    atlas is loaded; linear is read off it, and an atlas file's linear
-    flags are checked against it (Atlas.from_json).
-    """
+    kernel of doubled codes from is built on first use; linear is read
+    off it, never from a file (Atlas.from_json checks a file's flags)."""
 
     components: tuple
     length7_classes: tuple[int, ...]
@@ -226,9 +224,7 @@ class ExtClass:
     @classmethod
     def from_json(cls, d: dict) -> "ExtClass":
         comps = partition_from_json(d["representative"], 8)
-        linear, alias = d["linear"], d.get("alias")
-        if type(linear) is not bool:
-            raise ValueError("linear %r is not a boolean" % (linear,))
+        alias = d.get("alias")
         if alias is not None and type(alias) is not str:
             raise ValueError("alias %r is not a string or null" % (alias,))
         return cls(comps, tuple(d["length7Classes"]), alias)
@@ -279,13 +275,13 @@ class Atlas:
         """Parse an atlas; ValueError, naming the class where there is
         one, unless the class ids are 0..n-1, every class has eight
         16-word components partitioning the 128 even words of length 8,
-        each of minimum distance 4 (an extended perfect code), listed
-        in increasing order of their least words, exactly one class is
-        flagged linear, a partition into the cosets of one linear code,
-        and the length-7 census agrees with the classes: one positive
+        each an extended perfect code, in increasing order of their least
+        words, the length-7 census agrees with the classes (one positive
         orbit size per length-7 class they name, summing to
-        partition7Count, and merged lists the classes that contain more
-        than one length-7 class."""
+        partition7Count, and merged lists those holding more than one),
+        each linear flag is the class's computed linear, exactly one
+        class is linear, and no two classes share a spectrum, the sorted
+        fixed-point counts of A, an invariant that tells all ten apart."""
         entries = sorted(d["classes"], key=lambda c: c["id"])
         ids = [c["id"] for c in entries]
         if (any(type(i) is not int for i in ids)
@@ -299,14 +295,17 @@ class Atlas:
         if merged != atlas.merged:
             raise ValueError("merged %s does not list the classes with more "
                              "than one length-7 class" % (merged,))
-        linear = [c["id"] for c in entries if c["linear"]]
-        if len(linear) != 1:
-            raise ValueError("%d classes flagged linear, expected exactly one"
-                             % len(linear))
-        if not atlas.classes[linear[0]].linear:
-            raise ValueError("class %d is flagged linear but is not a "
-                             "partition into cosets of a linear code"
-                             % linear[0])
+        seen: dict = {}
+        for i, (c, ext) in enumerate(zip(entries, classes)):
+            if c["linear"] is not ext.linear:
+                raise ValueError("class %d: linear %r is not the computed %r"
+                                 % (i, c["linear"], ext.linear))
+            spectrum = tuple(sorted(map(fixed_points, ext.action.perms)))
+            if seen.setdefault(spectrum, i) != i:
+                raise ValueError("classes %d and %d share the spectrum %s"
+                                 % (seen[spectrum], i, spectrum))
+        if sum(c.linear for c in classes) != 1:
+            raise ValueError("expected exactly one linear class")
         return atlas
 
     def save(self, path: str) -> None:

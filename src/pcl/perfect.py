@@ -38,12 +38,12 @@ def enumerate_zero_subspace_codes() -> list:
 
 
 def enumerate_perfect7() -> list:
-    """The 240 distinct perfect codes of length 7 (translate closure of the 30)."""
-    seen = set()
-    for code in enumerate_zero_subspace_codes():
-        for t in range(SPACE7):
-            seen.add(tuple(sorted(w ^ t for w in code)))
-    return sorted(seen)
+    """The 240 perfect codes of length 7, sorted: each Hamming code H
+    translated by its coset leaders 0, e_0..e_6; distinct, as leaders
+    differ in at most 2 places and H is the difference set of H + t."""
+    return sorted(tuple(sorted(w ^ t for w in code))
+                  for code in enumerate_zero_subspace_codes()
+                  for t in (0, 1, 2, 4, 8, 16, 32, 64))
 
 
 def extend_even(words7) -> tuple:

@@ -77,6 +77,10 @@ def sigma_str(sigma: bytes) -> str:
     return sigma.translate(_TO_DIGITS).decode()
 
 
+def fixed_points(p: bytes) -> int:
+    return sum(a == b for a, b in zip(p, IDENTITY8))
+
+
 def perm_word_map(perm, n: int) -> np.ndarray:
     """Word-level remap table for a coordinate permutation.
 

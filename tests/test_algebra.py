@@ -330,6 +330,19 @@ def test_class_tables_are_pinned(atlas):
     assert annihilated == [4, 5, 5, 6, 6, 6, 6, 7, 7, 7]
 
 
+def test_the_table_drops_the_sets_that_cannot_pass(atlas):
+    # sigma^-1 keeps a set's size, so the sets of W_R of a size that U_L
+    # lacks are dropped: all of them for left classes 7, 8 and 9, where
+    # r = 0 and U_L is {0, all eight}; right classes 7, 8 and 9 have no
+    # nonzero set
+    n = len(atlas.classes)
+    tables = {(left, right): atlas.pair(left, right).tables
+              for left in range(n) for right in range(n)}
+    assert sum(map(len, tables.values())) == 119  # of 170 nonzero sets
+    assert {pair for pair, t in tables.items() if t} == {
+        (left, right) for left in range(7) for right in range(7)}
+
+
 def test_doubled_range_is_a_theorem_of_the_table(atlas):
     # algebra.DoublingPair: the differences of a class span 7 - r
     # dimensions and all ones fixes every component, so no pair and no

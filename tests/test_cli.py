@@ -175,7 +175,7 @@ def test_atlas_without_linear_class_is_rejected(runner, tmp_path, atlas,
     bad.write_text(json.dumps(d))
     with runner.isolated_filesystem(temp_dir=tmp_path):
         res = runner.invoke(main, args + [str(bad)])
-    _clean_error(res, "0 classes flagged linear")
+    _clean_error(res, "class 0: linear False is not the computed True")
 
 
 def test_partitions_classify_checks_the_census(runner, tmp_path, atlas):

@@ -19,7 +19,8 @@ from pcl.canon import (code_moves, code_table, minimal_quadset8,
 from pcl.partitions import (EVEN8, Atlas, ExtClass, canonical_form,
                             enumerate_partitions7)
 from pcl.perfect import enumerate_perfect7, puncture
-from pcl.words import perm_word_map
+from pcl.ioutil import code_to_json
+from pcl.words import IDENTITY8, fixed_points, perm_word_map
 
 from code_helpers import is_extended_perfect8, is_perfect
 from partition_oracles import (is_linear_partition, row_generators, row_ids,
@@ -420,11 +421,29 @@ def test_atlas_json_roundtrip(atlas, tmp_path):
     assert Atlas.load(str(path)).classes == atlas.classes
 
 
+def _copy_representative(d, source, target):
+    d["classes"][target]["representative"] = \
+        d["classes"][source]["representative"]
+
+
+def _drop_the_linear_class(d):
+    # class 0's length-7 class moves to class 1, so the census and
+    # merged still agree with the nine classes left
+    del d["classes"][0]
+    for c in d["classes"]:
+        c["id"] -= 1
+    d["classes"][0]["length7Classes"].insert(0, 0)
+    d["merged"] = [c["length7Classes"] for c in d["classes"]
+                   if len(c["length7Classes"]) > 1]
+
+
 @pytest.mark.parametrize("change, message", [
-    (lambda d: d["classes"][0].update(linear=False), "0 classes flagged"),
-    (lambda d: d["classes"][3].update(linear=True), "2 classes flagged"),
+    (lambda d: d["classes"][0].update(linear=False),
+     "class 0: linear False is not the computed True"),
+    (lambda d: d["classes"][3].update(linear=True),
+     "class 3: linear True is not the computed False"),
     (lambda d: [c.update(linear=c["id"] == 3) for c in d["classes"]],
-     "class 3 is flagged linear"),
+     "class 0: linear False is not the computed True"),
     (lambda d: d["classes"][9].update(id=11), "class ids are not 0..9"),
     (lambda d: d.update(partition7Count="x"), "partition7Count 'x'"),
     (lambda d: d.update(partition7Count=27361), "partition7Count 27361"),
@@ -454,11 +473,11 @@ def test_atlas_json_roundtrip(atlas, tmp_path):
     (lambda d: d["classes"][3]["representative"].pop(),
      "class 3: components do not partition"),
     (lambda d: d["classes"][0].update(linear="no"),
-     "class 0: linear 'no' is not a boolean"),
+     "class 0: linear 'no' is not the computed True"),
     (lambda d: d["classes"][3].update(linear="false"),
-     "class 3: linear 'false' is not a boolean"),
+     "class 3: linear 'false' is not the computed False"),
     (lambda d: d["classes"][0].update(linear=1),
-     "class 0: linear 1 is not a boolean"),
+     "class 0: linear 1 is not the computed True"),
     (lambda d: d["classes"][4].update(alias=[1, 2]),
      r"class 4: alias \[1, 2\] is not a string or null"),
     (lambda d: d["classes"][4].update(alias=7),
@@ -476,6 +495,15 @@ def test_atlas_json_roundtrip(atlas, tmp_path):
      "class 1: components are not in increasing order: least words"),
     (lambda d: d["classes"][5]["representative"].reverse(),
      "class 5: components are not in increasing order"),
+    # one class listed twice: as the linear class left unflagged, and
+    # under the two pairs of classes that share (|A|, fixers, r)
+    (lambda d: _copy_representative(d, 0, 3),
+     "class 3: linear False is not the computed True"),
+    (lambda d: _copy_representative(d, 6, 4),
+     r"classes 4 and 6 share the spectrum \(0, 4, 4, 8\)"),
+    (lambda d: _copy_representative(d, 7, 8),
+     r"classes 7 and 8 share the spectrum \(2, 4, 4, 4, 6, 6, 6, 8\)"),
+    (_drop_the_linear_class, "expected exactly one linear class"),
 ], ids=["no-linear", "two-linear", "nonlinear-flagged", "id-gap",
         "count-not-int", "count-not-sum", "count-float", "sizes-string",
         "size-zero", "size-bool", "size-extra", "size-missing",
@@ -486,7 +514,8 @@ def test_atlas_json_roundtrip(atlas, tmp_path):
         "seven-components", "linear-string", "linear-string-false",
         "linear-int", "alias-list", "alias-int", "length7-class-bool",
         "length7-class-float", "id-bool", "id-float", "components-swapped",
-        "components-reversed"])
+        "components-reversed", "class-3-is-class-0", "class-4-is-class-6",
+        "class-8-is-class-7", "no-linear-class"])
 def test_atlas_from_json_checks_ids_and_linear_flag(atlas, change, message):
     d = json.loads(json.dumps(atlas.to_json()))
     change(d)
@@ -520,6 +549,60 @@ def test_linear_matches_the_closure_oracle_on_images_of_every_class(atlas):
             moved = tuple(sorted(_moved(ext.components, rng, 8)))
             image = ExtClass(moved, ext.length7_classes)
             assert image.linear is is_linear_partition(moved) is ext.linear
+
+
+# the fixed-point counts of each class's non-identity translation
+# permutations, sorted: Atlas.from_json refuses two classes with one
+# spectrum, the identity's 8 included
+SPECTRA = {
+    0: (0,) * 7,
+    1: (0, 2, 6),
+    2: (0,) * 5 + (4,) * 2,
+    3: (0, 0, 2, 2, 2, 4, 6),
+    4: (4, 6, 6),
+    5: (0,) * 9 + (4,) * 6,
+    6: (0, 4, 4),
+    7: (2, 4, 4, 4, 6, 6, 6),
+    8: (0,) + (4,) * 6,
+    9: (),
+}
+
+
+def _spectrum(ext):
+    return tuple(sorted(fixed_points(p) for p in ext.action.perms
+                        if p != IDENTITY8))
+
+
+def test_translation_spectra_are_pinned_and_invariant(atlas):
+    # A is conjugated, not changed, by a coordinate permutation or an
+    # even translation, so its images keep the class's spectrum
+    assert {i: _spectrum(ext) for i, ext in enumerate(atlas.classes)} \
+        == SPECTRA
+    rng = random.Random(36)
+    for i, ext in enumerate(atlas.classes):
+        for _ in range(20):
+            moved = tuple(sorted(_moved(ext.components, rng, 8)))
+            assert _spectrum(ExtClass(moved, ext.length7_classes)) \
+                == SPECTRA[i]
+
+
+def test_accepted_atlases_reload_equal_from_their_saved_copy(tmp_path):
+    with gzip.open(REFERENCE_ATLAS, "rt") as fh:
+        pinned = json.load(fh)
+    rng = random.Random(7)
+    variants = [pinned]
+    for k, ext in enumerate(Atlas.from_json(pinned).classes):
+        # class k represented by a seeded image of itself
+        d = json.loads(json.dumps(pinned))
+        moved = sorted(_moved(ext.components, rng, 8))
+        d["classes"][k]["representative"] = [code_to_json(c, 8)
+                                             for c in moved]
+        variants.append(d)
+    path = tmp_path / "atlas.json"
+    for d in variants:
+        atlas = Atlas.from_json(d)
+        atlas.save(str(path))
+        assert Atlas.load(str(path)) == atlas
 
 
 def test_atlas_json_schema_keys(atlas):

@@ -8,6 +8,7 @@ components.
 """
 
 import json
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
@@ -202,6 +203,23 @@ def test_pair_invariants_match_perm_counts_on_every_pair(atlas):
                                  iter_sigmas(20, seed=1000 + n * left + right)):
                 assert ((row.rank, row.kernel)
                         == perm_count_invariants(atlas, left, right, row.sigma))
+
+
+# (rank, kernel dimension) counts over all 40,320 sigmas of the pairs
+# the pipeline scans
+PRIORITY_HISTOGRAMS = {
+    (0, 0): {(11, 11): 1344, (12, 9): 9408, (13, 8): 18816, (14, 8): 10752},
+    (0, 1): {(12, 8): 2688, (13, 7): 16128, (14, 7): 21504},
+    (0, 3): {(13, 6): 2688, (13, 7): 5376, (14, 6): 32256},
+    (1, 3): {(13, 5): 2496, (13, 6): 768, (13, 7): 192, (14, 5): 35712,
+             (14, 6): 1152},
+}
+
+
+def test_priority_pair_histograms_are_pinned(atlas):
+    assert {pair: Counter((row.rank, row.kernel)
+                          for row in scan_pair(atlas, *pair, iter_sigmas()))
+            for pair in PRIORITY_PAIRS} == PRIORITY_HISTOGRAMS
 
 
 @pytest.mark.parametrize("sigma", [(0, 0, 1, 2, 3, 4, 5, 6), tuple(range(9)),
