@@ -30,7 +30,7 @@ import click
 
 from .algebra import kernel_cosets, rank_of
 from .canon import code_table
-from .fano import PRESCRIPTIONS, fano_families, partition_registry
+from .fano import FAMILIES, PRESCRIPTIONS, partition_registry
 from .fold import quotient_graph
 from .ioutil import (atomic_write, code_to_json, load_code, provenance,
                      read_json, save_code, write_json)
@@ -357,7 +357,7 @@ def fano() -> None:
 @fano.command("dump")
 def fano_dump() -> None:
     """Print every named family and the pair-partition registry in hex."""
-    for name, quads in fano_families().items():
+    for name, quads in FAMILIES.items():
         click.echo("%-5s %2d  %s"
                    % (name, len(quads),
                       " ".join(quad_name(q) for q in quads)))

@@ -8,15 +8,18 @@ are described by unions of these families and by products of pair
 partitions of the two halves.  Products and their quarters are
 recognized in label sets by structure.decompose_mixed.
 
-PRESCRIPTIONS is the paper's whole per-kernel-dimension prescription,
-one Prescription record for each of 5..9: the loop family, the pure
-link families and the mixed link rule.  structure.full_report looks a
-code's record up once and judges its folded graph against it.
+FAMILIES is the one ordered table of named families and the only
+place a family is named.  PRESCRIPTIONS is the paper's whole
+per-kernel-dimension prescription, one Prescription record for each
+of 5..9: the loop family, the pure link families and the mixed link
+rule.  structure.full_report looks a code's record up once and judges
+its folded graph against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .words import mask_of, parse_quad, points_of, quad_name
 
@@ -42,38 +45,28 @@ def supplement(quads, s: int) -> tuple:
     return tuple(sorted(out, key=points_of))
 
 
-Y = tuple(left_complement(q) for q in X)
+def _union(*families) -> tuple:
+    """The quadruples of the families together, sorted by their points."""
+    return tuple(sorted(chain(*families), key=points_of))
+
+
+def _primed(families: dict) -> dict:
+    """The families, then each one's left complements under its name primed."""
+    return {**families, **{name + "'": tuple(map(left_complement, quads))
+                           for name, quads in families.items()}}
+
+
+Y = tuple(map(left_complement, X))
 Z = supplement(X + Y, 0xF)
+XYZ = _union(X, Y, Z)                                   # loop for kappa=8, 9
 
-A = X[:3]
-B = X[3:]
-A_PRIME = tuple(left_complement(q) for q in A)
-B_PRIME = tuple(left_complement(q) for q in B)
-A0 = X[:1]
-A1 = X[1:3]
-B0 = X[3:5]
-B1 = X[5:7]
-A0_PRIME = tuple(left_complement(q) for q in A0)
-A1_PRIME = tuple(left_complement(q) for q in A1)
-B0_PRIME = tuple(left_complement(q) for q in B0)
-B1_PRIME = tuple(left_complement(q) for q in B1)
-
-X_PRIME = tuple(sorted(Y + Z, key=points_of))       # loop family for kappa=7
-Z_PRIME = tuple(sorted(Z + A_PRIME, key=points_of))  # kappa=6
-Z0 = tuple(sorted(Z + A0_PRIME, key=points_of))      # kappa=5
-
-
-def fano_families() -> dict:
-    return {
-        "X": X, "Y": Y, "Z": Z, "X'": X_PRIME,
-        "A": A, "B": B, "A'": A_PRIME, "B'": B_PRIME,
-        "A_0": A0, "A_1": A1, "B_0": B0, "B_1": B1,
-        "A_0'": A0_PRIME, "A_1'": A1_PRIME, "B_0'": B0_PRIME, "B_1'": B1_PRIME,
-        "Z'": Z_PRIME, "Z_0": Z0,
-    }
-
-
-XYZ = tuple(sorted(X + Y + Z, key=points_of))       # kappa=8 and 9
+# A holds the quadruples of X through 1 and B the others, each split in two
+FAMILIES = {"X": X, "Y": Y, "Z": Z, "X'": _union(Y, Z),  # loop for kappa=7
+            **_primed({"A": X[:3], "B": X[3:]}),
+            **_primed({"A_0": X[:1], "A_1": X[1:3],
+                       "B_0": X[3:5], "B_1": X[5:]})}
+FAMILIES["Z'"] = _union(Z, FAMILIES["A'"])              # loop for kappa=6
+FAMILIES["Z_0"] = _union(Z, FAMILIES["A_0'"])           # loop for kappa=5
 
 
 @dataclass(frozen=True)
@@ -81,35 +74,36 @@ class Prescription:
     """The paper's loop and link prescription for one kernel dimension.
 
     loop is the loop's half-supported family; loop_products full
-    products of pair partitions, 16 labels each, join it.  intra holds
-    the families a pure link may carry, none when it is empty; its keys,
-    xors of paired vertex labels in one block of the fold, only order
-    them, as a link is graded against every family of its size.  A mixed
-    link is link_products full products, or at most three quarters of
-    products when link_products is 0.  half_fold prescribes the fold over
-    the half-supported kernel subgroup, taken to have index 2, which
-    holds only for class pair (0, 0)."""
+    products of pair partitions, 16 labels each, join it.  intra names
+    the FAMILIES a pure link may carry, none when it is empty, in the
+    order ties between them are broken: a link is graded against every
+    family of its size, so no verdict checks which family the xor of a
+    link's paired vertex labels assigns to it.  A mixed link is
+    link_products full products, or at most three quarters of products
+    when link_products is 0.  half_fold prescribes the fold over the
+    half-supported kernel subgroup, taken to have index 2, which holds
+    only for class pair (0, 0)."""
 
     loop_name: str
     loop: tuple
     loop_products: int
-    intra: dict
+    intra: tuple
     cross_rule: str
     link_products: int
     half_fold: Prescription | None = None
 
 
 _QUARTERS = "at most three quarters"
-_KAPPA8 = Prescription("X+Y+Z", XYZ, 0, {}, "one full product", 1)
+_KAPPA8 = Prescription("X+Y+Z", XYZ, 0, (), "one full product", 1)
 
 PRESCRIPTIONS = {
-    5: Prescription("Z_0", Z0, 0,
-                    {1: A1_PRIME, 2: B0_PRIME, 3: B1_PRIME,
-                     4: B1, 5: B0, 6: A1, 7: A0}, _QUARTERS, 0),
-    6: Prescription("Z'", Z_PRIME, 0, {1: B_PRIME, 2: B, 3: A}, _QUARTERS, 0),
-    7: Prescription("X'", X_PRIME, 0, {1: X}, _QUARTERS, 0),
+    5: Prescription("Z_0", FAMILIES["Z_0"], 0,
+                    ("A_1'", "B_0'", "B_1'", "B_1", "B_0", "A_1", "A_0"),
+                    _QUARTERS, 0),
+    6: Prescription("Z'", FAMILIES["Z'"], 0, ("B'", "B", "A"), _QUARTERS, 0),
+    7: Prescription("X'", FAMILIES["X'"], 0, ("X",), _QUARTERS, 0),
     8: _KAPPA8,
-    9: Prescription("X+Y+Z and one full product", XYZ, 1, {},
+    9: Prescription("X+Y+Z and one full product", XYZ, 1, (),
                     "two full products", 2, half_fold=_KAPPA8),
 }
 

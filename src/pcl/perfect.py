@@ -23,18 +23,19 @@ SPACE7 = 1 << N7
 def enumerate_zero_subspace_codes() -> list:
     """The 30 perfect codes through zero, the Hamming codes, sorted.
 
-    Label the 7 coordinates with the nonzero vectors of F_2^3, each
-    labelling one permutation of them; the words whose labels xor to 0
-    form a Hamming code, and every labelling gives one of them.
+    The words whose coordinate labels, the 7 nonzero vectors of F_2^3,
+    xor to 0 form one; two labellings give one code exactly when they
+    differ by an element of GL(3, 2), which acts freely.  So only the 30
+    normalized labellings are taken: coordinates 0 and 1 labelled 1 and
+    2, and the first later coordinate labelled outside {1, 2, 3} by 4.
     """
-    labels = np.array(list(permutations(range(1, N7 + 1))), dtype=np.uint8)
-    words = np.arange(SPACE7)
-    syndromes = np.zeros((len(labels), SPACE7), dtype=np.uint8)
-    for i in range(N7):
-        syndromes ^= labels[:, i:i + 1] * (words >> i & 1).astype(np.uint8)
+    labels = np.array([(1, 2) + rest for rest in permutations(range(3, 8))
+                       if next(v for v in rest if v != 3) == 4], np.uint8)
+    bits = (np.arange(SPACE7)[:, None] >> np.arange(N7) & 1).astype(np.uint8)
+    syndromes = np.bitwise_xor.reduce(labels[:, None] * bits, axis=2)
     # the zeros of each row, in order: the 16 words of one code
     codes = np.nonzero(syndromes == 0)[1].reshape(-1, 16)
-    return sorted(set(map(tuple, codes.tolist())))
+    return sorted(map(tuple, codes.tolist()))
 
 
 def enumerate_perfect7() -> list:

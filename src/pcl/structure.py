@@ -4,7 +4,8 @@ A quotient graph carries three kinds of label sets: the loop shared by
 every vertex (the weight-4 words of the fold subspace), pure links whose
 labels live in a single half, and mixed links whose labels straddle the
 halves.  Each subject is compared against the quadruple families that
-fano.PRESCRIPTIONS prescribes for the code's kernel dimension; the
+fano.PRESCRIPTIONS prescribes for the code's kernel dimension, looked
+up by name in fano.FAMILIES, the only place a family is named; the
 record is looked up once, in full_report, and no check here branches on
 the dimension itself.  A verdict takes one of four levels:
 
@@ -227,7 +228,7 @@ def _link_verdicts(G: SqsGraph, judged: list, prefix: str) -> list[Verdict]:
             for i, j, k in G.links() if judged[k] is not None]
 
 
-def _judge_pure(labels, table, names, expected):
+def _judge_pure(labels, names, expected):
     """Verdict fields for one link's label set, None unless it is a
     nonempty set of half-supported labels."""
     L, R, M = split_sides(labels)
@@ -237,14 +238,15 @@ def _judge_pure(labels, table, names, expected):
         return ("fail", expected, "%d left and %d right labels on one link"
                 % (len(L), len(R)), "")
     obs_desc = "%d %s-half labels" % (len(L or R), "left" if L else "right")
-    graded = [(LEVELS.index(_grade(labels, f)), pos)
-              for pos, f in enumerate(table) if len(f) == len(labels)]
+    graded = [(LEVELS.index(_grade(labels, fano.FAMILIES[name])), pos)
+              for pos, name in enumerate(names)
+              if len(fano.FAMILIES[name]) == len(labels)]
     if not graded:
         return ("fail", expected, obs_desc,
                 "no prescribed family of this size")
     at, pos = min(graded)
     note = ("size matches %s only" if LEVELS[at] == "spectrum"
-            else "matches %s") % names[table[pos]]
+            else "matches %s") % names[pos]
     return (LEVELS[at], expected, obs_desc, note)
 
 
@@ -252,17 +254,13 @@ def verify_intra_links(G: SqsGraph, rx: fano.Prescription) -> list[Verdict]:
     """Pure links against the prescribed per-vertex families, plus the
     28-label block invariant of loop and pure links at every vertex.
 
-    A link is graded against every family of rx.intra that has its
-    size, and the best grade is kept (_judge_pure).  The vertex-label
-    xor keys of rx.intra thus only order the families: no verdict
-    checks that a link carries the family its key names.
+    A link is graded against every family rx.intra names that has its
+    size, and the best grade is kept (_judge_pure).
     """
-    table = [fam for _, fam in sorted(rx.intra.items())]
-    names = {masks: name for name, masks in fano.fano_families().items()}
     expected = "one of " + ", ".join(
-        "%s(%d)" % (names[f], len(f)) for f in table)
+        "%s(%d)" % (name, len(fano.FAMILIES[name])) for name in rx.intra)
     # class 0 is the loop, no link's, which every block holds
-    judged = [None] + [_judge_pure(labels, table, names, expected)
+    judged = [None] + [_judge_pure(labels, rx.intra, expected)
                        for labels in G.classes[1:]]
     out = _link_verdicts(G, judged, "")
 

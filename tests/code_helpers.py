@@ -12,8 +12,10 @@ in_span tests membership in the span of a basis, and coset_numbers and
 coset_of file codewords into the cosets of a decomposition by span
 membership, not by coset minima; half_pure_subgroup is the oracle of the
 subgroup structure folds over at kappa = 9; perm_count_invariants is the
-oracle of the scan.scan_pair rows, which algebra.DoublingPair evaluates;
-switched_code builds extended 1-perfect codes outside the doubling.
+oracle of the scan.scan_pair rows, which algebra.DoublingPair evaluates,
+and batched_invariants evaluates the same rows with numpy for many
+sigmas at once, from the translation actions alone; switched_code
+builds extended 1-perfect codes outside the doubling.
 """
 
 from collections import Counter
@@ -189,6 +191,66 @@ def perm_count_invariants(atlas, left: int, right: int, sigma) -> tuple:
     blocks = [(lr[i] | rr[sigma[i]] << 8) ^ r0 for i in range(1, 8)]
     return (rank_gf2(list(ld) + [d << 8 for d in rd] + blocks),
             size.bit_length() - 1)
+
+
+def _log2_exact(counts: np.ndarray) -> np.ndarray:
+    assert ((counts > 0) & (counts & (counts - 1) == 0)).all(), counts
+    return np.log2(counts).round().astype(np.int8)
+
+
+def batched_invariants(atlas, sigmas, pairs) -> dict:
+    """{(left, right): (rank, kernel dimension) arrays} of the codes each
+    class pair doubles under each of sigmas, permutations as 8 bytes,
+    read off the classes' TranslationAction with numpy.
+
+    The kernel has f_L f_R k words, k the number of p in A_L whose
+    sigma p sigma^-1 lies in A_R; a permutation is keyed by its 8 bytes
+    read as one uint64.  2^j counts the w in W_R whose sigma^-1(w), the
+    gather w[sigma], lies in U_L = W_L + {0, all eight}, keyed by its
+    8 bits in a 256-entry table, and the rank is 14 - j.  No
+    algebra.DoublingPair table is read.
+    """
+    sig = np.frombuffer(b"".join(sigmas), dtype=np.uint8).reshape(-1, 8)
+    inv = np.argsort(sig, axis=1)
+
+    def keys(rows) -> np.ndarray:
+        return np.ascontiguousarray(rows, dtype=np.uint8).view(np.uint64)[:, 0]
+
+    def key8(rows) -> np.ndarray:
+        return np.packbits(rows, axis=-1, bitorder="little")[..., 0]
+
+    def arr(b: bytes) -> np.ndarray:
+        return np.frombuffer(b, dtype=np.uint8)
+
+    @lru_cache(maxsize=None)
+    def left_side(c: int) -> tuple:
+        """Keys of sigma p sigma^-1, p in A_L, and the U_L table."""
+        act = atlas.classes[c].action
+        # (sigma p sigma^-1)[i] = sigma[p[sigma^-1[i]]]
+        conj = [keys(np.take_along_axis(sig[:, arr(p)], inv, axis=1))
+                for p in act.perms]
+        in_u = np.zeros(256, dtype=bool)
+        for w in map(arr, act.w_sets):
+            in_u[key8(w)] = in_u[key8(w) ^ 0xFF] = True
+        return conj, in_u
+
+    @lru_cache(maxsize=None)
+    def right_side(c: int) -> tuple:
+        """Keys of A_R and of sigma^-1(w), w in W_R."""
+        act = atlas.classes[c].action
+        return (keys([arr(q) for q in act.perms]),
+                [key8(arr(w)[sig]) for w in act.w_sets])
+
+    out = {}
+    for left, right in pairs:
+        (conj, in_u), (into, moved) = left_side(left), right_side(right)
+        k = sum(np.isin(c, into) for c in conj)
+        two_j = sum(in_u[m] for m in moved)
+        fixers = atlas.classes[left].action.fixers * \
+            atlas.classes[right].action.fixers
+        out[left, right] = (14 - _log2_exact(two_j),
+                            _log2_exact(fixers * k))
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import pytest
 
 from pcl.canon import _minimal_quadset8, minimal_quadset8
-from pcl.fano import (PRESCRIPTIONS, X, Y, Z, PairPartition, fano_families,
+from pcl.fano import (FAMILIES, PRESCRIPTIONS, X, Y, Z, PairPartition,
                       left_complement, pair_partition, parse_pair_name,
                       partition_registry, supplement)
 from pcl.structure import decompose_mixed
@@ -24,48 +24,47 @@ FAMILY_SIZES = {
 
 
 def test_family_sizes_and_distinctness():
-    fams = fano_families()
-    assert {k: len(v) for k, v in fams.items()} == FAMILY_SIZES
-    for quads in fams.values():
+    assert {k: len(v) for k, v in FAMILIES.items()} == FAMILY_SIZES
+    # the order pcl fano dump prints
+    assert list(FAMILIES) == ["X", "Y", "Z", "X'", "A", "B", "A'", "B'",
+                          "A_0", "A_1", "B_0", "B_1",
+                          "A_0'", "A_1'", "B_0'", "B_1'", "Z'", "Z_0"]
+    for quads in FAMILIES.values():
         assert len(set(quads)) == len(quads)
 
 
 def test_x_side_families_are_left_half():
-    fams = fano_families()
     for name in ("X", "Y", "A", "B", "A'", "B'"):
-        for q in fams[name]:
+        for q in FAMILIES[name]:
             assert q <= 0xFF
             assert len(points_of(q)) == 4
 
 
 def test_left_complement_involution():
-    fams = fano_families()
-    for q in fams["X"]:
+    for q in FAMILIES["X"]:
         assert left_complement(left_complement(q)) == q
-    assert tuple(sorted(map(left_complement, fams["X"]))) == \
-        tuple(sorted(fams["Y"]))
+    assert tuple(sorted(map(left_complement, FAMILIES["X"]))) == \
+        tuple(sorted(FAMILIES["Y"]))
     with pytest.raises(ValueError):
         left_complement(0x100)
 
 
 def test_supplement_involution_and_z():
-    fams = fano_families()
-    xy = fams["X"] + fams["Y"]
+    xy = FAMILIES["X"] + FAMILIES["Y"]
     z = supplement(xy, 0xF)
-    assert tuple(sorted(z, key=points_of)) == fams["Z"]
+    assert tuple(sorted(z, key=points_of)) == FAMILIES["Z"]
     assert sorted(supplement(z, 0xF)) == sorted(xy)
     with pytest.raises(ValueError):
         supplement((1 << 8,), 0x7)
 
 
 def test_composite_families():
-    fams = fano_families()
-    assert set(fams["X'"]) == set(fams["Y"]) | set(fams["Z"])
-    assert set(fams["Z'"]) == set(fams["Z"]) | set(fams["A'"])
-    assert set(fams["Z_0"]) == set(fams["Z"]) | set(fams["A_0'"])
-    assert set(fams["A"]) | set(fams["B"]) == set(fams["X"])
-    assert set(fams["A_0"]) | set(fams["A_1"]) == set(fams["A"])
-    assert set(fams["B_0"]) | set(fams["B_1"]) == set(fams["B"])
+    assert set(FAMILIES["X'"]) == set(FAMILIES["Y"]) | set(FAMILIES["Z"])
+    assert set(FAMILIES["Z'"]) == set(FAMILIES["Z"]) | set(FAMILIES["A'"])
+    assert set(FAMILIES["Z_0"]) == set(FAMILIES["Z"]) | set(FAMILIES["A_0'"])
+    assert set(FAMILIES["A"]) | set(FAMILIES["B"]) == set(FAMILIES["X"])
+    assert set(FAMILIES["A_0"]) | set(FAMILIES["A_1"]) == set(FAMILIES["A"])
+    assert set(FAMILIES["B_0"]) | set(FAMILIES["B_1"]) == set(FAMILIES["B"])
 
 
 def loop_formula(kappa: int) -> tuple:
@@ -82,10 +81,9 @@ def test_expected_loop():
     assert sorted(PRESCRIPTIONS) == [5, 6, 7, 8, 9]
     for kappa, rx in PRESCRIPTIONS.items():
         assert rx.loop == loop_formula(kappa), kappa
-    fams = fano_families()
     for kappa, name in ((5, "Z_0"), (6, "Z'"), (7, "X'")):
         assert PRESCRIPTIONS[kappa].loop_name == name
-        assert PRESCRIPTIONS[kappa].loop == fams[name]
+        assert PRESCRIPTIONS[kappa].loop == FAMILIES[name]
 
 
 def test_loop_multiplicity_table():
@@ -97,10 +95,12 @@ def test_loop_multiplicity_table():
 
 
 def test_intra_table_shape():
-    intra = {k: sum(len(f) for f in rx.intra.values())
+    intra = {k: sum(len(FAMILIES[name]) for name in rx.intra)
              for k, rx in PRESCRIPTIONS.items()}
     assert intra == {5: 13, 6: 11, 7: 7, 8: 0, 9: 0}
-    assert PRESCRIPTIONS[7].intra == {1: X}
+    assert {k: rx.intra for k, rx in PRESCRIPTIONS.items()} == {
+        5: ("A_1'", "B_0'", "B_1'", "B_1", "B_0", "A_1", "A_0"),
+        6: ("B'", "B", "A"), 7: ("X",), 8: (), 9: ()}
 
 
 def test_mixed_link_rule_and_half_fold():
@@ -168,9 +168,8 @@ def test_loq_split_quarters(a, b):
 
 
 def test_recognize_rejects_non_products():
-    fams = fano_families()
-    assert decompose_mixed(fams["X"]) is None
-    assert decompose_mixed(fams["Z"]) is None
+    assert decompose_mixed(FAMILIES["X"]) is None
+    assert decompose_mixed(FAMILIES["Z"]) is None
 
 
 def test_minimal_quadset8_rejects_masks_beyond_8_bits():
@@ -183,7 +182,7 @@ def test_minimal_quadset8_cache_matches_uncached():
     rng = random.Random(5)
     uncached = _minimal_quadset8.__wrapped__
     for rx in PRESCRIPTIONS.values():
-        for fam in rx.intra.values():
+        for fam in (FAMILIES[name] for name in rx.intra):
             masks = list(fam) + rng.sample(list(fam), len(fam) // 2)
             rng.shuffle(masks)
             want = uncached(tuple(sorted(set(fam))))

@@ -586,6 +586,48 @@ def test_translation_spectra_are_pinned_and_invariant(atlas):
                 == SPECTRA[i]
 
 
+# the same counts for the length-7 class representatives that partitions
+# enumerate --length 7 writes, under the translations of F_2^7, the
+# identity's 8 included
+SPECTRA7 = {
+    0: (0,) * 7 + (8,),
+    1: (0, 2, 6, 8),
+    2: (0,) * 5 + (4, 4, 8),
+    3: (0, 0, 2, 2, 2, 4, 6, 8),
+    4: (4, 6, 6, 8),
+    5: (0,) * 9 + (4,) * 6 + (8,),
+    6: (0, 4, 4, 8),
+    7: (0, 4, 4, 8),
+    8: (2, 4, 4, 4, 6, 6, 6, 8),
+    9: (0,) + (4,) * 6 + (8,),
+    10: (8,),
+}
+
+
+def test_length7_spectra_tell_apart_all_but_the_merged_classes(atlas, ids7):
+    """The spectrum does not separate the 11 length-7 classes: 6 and 7,
+    which merge under extension, share one, the other nine differ, and
+    each length-7 class has its extended class's spectrum."""
+    spectra = {}
+    for cid, rep in enumerate(orbit_classes(ids7, 7).reps):
+        comps = code_table(7)[ids7[rep]]
+        col = np.zeros(128, dtype=np.uint8)
+        for i, comp in enumerate(comps):
+            col[comp] = i
+        # a permutes the components when each one's image is one component
+        img = col[comps[None] ^ np.arange(128)[:, None, None]]
+        perms = {row.tobytes() for row in img[:, :, 0]
+                 [(img == img[:, :, :1]).all(axis=(1, 2))]}
+        spectra[cid] = tuple(sorted(map(fixed_points, perms)))
+    assert spectra == SPECTRA7
+    shared = [tuple(c for c in spectra if spectra[c] == s)
+              for s in set(spectra.values())]
+    assert [m for m in shared if len(m) > 1] == atlas.merged == [(6, 7)]
+    for k, ext in enumerate(atlas.classes):
+        for c in ext.length7_classes:
+            assert spectra[c] == SPECTRA[k] + (8,)
+
+
 def test_accepted_atlases_reload_equal_from_their_saved_copy(tmp_path):
     with gzip.open(REFERENCE_ATLAS, "rt") as fh:
         pinned = json.load(fh)

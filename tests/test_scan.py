@@ -2,14 +2,17 @@
 
 The invariants the scan reads off the partitions are checked against
 kernel_words and the rank of the codeword differences, computed from the
-built codes' words, and against code_helpers.perm_count_invariants, the
+built codes' words, against code_helpers.perm_count_invariants, the
 per-permutation count formula over translations found from the
-components.
+components, and against code_helpers.batched_invariants, which reads
+them off the translation actions with numpy and pins the (rank, kernel
+dimension) cells of all 4,032,000 doubled codes.
 """
 
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -23,7 +26,7 @@ from pcl.scan import (PRIORITY_PAIRS, ScanRow, iter_sigmas,
 from pcl.sts import code_type_grid, fully_tabulated
 from pcl.words import rank_gf2, sigma_bytes, sigma_str
 
-from code_helpers import perm_count_invariants
+from code_helpers import batched_invariants, perm_count_invariants
 from conftest import KAPPA_WITNESSES
 
 # find_representatives(per_pair=400, seed=0) as it chose when it built
@@ -220,6 +223,44 @@ def test_priority_pair_histograms_are_pinned(atlas):
     assert {pair: Counter((row.rank, row.kernel)
                           for row in scan_pair(atlas, *pair, iter_sigmas()))
             for pair in PRIORITY_PAIRS} == PRIORITY_HISTOGRAMS
+
+
+# (rank, kernel dimension) cells of all 4,032,000 doubled codes: every
+# ordered class pair under all 40,320 sigmas
+CENSUS = {
+    (11, 11): 1344,
+    (12, 7): 1312, (12, 8): 5472, (12, 9): 14912,
+    (13, 4): 10592, (13, 5): 36352, (13, 6): 82496, (13, 7): 78816,
+    (13, 8): 50176,
+    (14, 2): 341184, (14, 3): 934464, (14, 4): 1083648, (14, 5): 871584,
+    (14, 6): 420064, (14, 7): 88832, (14, 8): 10752,
+}
+
+
+def test_every_doubled_code_is_pinned(atlas):
+    n = len(atlas.classes)
+    table = batched_invariants(atlas, list(iter_sigmas()),
+                               [(l, r) for l in range(n) for r in range(n)])
+    cells = Counter()
+    for rank, kappa in table.values():
+        keys, counts = np.unique(rank.astype(int) * 16 + kappa,
+                                 return_counts=True)
+        cells.update({divmod(k, 16): c
+                      for k, c in zip(keys.tolist(), counts.tolist())})
+    assert sum(cells.values()) == n * n * scan.FACT8 == 4032000
+    assert cells == CENSUS
+
+
+def test_batched_invariants_match_scan_pair_on_every_pair(atlas):
+    n = len(atlas.classes)
+    for left in range(n):
+        for right in range(n):
+            rows = scan_pair(atlas, left, right,
+                             iter_sigmas(200, seed=2000 + n * left + right))
+            (rank, kappa), = batched_invariants(
+                atlas, [r.sigma for r in rows], [(left, right)]).values()
+            assert [(r.rank, r.kernel) for r in rows] == list(
+                zip(rank.tolist(), kappa.tolist())), (left, right)
 
 
 @pytest.mark.parametrize("sigma", [(0, 0, 1, 2, 3, 4, 5, 6), tuple(range(9)),

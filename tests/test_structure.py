@@ -15,7 +15,8 @@ from pcl.structure import (LEVELS, StructureReport, Verdict,
                            decompose_mixed, full_report)
 from pcl.words import mask_of, points_of, xor_closure
 
-from code_helpers import half_pure_subgroup, pair_masks, product
+from code_helpers import (batched_invariants, half_pure_subgroup, pair_masks,
+                          product)
 
 # kappa -> (passed, (exact, relabeled, spectrum, fail)) for the witnesses
 WITNESS_REPORTS = {
@@ -68,7 +69,7 @@ def _relabel(mask8: int, perm) -> int:
     return mask_of(perm[p] for p in points_of(mask8))
 
 
-@pytest.mark.parametrize("fam", [fano.X + fano.Y + fano.Z, fano.X_PRIME],
+@pytest.mark.parametrize("fam", [fano.XYZ, fano.FAMILIES["X'"]],
                          ids=["X+Y+Z", "X'"])
 def test_grade_levels(fam):
     assert _grade(fam, fam) == "exact"
@@ -106,26 +107,26 @@ def test_odd_left_support_names_the_first_label(witnesses):
 
 
 def test_judge_pure_takes_least_level_then_first_family():
-    names = {masks: name for name, masks in fano.fano_families().items()}
-    table = [fam for _, fam in sorted(fano.PRESCRIPTIONS[6].intra.items())]
-    assert [names[f] for f in table] == ["B'", "B", "A"]
+    names = fano.PRESCRIPTIONS[6].intra
+    assert names == ("B'", "B", "A")
+    B = fano.FAMILIES["B"]
 
     def judge(labels):
-        fields = structure._judge_pure(labels, table, names, "")
+        fields = structure._judge_pure(labels, names, "")
         assert fields is not None
         level, _, observed, note = fields
         return level, observed, note
 
     # B' and B have one canonical form: a level beats a table position,
     # and the first family wins among equal levels
-    assert judge(fano.B) == ("exact", "4 left-half labels", "matches B")
-    assert judge(tuple(m << 8 for m in fano.B)) == (
+    assert judge(B) == ("exact", "4 left-half labels", "matches B")
+    assert judge(tuple(m << 8 for m in B)) == (
         "relabeled", "4 right-half labels", "matches B'")
     assert judge((0x0F, 0x33, 0x55, 0x96)) == (
         "spectrum", "4 left-half labels", "size matches B' only")
     assert judge(fano.X[:5]) == (
         "fail", "5 left-half labels", "no prescribed family of this size")
-    assert structure._judge_pure((0x0F, 0x0F00), table, names, "e") == (
+    assert structure._judge_pure((0x0F, 0x0F00), names, "e") == (
         "fail", "e", "1 left and 1 right labels on one link", "")
 
 
@@ -231,10 +232,31 @@ def test_index2_verdicts_present_only_at_kappa9(witnesses):
     assert "half-fold matching" in subjects9
 
 
-# index of the half-supported subgroup in the kernel of every kappa = 9
-# code of each class pair that has any, over all 40320 sigmas; only the
-# (0,0) codes meet the kappa = 9 prescriptions, the others fail them
+# index of the half-supported subgroup in the kernel of the kappa = 9
+# codes of each class pair that has any, and how many of its 40320
+# sigmas give kappa = 9; only the (0,0) codes meet the kappa = 9
+# prescriptions (fano.Prescription.half_fold), the others fail them
 HALF_FOLD_INDEX = {(0, 0): 2, (0, 2): 4, (2, 0): 4, (2, 2): 8}
+KAPPA9_COUNTS = {(0, 0): 9408, (0, 2): 2688, (2, 0): 2688, (2, 2): 128}
+
+
+def test_half_fold_index_is_pinned_on_every_kappa9_pair(atlas):
+    """Over all sigmas the four pairs hold every kappa = 9 code, and on
+    seeded ones of each the half-supported kernel subgroup has the
+    pinned index."""
+    sigmas = list(iter_sigmas())
+    at9 = {pair: np.flatnonzero(kappa == 9) for pair, (_, kappa) in
+           batched_invariants(atlas, sigmas, HALF_FOLD_INDEX).items()}
+    assert {pair: len(ix) for pair, ix in at9.items()} == KAPPA9_COUNTS
+    # test_scan.CENSUS pins 14,912 kappa = 9 codes in all
+    assert sum(KAPPA9_COUNTS.values()) == 14912
+    rng = np.random.default_rng(9)
+    for (left, right), ix in at9.items():
+        for i in rng.choice(ix, 8, replace=False):
+            kw = kernel_words(make_code(atlas, left, right, sigmas[i]))
+            assert len(kw) == 1 << 9
+            assert HALF_FOLD_INDEX[left, right] * len(
+                half_pure_subgroup(kw)) == len(kw), (left, right, sigmas[i])
 
 
 def test_half_fold_subgroup_matches_the_oracle(atlas, witnesses,
