@@ -8,7 +8,8 @@ same array classifies the parity extensions up to coordinate
 permutation and even translation.  Two length-7 classes merge under
 extension, leaving ten extended classes.  The Atlas keeps the extended
 representatives, for downstream pairing, and the length-7 orbit sizes,
-from which it derives the census totals.
+from which it derives the census totals.  Atlas.pair reads the rank and
+kernel of codes doubled from two classes off their translation actions.
 
 Class ids are the ranks of the orbit minima (canon.orbit_classes), the
 canonical forms of the classes, so the numbering is independent of
@@ -24,7 +25,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import DoublingPair
 from .canon import (OrbitClasses, code_table, minimal_image7, minimal_image8,
                     orbit_classes, partition_col)
 from .ioutil import code_from_json, code_to_json, read_json, write_json
@@ -163,7 +163,12 @@ class TranslationAction(NamedTuple):
     all eight} is the annihilator of N in F_2^8: a set c in N meets T_f
     evenly, since the parity of the meet is f(sum_c z_i) = f(sum_c x_i)
     = 0 for c even, and the annihilator of N has dimension 8 - (7 - r) =
-    r + 1, that of U.
+    r + 1, that of U.  For two partitions L, R and a permutation sigma,
+    with sigma^-1 S = {i : sigma(i) in S}, N_L & sigma^-1 N_R has the
+    annihilator U_L + sigma^-1 U_R; U_L & sigma^-1 U_R is {0, all eight}
+    plus the 2^j sets sigma^-1(w), w in W_R, that lie in U_L (all eight
+    is in neither W), so N_L & sigma^-1 N_R has dimension 8 - (r_L + 1)
+    - (r_R + 1) + (j + 1) = 7 - r_L - r_R + j.
     """
 
     perms: frozenset
@@ -172,13 +177,115 @@ class TranslationAction(NamedTuple):
     w_sets: tuple
 
 
+def _log2_kernel_size(n: int) -> int:
+    if n < 1 or n & (n - 1):
+        raise ValueError("kernel size %d is not a power of two" % n)
+    return n.bit_length() - 1
+
+
+class DoublingPair(NamedTuple):
+    """(rank, kernel dimension) of the doubled codes of one ordered
+    class pair, read off the two partitions in a few bytes.translate
+    calls.
+
+    With L = (C_0..C_7) the left class, R = (D_0..D_7) the right one,
+    the code doubled under sigma is the union of the products
+    C_i x D_sigma(i), which is never built here (Phelps, SIAM J. Alg.
+    Disc. Meth. 1984).
+
+    Kernel: (a, b) fixes the code exactly when a permutes L's components
+    by translation (pa in A_L), b permutes R's (pb in A_R), and pb =
+    sigma pa sigma^-1.  Each element of A_L is realized by f_L
+    translations, so the kernel size is f_L f_R |A_L & sigma^-1 A_R sigma|,
+    counted by conjugating one group's elements into the other.
+
+    Rank: the codeword differences are spanned by the within-component
+    differences of L and of R, each in its own half, and by the blocks
+    (x_i + x_0, y_sigma(i) + y_sigma(0)) of residues, i = 1..7.  Modulo
+    the differences, the blocks span 7 - dim(N_L & sigma^-1 N_R) = r_L
+    + r_R - j, and the differences of a class span 7 - r (both from
+    TranslationAction), so
+
+        rank = 14 - j,  j = log2 #{w in W_R : sigma^-1(w) in U_L}.
+
+    Range: each component is a translate of an extended Hamming code, of
+    dimension 4 and holding all ones, so r <= 3 and f >= 2 on each side:
+    rank 11..14 (j <= min(r_L, r_R)) and kernel dimension 2..11.
+
+    The table: moves are the translate tables of the non-identity
+    elements of A_L (when left_moves) or A_R that sigma conjugates into
+    the other group, into.  Conjugation keeps the cycle type, for these
+    involutions the number of fixed points, so only elements of a count
+    the other group has are kept, from the side with fewer.  tables:
+    translate tables of the nonzero sets of W_R, carried by sigma^-1
+    into U_L, u, formed as W_L + {0, all eight}; sigma^-1 keeps a set's
+    size, so only sets of a size in U_L are kept, none when r_L = 0.
+    results: (rank, kernel dimension) by the tests passed, one per move
+    and 16 per set; each kernel size in it is checked once, and a count
+    that is not a subgroup's raises KeyError.  Atlas.pair builds one per
+    pair.
+    """
+
+    moves: tuple
+    into: frozenset
+    left_moves: bool
+    tables: tuple
+    u: frozenset
+    results: dict
+
+    @classmethod
+    def of(cls, la, ra) -> "DoublingPair":
+        """The table of two partitions.TranslationAction, left then right."""
+        def candidates(a, b) -> list:
+            kinds = {fixed_points(p) for p in b.perms if p != IDENTITY8}
+            return [p for p in a.perms
+                    if p != IDENTITY8 and fixed_points(p) in kinds]
+
+        left, right = candidates(la, ra), candidates(ra, la)
+        # conjugating A_L's elements costs a second maketrans
+        left_moves = len(left) + 1 < len(right)
+        moves, into = (left, ra.perms) if left_moves else (right, la.perms)
+        meets = min(len(la.perms), len(ra.perms)).bit_length()
+        results = {(1 << k) - 1 + 16 * ((1 << j) - 1):
+                   (14 - j, _log2_kernel_size(la.fixers * ra.fixers << k))
+                   for k in range(meets)
+                   for j in range(min(la.rank, ra.rank) + 1)}
+        u = frozenset(bytes(b ^ e for b in w)
+                      for w in la.w_sets for e in (0, 1))
+        sizes = {sum(w) for w in u}
+        return cls(tuple(bytes.maketrans(IDENTITY8, p) for p in moves), into,
+                   left_moves,
+                   tuple(bytes.maketrans(IDENTITY8, w) for w in ra.w_sets[1:]
+                         if sum(w) in sizes),
+                   u, results)
+
+    def invariants(self, sig: bytes) -> tuple[int, int]:
+        """(rank, kernel dimension) of the code doubled under sig, a
+        permutation of 0..7 as 8 bytes (words.sigma_bytes)."""
+        moves, into, left_moves, tables, u, results = self
+        passed = 0
+        if moves:
+            back = bytes.maketrans(sig, IDENTITY8)  # sigma^-1 as a table
+            if left_moves:  # sigma p sigma^-1, p in A_L
+                s, t = back[:8], bytes.maketrans(IDENTITY8, sig)
+            else:  # sigma^-1 q sigma, q in A_R
+                s, t = sig, back
+            for p in moves:
+                if s.translate(p).translate(t) in into:
+                    passed += 1
+        for w in tables:  # sigma^-1(w), w in W_R
+            if sig.translate(w) in u:
+                passed += 16
+        return results[passed]
+
+
 @dataclass
 class ExtClass:
     """One extended partition class: a representative and its ancestry.
 
-    The translation action that algebra.DoublingPair reads the rank and
-    kernel of doubled codes from is built on first use; linear is read
-    off it, never from a file (Atlas.from_json checks a file's flags)."""
+    The translation action that DoublingPair reads the rank and kernel
+    of doubled codes from is built on first use; linear is read off it,
+    never from a file (Atlas.from_json checks a file's flags)."""
 
     components: tuple
     length7_classes: tuple[int, ...]

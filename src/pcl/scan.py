@@ -8,13 +8,12 @@ entries are checked to be permutations, a seeded sample without
 replacement, or all 40320 in lexicographic order, from iter_sigmas) and
 tabulates the invariants as ScanRow named tuples.  scan_pair is the one
 route from sigma to (rank, kernel dimension): it reads them off the
-class pair's algebra.DoublingPair table, without building the code.
+class pair's partitions.DoublingPair table, without building the code.
 find_representatives walks its rows and builds a code only when it may
 keep it, the first found per kernel dimension; a kept code carries its
 recipe (Code.left, right, sigma), and the one it prefers has every
-kernel coset typed and certified.  algebra.kernel_words
-and the rank of the built code's word differences are the oracle of
-the rows.
+kernel coset typed and certified.  algebra.kernel_words and the rank
+of the built code's word differences are the oracle of the rows.
 """
 
 from __future__ import annotations
@@ -89,10 +88,10 @@ def find_representatives(atlas: Atlas, pairs=PRIORITY_PAIRS,
     """One code per prescribed kernel dimension (fano.PRESCRIPTIONS)
     from a seeded permutation scan.
 
-    Pairs are scanned in order with a fresh sample each; the result maps
-    kernel dimension to the code, which carries its recipe.  Some codes with
-    small kernels puncture to triple systems whose Pasch profiles match
-    no type-table row; the scan keeps the first code whose profiles all
+    Pairs are scanned in order, each over the same seeded sample; the
+    result maps kernel dimension to the code, which carries its recipe.
+    Some codes with small kernels puncture to triple systems whose Pasch
+    profiles match no type-table row; the scan keeps the first code whose profiles all
     classify and falls back to the first found otherwise.  A code is
     built only when its kernel dimension, read off the scan_pair row, is
     wanted and not yet settled.  Deterministic for fixed atlas, pair
@@ -101,11 +100,11 @@ def find_representatives(atlas: Atlas, pairs=PRIORITY_PAIRS,
     want = set(PRESCRIPTIONS)
     found: dict[int, Code] = {}
     settled: set[int] = set()
+    sigmas = list(iter_sigmas(per_pair, seed))
     for left, right in pairs:
         if want <= settled:
             break
-        for _, _, sig, _, kap in scan_pair(atlas, left, right,
-                                           iter_sigmas(per_pair, seed)):
+        for _, _, sig, _, kap in scan_pair(atlas, left, right, sigmas):
             if kap not in want or kap in settled:
                 continue
             code = make_code(atlas, left, right, sig)

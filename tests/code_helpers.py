@@ -12,7 +12,7 @@ in_span tests membership in the span of a basis, and coset_numbers and
 coset_of file codewords into the cosets of a decomposition by span
 membership, not by coset minima; half_pure_subgroup is the oracle of the
 subgroup structure folds over at kappa = 9; perm_count_invariants is the
-oracle of the scan.scan_pair rows, which algebra.DoublingPair evaluates,
+oracle of the scan.scan_pair rows, which partitions.DoublingPair evaluates,
 and batched_invariants evaluates the same rows with numpy for many
 sigmas at once, from the translation actions alone; switched_code
 builds extended 1-perfect codes outside the doubling.
@@ -208,7 +208,7 @@ def batched_invariants(atlas, sigmas, pairs) -> dict:
     read as one uint64.  2^j counts the w in W_R whose sigma^-1(w), the
     gather w[sigma], lies in U_L = W_L + {0, all eight}, keyed by its
     8 bits in a 256-entry table, and the rank is 14 - j.  No
-    algebra.DoublingPair table is read.
+    partitions.DoublingPair table is read.
     """
     sig = np.frombuffer(b"".join(sigmas), dtype=np.uint8).reshape(-1, 8)
     inv = np.argsort(sig, axis=1)

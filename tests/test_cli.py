@@ -964,12 +964,16 @@ def test_exports_are_pinned(runner, tmp_path, pipeline_runs):
 
 
 def test_subcommands_reproduce_pipeline_artifacts(runner, tmp_path,
-                                                  pipeline_runs):
+                                                  atlas_file, pipeline_runs):
     d, res = pipeline_runs[0]
     assert res.exit_code == 0, res.output
     found = read_json(os.path.join(d, "summary.json"))["found"]
+    doubles = [("code_linear.json", ["0", "0", "01234567"])]
     for kappa in (5, 6, 7, 8, 9):
         code = os.path.join(d, "code_k%d.json" % kappa)
+        recipe = read_json(code)
+        doubles.append((os.path.basename(code), [
+            str(recipe[k]) for k in ("sourceClass", "targetClass", "sigma")]))
         verdict = 0 if found[str(kappa)]["passed"] else 1
         for args, name, status in (
                 (["analyze", code, "--out"], "analysis_k%d.json", 0),
@@ -981,6 +985,13 @@ def test_subcommands_reproduce_pipeline_artifacts(runner, tmp_path,
             res = runner.invoke(main, args + [out])
             assert res.exit_code == status, res.output
             assert _read_bytes(out) == _read_bytes(os.path.join(d, name)), name
+    for name, (source, target, sigma) in doubles:
+        out = str(tmp_path / name)
+        res = runner.invoke(main, ["double", "--atlas", atlas_file,
+                                   "--source", source, "--target", target,
+                                   "--sigma", sigma, "--out", out])
+        assert res.exit_code == 0, res.output
+        assert _read_bytes(out) == _read_bytes(os.path.join(d, name)), name
 
 
 def test_kernel_is_computed_once_per_code(witnesses, tmp_path, monkeypatch):

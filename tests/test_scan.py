@@ -20,7 +20,7 @@ from pcl import algebra, scan, sts
 from pcl.algebra import kernel_words
 from pcl.cli import main
 from pcl.ioutil import provenance
-from pcl.partitions import Atlas
+from pcl.partitions import Atlas, _log2_kernel_size
 from pcl.scan import (PRIORITY_PAIRS, ScanRow, iter_sigmas,
                       find_representatives, make_code, scan_pair)
 from pcl.sts import code_type_grid, fully_tabulated
@@ -275,7 +275,7 @@ def test_a_sigma_that_is_no_permutation_is_rejected(atlas, sigma):
 
 def test_an_empty_kernel_is_rejected():
     with pytest.raises(ValueError, match="power of two"):
-        algebra._log2_kernel_size(0)
+        _log2_kernel_size(0)
 
 
 def test_find_representatives_keeps_its_choices(found):
