@@ -381,14 +381,14 @@ def export(code_path: str, fmt: str, out: str, with_sts: bool) -> None:
     """Fold a code over its kernel and write the graph."""
     code = _load_code_checked(code_path)
     g = quotient_graph(code)
-    if with_sts and fmt in ("dot", "json"):
-        g.vertex_sts = [s for _, _, s in type_grid(code).rows]
+    sts = ([s for _, _, s in type_grid(code).rows]
+           if with_sts and fmt in ("dot", "json") else None)
     if fmt == "dot":
-        atomic_write(out, g.to_dot() + "\n")
+        atomic_write(out, g.to_dot(sts) + "\n")
     elif fmt == "csv":
         atomic_write(out, g.to_csv())
     else:
-        write_json(out, g.to_json())
+        write_json(out, g.to_json(sts))
     click.echo("wrote %s" % out)
 
 

@@ -58,7 +58,6 @@ def _primed(families: dict) -> dict:
 
 Y = tuple(map(left_complement, X))
 Z = supplement(X + Y, 0xF)
-XYZ = _union(X, Y, Z)                                   # loop for kappa=8, 9
 
 # A holds the quadruples of X through 1 and B the others, each split in two
 FAMILIES = {"X": X, "Y": Y, "Z": Z, "X'": _union(Y, Z),  # loop for kappa=7
@@ -67,6 +66,7 @@ FAMILIES = {"X": X, "Y": Y, "Z": Z, "X'": _union(Y, Z),  # loop for kappa=7
                        "B_0": X[3:5], "B_1": X[5:]})}
 FAMILIES["Z'"] = _union(Z, FAMILIES["A'"])              # loop for kappa=6
 FAMILIES["Z_0"] = _union(Z, FAMILIES["A_0'"])           # loop for kappa=5
+FAMILIES["X+Y+Z"] = _union(X, Y, Z)                     # loop for kappa=8, 9
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class Prescription:
 
 
 _QUARTERS = "at most three quarters"
-_KAPPA8 = Prescription("X+Y+Z", XYZ, 0, (), "one full product", 1)
+_KAPPA8 = Prescription("X+Y+Z", FAMILIES["X+Y+Z"], 0, (), "one full product", 1)
 
 PRESCRIPTIONS = {
     5: Prescription("Z_0", FAMILIES["Z_0"], 0,
@@ -103,7 +103,7 @@ PRESCRIPTIONS = {
     6: Prescription("Z'", FAMILIES["Z'"], 0, ("B'", "B", "A"), _QUARTERS, 0),
     7: Prescription("X'", FAMILIES["X'"], 0, ("X",), _QUARTERS, 0),
     8: _KAPPA8,
-    9: Prescription("X+Y+Z and one full product", XYZ, 1, (),
+    9: Prescription("X+Y+Z and one full product", FAMILIES["X+Y+Z"], 1, (),
                     "two full products", 2, half_fold=_KAPPA8),
 }
 

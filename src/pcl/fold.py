@@ -25,7 +25,7 @@ word would put both differences in one coset of L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .doubling import Code
 from .words import coset_minima, quad_name, word_hex, xor_closure
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SqsGraph:
     """Fold of a code over a kernel subspace.
 
@@ -43,13 +43,13 @@ class SqsGraph:
     r_i ^ r_j + L numbered pair_class[i, j]; classes[k] is the sorted
     tuple of weight-4 words of class k.  Class 0 is L itself, whose
     words are the loop shared by every vertex.  mult is the full
-    multiplicity matrix with loop counts on the diagonal.
+    multiplicity matrix with loop counts on the diagonal.  The dot and
+    json exporters label vertex i with sts[i] when given the list sts.
     """
 
     reps: np.ndarray
     classes: tuple
     pair_class: np.ndarray
-    vertex_sts: list | None = field(default=None)
 
     @property
     def order(self) -> int:
@@ -75,12 +75,12 @@ class SqsGraph:
         return np.array([len(c) for c in self.classes],
                         dtype=np.int64)[self.pair_class]
 
-    def to_json(self) -> dict:
+    def to_json(self, sts=None) -> dict:
         verts = []
         for i, r in enumerate(self.reps):
             v = {"id": i, "representative": word_hex(int(r), 16)}
-            if self.vertex_sts is not None:
-                v["stsTuple"] = self.vertex_sts[i]
+            if sts is not None:
+                v["stsTuple"] = sts[i]
             verts.append(v)
         loops = [((i, i), self.loop_labels) for i in range(self.order)]
         edges = [{"a": i, "b": j, "quadruples": [quad_name(b) for b in labs],
@@ -88,12 +88,12 @@ class SqsGraph:
                  for (i, j), labs in loops + list(self.labels.items())]
         return {"vertices": verts, "edges": edges}
 
-    def to_dot(self) -> str:
+    def to_dot(self, sts=None) -> str:
         lines = ["graph fold {"]
         for i in range(self.order):
             label = str(i)
-            if self.vertex_sts is not None:
-                label += "\\n" + self.vertex_sts[i]
+            if sts is not None:
+                label += "\\n" + sts[i]
             lines.append('  v%d [label="%s"];' % (i, label))
         mult = self.mult
         for i, j in [(i, i) for i in range(self.order)] + list(self.labels):

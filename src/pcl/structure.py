@@ -264,7 +264,7 @@ def verify_intra_links(G: SqsGraph, rx: fano.Prescription) -> list[Verdict]:
                        for labels in G.classes[1:]]
     out = _link_verdicts(G, judged, "")
 
-    blk_exp = set(fano.XYZ)
+    blk_exp = set(fano.FAMILIES["X+Y+Z"])
     for v, row in enumerate(G.pair_class.tolist()):
         blk = set(chain.from_iterable(
             G.classes[k] for k in set(row)
@@ -399,7 +399,7 @@ def _assert_even_left_support(G: SqsGraph) -> None:
                          "doubling coordinates" % int(labels[np.argmax(odd)]))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class StructureReport:
     """Aggregated verdicts for one folded code."""
 

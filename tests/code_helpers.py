@@ -5,7 +5,8 @@ length 7 directly; is_extended_perfect8 checks a parity-extended
 component by its distances; tiles15 and is_extended_perfect16 check a
 length-16 code by the tiling of its punctures, the oracle of
 Code.neighbours; occupancy marks the codewords in a table of its own, so
-membership tests do not read the table they check;
+membership tests do not read the table they check, and
+kernel_words_brute tests every difference against the whole code by it;
 enumerate_pair_partitions, pair_masks and product build the
 pair-partition products that structure.decompose_mixed recognizes;
 in_span tests membership in the span of a basis, and coset_numbers and
@@ -115,6 +116,15 @@ def occupancy(words) -> np.ndarray:
     occ = np.zeros(1 << 16, dtype=bool)
     occ[np.asarray(words, dtype=np.intp)] = True
     return occ
+
+
+def kernel_words_brute(code) -> np.ndarray:
+    """Every difference against one codeword, each tested on the whole
+    code: the oracle of the incremental kernel_words."""
+    cand = code.words ^ code.words[0]
+    good = occupancy(code.words)[code.words[None, :]
+                                 ^ cand[:, None]].all(axis=1)
+    return np.sort(cand[good])
 
 
 def in_span(basis: tuple, w: int) -> bool:

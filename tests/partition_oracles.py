@@ -3,10 +3,11 @@
 A partition here is its row: the component id of each of the 128 words
 (words.EVEN8 at length 8), relabeled by first occurrence.  Each
 generator is a gather map g on the row positions, the moved rows are
-rows[:, g] relabeled, and the orbits come from looking every moved row
-up among the sorted rows.  canon classifies on code ids instead and
-builds rows only to rank the orbits; this pass never sees a code id,
-and row_ids converts its rows for the id pass.
+rows[:, g] relabeled by this module's own relabel, and the orbits come
+from looking every moved row up among the sorted rows.  canon
+classifies on code ids instead and builds rows only to rank the
+orbits; this pass never sees a code id, and row_ids converts its rows
+for the id pass.
 
 is_linear_partition, a closure test on the component through 0, is the
 oracle of partitions.ExtClass.linear, which reads linearity off the
@@ -15,7 +16,7 @@ translation action instead.
 
 import numpy as np
 
-from pcl.canon import code_table, relabel_np
+from pcl.canon import code_table
 from pcl.words import EVEN8, perm_word_map
 
 
@@ -36,6 +37,21 @@ def row_generators(n: int) -> tuple:
     return tuple(position[m] for m in maps)
 
 
+def relabel(rows: np.ndarray) -> np.ndarray:
+    """Component ids renumbered by first occurrence in each row: an id's
+    new number counts the ids whose first position comes before its own.
+    canon.relabel_np, which orbit_classes uses, is not called here."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    m, n = flat.shape
+    first = np.full(m * 8, n)
+    np.minimum.at(first, (np.arange(m)[:, None] * 8 + flat).ravel(),
+                  np.tile(np.arange(n), m))
+    first = first.reshape(m, 8)
+    new = (first[:, None, :] < first[:, :, None]).sum(axis=2)
+    return np.take_along_axis(new, flat, axis=1).astype(
+        np.uint8).reshape(rows.shape)
+
+
 def _keys(rows: np.ndarray) -> np.ndarray:
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
@@ -53,7 +69,7 @@ def row_orbit_classes(rows: np.ndarray, gens) -> tuple:
         raise ValueError("duplicate partitions in the enumerated set")
     moves = []
     for g in gens:
-        img = _keys(relabel_np(rows[:, g]))
+        img = _keys(relabel(rows[:, g]))
         at = np.minimum(np.searchsorted(ranked, img), n - 1)
         if (ranked[at] != img).any():
             raise ValueError("orbit left the enumerated set")
@@ -82,7 +98,7 @@ def row_orbit(row: np.ndarray, gens) -> np.ndarray:
     found = [row]
     frontier = row[None, :]
     while len(frontier):
-        imgs = relabel_np(np.concatenate([frontier[:, g] for g in gens]))
+        imgs = relabel(np.concatenate([frontier[:, g] for g in gens]))
         fresh = []
         for img in imgs:
             if img.tobytes() not in seen:

@@ -20,12 +20,15 @@ pasch_profile_completion, which counts the Pasch configurations of an
 STS(15) by a completion search over its intersecting triple pairs.
 """
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
 
-from pcl.algebra import kernel_cosets
 from pcl.sts import ROWS
+from pcl.words import echelon_basis
+
+from code_helpers import kernel_words_brute
 
 ROW_OF = {per_point: t for t, (_, per_point) in ROWS.items()}
 
@@ -187,15 +190,22 @@ def vertex_types(code, v: int) -> tuple:
     return tuple(classify_type(s) for s in vertex_signatures(code, v))
 
 
+@lru_cache(maxsize=8)
+def _kernel_basis(code) -> tuple:
+    """A basis of the brute-force kernel, kept for the code's next coset."""
+    return echelon_basis(kernel_words_brute(code))
+
+
 def class_type_tuple_sorted(code, rep: int) -> tuple:
     """Type tuple of a kernel coset, certified by sorted difference sets.
 
-    The weight-4 differences at the representative and at its basis
-    translates are sorted in one (dimension + 1, 2048) array and
-    compared row by row.
+    The weight-4 differences at the representative and at its
+    translates by a kernel basis are sorted in one (dimension + 1, 2048)
+    array and compared row by row.  The basis spans the brute-force
+    kernel, not the algebra.kernel_cosets the typing walk reads.
     """
     tup = vertex_types(code, rep)
-    at = np.array((0,) + kernel_cosets(code).basis,
+    at = np.array((0,) + _kernel_basis(code),
                   dtype=np.uint16) ^ np.uint16(rep)
     d = code.words ^ at[:, None]
     # 0xFFFF has weight 16, so it pads each sorted row after the blocks

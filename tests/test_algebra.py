@@ -1,8 +1,8 @@
 """Kernel, rank and coset machinery on the doubled codes.
 
-kernel_words_brute, cosets_loop and rank_brute are the oracles of the
-incremental kernel, the coset decomposition by echelon reduction and the
-rank read off the kernel cosets.
+kernel_words_brute (code_helpers), cosets_loop and rank_brute are the
+oracles of the incremental kernel, the coset decomposition by echelon
+reduction and the rank read off the kernel cosets.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ from pcl.structure import split_sides
 from pcl.words import coset_minima, echelon_basis, rank_gf2, xor_closure
 
 from code_helpers import (coset_numbers, coset_of, half_pure_subgroup,
-                          in_span, occupancy)
+                          in_span, kernel_words_brute, occupancy)
 
 EXPECTED = {
     # kappa: (rank, weight4 split (left, right, mixed), half-pure dim)
@@ -27,15 +27,6 @@ EXPECTED = {
     9: (12, (14, 14, 16), 8),
     11: (11, (14, 14, 112), 8),
 }
-
-
-def kernel_words_brute(code) -> np.ndarray:
-    """Every difference against one codeword, each tested on the whole
-    code: the oracle of the incremental kernel_words."""
-    cand = code.words ^ code.words[0]
-    good = occupancy(code.words)[code.words[None, :]
-                                 ^ cand[:, None]].all(axis=1)
-    return np.sort(cand[good])
 
 
 def cosets_loop(code, basis):

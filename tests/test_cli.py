@@ -737,6 +737,10 @@ def test_fano_dump(runner):
     assert res.exit_code == 0
     assert re.search(r"^X\s+7\s+0123 ", res.output, re.M)
     assert "registry: 74 tags" in res.output
+    # the kappa=8 and kappa=9 loop is the last family printed
+    lines = res.output.splitlines()
+    assert lines[lines.index("registry: 74 tags") - 1].startswith(
+        "X+Y+Z 28  0123 0145 ")
     assert re.search(r"^1_a\s+1_3\^5\s+01 23 45 67$", res.output, re.M)
 
 

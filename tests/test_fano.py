@@ -16,7 +16,7 @@ from pcl.words import points_of
 from code_helpers import enumerate_pair_partitions, pair_masks, product
 
 FAMILY_SIZES = {
-    "X": 7, "Y": 7, "Z": 14, "X'": 21, "Z'": 17, "Z_0": 15,
+    "X": 7, "Y": 7, "Z": 14, "X'": 21, "Z'": 17, "Z_0": 15, "X+Y+Z": 28,
     "A": 3, "B": 4, "A'": 3, "B'": 4,
     "A_0": 1, "A_1": 2, "B_0": 2, "B_1": 2,
     "A_0'": 1, "A_1'": 2, "B_0'": 2, "B_1'": 2,
@@ -28,7 +28,8 @@ def test_family_sizes_and_distinctness():
     # the order pcl fano dump prints
     assert list(FAMILIES) == ["X", "Y", "Z", "X'", "A", "B", "A'", "B'",
                           "A_0", "A_1", "B_0", "B_1",
-                          "A_0'", "A_1'", "B_0'", "B_1'", "Z'", "Z_0"]
+                          "A_0'", "A_1'", "B_0'", "B_1'", "Z'", "Z_0",
+                          "X+Y+Z"]
     for quads in FAMILIES.values():
         assert len(set(quads)) == len(quads)
 
@@ -62,6 +63,7 @@ def test_composite_families():
     assert set(FAMILIES["X'"]) == set(FAMILIES["Y"]) | set(FAMILIES["Z"])
     assert set(FAMILIES["Z'"]) == set(FAMILIES["Z"]) | set(FAMILIES["A'"])
     assert set(FAMILIES["Z_0"]) == set(FAMILIES["Z"]) | set(FAMILIES["A_0'"])
+    assert set(FAMILIES["X+Y+Z"]) == set(X) | set(Y) | set(Z)
     assert set(FAMILIES["A"]) | set(FAMILIES["B"]) == set(FAMILIES["X"])
     assert set(FAMILIES["A_0"]) | set(FAMILIES["A_1"]) == set(FAMILIES["A"])
     assert set(FAMILIES["B_0"]) | set(FAMILIES["B_1"]) == set(FAMILIES["B"])
@@ -81,9 +83,10 @@ def test_expected_loop():
     assert sorted(PRESCRIPTIONS) == [5, 6, 7, 8, 9]
     for kappa, rx in PRESCRIPTIONS.items():
         assert rx.loop == loop_formula(kappa), kappa
-    for kappa, name in ((5, "Z_0"), (6, "Z'"), (7, "X'")):
+    for kappa, name in ((5, "Z_0"), (6, "Z'"), (7, "X'"), (8, "X+Y+Z")):
         assert PRESCRIPTIONS[kappa].loop_name == name
         assert PRESCRIPTIONS[kappa].loop == FAMILIES[name]
+    assert PRESCRIPTIONS[9].loop == FAMILIES["X+Y+Z"]
 
 
 def test_loop_multiplicity_table():

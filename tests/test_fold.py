@@ -276,13 +276,12 @@ def test_edge_labels_accessors(witnesses):
 
 def test_graph_json_roundtrip(witnesses):
     g = quotient_graph(witnesses[8])
-    g.vertex_sts = ["3" * 16] * g.order
-    d = g.to_json()
-    reps, labels, mult, sts = graph_from_json(d)
+    vertex_labels = ["3" * 16] * g.order
+    reps, labels, mult, sts = graph_from_json(g.to_json(vertex_labels))
     assert np.array_equal(reps, g.reps)
     assert labels == g.labels
     assert np.array_equal(mult, g.mult)
-    assert sts == g.vertex_sts
+    assert sts == vertex_labels
 
 
 def test_graph_json_roundtrip_without_sts(witnesses):
@@ -314,8 +313,17 @@ def test_to_dot_and_csv(witnesses):
 
 def test_dot_includes_sts_labels(witnesses):
     g = quotient_graph(witnesses[9])
-    g.vertex_sts = ["2" * 16] * g.order
-    assert 'v0 [label="0\\n%s"];' % ("2" * 16) in g.to_dot()
+    dot = g.to_dot(["2" * 16] * g.order)
+    assert 'v0 [label="0\\n%s"];' % ("2" * 16) in dot
+
+
+def test_graph_is_frozen(witnesses):
+    # vertex labels go to the exporters; nothing is set on a fold
+    g = quotient_graph(witnesses[9])
+    with pytest.raises(AttributeError):
+        g.classes = g.classes[:1]
+    with pytest.raises(AttributeError):
+        g.vertex_labels = ["2" * 16] * g.order
 
 
 def test_loop_labels_live_in_kernel(witnesses):
